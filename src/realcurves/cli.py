@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 parse/usage error, 3 hypothesis violation
 (non-square-free input, singular conic, off-curve point), 4 internal
-cross-module inconsistency (should never fire).
+inconsistency: a failed self-check (should never fire).
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
@@ -21,12 +21,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .curves import HypothesisError
+from .curves import HypothesisError, InternalInconsistencyError
 from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
 from .parser import ParseError, parse_coefficient_list, parse_curve
-from .report import InternalInconsistencyError, full_report
+from .report import full_report
 from .sampling import SampleBox, run_sample
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     except (HypothesisError, OffCurveError, SingularCurveError) as err:
         print(f"hypothesis violation: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except InternalInconsistencyError as err:  # pragma: no cover
+    except InternalInconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

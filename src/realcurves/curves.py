@@ -23,14 +23,18 @@ of signs, which is exact for polynomials with all roots real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polys import UniPoly, count_real_roots, is_square_free, sign_variations
+from .polys import UniPoly, count_real_roots, sign_variations
 
 
 class HypothesisError(ValueError):
     """Input violates a smoothness/connectedness hypothesis."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """A self-check failed; this should never fire."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +84,16 @@ class HyperellipticSpec:
     """The curve y^2 = q(x) with q nonconstant and square-free."""
 
     q: UniPoly
+    # k, counted on the Sturm chain that also decides square-freeness
+    real_roots: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q.is_zero or self.q.degree < 1:
             raise HypothesisError("right-hand side must be nonconstant")
-        if not is_square_free(self.q):
-            raise HypothesisError("right-hand side must be square-free")
+        try:
+            object.__setattr__(self, "real_roots", count_real_roots(self.q))
+        except ValueError:
+            raise HypothesisError("right-hand side must be square-free") from None
 
     def display(self) -> str:
         return f"y^2 = {self.q}"
@@ -331,7 +339,7 @@ def hyperelliptic_invariants(spec: HyperellipticSpec) -> CurveInvariants:
     """
     q = spec.q
     d = q.degree
-    k = count_real_roots(q)
+    k = spec.real_roots
     kp = k // 2
     dp = d // 2
     if d % 2 == 1:

@@ -8,14 +8,15 @@ the unit groups of the coordinate ring.
 
 Closed rules settle most cases: a single point at infinity forces
 eta = 0, and on a genus-zero curve every degree-zero boundary cycle is
-principal, so eta = r + c - 1.  The interesting case is a monic rational
-quartic y^2 = Q(x): the difference p of the two points at infinity lives
+principal, so eta = r + c - 1.  The interesting case is a quartic
+y^2 = Q(x) with a rational square leading coefficient l (y -> y/sqrt(l)
+makes Q monic): the difference p of the two points at infinity lives
 in the Jacobian, an elliptic curve with an explicit Weierstrass model
 built from a factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2) with
-a, b, c rational and a, c > 0 (signs fixed by the number k of real roots
-of Q).  eta = 1 exactly when p is a torsion point, and Mazur's theorem
-on rational torsion bounds the possible orders.  The decision procedure
-checks, exactly and in this order, the relation lists
+a, b, c rational and a, c > 0; the number k of real roots of Q is read
+off the two signs.  eta = 1 exactly when p is a torsion point, and
+Mazur's theorem on rational torsion bounds the possible orders.  The
+decision procedure checks, exactly and in this order, the relation lists
 
     k = 0: (2n-1)p = p1, (2n-1)p = p2, 2np = p3 for n <= 2   (6 cases)
     k = 2: np = p1 for n <= 6, 2np = -p for n <= 4           (10 cases)
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .curves import CurveInvariants, CurveSpec, HyperellipticSpec
+from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
+                     InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, ec_add, multiple,
                        torsion_order_bounded)
 from .polys import (UniPoly, count_real_roots, integer_roots_monic,
@@ -174,9 +176,8 @@ def eta_closed_rules(inv: CurveInvariants) -> EtaResult | None:
 # ---------------------------------------------------------------------------
 
 def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
-    """Match a monic rational quartic against the k-appropriate normal
-    form, or return None when no factorization with rational a, b, c
-    exists.
+    """Match a monic rational quartic against the normal form, or return
+    None when no factorization with rational a, b, c exists.
 
     The translation x -> x + h with h = -coeff(x^3)/4 removes the cubic
     term, which is exactly the condition that the two quadratic factors
@@ -188,6 +189,10 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     the one with the largest b^2 is chosen, preferring b >= 0 and then
     lexicographically smaller (a, c); the choice never changes the model
     or eta, only which labels the certificates carry.
+
+    k is read off the factors (x +- b)^2 + d: each has two real roots iff
+    d < 0.  A candidate with d+ < 0 < d- is skipped, as its twin (-b, the
+    factors exchanged) is a candidate too.
     """
     if q.degree != 4:
         raise ValueError("polynomial must have degree 4")
@@ -195,7 +200,6 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         raise ValueError("polynomial must be monic")
     if not is_square_free(q):
         raise ValueError("polynomial must be square-free")
-    k = count_real_roots(q)
 
     shift = -q.coefficient(3) / 4
     qt = q.shift(shift)
@@ -223,26 +227,23 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         assignments.append((u / 2, v, w))
         assignments.append((-u / 2, w, v))
 
-    candidates: set[tuple[Fraction, Fraction, Fraction]] = set()
+    candidates: set[tuple[Fraction, Fraction, Fraction, int]] = set()
     for b, m_plus, m_minus in assignments:
         d_plus = m_plus - b * b
         d_minus = m_minus - b * b
-        if k == 0:
-            a, c = rational_sqrt(d_plus), rational_sqrt(d_minus)
-        elif k == 4:
-            a, c = rational_sqrt(-d_plus), rational_sqrt(-d_minus)
-        else:
-            a, c = rational_sqrt(d_plus), rational_sqrt(-d_minus)
-        if a is None or c is None or a == 0 or c == 0:
+        if d_plus < 0 < d_minus:
             continue
-        candidates.add((a, b, c))
+        a, c = rational_sqrt(abs(d_plus)), rational_sqrt(abs(d_minus))
+        if not a or not c:
+            continue
+        candidates.add((a, b, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
 
     if not candidates:
         return None
-    a, b, c = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
+    a, b, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
     params = QuarticParams(k=k, a=a, b=b, c=c)
     if params.quartic() != qt:
-        raise AssertionError("normal form failed to reproduce the quartic")
+        raise InternalInconsistencyError("normal form failed to reproduce the quartic")
     return params
 
 
@@ -389,10 +390,12 @@ def eta_from_params(params: QuarticParams,
                 stats.max_multiple = len(multiples) - 1
             # re-verify through an independent group-law path
             if multiple(model.curve, n, model.p) != target:
-                raise AssertionError(f"certificate {relation!r} failed re-verification")
+                raise InternalInconsistencyError(
+                    f"certificate {relation!r} failed re-verification")
             order = torsion_order_bounded(model.curve, model.p, 12)
             if order is None:
-                raise AssertionError("certified relation without bounded torsion")
+                raise InternalInconsistencyError(
+                    "certified relation without bounded torsion")
             return EtaResult(1, Certificate(TORSION_COINCIDENCE,
                                             relation=relation, order=order))
     if stats is not None:
@@ -424,30 +427,32 @@ class EtaAnalysis:
 
 def eta_full(spec: CurveSpec, inv: CurveInvariants,
              stats: SearchStats | None = None) -> EtaAnalysis:
-    """Closed rules first; the elliptic pipeline for monic quartics with
-    positive leading coefficient; the twin quartic y^2 = -Q for the
+    """Closed rules first; the elliptic pipeline for quartics with a
+    square leading coefficient; the twin quartic y^2 = -Q for the
     negative-leading-coefficient form (the complexifications of the two
     forms are isomorphic, so eta transfers); Undetermined for even
     degree >= 6, which has no finite decision procedure here.
     """
     closed = eta_closed_rules(inv)
     q = spec.q if isinstance(spec, HyperellipticSpec) else None
-
-    if closed is not None:
-        eta = closed
-    elif q is not None and q.degree == 4:
-        if q.leading == 1:
-            eta = quartic_eta(q, stats=stats)
-        else:
-            eta = EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
-    else:
-        eta = EtaResult(None, Certificate(GENUS_TOO_HIGH))
-
-    eta_complex = _eta_complex(spec, inv, eta, stats)
+    eta = closed if closed is not None else _quartic_dispatch(q, stats)
+    eta_complex = _eta_complex(q, inv, eta, stats)
     return EtaAnalysis(eta=eta, eta_complex=eta_complex)
 
 
-def _eta_complex(spec: CurveSpec, inv: CurveInvariants, eta: EtaResult,
+def _quartic_dispatch(q: UniPoly | None, stats: SearchStats | None) -> EtaResult:
+    """eta of y^2 = q for q with positive leading coefficient l.  When q
+    is a quartic and l a rational square, y -> y/sqrt(l) maps the curve
+    onto y^2 = q/l over Q, which runs the monic pipeline; anything else
+    is Undetermined."""
+    if q is None or q.degree != 4:
+        return EtaResult(None, Certificate(GENUS_TOO_HIGH))
+    if rational_sqrt(q.leading) is None:
+        return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
+    return quartic_eta(q.monic(), stats=stats)
+
+
+def _eta_complex(q: UniPoly | None, inv: CurveInvariants, eta: EtaResult,
                  stats: SearchStats | None) -> EtaResult | None:
     if inv.complete:
         return None
@@ -461,16 +466,8 @@ def _eta_complex(spec: CurveSpec, inv: CurveInvariants, eta: EtaResult,
     if inv.genus == 0:
         # two conjugate boundary points on a genus-zero completion
         return EtaResult(1, Certificate(RULE_CONIC_TABLE))
-    q = spec.q if isinstance(spec, HyperellipticSpec) else None
-    if q is None:
-        return None
-    if q.degree % 2 == 0 and q.leading < 0:
-        if q.degree == 4:
-            twin = -q
-            if twin.leading == 1:
-                return quartic_eta(twin, stats=stats)
-            return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
-        return EtaResult(None, Certificate(GENUS_TOO_HIGH))
+    if q is not None and q.degree % 2 == 0 and q.leading < 0:
+        return _quartic_dispatch(-q, stats)
     return None
 
 

@@ -97,6 +97,14 @@ def _poly_pow(p: BiPoly, e: int) -> BiPoly:
     return out
 
 
+def _int(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long",
+                         tok[2]) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], length: int):
         self.tokens = tokens
@@ -156,20 +164,19 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok[0] == "^":
             self.next()
-            etok = self.expect("int")
-            return _poly_pow(base, int(etok[1]))
+            return _poly_pow(base, _int(self.expect("int")))
         return base
 
     def parse_base(self) -> BiPoly:
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
-            num = int(value)
+            num = _int(tok)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "/":
                 self.next()
                 dtok = self.expect("int")
-                den = int(dtok[1])
+                den = _int(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
                 return {(0, 0): Fraction(num, den)}

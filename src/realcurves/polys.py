@@ -288,17 +288,18 @@ def sturm_count(seq: Sequence[UniPoly], a: Fraction, b: Fraction) -> int:
 def count_real_roots(p: UniPoly) -> int:
     """Exact number of distinct real roots of a square-free polynomial.
 
-    Callers must ensure square-freeness first; repeated roots are
-    rejected here rather than silently miscounted.
+    Repeated roots are rejected rather than silently miscounted.  The
+    last element of the Sturm chain is gcd(p, p') up to a constant, so
+    the chain itself decides square-freeness.
     """
     if p.is_zero:
         raise ValueError("zero polynomial rejected")
     if p.degree == 0:
         return 0
-    if not is_square_free(p):
+    seq = sturm_sequence(p)
+    if seq[-1].degree > 0:
         raise ValueError("polynomial is not square-free")
     bound = cauchy_bound(p) + 1
-    seq = sturm_sequence(p)
     return sturm_count(seq, -bound, bound)
 
 

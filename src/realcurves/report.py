@@ -18,16 +18,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cohomology import etale_dims, quotient_space_dims
-from .curves import (ConicSpec, CurveInvariants, CurveSpec, classify_conic,
+from .curves import (ConicSpec, CurveInvariants, CurveSpec,
+                     InternalInconsistencyError, classify_conic,
                      hyperelliptic_invariants)
 from .eta import EtaAnalysis, LevelReport, eta_full, level_bounds
 from .groups import GroupDescriptor
 from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
 from .witt import witt_group
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A cross-module identity failed; this should never fire."""
 
 
 def _group_json(g: GroupDescriptor) -> dict:
@@ -79,7 +76,8 @@ def _pic_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:
         # the curve is isomorphic to one component of its
         # complexification; compute there
         eta_c = analysis.eta_complex
-        assert eta_c is not None and eta_c.value is not None
+        if eta_c is None or eta_c.value is None:
+            raise InternalInconsistencyError("no eta over C for a disconnected curve")
         group = pic_tors_complex(inv.genus, inv.complex_at_infinity, eta_c.value)
         return {"eta_undetermined": False, **_group_json(group)}
     result = pic_tors(inv, analysis.eta)
@@ -96,14 +94,7 @@ def _units_json(inv: CurveInvariants, analysis: EtaAnalysis, n: int) -> dict:
                 **_group_json(GroupDescriptor(zn=(n, 0)))}
     value = analysis.eta.value
     if value is None:
-        return {
-            "n": n,
-            "eta_undetermined": True,
-            "candidates": {
-                "eta_0": _group_json(units_mod_n(0, n)),
-                "eta_1": _group_json(units_mod_n(1, n)),
-            },
-        }
+        return {"n": n, **TwoCandidates(units_mod_n(0, n), units_mod_n(1, n)).to_json()}
     return {"n": n, "eta_undetermined": False, **_group_json(units_mod_n(value, n))}
 
 

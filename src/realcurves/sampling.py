@@ -84,17 +84,10 @@ def draw_params(rng: random.Random, box: SampleBox) -> QuarticParams:
             c = a
         if box.pin is None and (b == 0 or a == c):
             continue
-        if not _square_free_params(k, a, b, c):
+        try:
+            return QuarticParams(k=k, a=a, b=b, c=c)
+        except ValueError:  # not square-free
             continue
-        return QuarticParams(k=k, a=a, b=b, c=c)
-
-
-def _square_free_params(k: int, a: int, b: int, c: int) -> bool:
-    if k == 0:
-        return not (b == 0 and a == c)
-    if k == 4:
-        return 2 * b not in (c - a, a - c, c + a, -(c + a))
-    return True
 
 
 def run_sample(count: int, seed: int, box: SampleBox,

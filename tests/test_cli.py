@@ -1,8 +1,12 @@
 import json
 import pathlib
+import sys
 
 import jsonschema
+import pytest
 
+import realcurves.eta
+from realcurves import INFINITY
 from realcurves.cli import main
 
 SCHEMA = json.loads(
@@ -102,6 +106,21 @@ class TestExitCodes:
     def test_bad_units(self, capsys):
         code, _, _ = run(capsys, "analyze", "x = 0", "--units", "1")
         assert code == 2
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter has no int-string digit limit")
+    def test_overlong_literal_is_2(self, capsys):
+        huge = "7" * (sys.get_int_max_str_digits() + 1)
+        for expr in (f"y^2 = {huge}*x^3 + 1", f"y^2 = x^3 + 1/{huge}",
+                     f"y^2 = (x+1)^{huge}"):
+            code, _, err = run(capsys, "analyze", expr)
+            assert code == 2 and "too long" in err
+
+    def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
+        # a re-verification that disagrees with the incremental search
+        monkeypatch.setattr(realcurves.eta, "multiple", lambda curve, n, p: INFINITY)
+        code, _, err = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)")
+        assert code == 4 and "failed re-verification" in err
 
 
 class TestSample:

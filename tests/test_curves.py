@@ -162,6 +162,14 @@ class TestHyperellipticInvariants:
         with pytest.raises(HypothesisError):
             HyperellipticSpec(UniPoly([1, -2, 1]))
 
+    def test_stored_root_count_is_not_part_of_identity(self):
+        spec = HyperellipticSpec(UniPoly([9, 0, -10, 0, 1]))
+        assert spec.real_roots == 4
+        assert spec == HyperellipticSpec(UniPoly([9, 0, -10, 0, 1]))
+        assert hash(spec) == hash(HyperellipticSpec(UniPoly([9, 0, -10, 0, 1])))
+        assert repr(spec) == "HyperellipticSpec(q=UniPoly([Fraction(9, 1), " \
+            "Fraction(0, 1), Fraction(-10, 1), Fraction(0, 1), Fraction(1, 1)]))"
+
 
 class TestInvariantValidation:
     def test_component_sum_enforced(self):

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from realcurves import (QuarticParams, SearchStats, UniPoly,
-                        build_quartic_model, classify_conic, eta_closed_rules,
-                        eta_from_params, eta_full, hyperelliptic_invariants,
-                        level_bounds, multiple, parse_curve,
-                        quartic_eta, quartic_normal_form)
+                        build_quartic_model, classify_conic, count_real_roots,
+                        curves, eta_closed_rules, eta_from_params, eta_full,
+                        full_report, hyperelliptic_invariants, level_bounds,
+                        multiple, parse_curve, polys, quartic_eta,
+                        quartic_normal_form)
+from realcurves import eta as eta_module
 from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
                             RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY)
+from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import has_rational_quadratic_split
 
@@ -332,3 +335,73 @@ class TestLevelBounds:
         inv = conic_inv("x^2 + 1")
         with pytest.raises(ValueError):
             level_bounds(inv, None)
+
+
+class TestSquareLeadingQuartics:
+    """y^2 = l*Q0 with l a rational square is y^2 = Q0 after y -> y/sqrt(l)."""
+
+    def test_scaled_quartics_match_monic(self):
+        monic = eta_full(*hyp("y^2 = x^4 - 1")).eta
+        assert (monic.value, monic.certificate.relation) == (1, "p = p1")
+        for expr in ("y^2 = 4*x^4 - 4", "y^2 = 1/4*x^4 - 1/4"):
+            assert eta_full(*hyp(expr)).eta == monic
+
+    def test_scaled_negative_twin(self):
+        analysis = eta_full(*hyp("y^2 = -4*x^4 + 4"))
+        assert analysis.eta.value == 0
+        assert analysis.eta_complex.value == 1
+        assert analysis.eta_complex == eta_full(*hyp("y^2 = -x^4 + 1")).eta_complex
+
+    def test_non_square_leading_stays_undetermined(self):
+        direct = eta_full(*hyp("y^2 = 2*x^4 - 2")).eta
+        twin = eta_full(*hyp("y^2 = -3*x^4 + 3")).eta_complex
+        for res in (direct, twin):
+            assert (res.value, res.certificate.kind) == (None, NON_RATIONAL_FACTORIZATION)
+
+
+class TestEachFactOnce:
+    """Square-freeness and k of Q are computed once per curve."""
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        calls = {}
+        for name in names:
+            original = getattr(polys, name)
+            seen = calls[name] = []
+
+            def counted(p, *rest, _original=original, _seen=seen):
+                _seen.append(p)
+                return _original(p, *rest)
+
+            for module in (polys, curves, eta_module):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_full_report_on_monic_quartic(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "is_square_free",
+                                 "count_real_roots", "sturm_sequence")
+        spec = parse_curve("y^2 = (x^2-1)*(x^2-9)")
+        report = full_report(spec)
+        assert report["eta"]["certificate"]["relation"] == "p = p3"
+        assert len(calls["is_square_free"]) == 1
+        assert len(calls["count_real_roots"]) == 1
+        assert sum(p == spec.q for p in calls["sturm_sequence"]) == 1
+
+    def test_one_sample_draw(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "is_square_free", "count_real_roots")
+        run_sample(1, 1, SampleBox())
+        assert len(calls["is_square_free"]) == 1
+        assert len(calls["count_real_roots"]) == 0
+
+    def test_normal_form_k_matches_sturm_count(self):
+        rng = random.Random(83)
+        for pin in (None, "b=0", "a=c"):
+            box = SampleBox(pin=pin)
+            for _ in range(40):
+                params = draw_params(rng, box)
+                h = F(rng.randint(-30, 30), rng.randint(1, 7))
+                q = params.quartic().shift(h)
+                found = quartic_normal_form(q)
+                assert found is not None
+                assert found.k == params.k == count_real_roots(q)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
+from realcurves.parser import parse_polynomial
 
 
 class TestConicPath:
@@ -89,6 +91,17 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_curve("y^2 = 1/0*x^3")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter has no int-string digit limit")
+    def test_overlong_literal_position(self):
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(f"x^2 + {huge}*y")
+        assert exc.value.position == 6
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(f"(x+1)^{huge}")
+        assert exc.value.position == 6
 
 
 class TestCoefficientList:
