@@ -39,8 +39,7 @@ from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, ec_add, multiple,
                        torsion_order_bounded)
-from .polys import (UniPoly, count_real_roots, integer_roots_monic,
-                    is_square_free, rational_sqrt)
+from .polys import UniPoly, integer_roots_monic, is_square_free, rational_sqrt
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -122,7 +121,11 @@ class QuarticParams:
 
 @dataclass
 class SearchStats:
-    """Instrumentation for the bounded torsion search."""
+    """Instrumentation for the bounded torsion search.
+
+    k is the root count of the normal form that was searched; it stays
+    None when the quartic has no rational normal form.
+    """
 
     k: int | None = None
     relations_checked: int = 0
@@ -253,7 +256,8 @@ def _positive_rational_resolvent_roots(big_p: Fraction, big_c: Fraction,
 
     Scaling z by the common denominator of the coefficients turns the
     cubic into a monic integer polynomial whose rational roots are
-    integers, found by exact Sturm bisection.
+    integers, found by exact integer bisection on the monotone runs of
+    the cubic itself.
     """
     c2 = 2 * big_p
     c1 = big_p * big_p - 4 * big_r
@@ -357,8 +361,6 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     """
     params = quartic_normal_form(q)
     if params is None:
-        if stats is not None:
-            stats.k = count_real_roots(q)
         return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
     return eta_from_params(params, stats=stats)
 

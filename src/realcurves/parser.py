@@ -195,16 +195,20 @@ class _Parser:
 
 
 def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
-    """Parse a polynomial in x, y into sparse form."""
+    """Parse a polynomial in x, y into sparse form.
+
+    `offset` is the position of `text` inside the whole input; it is
+    added once here to the position of every error, end of input
+    included.
+    """
     try:
-        tokens = _tokenize(text)
+        parser = _Parser(_tokenize(text), len(text))
+        poly = parser.parse_expr()
+        tok = parser.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     except ParseError as err:
         raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
-    parser = _Parser(tokens, len(text))
-    poly = parser.parse_expr()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2] + offset)
     return {m: c for m, c in poly.items() if c != 0}
 
 

@@ -11,12 +11,16 @@ roots of a square-free polynomial p in (a, b] equals V(a) - V(b), where
 V(x) counts sign changes in the Sturm sequence evaluated at x.  The
 whole real line is covered by evaluating at -(M+1) and M+1 for the
 Cauchy bound M = 1 + max|a_i / a_d|, which avoids symbolic infinities.
+
+Integer roots of the resolvent cubic need no Sturm chain: its critical
+points split the line into monotone runs, each searched by integer
+bisection on the sign of the cubic itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -304,15 +308,15 @@ def count_real_roots(p: UniPoly) -> int:
 
 
 def integer_roots_monic(p: UniPoly) -> list[int]:
-    """All integer roots of a monic polynomial with integer coefficients.
+    """All integer roots of a monic integer polynomial of degree at most 3.
 
-    By the rational root theorem every rational root of such a
-    polynomial is an integer, so Sturm bisection on half-integer
-    endpoints (which are never roots) isolates each real root in a
-    width-one window containing exactly one integer candidate.  The
-    Sturm chain is rescaled to integer coefficients and evaluated at
-    x = m/2 through the homogenized form sum c_i m^i 2^(d-i), keeping
-    the whole search in integer arithmetic.
+    Every rational root of such a polynomial is an integer (rational
+    root theorem).  The critical points, (-c2 +- sqrt(c2^2 - 3*c1))/3
+    for degree 3 and -c1/2 for degree 2, are bracketed between integers
+    (through isqrt) where p is evaluated directly; each monotone run
+    between the brackets and the Cauchy bound +-(1 + max|c_i|) is
+    searched by integer bisection on the sign of p.  Degree above 3
+    raises ValueError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -320,53 +324,45 @@ def integer_roots_monic(p: UniPoly) -> list[int]:
         raise ValueError("polynomial must be monic")
     if any(c.denominator != 1 for c in p.coeffs):
         raise ValueError("polynomial must have integer coefficients")
-    if p.degree == 0:
-        return []
-    sq = p // poly_gcd(p, p.derivative())
-    chain = []
-    for q in sturm_sequence(sq):
-        scale = 1
-        for c in q.coeffs:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        chain.append(tuple(int(c * scale) for c in q.coeffs))
-
-    def variations_at_half(num: int) -> int:
-        # sign pattern of the chain at x = num / 2
-        signs = []
-        for coeffs in chain:
-            acc = coeffs[-1]
-            p2 = 1
-            for c in reversed(coeffs[:-1]):
-                p2 *= 2
-                acc = acc * num + c * p2
-            if acc:
-                signs.append(acc > 0)
-        return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-    int_coeffs = [int(c) for c in sq.coeffs]
+    if p.degree > 3:
+        raise ValueError("polynomial must have degree at most 3")
+    coeffs = [c.numerator for c in reversed(p.coeffs)]  # descending
 
     def value_at(n: int) -> int:
         acc = 0
-        for c in reversed(int_coeffs):
+        for c in coeffs:
             acc = acc * n + c
         return acc
 
-    bound = int(cauchy_bound(sq)) + 1
-    roots: list[int] = []
-    # endpoints are odd numerators over 2, never roots of an integer-rooted poly
-    stack = [(-2 * bound - 1, 2 * bound + 1)]
-    while stack:
-        lo_num, hi_num = stack.pop()
-        if variations_at_half(lo_num) == variations_at_half(hi_num):
+    bound = 1 + max((abs(c) for c in coeffs[1:]), default=0)
+    points = {-bound, bound}
+    if p.degree == 2:
+        c1 = coeffs[1]
+        points.update(range(-c1 // 2, -(c1 // 2) + 1))
+    elif p.degree == 3:
+        c2, c1 = coeffs[1], coeffs[2]
+        disc = c2 * c2 - 3 * c1
+        if disc >= 0:
+            s = isqrt(disc)
+            # each critical point lies in ((centre - 1)/3, (centre + 1)/3)
+            for centre in (-c2 - s, -c2 + s):
+                points.update(range((centre - 1) // 3, -((-centre - 1) // 3) + 1))
+    ends = sorted(points)
+    values = [value_at(n) for n in ends]
+    roots = [n for n, v in zip(ends, values) if v == 0]
+    # no critical point lies strictly between consecutive ends, so p is
+    # strictly monotone there and a sign change brackets exactly one root
+    for lo, hi, v_lo, v_hi in zip(ends, ends[1:], values, values[1:]):
+        if hi - lo < 2 or v_lo * v_hi >= 0:
             continue
-        width = (hi_num - lo_num) // 2
-        if width == 1:
-            cand = (lo_num + 1) // 2
-            if value_at(cand) == 0:
-                roots.append(cand)
-            continue
-        mid_num = lo_num + 2 * (width // 2)
-        stack.append((lo_num, mid_num))
-        stack.append((mid_num, hi_num))
-    roots.sort()
-    return roots
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = value_at(mid)
+            if v_mid == 0:
+                roots.append(mid)
+                break
+            if (v_mid < 0) == (v_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+    return sorted(roots)

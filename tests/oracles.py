@@ -2,7 +2,8 @@
 
 Everything here recomputes results along a *different* algorithmic path
 from the library: resultants by Sylvester determinant, real-root counts
-by Descartes/bisection isolation, elliptic addition by explicit chord
+by Descartes/bisection isolation, integer roots by Sturm bisection on
+half-integer endpoints, elliptic addition by explicit chord
 substitution and Vieta, and a Nagell-Lutz integrality screen for
 non-torsion.  None of it calls the library routine it is checking.
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from realcurves import (CurveInvariants, ECPoint, GroupDescriptor, INFINITY,
                         UniPoly, WeierstrassCurve)
-from realcurves.polys import sign_variations
+from realcurves.polys import (cauchy_bound, poly_gcd, sign_variations,
+                              sturm_sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,61 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
         if c != 0:
             acc = acc + c * (num_pows[i] * den_pows[d - i])
     return sign_variations(list(acc.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Integer roots by Sturm bisection (independent of monotone-run bisection)
+# ---------------------------------------------------------------------------
+
+def sturm_integer_roots(p: UniPoly) -> list[int]:
+    """All integer roots of a monic integer polynomial of any degree.
+
+    The square-free part is isolated by Sturm bisection on half-integer
+    endpoints (never roots of a monic integer polynomial) down to
+    width-one windows, each holding one integer candidate.  The chain is
+    rescaled to integer coefficients and evaluated at x = m/2 through
+    the homogenized form sum c_i m^i 2^(d-i).
+    """
+    assert p.leading == 1 and all(c.denominator == 1 for c in p.coeffs)
+    if p.degree == 0:
+        return []
+    sq = p // poly_gcd(p, p.derivative())
+    chain = []
+    for q in sturm_sequence(sq):
+        scale = 1
+        for c in q.coeffs:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        chain.append(tuple(int(c * scale) for c in q.coeffs))
+
+    def variations_at_half(num: int) -> int:
+        signs = []
+        for coeffs in chain:
+            acc = coeffs[-1]
+            p2 = 1
+            for c in reversed(coeffs[:-1]):
+                p2 *= 2
+                acc = acc * num + c * p2
+            if acc:
+                signs.append(acc > 0)
+        return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+
+    bound = int(cauchy_bound(sq)) + 1
+    roots: list[int] = []
+    stack = [(-2 * bound - 1, 2 * bound + 1)]
+    while stack:
+        lo_num, hi_num = stack.pop()
+        if variations_at_half(lo_num) == variations_at_half(hi_num):
+            continue
+        width = (hi_num - lo_num) // 2
+        if width == 1:
+            cand = (lo_num + 1) // 2
+            if sq(cand) == 0:
+                roots.append(cand)
+            continue
+        mid_num = lo_num + 2 * (width // 2)
+        stack.append((lo_num, mid_num))
+        stack.append((mid_num, hi_num))
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,14 @@ class TestEachFactOnce:
         assert len(calls["is_square_free"]) == 1
         assert len(calls["count_real_roots"]) == 0
 
+    def test_undetermined_quartic_leaves_k_unset(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "count_real_roots", "sturm_sequence")
+        stats = SearchStats()
+        result = quartic_eta(UniPoly([1, 1, 0, 0, 1]), stats=stats)  # x^4 + x + 1
+        assert result.certificate.kind == NON_RATIONAL_FACTORIZATION
+        assert stats.k is None
+        assert calls == {"count_real_roots": [], "sturm_sequence": []}
+
     def test_normal_form_k_matches_sturm_count(self):
         rng = random.Random(83)
         for pin in (None, "b=0", "a=c"):

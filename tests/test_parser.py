@@ -76,6 +76,14 @@ class TestErrors:
             parse_curve("x^2 + @ = 0")
         assert "position 6" in str(exc.value)
 
+    def test_positions_count_from_the_whole_input(self):
+        cases = {"y^2 = x^3 + 2*x +* 3": 17, "y^2 = (x + 1": 12}
+        for text, position in cases.items():
+            with pytest.raises(ParseError) as exc:
+                parse_curve(text)
+            assert exc.value.position == position
+            assert str(exc.value).endswith(f"(at position {position})")
+
     def test_missing_equals(self):
         with pytest.raises(ParseError):
             parse_curve("x^2 + y^2 - 1")

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from realcurves import (UniPoly, count_real_roots, is_square_free, poly_gcd,
+from realcurves import (QuarticParams, UniPoly, count_real_roots,
+                        is_square_free, poly_gcd, quartic_normal_form,
                         rational_sqrt)
+from realcurves import eta as eta_module
 from realcurves.polys import cauchy_bound, integer_roots_monic
+from realcurves.sampling import SampleBox, draw_params
 
-from oracles import descartes_count_roots, random_squarefree_poly, sylvester_resultant
+from oracles import (descartes_count_roots, random_squarefree_poly,
+                     sturm_integer_roots, sylvester_resultant)
 
 
 def P(*coeffs):
@@ -138,6 +142,69 @@ class TestIntegerRoots:
             integer_roots_monic(P(1, 2))
         with pytest.raises(ValueError):
             integer_roots_monic(P(Fraction(1, 2), 0, 1))
+
+    def test_degree_above_three_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            integer_roots_monic(P(-1, 0, 0, 0, 1))
+
+
+def random_monic(rng: random.Random, degree: int, magnitude: int) -> UniPoly:
+    """A monic integer polynomial of the given degree, often with integer
+    roots, repeated roots and a zero root."""
+    if rng.random() < 0.25:
+        return P(*[rng.randint(-magnitude, magnitude) for _ in range(degree)], 1)
+    roots = [rng.randint(-magnitude, magnitude)
+             for _ in range(rng.randint(0, degree))]
+    if roots and rng.random() < 0.3:
+        roots[-1] = roots[0]
+    if roots and rng.random() < 0.2:
+        roots[0] = 0
+    p = P(1)
+    for r in roots:
+        p = p * P(-r, 1)
+    while p.degree < degree:
+        if degree - p.degree >= 2 and rng.random() < 0.5:
+            p = p * P(rng.randint(-magnitude, magnitude),
+                      rng.randint(-magnitude, magnitude), 1)
+        else:
+            p = p * P(rng.randint(-magnitude, magnitude), 1)
+    return p
+
+
+class TestIntegerRootsAgainstOracle:
+    """integer_roots_monic (monotone runs) against Sturm bisection on
+    half-integers."""
+
+    def test_random_low_degree(self):
+        rng = random.Random(2029)
+        for _ in range(1000):
+            magnitude = 10 ** rng.choice((1, 3, 8, 15, 30))
+            p = random_monic(rng, rng.randint(1, 3), magnitude)
+            assert integer_roots_monic(p) == sturm_integer_roots(p), p
+
+    def test_resolvent_cubics_of_sampler_quartics(self, monkeypatch):
+        cubics = []
+
+        def recorded(p, _original=integer_roots_monic):
+            cubics.append(p)
+            return _original(p)
+
+        monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
+        rng = random.Random(3067)
+        for pin, draws in ((None, 1000), ("b=0", 500), ("a=c", 500)):
+            box = SampleBox(pin=pin)
+            for _ in range(draws):
+                params = draw_params(rng, box)
+                t = rng.randint(1, 6)
+                scaled = QuarticParams(k=params.k, a=Fraction(params.a, t),
+                                       b=Fraction(params.b, t),
+                                       c=Fraction(params.c, t))
+                h = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                assert quartic_normal_form(scaled.quartic().shift(h)) is not None
+        assert len(cubics) == 2000
+        for p in cubics:
+            assert p.degree == 3
+            assert integer_roots_monic(p) == sturm_integer_roots(p), p
 
 
 class TestRationalSqrt:
