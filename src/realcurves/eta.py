@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, ec_add, multiple,
                        torsion_order_bounded)
-from .polys import UniPoly, integer_roots_monic, is_square_free, rational_sqrt
+from .polys import UniPoly, integer_roots_monic, rational_sqrt
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -107,13 +107,20 @@ class QuarticParams:
             raise ValueError("repeated real roots (2b in {+-(c-a), +-(c+a)})")
 
     def quartic(self) -> UniPoly:
-        """Expand the normal form back into the quartic polynomial."""
-        a, b, c = self.a, self.b, self.c
-        sa = 1 if self.k == 0 else (1 if self.k == 2 else -1)
-        sc = 1 if self.k == 0 else -1
-        left = UniPoly([b * b + sa * a * a, 2 * b, 1])
-        right = UniPoly([b * b + sc * c * c, -2 * b, 1])
-        return left * right
+        """Expand the normal form back into the quartic polynomial
+
+            x^4 + (m + n - 4b^2) x^2 + 2b(n - m) x + mn
+
+        with m = b^2 +- a^2 and n = b^2 +- c^2, in integers over the
+        common denominator of a, b and c."""
+        den = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
+        a, b, c = (x.numerator * (den // x.denominator)
+                   for x in (self.a, self.b, self.c))
+        m = b * b + (a * a if self.k != 4 else -a * a)
+        n = b * b + (c * c if self.k == 0 else -c * c)
+        return UniPoly([Fraction(m * n, den ** 4), Fraction(2 * b * (n - m), den ** 3),
+                        Fraction(m + n - 4 * b * b, den * den), Fraction(0),
+                        Fraction(1)])
 
     def to_json(self) -> dict:
         return {"k": self.k, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
@@ -182,90 +189,99 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     """Match a monic rational quartic against the normal form, or return
     None when no factorization with rational a, b, c exists.
 
-    The translation x -> x + h with h = -coeff(x^3)/4 removes the cubic
-    term, which is exactly the condition that the two quadratic factors
-    have opposite linear coefficients.  All factorizations
-    (x^2+ux+v)(x^2-ux+w) of the depressed quartic are then found through
-    the resolvent cubic z^3 + 2Pz^2 + (P^2-4R)z - C^2 in z = u^2;
-    rational candidates must have z a rational square.  When several
-    parameterizations exist (a fully split k = 4 quartic has three),
-    the one with the largest b^2 is chosen, preferring b >= 0 and then
+    The substitution x = h + y/s with h = -coeff(x^3)/4 turns s^4 q into
+    an integral depressed quartic y^4 + Py^2 + Cy + R, with s the least
+    of D, 2D and 4D (D the common denominator of the coefficients) that
+    makes s*h integral.  Removing the cubic term is exactly the
+    condition that the two quadratic factors have opposite linear
+    coefficients.  All factorizations (y^2+uy+v)(y^2-uy+w) are then
+    found through the monic integer resolvent cubic z^3 + 2Pz^2 + (P^2-4R)z - C^2 in z = u^2; its roots
+    z = (r1 + r2)^2 differ by products of two root differences of the
+    quartic, so its discriminant is the discriminant of the quartic and
+    decides square-freeness.  Rational candidates need z an integer
+    square, and then u, v, w are integers (Gauss's lemma).  When several
+    parameterizations exist (a fully split k = 4 quartic has three), the
+    one with the largest b^2 is chosen, preferring b >= 0 and then
     lexicographically smaller (a, c); the choice never changes the model
     or eta, only which labels the certificates carry.
 
-    k is read off the factors (x +- b)^2 + d: each has two real roots iff
-    d < 0.  A candidate with d+ < 0 < d- is skipped, as its twin (-b, the
-    factors exchanged) is a candidate too.
+    k is read off the factors (y +- sb)^2 + s^2 d: each has two real
+    roots iff d < 0.  A candidate with d+ < 0 < d- is skipped, as its
+    twin (-b, the factors exchanged) is a candidate too.  Candidates are
+    kept as the integers 2sa, 2sb, 2sc; the chosen one must reproduce P,
+    C and R exactly before it is scaled back by 1/(2s).
     """
     if q.degree != 4:
         raise ValueError("polynomial must have degree 4")
     if q.leading != 1:
         raise ValueError("polynomial must be monic")
-    if not is_square_free(q):
+    a0, a1, a2, a3 = q.coeffs[:4]
+    den = lcm(a0.denominator, a1.denominator, a2.denominator, a3.denominator)
+    # every A_i = s^(4-i) a_i is an integer, and A3 = 4t
+    n3 = a3.numerator * (den // a3.denominator)
+    s = den * (4 // gcd(n3, 4))
+    t = n3 // gcd(n3, 4)
+    big_a2 = a2.numerator * (s * s // a2.denominator)
+    big_a1 = a1.numerator * (s ** 3 // a1.denominator)
+    big_a0 = a0.numerator * (s ** 4 // a0.denominator)
+    big_p = big_a2 - 6 * t * t
+    big_c = big_a1 - 2 * t * big_a2 + 8 * t ** 3
+    big_r = big_a0 - t * big_a1 + t * t * big_a2 - 3 * t ** 4
+    c2, c1, c0 = 2 * big_p, big_p * big_p - 4 * big_r, -big_c * big_c
+    if (c2 * c2 * c1 * c1 - 4 * c1 ** 3 - 4 * c2 ** 3 * c0 - 27 * c0 * c0
+            + 18 * c2 * c1 * c0) == 0:
         raise ValueError("polynomial must be square-free")
 
-    shift = -q.coefficient(3) / 4
-    qt = q.shift(shift)
-    big_p = qt.coefficient(2)
-    big_c = qt.coefficient(1)
-    big_r = qt.coefficient(0)
-
-    # (b, constant of the (x+b) factor, constant of the (x-b) factor)
-    assignments: list[tuple[Fraction, Fraction, Fraction]] = []
+    # (u = 2sb, constant of the (y+sb) factor, constant of the (y-sb) factor)
+    assignments: list[tuple[int, int, int]] = []
     if big_c == 0:
-        disc = big_p * big_p - 4 * big_r
-        sq = rational_sqrt(disc)
+        sq = _exact_isqrt(c1)
         if sq is not None:
-            v = (big_p - sq) / 2
-            w = (big_p + sq) / 2
-            assignments.append((Fraction(0), v, w))
+            # sq = P mod 2, so both constants are integers
+            v = (big_p - sq) // 2
+            w = (big_p + sq) // 2
+            assignments.append((0, v, w))
             if v != w:
-                assignments.append((Fraction(0), w, v))
-    for z in _positive_rational_resolvent_roots(big_p, big_c, big_r):
-        u = rational_sqrt(z)
-        if u is None or u == 0:
+                assignments.append((0, w, v))
+    for z in integer_roots_monic(UniPoly([c0, c1, c2, 1])):
+        u = _exact_isqrt(z)
+        if not u:
             continue
-        v = (big_p + z - big_c / u) / 2
-        w = (big_p + z + big_c / u) / 2
-        assignments.append((u / 2, v, w))
-        assignments.append((-u / 2, w, v))
+        v = (big_p + z - big_c // u) // 2
+        w = (big_p + z + big_c // u) // 2
+        assignments.append((u, v, w))
+        assignments.append((-u, w, v))
 
-    candidates: set[tuple[Fraction, Fraction, Fraction, int]] = set()
-    for b, m_plus, m_minus in assignments:
-        d_plus = m_plus - b * b
-        d_minus = m_minus - b * b
+    # (2sa, 2sb, 2sc, k) with 4 s^2 d = 4m - u^2 for the factor constant m
+    candidates: set[tuple[int, int, int, int]] = set()
+    for u, m_plus, m_minus in assignments:
+        d_plus = 4 * m_plus - u * u
+        d_minus = 4 * m_minus - u * u
         if d_plus < 0 < d_minus:
             continue
-        a, c = rational_sqrt(abs(d_plus)), rational_sqrt(abs(d_minus))
+        a, c = _exact_isqrt(abs(d_plus)), _exact_isqrt(abs(d_minus))
         if not a or not c:
             continue
-        candidates.add((a, b, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
+        candidates.add((a, u, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
 
     if not candidates:
         return None
-    a, b, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
-    params = QuarticParams(k=k, a=a, b=b, c=c)
-    if params.quartic() != qt:
+    a, u, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
+    m4 = u * u + (a * a if k != 4 else -a * a)
+    n4 = u * u + (c * c if k == 0 else -c * c)
+    if (m4 + n4 - 4 * u * u, u * (n4 - m4), m4 * n4) != \
+            (4 * big_p, 4 * big_c, 16 * big_r):
         raise InternalInconsistencyError("normal form failed to reproduce the quartic")
-    return params
+    return QuarticParams(k=k, a=Fraction(a, 2 * s), b=Fraction(u, 2 * s),
+                         c=Fraction(c, 2 * s))
 
 
-def _positive_rational_resolvent_roots(big_p: Fraction, big_c: Fraction,
-                                       big_r: Fraction) -> list[Fraction]:
-    """Rational roots z > 0 of z^3 + 2Pz^2 + (P^2 - 4R)z - C^2.
-
-    Scaling z by the common denominator of the coefficients turns the
-    cubic into a monic integer polynomial whose rational roots are
-    integers, found by exact integer bisection on the monotone runs of
-    the cubic itself.
-    """
-    c2 = 2 * big_p
-    c1 = big_p * big_p - 4 * big_r
-    c0 = -big_c * big_c
-    m = lcm(c2.denominator, c1.denominator, c0.denominator)
-    scaled = UniPoly([c0 * m ** 3, c1 * m ** 2, c2 * m, 1])
-    return [Fraction(root, m) for root in integer_roots_monic(scaled)
-            if root > 0]
+def _exact_isqrt(n: int) -> int | None:
+    """The square root of n when n is the square of an integer, else None."""
+    if n < 0:
+        return None
+    root = isqrt(n)
+    return root if root * root == n else None
 
 
 # ---------------------------------------------------------------------------

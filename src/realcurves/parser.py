@@ -10,6 +10,13 @@ coefficient and a variable, '^' denotes a nonnegative integer power, and
 parenthesized subexpressions with + - * are allowed, so inputs like
 "y^2 = (x^2-1)*(x^2-9)" parse directly.  Syntax errors carry the
 character position at which they were detected.
+
+The work an input can ask for is bounded: exponents and degrees above
+MAX_DEGREE and coefficients of more than MAX_COEFFICIENT_DIGITS digits
+are parse errors.  Degrees are checked after every product, the steps
+of a power included; coefficients after every step of a power, where
+they can grow exponentially in the input length, and once for the whole
+polynomial, reported at its start.
 """
 
 from __future__ import annotations
@@ -21,6 +28,15 @@ from .polys import UniPoly
 
 Monomial = tuple[int, int]          # (x exponent, y exponent)
 BiPoly = dict[Monomial, Fraction]   # sparse bivariate polynomial
+
+# The slowest short input found at degree 18, a product of linear
+# factors with 4- to 6-digit rational roots, takes about 1 s to analyze
+# on one Intel Xeon core (Python 3.11); the cost grows with about the
+# eighth power of the degree.
+MAX_DEGREE = 18
+# the default int-string digit limit: larger coefficients cannot be printed
+MAX_COEFFICIENT_DIGITS = 4300
+_COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
 
 
 class ParseError(ValueError):
@@ -73,7 +89,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _poly_add(p: BiPoly, q: BiPoly) -> BiPoly:
     out = dict(p)
     for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + c
+        out[m] = out[m] + c if m in out else c
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -82,7 +98,8 @@ def _poly_mul(p: BiPoly, q: BiPoly) -> BiPoly:
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             m = (i1 + i2, j1 + j2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -90,11 +107,22 @@ def _poly_neg(p: BiPoly) -> BiPoly:
     return {m: -c for m, c in p.items()}
 
 
-def _poly_pow(p: BiPoly, e: int) -> BiPoly:
-    out: BiPoly = {(0, 0): Fraction(1)}
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
+def _degree_bounded(p: BiPoly, position: int) -> BiPoly:
+    """p itself, or a ParseError at `position` when its degree is too high."""
+    if p and max(map(sum, p)) > MAX_DEGREE:
+        raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
+    return p
+
+
+def _bounded(p: BiPoly, position: int) -> BiPoly:
+    """p itself, or a ParseError at `position` when its degree is too
+    high or a coefficient too long."""
+    _degree_bounded(p, position)
+    for c in p.values():
+        if abs(c.numerator) >= _COEFFICIENT_BOUND or c.denominator >= _COEFFICIENT_BOUND:
+            raise ParseError("coefficient of more than "
+                             f"{MAX_COEFFICIENT_DIGITS} digits", position)
+    return p
 
 
 def _int(tok: tuple[str, str, int]) -> int:
@@ -152,19 +180,24 @@ class _Parser:
                 return acc
             if tok[0] == "*":
                 self.next()
-                acc = _poly_mul(acc, self.parse_factor())
-            elif tok[0] in ("int", "var", "("):
-                # implicit multiplication, e.g. "2x" or "(x-1)(x+1)"
-                acc = _poly_mul(acc, self.parse_factor())
-            else:
+            elif tok[0] not in ("int", "var", "("):
                 return acc
+            # "*" or implicit multiplication, e.g. "2x" or "(x-1)(x+1)"
+            acc = _degree_bounded(_poly_mul(acc, self.parse_factor()), tok[2])
 
     def parse_factor(self) -> BiPoly:
         base = self.parse_base()
         tok = self.peek()
         if tok is not None and tok[0] == "^":
             self.next()
-            return _poly_pow(base, _int(self.expect("int")))
+            etok = self.expect("int")
+            e = _int(etok)
+            if e > MAX_DEGREE:
+                raise ParseError(f"exponent above the limit of {MAX_DEGREE}", etok[2])
+            power: BiPoly = {(0, 0): Fraction(1)}
+            for _ in range(e):
+                power = _bounded(_poly_mul(power, base), etok[2])
+            return power
         return base
 
     def parse_base(self) -> BiPoly:
@@ -203,7 +236,7 @@ def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
     """
     try:
         parser = _Parser(_tokenize(text), len(text))
-        poly = parser.parse_expr()
+        poly = _bounded(parser.parse_expr(), 0)
         tok = parser.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -277,9 +310,13 @@ def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSp
 def parse_coefficient_list(text: str) -> HyperellipticSpec:
     """Parse the --coeffs form: 'a0,a1,...,ad' ascending, rationals allowed."""
     parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
+            raise ParseError(f"bad coefficient list: exponent notation in {p!r}", 0)
     try:
         coeffs = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad coefficient list: {err}", 0) from None
+    _bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
     q = UniPoly(coeffs)
     return hyperelliptic_from_unipoly(q)

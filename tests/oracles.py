@@ -3,7 +3,8 @@
 Everything here recomputes results along a *different* algorithmic path
 from the library: resultants by Sylvester determinant, real-root counts
 by Descartes/bisection isolation, integer roots by Sturm bisection on
-half-integer endpoints, elliptic addition by explicit chord
+half-integer endpoints, the quartic normal form on Fraction shifts with
+a gcd square-free test, elliptic addition by explicit chord
 substitution and Vieta, and a Nagell-Lutz integrality screen for
 non-torsion.  None of it calls the library routine it is checking.
 """
@@ -16,8 +17,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from realcurves import (CurveInvariants, ECPoint, GroupDescriptor, INFINITY,
-                        UniPoly, WeierstrassCurve)
-from realcurves.polys import (cauchy_bound, poly_gcd, sign_variations,
+                        QuarticParams, UniPoly, WeierstrassCurve)
+from realcurves.polys import (cauchy_bound, integer_roots_monic, is_square_free,
+                              poly_gcd, rational_sqrt, sign_variations,
                               sturm_sequence)
 
 
@@ -186,6 +188,87 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Quartic normal form in Fraction polynomials (independent of the integer
+# depressed form)
+# ---------------------------------------------------------------------------
+
+def fraction_normal_form_quartic(params: QuarticParams) -> UniPoly:
+    """The normal form ((x+b)^2 +- a^2)((x-b)^2 +- c^2) multiplied out as
+    a product of two Fraction quadratics."""
+    a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
+    sa = 1 if params.k in (0, 2) else -1
+    sc = 1 if params.k == 0 else -1
+    left = UniPoly([b * b + sa * a * a, 2 * b, 1])
+    right = UniPoly([b * b + sc * c * c, -2 * b, 1])
+    return left * right
+
+
+def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
+    """quartic_normal_form on Fraction polynomials.
+
+    Square-freeness by gcd(q, q'); the cubic term removed by the shift
+    x -> x - coeff(x^3)/4; the resolvent cubic rescaled by the common
+    denominator of its coefficients before its integer roots are
+    searched; the chosen parameters checked by multiplying the two
+    quadratic factors back out.  Same selection rule and same errors as
+    the library routine.
+    """
+    if q.degree != 4:
+        raise ValueError("polynomial must have degree 4")
+    if q.leading != 1:
+        raise ValueError("polynomial must be monic")
+    if not is_square_free(q):
+        raise ValueError("polynomial must be square-free")
+
+    qt = q.shift(-q.coefficient(3) / 4)
+    big_p, big_c, big_r = qt.coefficient(2), qt.coefficient(1), qt.coefficient(0)
+
+    assignments: list[tuple[Fraction, Fraction, Fraction]] = []
+    if big_c == 0:
+        sq = rational_sqrt(big_p * big_p - 4 * big_r)
+        if sq is not None:
+            v = (big_p - sq) / 2
+            w = (big_p + sq) / 2
+            assignments.append((Fraction(0), v, w))
+            if v != w:
+                assignments.append((Fraction(0), w, v))
+    c2 = 2 * big_p
+    c1 = big_p * big_p - 4 * big_r
+    c0 = -big_c * big_c
+    m = lcm(c2.denominator, c1.denominator, c0.denominator)
+    scaled = UniPoly([c0 * m ** 3, c1 * m ** 2, c2 * m, 1])
+    for root in integer_roots_monic(scaled):
+        if root <= 0:
+            continue
+        z = Fraction(root, m)
+        u = rational_sqrt(z)
+        if u is None or u == 0:
+            continue
+        v = (big_p + z - big_c / u) / 2
+        w = (big_p + z + big_c / u) / 2
+        assignments.append((u / 2, v, w))
+        assignments.append((-u / 2, w, v))
+
+    candidates: set[tuple[Fraction, Fraction, Fraction, int]] = set()
+    for b, m_plus, m_minus in assignments:
+        d_plus = m_plus - b * b
+        d_minus = m_minus - b * b
+        if d_plus < 0 < d_minus:
+            continue
+        a, c = rational_sqrt(abs(d_plus)), rational_sqrt(abs(d_minus))
+        if not a or not c:
+            continue
+        candidates.add((a, b, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
+
+    if not candidates:
+        return None
+    a, b, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
+    params = QuarticParams(k=k, a=a, b=b, c=c)
+    assert fraction_normal_form_quartic(params) == qt
+    return params
+
+
+# ---------------------------------------------------------------------------
 # Independent elliptic-curve arithmetic
 # ---------------------------------------------------------------------------
 
@@ -331,7 +414,6 @@ def _isqrt_exact(n: int) -> int | None:
 
 def random_squarefree_poly(rng: random.Random, max_degree: int = 8,
                            coeff_bound: int = 20) -> UniPoly:
-    from realcurves import is_square_free
     while True:
         degree = rng.randint(1, max_degree)
         coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)]

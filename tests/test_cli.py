@@ -1,6 +1,7 @@
 import json
 import pathlib
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -115,6 +116,16 @@ class TestExitCodes:
                      f"y^2 = (x+1)^{huge}"):
             code, _, err = run(capsys, "analyze", expr)
             assert code == 2 and "too long" in err
+
+    def test_unbounded_work_is_2(self, capsys):
+        for argv in (("analyze", "y^2 = (x+1)^2000"),
+                     ("analyze", "y^2 = ((((9^18)^18)^18)^18)^18*x + 1"),
+                     ("analyze", "--coeffs=" + ",".join(["1"] * 2001)),
+                     ("analyze", "--coeffs=1e20000000,0,1")):
+            started = time.perf_counter()
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "parse error" in err
+            assert time.perf_counter() - started < 1.0
 
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
         # a re-verification that disagrees with the incremental search

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from realcurves import (QuarticParams, SearchStats, UniPoly,
                         build_quartic_model, classify_conic, count_real_roots,
@@ -14,7 +16,8 @@ from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
                             RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
-from oracles import has_rational_quadratic_split
+from oracles import (fraction_normal_form_quartic, fraction_quartic_normal_form,
+                     has_rational_quadratic_split)
 
 
 def conic_inv(expr):
@@ -83,6 +86,101 @@ class TestNormalForm:
             quartic_normal_form(UniPoly([4, 0, 5, 0, 2]))  # non-monic
         with pytest.raises(ValueError):
             quartic_normal_form(UniPoly([1, -2, 1]) * UniPoly([1, 2, 1]))
+
+
+def normal_form_outcome(find, q):
+    """The params (or None) of a normal-form search, or its ValueError text."""
+    try:
+        return find(q)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+class TestNormalFormAgainstFractionOracle:
+    """The integer normal form against the Fraction-polynomial oracle:
+    identical params, None results and errors."""
+
+    @staticmethod
+    def assert_same(q):
+        found = normal_form_outcome(quartic_normal_form, q)
+        assert found == normal_form_outcome(fraction_quartic_normal_form, q), q
+        return found
+
+    def test_scaled_and_shifted_sampler_quartics(self):
+        rng = random.Random(4099)
+        for pin, draws in ((None, 600), ("b=0", 300), ("a=c", 300)):
+            box = SampleBox(pin=pin)
+            for _ in range(draws):
+                params = draw_params(rng, box)
+                t = rng.randint(1, 9)
+                scaled = QuarticParams(k=params.k, a=F(params.a, t),
+                                       b=F(params.b, t), c=F(params.c, t))
+                h = F(rng.randint(-50, 50), rng.randint(1, 12))
+                found = self.assert_same(scaled.quartic().shift(h))
+                assert isinstance(found, QuarticParams)
+
+    def test_repeated_roots_raise_the_same_error(self):
+        rng = random.Random(4111)
+        for _ in range(300):
+            roots = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            q = UniPoly([1])
+            for r in roots + [rng.choice(roots)]:
+                q = q * UniPoly([-r, 1])
+            assert self.assert_same(q) == "ValueError: polynomial must be square-free"
+
+    def test_random_monic_quartics(self):
+        rng = random.Random(4127)
+        for _ in range(600):
+            self.assert_same(UniPoly([F(rng.randint(-20, 20), rng.randint(1, 6))
+                                      for _ in range(4)] + [1]))
+
+    def test_squares_of_quadratics(self):
+        rng = random.Random(4129)
+        for _ in range(200):
+            quad = UniPoly([F(rng.randint(-20, 20), rng.randint(1, 6)),
+                            F(rng.randint(-20, 20), rng.randint(1, 6)), 1])
+            assert self.assert_same(quad * quad) == \
+                "ValueError: polynomial must be square-free"
+
+    def test_expansion_matches_fraction_product(self):
+        rng = random.Random(4133)
+        for pin in (None, "b=0", "a=c"):
+            box = SampleBox(pin=pin)
+            for _ in range(100):
+                params = draw_params(rng, box)
+                t = rng.randint(1, 9)
+                for p in (params, QuarticParams(k=params.k, a=F(params.a, t),
+                                                b=F(params.b, rng.randint(1, 9)),
+                                                c=F(params.c, t))):
+                    assert p.quartic() == fraction_normal_form_quartic(p)
+
+
+_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 12))
+
+
+class TestEtaInvariance:
+    """eta is invariant under x -> x + h and under y -> y/l."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(k=st.sampled_from((0, 2, 4)), a=_rationals, c=_rationals,
+           b=st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+           h=st.builds(F, st.integers(-90, 90), st.integers(1, 12)),
+           scale=_rationals)
+    def test_shift_and_square_scaling(self, k, a, b, c, h, scale):
+        try:
+            params = QuarticParams(k=k, a=a, b=b, c=c)
+        except ValueError:
+            assume(False)
+        q = params.quartic()
+        moved = q.shift(h)
+        assert quartic_normal_form(moved) == quartic_normal_form(q)
+        base, shifted = quartic_eta(q), quartic_eta(moved)
+        assert (shifted.value, shifted.certificate.kind) == \
+            (base.value, base.certificate.kind)
+        spec = curves.HyperellipticSpec(moved * (scale * scale))
+        scaled = eta_full(spec, hyperelliptic_invariants(spec)).eta
+        assert (scaled.value, scaled.certificate.kind) == \
+            (base.value, base.certificate.kind)
 
 
 class TestModelBuilder:
@@ -360,7 +458,9 @@ class TestSquareLeadingQuartics:
 
 
 class TestEachFactOnce:
-    """Square-freeness and k of Q are computed once per curve."""
+    """Square-freeness and k of Q are computed once per curve; the
+    normal form decides square-freeness from its resolvent's
+    discriminant, with no gcd."""
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -384,15 +484,17 @@ class TestEachFactOnce:
         spec = parse_curve("y^2 = (x^2-1)*(x^2-9)")
         report = full_report(spec)
         assert report["eta"]["certificate"]["relation"] == "p = p3"
-        assert len(calls["is_square_free"]) == 1
+        assert len(calls["is_square_free"]) == 0
         assert len(calls["count_real_roots"]) == 1
         assert sum(p == spec.q for p in calls["sturm_sequence"]) == 1
 
     def test_one_sample_draw(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "is_square_free", "count_real_roots")
+        calls = self.count_calls(monkeypatch, "is_square_free", "count_real_roots",
+                                 "poly_gcd")
         run_sample(1, 1, SampleBox())
-        assert len(calls["is_square_free"]) == 1
+        assert len(calls["is_square_free"]) == 0
         assert len(calls["count_real_roots"]) == 0
+        assert len(calls["poly_gcd"]) == 0
 
     def test_undetermined_quartic_leaves_k_unset(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "count_real_roots", "sturm_sequence")

@@ -6,7 +6,8 @@ import pytest
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
-from realcurves.parser import parse_polynomial
+from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE,
+                               parse_polynomial)
 
 
 class TestConicPath:
@@ -110,6 +111,50 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_polynomial(f"(x+1)^{huge}")
         assert exc.value.position == 6
+
+
+class TestWorkBounds:
+    def test_degree_limit_is_inclusive(self):
+        spec = parse_curve(f"y^2 = (x+1)^{MAX_DEGREE} + x")
+        assert spec.q.degree == MAX_DEGREE
+        assert parse_coefficient_list(",".join(["1"] * (MAX_DEGREE + 1))).q.degree \
+            == MAX_DEGREE
+
+    def test_exponent_rejected_before_expanding(self):
+        for text, position in (("(x+1)^2000", 6), (f"2^{MAX_DEGREE + 1}", 2),
+                               (f"1^{10 ** 50}", 2)):
+            with pytest.raises(ParseError, match="exponent above") as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
+
+    def test_degree_of_powers_and_products(self):
+        for text, position in (("(x^2+1)^10", 8), ("x^10*x^9", 4),
+                               ("x^10 (x+1)^9", 5), ("(x*y)^10", 6)):
+            with pytest.raises(ParseError, match="degree above") as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
+        with pytest.raises(ParseError, match="degree above") as exc:
+            parse_curve("y^2 = " + "x*" * MAX_DEGREE + "x + 1")
+        assert exc.value.position == 6 + 2 * MAX_DEGREE - 1
+        with pytest.raises(ParseError, match="degree above"):
+            parse_coefficient_list(",".join(["1"] * (MAX_DEGREE + 2)))
+
+    def test_coefficient_size(self):
+        big = "9" * (MAX_COEFFICIENT_DIGITS // 2 + 1)
+        for text, position in ((f"{big}*{big}*x", 0),
+                               (f"x^2 + 1/{big}*x + 1/{big}7*x", 0),
+                               ("x + ((9^18)^18)^18*x", 16)):
+            with pytest.raises(ParseError, match="coefficient of more") as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
+        assert parse_polynomial(f"{big}*{big[2:]}*x")  # 4300 digits
+
+    def test_coefficient_list_rejects_exponent_notation(self):
+        for entry in ("1e3", "2.5E-2", "1e20000000"):
+            with pytest.raises(ParseError, match="exponent notation"):
+                parse_coefficient_list(f"{entry},0,1")
+        assert parse_coefficient_list("0.5,-3/4,1").q == \
+            UniPoly([Fraction(1, 2), Fraction(-3, 4), 1])
 
 
 class TestCoefficientList:
