@@ -80,6 +80,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        _require_single_values(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "sample":
@@ -94,6 +95,14 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _require_single_values(args) -> None:
+    """argparse parses "--opt=--" into an empty list, not the string "--";
+    every destination but the ec point list takes a single value."""
+    for name, value in vars(args).items():
+        if isinstance(value, list) and name != "args":
+            raise ParseError(f"--{name} needs a value", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ exactness requirement.
 Real-root counting uses Sturm's theorem: the number of distinct real
 roots of a square-free polynomial p in (a, b] equals V(a) - V(b), where
 V(x) counts sign changes in the Sturm sequence evaluated at x.  The
-whole real line is covered by evaluating at -(M+1) and M+1 for the
-Cauchy bound M = 1 + max|a_i / a_d|, which avoids symbolic infinities.
+chain is built in integers as a primitive polynomial remainder sequence
+(Brown-Traub; Cohen, GTM 138, 3.3): every element is scaled by a
+positive constant to a primitive integer polynomial, which keeps the
+signs of Sturm's canonical chain and the coefficients small.  The whole
+real line is covered by reading V at -oo and +oo, where each element
+has the sign of its leading coefficient, times (-1)^degree at -oo, so
+nothing is evaluated.
 
 Integer roots of the resolvent cubic need no Sturm chain: its critical
 points split the line into monotone runs, each searched by integer
@@ -20,7 +25,7 @@ bisection on the sign of the cubic itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -253,15 +258,62 @@ def is_square_free(p: UniPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree <= 0
 
 
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """Integer coefficients divided by their positive content."""
+    content = gcd(*coeffs)
+    return list(coeffs) if content == 1 else [c // content for c in coeffs]
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive integer multiple of a mod b, for integer polynomials in
+    ascending order with b nonzero.
+
+    Each step scales the remainder by |lc(b)| / g and cancels its top
+    term with a multiple of b, where g = gcd(top, lc(b)); the factors are
+    positive, so the signs of a mod b are kept.
+    """
+    rem = list(a)
+    lead = b[-1]
+    sign = 1 if lead > 0 else -1
+    db = len(b) - 1
+    while len(rem) > db:
+        top = rem.pop()
+        if top:
+            g = gcd(top, lead)
+            scale, factor = abs(lead) // g, sign * top // g
+            shift = len(rem) - db
+            if scale != 1:
+                rem = [scale * c for c in rem]
+            for j in range(db):
+                rem[shift + j] -= factor * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
 def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    """Canonical Sturm chain: p, p', then negated remainders."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero:
-        rem = seq[-2] % seq[-1]
-        if rem.is_zero:
-            break
-        seq.append(-rem)
-    return [q for q in seq if not q.is_zero]
+    """Sturm chain of p up to positive constants: p, p', then negated
+    remainders, each element scaled to a primitive integer polynomial.
+
+    Element i is a positive rational multiple of the canonical element
+    (p, p', -(p mod p'), ...), so signs, degrees and the length of the
+    chain are those of the canonical chain; the last element is
+    gcd(p, p') up to a nonzero constant.
+    """
+    if p.is_zero:
+        return []
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    a = _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
+    chain = [a]
+    if len(a) > 1:
+        b = _primitive([i * c for i, c in enumerate(a) if i > 0])
+        while True:
+            chain.append(b)
+            rem = _pseudo_remainder(a, b)
+            if not rem:
+                break
+            a, b = b, [-c for c in _primitive(rem)]
+    return [UniPoly(q) for q in chain]
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:
@@ -294,7 +346,8 @@ def count_real_roots(p: UniPoly) -> int:
 
     Repeated roots are rejected rather than silently miscounted.  The
     last element of the Sturm chain is gcd(p, p') up to a constant, so
-    the chain itself decides square-freeness.
+    the chain itself decides square-freeness.  The count is
+    V(-oo) - V(+oo), read off the leading coefficients and the degrees.
     """
     if p.is_zero:
         raise ValueError("zero polynomial rejected")
@@ -303,8 +356,9 @@ def count_real_roots(p: UniPoly) -> int:
     seq = sturm_sequence(p)
     if seq[-1].degree > 0:
         raise ValueError("polynomial is not square-free")
-    bound = cauchy_bound(p) + 1
-    return sturm_count(seq, -bound, bound)
+    at_plus = [q.leading for q in seq]
+    at_minus = [-c if q.degree % 2 else c for q, c in zip(seq, at_plus)]
+    return sign_variations(at_minus) - sign_variations(at_plus)
 
 
 def integer_roots_monic(p: UniPoly) -> list[int]:

@@ -2,7 +2,8 @@
 
 Everything here recomputes results along a *different* algorithmic path
 from the library: resultants by Sylvester determinant, real-root counts
-by Descartes/bisection isolation, integer roots by Sturm bisection on
+by Descartes/bisection isolation and by the Fraction Sturm chain
+evaluated at the Cauchy bound, integer roots by Sturm bisection on
 half-integer endpoints, the quartic normal form on Fraction shifts with
 a gcd square-free test, elliptic addition by explicit chord
 substitution and Vieta, and a Nagell-Lutz integrality screen for
@@ -19,8 +20,7 @@ from math import gcd, lcm
 from realcurves import (CurveInvariants, ECPoint, GroupDescriptor, INFINITY,
                         QuarticParams, UniPoly, WeierstrassCurve)
 from realcurves.polys import (cauchy_bound, integer_roots_monic, is_square_free,
-                              poly_gcd, rational_sqrt, sign_variations,
-                              sturm_sequence)
+                              poly_gcd, rational_sqrt, sign_variations)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,45 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The Fraction Sturm chain (independent of the integer primitive chain)
+# ---------------------------------------------------------------------------
+
+def fraction_sturm_sequence(p: UniPoly) -> list[UniPoly]:
+    """Canonical Sturm chain by Fraction Euclid: p, p', then negated
+    remainders."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero:
+        rem = seq[-2] % seq[-1]
+        if rem.is_zero:
+            break
+        seq.append(-rem)
+    return [q for q in seq if not q.is_zero]
+
+
+def fraction_count_real_roots(p: UniPoly,
+                              seq: list[UniPoly] | None = None) -> int:
+    """Distinct real roots of a square-free polynomial: the Fraction
+    Sturm chain (``seq`` when the caller has built it already) evaluated
+    by Horner's rule at -(M+1) and M+1 for the Cauchy bound
+    M = 1 + max|a_i/a_d|.  Same errors as the library."""
+    if p.is_zero:
+        raise ValueError("zero polynomial rejected")
+    if p.degree == 0:
+        return 0
+    if seq is None:
+        seq = fraction_sturm_sequence(p)
+    if seq[-1].degree > 0:
+        raise ValueError("polynomial is not square-free")
+    bound = 2 + max(abs(c) / abs(p.leading) for c in p.coeffs[:-1])
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (q(x) for q in seq) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(-bound) - variations(bound)
+
+
+# ---------------------------------------------------------------------------
 # Integer roots by Sturm bisection (independent of monotone-run bisection)
 # ---------------------------------------------------------------------------
 
@@ -150,7 +189,7 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
         return []
     sq = p // poly_gcd(p, p.derivative())
     chain = []
-    for q in sturm_sequence(sq):
+    for q in fraction_sturm_sequence(sq):
         scale = 1
         for c in q.coeffs:
             scale = scale * c.denominator // gcd(scale, c.denominator)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import pathlib
+import random
 import sys
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import realcurves.eta
 from realcurves import INFINITY
 from realcurves.cli import main
+from realcurves.parser import MAX_COEFFICIENT_DIGITS
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema.json")
@@ -127,11 +133,76 @@ class TestExitCodes:
             assert code == 2 and "parse error" in err
             assert time.perf_counter() - started < 1.0
 
+    def test_largest_coefficients_analyze_quickly(self, capsys):
+        # degree 8 with nine random coefficients of the most digits the
+        # parser accepts, a 39 KB input: about 1.5 s on one Intel Xeon
+        # core with the integer Sturm chain, 43 s with the Fraction chain
+        rng = random.Random(8)
+        low, high = 10 ** (MAX_COEFFICIENT_DIGITS - 1), 10 ** MAX_COEFFICIENT_DIGITS
+        expr = "y^2 = " + " + ".join(f"{rng.randrange(low, high)}*x^{i}"
+                                     for i in range(9))
+        started = time.perf_counter()
+        code, _, err = run(capsys, "analyze", expr)
+        assert code == 0, err
+        assert time.perf_counter() - started < 10.0
+
+    def test_option_value_of_dashes_is_2(self, capsys):
+        # argparse parses "--opt=--" into an empty list
+        for argv in (("analyze", "x = 0", "--units=--"), ("analyze", "--coeffs=--"),
+                     ("sample", "--count=--"), ("sample", "--count=1", "--k=--"),
+                     ("ec", "--curve=--", "double", "(0,0)"),
+                     ("ec", "--curve=0,-1,1", "--bound=--", "torsion", "(0,1)")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "needs a value" in err
+
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
         # a re-verification that disagrees with the incremental search
         monkeypatch.setattr(realcurves.eta, "multiple", lambda curve, n, p: INFINITY)
         code, _, err = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)")
         assert code == 4 and "failed re-verification" in err
+
+
+_GRAMMAR = "xy0123456789+-*/^()= "
+_terms = st.builds("{}{}{}".format,
+                   st.sampled_from(("", "-", "2", "7*", "1/2*", "99")),
+                   st.sampled_from(("x", "y", "(x+1)", "(x-y)", "(2x-7)")),
+                   st.sampled_from(("", "^2", "^3", "^18")))
+_polys = st.lists(st.tuples(st.sampled_from((" + ", " - ", "*", "")), _terms),
+                  min_size=1, max_size=5).map(
+    lambda parts: "".join(op + term for op, term in parts).lstrip(" +*"))
+_grammar_texts = st.one_of(
+    st.text(_GRAMMAR, max_size=40),
+    # sums of products in the two curve forms, so that many inputs parse
+    _polys.map(lambda poly: (poly + " = 0")[-40:]),
+    _polys.map(lambda poly: ("y^2 = " + poly)[:40]))
+_coeff_entries = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 99)),
+    st.text("0123456789-/.e ", max_size=8))
+_analyze_inputs = st.one_of(
+    _grammar_texts.map(lambda text: ["analyze", text]),
+    st.lists(_coeff_entries, min_size=1, max_size=20).map(
+        lambda entries: ["analyze", "--coeffs=" + ",".join(entries)]),
+    st.tuples(st.sampled_from(("x^2 + y^2 - 1 = 0", "y^2 = x^4 + x + 1")),
+              st.text("0123456789,- ", max_size=12)).map(
+        lambda pair: ["analyze", pair[0], "--units=" + pair[1]]))
+
+
+class TestExitCodeFuzz:
+    """Every analyze input exits 0, 2, 3 or 4.  Inputs stay within 40
+    characters of the grammar, 20 coefficients or 12 characters of
+    --units, so none can ask for unbounded work."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(argv=_analyze_inputs, as_json=st.booleans())
+    def test_exit_codes(self, argv, as_json):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--json"] * as_json)
+            except SystemExit as exit:  # how argparse reports usage errors
+                code = exit.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
 
 
 class TestSample:

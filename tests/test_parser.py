@@ -2,6 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
@@ -171,3 +173,31 @@ class TestCoefficientList:
             parse_coefficient_list("1,oops,3")
         with pytest.raises(ParseError):
             parse_coefficient_list("5")  # constant
+
+
+_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+_nonzero = _coefficients.filter(bool)
+
+
+class TestDisplayRoundTrip:
+    """parse_curve(spec.display()) == spec for every curve spec."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(lower=st.lists(_coefficients, min_size=1, max_size=10), lead=_nonzero)
+    def test_hyperelliptic(self, lower, lead):
+        try:
+            spec = HyperellipticSpec(UniPoly(lower + [lead]))
+        except HypothesisError:
+            assume(False)
+        assert parse_curve(spec.display()) == spec
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(coeffs=st.tuples(*[_coefficients] * 6))
+    def test_conic(self, coeffs):
+        try:
+            spec = ConicSpec(*coeffs)
+        except HypothesisError:
+            assume(False)
+        assert parse_curve(spec.display()) == spec

@@ -7,10 +7,11 @@ from realcurves import (QuarticParams, UniPoly, count_real_roots,
                         is_square_free, poly_gcd, quartic_normal_form,
                         rational_sqrt)
 from realcurves import eta as eta_module
-from realcurves.polys import cauchy_bound, integer_roots_monic
+from realcurves.polys import cauchy_bound, integer_roots_monic, sturm_sequence
 from realcurves.sampling import SampleBox, draw_params
 
-from oracles import (descartes_count_roots, random_squarefree_poly,
+from oracles import (descartes_count_roots, fraction_count_real_roots,
+                     fraction_sturm_sequence, random_squarefree_poly,
                      sturm_integer_roots, sylvester_resultant)
 
 
@@ -120,6 +121,86 @@ class TestCountRealRoots:
             from realcurves.polys import sturm_count, sturm_sequence
             seq = sturm_sequence(p)
             assert sturm_count(seq, -bound, bound) == wide
+
+
+def random_rational(rng: random.Random, digits: int, den_digits: int = 1) -> Fraction:
+    return Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                    rng.randint(1, 10 ** den_digits))
+
+
+def random_rational_poly(rng: random.Random, degree: int, digits: int,
+                         den_digits: int = 1) -> UniPoly:
+    """Rational coefficients, often zero, with a leading coefficient of
+    either sign."""
+    coeffs = [random_rational(rng, digits, den_digits) if rng.random() < 0.8
+              else Fraction(0) for _ in range(degree)]
+    lead = Fraction(0)
+    while lead == 0:
+        lead = random_rational(rng, digits, den_digits)
+    return UniPoly(coeffs + [lead])
+
+
+class TestSturmAgainstFractionOracle:
+    """The integer primitive Sturm chain and the count read at +-oo against
+    the Fraction chain evaluated at the Cauchy bound."""
+
+    @staticmethod
+    def assert_agrees(p):
+        chain, oracle = sturm_sequence(p), fraction_sturm_sequence(p)
+        try:
+            count = count_real_roots(p)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                fraction_count_real_roots(p, oracle)
+        else:
+            assert count == fraction_count_real_roots(p, oracle), p
+        assert len(chain) == len(oracle), p
+        for q, r in zip(chain, oracle):
+            assert all(c.denominator == 1 for c in q.coeffs), p
+            ratio = q.leading / r.leading
+            assert ratio > 0 and q == r * ratio, p
+
+    def test_random_rational_degrees_1_to_18(self):
+        # the Fraction oracle slows steeply with the degree, so degrees
+        # above 10 get a tenth of the draws
+        rng = random.Random(4111)
+        for _ in range(1000):
+            degree = rng.randint(11, 18) if rng.random() < 0.1 else rng.randint(1, 10)
+            self.assert_agrees(random_rational_poly(rng, degree, rng.choice((1, 2, 4))))
+
+    def test_repeated_factors_rejected_alike(self):
+        rng = random.Random(4127)
+        for _ in range(400):
+            factor = random_rational_poly(rng, rng.randint(1, 2), 1)
+            power = rng.randint(2, 3)
+            p = random_rational_poly(rng, rng.randint(0, 12 - power * factor.degree), 2)
+            for _ in range(power):
+                p = p * factor
+            with pytest.raises(ValueError, match="not square-free"):
+                count_real_roots(p)
+            self.assert_agrees(p)
+
+    def test_many_real_roots(self):
+        rng = random.Random(4133)
+        for _ in range(400):
+            p = random_rational_poly(rng, 0, 1)
+            for _ in range(rng.randint(1, 18) if rng.random() < 0.1 else rng.randint(1, 8)):
+                p = p * UniPoly([random_rational(rng, 2), rng.choice((1, -1, 2, 3))])
+            self.assert_agrees(p)
+
+    def test_coefficients_of_300_digits(self):
+        rng = random.Random(4139)
+        for _ in range(200):
+            self.assert_agrees(random_rational_poly(
+                rng, rng.randint(1, 4), 300, rng.choice((0, 2, 300))))
+
+    def test_canonical_chain_of_a_quartic(self):
+        # 16x^4 - 40x^2 + 9 = (4x^2 - 1)(4x^2 - 9); the Fraction chain is
+        # p, 64x^3 - 80x, 20x^2 - 9, 256/5 x, 9
+        chain = [q.coeffs for q in sturm_sequence(P(9, 0, -40, 0, 16))]
+        assert chain == [(9, 0, -40, 0, 16), (0, -5, 0, 4), (-9, 0, 20),
+                         (0, 1), (1,)]
+        assert count_real_roots(P(9, 0, -40, 0, 16)) == 4
 
 
 class TestIntegerRoots:
