@@ -151,10 +151,6 @@ class CurveInvariants:
                 raise ValueError("cannot have more real roots than the degree")
 
     @property
-    def has_real_points(self) -> bool:
-        return self.components > 0
-
-    @property
     def half_degree(self) -> int | None:
         return None if self.degree is None else self.degree // 2
 

@@ -108,11 +108,3 @@ def _summand(symbol: str, count: int, bare: bool = False) -> list[str]:
 
 
 TRIVIAL_GROUP = GroupDescriptor()
-
-
-def free_part(rank: int) -> GroupDescriptor:
-    return GroupDescriptor(free_rank=rank)
-
-
-def two_torsion(count: int) -> GroupDescriptor:
-    return GroupDescriptor(z2=count)

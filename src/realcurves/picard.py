@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveInvariants
-from .eta import EtaResult
 from .groups import GroupDescriptor
 
 
@@ -45,17 +44,9 @@ class TwoCandidates:
         }
 
 
-def _eta_value(eta) -> int | None:
-    if eta is None or isinstance(eta, int):
-        return eta
-    if isinstance(eta, EtaResult):
-        return eta.value
-    raise TypeError(f"cannot read an eta value from {eta!r}")
-
-
-def pic_tors(inv: CurveInvariants, eta) -> GroupDescriptor | TwoCandidates:
-    """Torsion subgroup of the Picard group; `eta` may be an EtaResult,
-    an int, or None (undetermined), and is ignored for complete curves.
+def pic_tors(inv: CurveInvariants, eta: int | None) -> GroupDescriptor | TwoCandidates:
+    """Torsion subgroup of the Picard group; `eta` is None when
+    undetermined, and is ignored for complete curves.
 
     Geometrically disconnected curves are rejected: the formulas need
     geometric connectedness (the disconnected case is handled through
@@ -70,7 +61,6 @@ def pic_tors(inv: CurveInvariants, eta) -> GroupDescriptor | TwoCandidates:
             return GroupDescriptor(qz=g, z2=s - 1)
         return GroupDescriptor(qz=g)
     r, c = inv.real_at_infinity, inv.complex_at_infinity
-    value = _eta_value(eta)
 
     def descriptor(e: int) -> GroupDescriptor:
         rank = g + r + c - e - 1
@@ -78,9 +68,9 @@ def pic_tors(inv: CurveInvariants, eta) -> GroupDescriptor | TwoCandidates:
             raise ValueError(f"eta = {e} exceeds the bound r + c - 1 = {r + c - 1}")
         return GroupDescriptor(qz=rank, z2=t)
 
-    if value is None:
+    if eta is None:
         return TwoCandidates(eta0=descriptor(0), eta1=descriptor(1))
-    return descriptor(value)
+    return descriptor(eta)
 
 
 def pic_tors_complex(genus: int, points_at_infinity: int,

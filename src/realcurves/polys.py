@@ -1,21 +1,25 @@
 """Exact univariate polynomial algebra over the rationals.
 
-Coefficients are `fractions.Fraction` throughout and every operation is
+`UniPoly` holds `fractions.Fraction` coefficients and every operation is
 exact; there is no floating point anywhere in this module.  The case
 analysis downstream (component counts, group structures) is discrete, so
 a single wrong sign would flip an entire output group -- hence the hard
 exactness requirement.
 
+The only polynomial division is an integer pseudo-remainder, and one
+remainder chain built on it gives the Sturm chain, square-freeness and
+the gcd.  The chain is a primitive polynomial remainder sequence
+(Brown-Traub; Cohen, GTM 138, 3.3): every element is scaled by a
+positive constant to a primitive integer polynomial, kept as a tuple of
+its coefficients, which keeps the signs of the Euclidean chain and the
+coefficients small.  Its last element is the gcd up to a constant.
+
 Real-root counting uses Sturm's theorem: the number of distinct real
 roots of a square-free polynomial p in (a, b] equals V(a) - V(b), where
 V(x) counts sign changes in the Sturm sequence evaluated at x.  The
-chain is built in integers as a primitive polynomial remainder sequence
-(Brown-Traub; Cohen, GTM 138, 3.3): every element is scaled by a
-positive constant to a primitive integer polynomial, which keeps the
-signs of Sturm's canonical chain and the coefficients small.  The whole
-real line is covered by reading V at -oo and +oo, where each element
-has the sign of its leading coefficient, times (-1)^degree at -oo, so
-nothing is evaluated.
+whole real line is covered by reading V at -oo and +oo, where each
+element has the sign of its leading coefficient, times (-1)^degree at
+-oo, so nothing is evaluated.
 
 Integer roots of the resolvent cubic need no Sturm chain: its critical
 points split the line into monotone runs, each searched by integer
@@ -82,20 +86,6 @@ class UniPoly:
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
-
-    @classmethod
-    def constant(cls, c: Rational) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c: Rational, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls([0] * exponent + [c])
 
     # -- basic queries -------------------------------------------------
 
@@ -165,31 +155,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        db = other.degree
-        for i in range(dq, -1, -1):
-            coef = rem[i + db] / lead
-            if coef == 0:
-                continue
-            quot[i] = coef
-            for j, cb in enumerate(other.coeffs):
-                rem[i + j] -= coef * cb
-        return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def __call__(self, v: Rational) -> Fraction:
         v = as_fraction(v) if not isinstance(v, Fraction) else v
         acc = Fraction(0)
@@ -207,15 +172,6 @@ class UniPoly:
         if lead == 1:
             return self
         return UniPoly(tuple(c / lead for c in self.coeffs))
-
-    def shift(self, h: Rational) -> "UniPoly":
-        """Return p(x + h)."""
-        h = as_fraction(h)
-        acc = UniPoly.zero()
-        xh = UniPoly((h, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * xh + UniPoly.constant(c)
-        return acc
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -243,25 +199,17 @@ def format_poly(p: UniPoly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def is_square_free(p: UniPoly) -> bool:
-    """True iff p has no repeated roots, i.e. gcd(p, p') is constant."""
-    if p.is_zero:
-        raise ValueError("zero polynomial is not admissible")
-    return poly_gcd(p, p.derivative()).degree <= 0
-
-
 def _primitive(coeffs: Sequence[int]) -> list[int]:
     """Integer coefficients divided by their positive content."""
     content = gcd(*coeffs)
     return list(coeffs) if content == 1 else [c // content for c in coeffs]
+
+
+def _integer_primitive(p: UniPoly) -> list[int]:
+    """The primitive integer polynomial that is a positive rational
+    multiple of p; empty for the zero polynomial."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -291,9 +239,25 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return rem
 
 
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
+def _remainder_chain(a: list[int], b: list[int]) -> list[tuple[int, ...]]:
+    """a, b, then the negated primitive pseudo-remainders, up to the
+    first zero remainder.
+
+    Element i is a positive rational multiple of the element of the
+    Euclidean chain (a, b, -(a mod b), ...), so the last element is
+    gcd(a, b) up to a nonzero constant.
+    """
+    chain = [tuple(a)]
+    while b:
+        chain.append(tuple(b))
+        a, b = b, [-c for c in _primitive(_pseudo_remainder(a, b))]
+    return chain
+
+
+def sturm_sequence(p: UniPoly) -> list[tuple[int, ...]]:
     """Sturm chain of p up to positive constants: p, p', then negated
-    remainders, each element scaled to a primitive integer polynomial.
+    remainders, each a primitive integer polynomial given as its tuple
+    of coefficients in ascending order.
 
     Element i is a positive rational multiple of the canonical element
     (p, p', -(p mod p'), ...), so signs, degrees and the length of the
@@ -302,43 +266,31 @@ def sturm_sequence(p: UniPoly) -> list[UniPoly]:
     """
     if p.is_zero:
         return []
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    a = _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
-    chain = [a]
-    if len(a) > 1:
-        b = _primitive([i * c for i, c in enumerate(a) if i > 0])
-        while True:
-            chain.append(b)
-            rem = _pseudo_remainder(a, b)
-            if not rem:
-                break
-            a, b = b, [-c for c in _primitive(rem)]
-    return [UniPoly(q) for q in chain]
+    a = _integer_primitive(p)
+    return _remainder_chain(a, _primitive([i * c for i, c in enumerate(a) if i > 0]))
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
+def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic greatest common divisor; gcd(p, 0) = monic(p).
+
+    It is the last element of the remainder chain on (p, q), made monic.
+    """
+    chain = _remainder_chain(_integer_primitive(p), _integer_primitive(q))
+    return UniPoly(chain[-1]).monic()
+
+
+def is_square_free(p: UniPoly) -> bool:
+    """True iff p has no repeated roots, i.e. the last element of its
+    Sturm chain, gcd(p, p') up to a constant, is constant."""
+    if p.is_zero:
+        raise ValueError("zero polynomial is not admissible")
+    return len(sturm_sequence(p)[-1]) == 1
+
+
+def sign_variations(values: Sequence[Rational]) -> int:
     """Sign changes in a sequence, zeros skipped."""
     signs = [v > 0 for v in values if v != 0]
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def cauchy_bound(p: UniPoly) -> Fraction:
-    """Every real root of p lies in (-M, M) with M = 1 + max|a_i/a_d|."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root bound")
-    lead = abs(p.leading)
-    if p.degree == 0:
-        return Fraction(1)
-    return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
-
-
-def _variations_at(seq: Sequence[UniPoly], x: Fraction) -> int:
-    return sign_variations([q(x) for q in seq])
-
-
-def sturm_count(seq: Sequence[UniPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of seq[0] in the half-open interval (a, b]."""
-    return _variations_at(seq, a) - _variations_at(seq, b)
 
 
 def count_real_roots(p: UniPoly) -> int:
@@ -347,17 +299,19 @@ def count_real_roots(p: UniPoly) -> int:
     Repeated roots are rejected rather than silently miscounted.  The
     last element of the Sturm chain is gcd(p, p') up to a constant, so
     the chain itself decides square-freeness.  The count is
-    V(-oo) - V(+oo), read off the leading coefficients and the degrees.
+    V(-oo) - V(+oo), read off the leading coefficients and the lengths
+    of the chain's coefficient tuples.
     """
     if p.is_zero:
         raise ValueError("zero polynomial rejected")
     if p.degree == 0:
         return 0
-    seq = sturm_sequence(p)
-    if seq[-1].degree > 0:
+    chain = sturm_sequence(p)
+    if len(chain[-1]) > 1:
         raise ValueError("polynomial is not square-free")
-    at_plus = [q.leading for q in seq]
-    at_minus = [-c if q.degree % 2 else c for q, c in zip(seq, at_plus)]
+    at_plus = [q[-1] for q in chain]
+    # an element of odd degree has an even number of coefficients
+    at_minus = [-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain]
     return sign_variations(at_minus) - sign_variations(at_plus)
 
 

@@ -80,7 +80,7 @@ def _pic_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:
             raise InternalInconsistencyError("no eta over C for a disconnected curve")
         group = pic_tors_complex(inv.genus, inv.complex_at_infinity, eta_c.value)
         return {"eta_undetermined": False, **_group_json(group)}
-    result = pic_tors(inv, analysis.eta)
+    result = pic_tors(inv, analysis.eta.value)
     if isinstance(result, TwoCandidates):
         return result.to_json()
     return {"eta_undetermined": False, **_group_json(result)}

@@ -1,11 +1,13 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes results along a *different* algorithmic path
-from the library: resultants by Sylvester determinant, real-root counts
-by Descartes/bisection isolation and by the Fraction Sturm chain
+from the library: polynomial division by Fraction long division and the
+gcd by Fraction Euclid (the library has only an integer
+pseudo-remainder chain), resultants by Sylvester determinant, real-root
+counts by Descartes/bisection isolation and by the Fraction Sturm chain
 evaluated at the Cauchy bound, integer roots by Sturm bisection on
 half-integer endpoints, the quartic normal form on Fraction shifts with
-a gcd square-free test, elliptic addition by explicit chord
+a Euclid gcd square-free test, elliptic addition by explicit chord
 substitution and Vieta, and a Nagell-Lutz integrality screen for
 non-torsion.  None of it calls the library routine it is checking.
 """
@@ -19,8 +21,60 @@ from math import gcd, lcm
 
 from realcurves import (CurveInvariants, ECPoint, GroupDescriptor, INFINITY,
                         QuarticParams, UniPoly, WeierstrassCurve)
-from realcurves.polys import (cauchy_bound, integer_roots_monic, is_square_free,
-                              poly_gcd, rational_sqrt, sign_variations)
+from realcurves.polys import (integer_roots_monic, is_square_free, rational_sqrt,
+                              sign_variations)
+
+
+# ---------------------------------------------------------------------------
+# Fraction long division, Euclid gcd, shift and root bound
+# ---------------------------------------------------------------------------
+
+def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder of Fraction long division."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dq = len(a.coeffs) - len(b.coeffs)
+    if dq < 0:
+        return UniPoly.zero(), a
+    quot = [Fraction(0)] * (dq + 1)
+    lead = b.leading
+    db = b.degree
+    for i in range(dq, -1, -1):
+        coef = rem[i + db] / lead
+        if coef == 0:
+            continue
+        quot[i] = coef
+        for j, cb in enumerate(b.coeffs):
+            rem[i + j] -= coef * cb
+    return UniPoly(quot), UniPoly(rem)
+
+
+def fraction_poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd by Fraction Euclid; gcd(p, 0) = monic(p)."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def shift(p: UniPoly, h) -> UniPoly:
+    """Return p(x + h)."""
+    acc = UniPoly.zero()
+    xh = UniPoly((h, 1))
+    for c in reversed(p.coeffs):
+        acc = acc * xh + UniPoly((c,))
+    return acc
+
+
+def cauchy_bound(p: UniPoly) -> Fraction:
+    """Every real root of p lies in (-M, M) with M = 1 + max|a_i/a_d|."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no root bound")
+    lead = abs(p.leading)
+    if p.degree == 0:
+        return Fraction(1)
+    return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +151,7 @@ def descartes_count_roots(p: UniPoly) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    bound = Fraction(1) + max(abs(c) / abs(p.leading) for c in p.coeffs[:-1])
+    bound = cauchy_bound(p)
     lo, hi = -bound - 1, bound + 1
     assert p(lo) != 0 and p(hi) != 0
     return _vca_count(p, lo, hi)
@@ -120,8 +174,8 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     d = p.degree
     num = UniPoly([lo, hi])
     den = UniPoly([1, 1])
-    num_pows = [UniPoly.constant(1)]
-    den_pows = [UniPoly.constant(1)]
+    num_pows = [UniPoly((1,))]
+    den_pows = [UniPoly((1,))]
     for _ in range(d):
         num_pows.append(num_pows[-1] * num)
         den_pows.append(den_pows[-1] * den)
@@ -141,7 +195,7 @@ def fraction_sturm_sequence(p: UniPoly) -> list[UniPoly]:
     remainders."""
     seq = [p, p.derivative()]
     while not seq[-1].is_zero:
-        rem = seq[-2] % seq[-1]
+        rem = poly_divmod(seq[-2], seq[-1])[1]
         if rem.is_zero:
             break
         seq.append(-rem)
@@ -162,7 +216,7 @@ def fraction_count_real_roots(p: UniPoly,
         seq = fraction_sturm_sequence(p)
     if seq[-1].degree > 0:
         raise ValueError("polynomial is not square-free")
-    bound = 2 + max(abs(c) / abs(p.leading) for c in p.coeffs[:-1])
+    bound = cauchy_bound(p) + 1
 
     def variations(x: Fraction) -> int:
         signs = [v > 0 for v in (q(x) for q in seq) if v != 0]
@@ -187,7 +241,7 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
     assert p.leading == 1 and all(c.denominator == 1 for c in p.coeffs)
     if p.degree == 0:
         return []
-    sq = p // poly_gcd(p, p.derivative())
+    sq = poly_divmod(p, fraction_poly_gcd(p, p.derivative()))[0]
     chain = []
     for q in fraction_sturm_sequence(sq):
         scale = 1
@@ -256,10 +310,10 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         raise ValueError("polynomial must have degree 4")
     if q.leading != 1:
         raise ValueError("polynomial must be monic")
-    if not is_square_free(q):
+    if fraction_poly_gcd(q, q.derivative()).degree > 0:
         raise ValueError("polynomial must be square-free")
 
-    qt = q.shift(-q.coefficient(3) / 4)
+    qt = shift(q, -q.coefficient(3) / 4)
     big_p, big_c, big_r = qt.coefficient(2), qt.coefficient(1), qt.coefficient(0)
 
     assignments: list[tuple[Fraction, Fraction, Fraction]] = []
@@ -329,9 +383,9 @@ def chord_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     m = (q.u - p.u) / (q.v - p.v)
     q0 = p.u - m * p.v
     cubic = _intersection_cubic(curve, m, q0)
-    quot1, rem1 = divmod(cubic, UniPoly([-p.v, 1]))
+    quot1, rem1 = poly_divmod(cubic, UniPoly([-p.v, 1]))
     assert rem1.is_zero
-    quot2, rem2 = divmod(quot1, UniPoly([-q.v, 1]))
+    quot2, rem2 = poly_divmod(quot1, UniPoly([-q.v, 1]))
     assert rem2.is_zero
     v3 = -quot2.coefficient(0)
     return ECPoint(v3, -(m * v3 + q0))
@@ -347,7 +401,7 @@ def tangent_double(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
     m = (3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1) / (2 * p.u)
     q0 = p.u - m * p.v
     cubic = _intersection_cubic(curve, m, q0)
-    quot, rem = divmod(cubic, UniPoly([p.v * p.v, -2 * p.v, 1]))
+    quot, rem = poly_divmod(cubic, UniPoly([p.v * p.v, -2 * p.v, 1]))
     assert rem.is_zero
     v3 = -quot.coefficient(0)
     return ECPoint(v3, -(m * v3 + q0))

@@ -1,14 +1,9 @@
 import pytest
 
-from realcurves import (CurveInvariants, EtaResult, GroupDescriptor,
-                        TwoCandidates, classify_conic, eta_full,
-                        hyperelliptic_invariants, parse_curve, pic_tors,
-                        pic_tors_complex, quartic_eta, units_mod_n)
-from realcurves.eta import Certificate, RULE_ONE_POINT_AT_INFINITY
-
-
-def known(v):
-    return EtaResult(v, Certificate(RULE_ONE_POINT_AT_INFINITY))
+from realcurves import (CurveInvariants, GroupDescriptor, TwoCandidates,
+                        classify_conic, eta_full, hyperelliptic_invariants,
+                        parse_curve, pic_tors, pic_tors_complex, quartic_eta,
+                        units_mod_n)
 
 
 def conic_inv(expr):
@@ -17,18 +12,18 @@ def conic_inv(expr):
 
 class TestPicTors:
     def test_ellipse(self):
-        assert pic_tors(conic_inv("x^2 + y^2 - 1"), known(0)) == \
+        assert pic_tors(conic_inv("x^2 + y^2 - 1"), 0) == \
             GroupDescriptor(z2=1)
 
     def test_four_root_quartic(self):
         spec = parse_curve("y^2 = (x^2-1)*(x^2-9)")
         inv = hyperelliptic_invariants(spec)
         analysis = eta_full(spec, inv)
-        assert pic_tors(inv, analysis.eta) == GroupDescriptor(qz=1, z2=1)
+        assert pic_tors(inv, analysis.eta.value) == GroupDescriptor(qz=1, z2=1)
 
     def test_negative_sextic(self):
         inv = hyperelliptic_invariants(parse_curve("y^2 = -(x^6+1)"))
-        assert pic_tors(inv, known(0)) == GroupDescriptor(qz=2)
+        assert pic_tors(inv, 0) == GroupDescriptor(qz=2)
 
     def test_complete_cases(self):
         withreal = CurveInvariants(genus=3, real_at_infinity=0,
@@ -49,11 +44,11 @@ class TestPicTors:
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            pic_tors(conic_inv("x^2 + 1"), known(0))
+            pic_tors(conic_inv("x^2 + 1"), 0)
 
     def test_eta_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
-            pic_tors(conic_inv("x^2 + y^2 - 1"), known(1))  # r + c - 1 = 0
+            pic_tors(conic_inv("x^2 + y^2 - 1"), 1)  # r + c - 1 = 0
 
     def test_accepts_plain_ints(self):
         assert pic_tors(conic_inv("x^2 + y"), 0) == GroupDescriptor()
