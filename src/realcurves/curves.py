@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .polys import UniPoly, count_real_roots, sign_variations
 
@@ -204,33 +205,33 @@ class ConicClass:
     invariants: CurveInvariants
 
 
-def _char_poly_signature(matrix: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+def _char_poly_signature(matrix: list[list[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a 2x2 or 3x3
+    symmetric matrix.
 
     Descartes' rule of signs is exact on the characteristic polynomial
     because all eigenvalues of a symmetric matrix are real.
     """
-    n = len(matrix)
-    if n == 2:
+    if len(matrix) == 2:
         (a, b), (_, c) = matrix
-        tr = a + c
-        det = a * c - b * b
-        coeffs = [det, -tr, Fraction(1)]
-    elif n == 3:
-        (a, b, d), (_, c, e), (_, _, f) = (matrix[0], matrix[1], matrix[2])
-        tr = a + c + f
+        coeffs = [a * c - b * b, -(a + c), 1]
+    else:
+        (a, b, d), (_, c, e), (_, _, f) = matrix
         m2 = (a * c - b * b) + (a * f - d * d) + (c * f - e * e)
         det = (a * (c * f - e * e) - b * (b * f - e * d) + d * (b * e - c * d))
-        coeffs = [-det, m2, -tr, Fraction(1)]
-    else:
-        raise ValueError("only 2x2 and 3x3 supported")
+        coeffs = [-det, m2, -(a + c + f), 1]
     zero = 0
     while coeffs[zero] == 0:
         zero += 1
     body = coeffs[zero:]
-    pos = sign_variations(list(body))
+    pos = sign_variations(body)
     neg = sign_variations([c * (-1) ** i for i, c in enumerate(body)])
     return pos, neg, zero
+
+
+def _genus_zero(r: int, c: int, s: int, t: int, **flags) -> CurveInvariants:
+    return CurveInvariants(genus=0, real_at_infinity=r, complex_at_infinity=c,
+                           components=s, compact_components=t, **flags)
 
 
 def classify_conic(spec: ConicSpec) -> ConicClass:
@@ -239,75 +240,48 @@ def classify_conic(spec: ConicSpec) -> ConicClass:
     Singular or really-reducible inputs (crossing lines, double lines,
     real parallel line pairs) are rejected: they are not smooth
     connected curves.
+
+    The quadratic-form matrices are scaled by 2*lcm of the six
+    denominators, a positive integer, which makes them integer matrices
+    with the same signatures.
     """
-    a, b, c = spec.xx, spec.xy, spec.yy
-    d, e, f = spec.x1, spec.y1, spec.c0
-    h = Fraction(1, 2)
+    coeffs = (spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0)
+    scale = lcm(*(v.denominator for v in coeffs))
+    a, b, c, d, e, f = (v.numerator * (scale // v.denominator) for v in coeffs)
 
     if a == 0 and b == 0 and c == 0:
-        inv = CurveInvariants(genus=0, real_at_infinity=1, complex_at_infinity=0,
-                              components=1, compact_components=0)
-        return ConicClass(LINE, inv)
+        return ConicClass(LINE, _genus_zero(1, 0, 1, 0))
 
-    quad = [[a, h * b], [h * b, c]]
-    proj = [[a, h * b, h * d],
-            [h * b, c, h * e],
-            [h * d, h * e, f]]
-    pos2, neg2, _ = _char_poly_signature(quad)
-    pos3, neg3, zero3 = _char_poly_signature(proj)
-    rank3 = 3 - zero3
-
-    if rank3 == 3:
+    pos2, neg2, zero2 = _char_poly_signature([[2 * a, b], [b, 2 * c]])
+    pos3, neg3, zero3 = _char_poly_signature([[2 * a, b, d],
+                                              [b, 2 * c, e],
+                                              [d, e, 2 * f]])
+    if zero3 == 0:
         if pos2 == 1 and neg2 == 1:
-            inv = CurveInvariants(genus=0, real_at_infinity=2, complex_at_infinity=0,
-                                  components=2, compact_components=0)
-            return ConicClass(HYPERBOLA, inv)
+            return ConicClass(HYPERBOLA, _genus_zero(2, 0, 2, 0))
         if pos2 + neg2 == 2:  # definite quadratic part
             if pos3 == 3 or neg3 == 3:
-                inv = CurveInvariants(genus=0, real_at_infinity=0, complex_at_infinity=1,
-                                      components=0, compact_components=0)
-                return ConicClass(IMAGINARY_ELLIPSE, inv)
-            inv = CurveInvariants(genus=0, real_at_infinity=0, complex_at_infinity=1,
-                                  components=1, compact_components=1)
-            return ConicClass(ELLIPSE, inv)
+                return ConicClass(IMAGINARY_ELLIPSE, _genus_zero(0, 1, 0, 0))
+            return ConicClass(ELLIPSE, _genus_zero(0, 1, 1, 1))
         # rank-1 quadratic part with full projective rank
-        inv = CurveInvariants(genus=0, real_at_infinity=1, complex_at_infinity=0,
-                              components=1, compact_components=0)
-        return ConicClass(PARABOLA, inv)
+        return ConicClass(PARABOLA, _genus_zero(1, 0, 1, 0))
 
-    if rank3 == 2:
+    if zero3 == 1:
         if pos3 == 2 or neg3 == 2:
             # Two conjugate complex lines.  Their real intersection point is
-            # the kernel direction of the projective matrix; the affine curve
-            # is smooth iff that point lies at infinity.
-            kx, ky, kz = _kernel_vector_3x3(proj)
-            if kz == 0:
-                inv = CurveInvariants(genus=0, real_at_infinity=0,
-                                      complex_at_infinity=1, components=0,
-                                      compact_components=0,
-                                      geometrically_connected=False)
-                return ConicClass(GEOM_DISCONNECTED, inv)
+            # the kernel direction k of the projective matrix M; the affine
+            # curve is smooth iff k lies at infinity.  The adjugate of M is
+            # a nonzero multiple of k k^T, so k_z^2 is a nonzero multiple of
+            # the quadratic part's determinant.
+            if zero2:
+                return ConicClass(GEOM_DISCONNECTED,
+                                  _genus_zero(0, 1, 0, 0, geometrically_connected=False))
             raise HypothesisError(
                 "not a smooth connected curve: conjugate lines meeting at a real affine point")
         raise HypothesisError(
             "not a smooth connected curve: really-reducible conic (two real lines)")
 
     raise HypothesisError("not a smooth connected curve: double line")
-
-
-def _kernel_vector_3x3(m: list[list[Fraction]]) -> tuple[Fraction, Fraction, Fraction]:
-    """A nonzero kernel vector of a rank-2 symmetric 3x3 matrix (cross
-    product of two independent rows)."""
-    rows = [tuple(r) for r in m]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            r1, r2 = rows[i], rows[j]
-            cx = r1[1] * r2[2] - r1[2] * r2[1]
-            cy = r1[2] * r2[0] - r1[0] * r2[2]
-            cz = r1[0] * r2[1] - r1[1] * r2[0]
-            if cx != 0 or cy != 0 or cz != 0:
-                return (cx, cy, cz)
-    raise ValueError("matrix has rank < 2")
 
 
 # ---------------------------------------------------------------------------

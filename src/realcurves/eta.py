@@ -243,7 +243,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
             assignments.append((0, v, w))
             if v != w:
                 assignments.append((0, w, v))
-    for z in integer_roots_monic(UniPoly([c0, c1, c2, 1])):
+    for z in integer_roots_monic((c0, c1, c2, 1)):
         u = _exact_isqrt(z)
         if not u:
             continue

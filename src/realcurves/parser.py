@@ -11,23 +11,31 @@ parenthesized subexpressions with + - * are allowed, so inputs like
 "y^2 = (x^2-1)*(x^2-9)" parse directly.  Syntax errors carry the
 character position at which they were detected.
 
+While it is parsed, a polynomial is a pair: integer numerators by
+monomial over one positive common denominator that is coprime to their
+content.  A p/q literal is reduced on entry, a sum goes over the lcm of
+the two denominators and a product multiplies integers; Fractions are
+built once, for the finished polynomial.
+
 The work an input can ask for is bounded: exponents and degrees above
-MAX_DEGREE and coefficients of more than MAX_COEFFICIENT_DIGITS digits
-are parse errors.  Degrees are checked after every product, the steps
-of a power included; coefficients after every step of a power, where
-they can grow exponentially in the input length, and once for the whole
-polynomial, reported at its start.
+MAX_DEGREE and coefficients (in lowest terms) of more than
+MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
+after every product, the steps of a power included; coefficients after
+every step of a power, where they can grow exponentially in the input
+length, and once for the whole polynomial, reported at its start.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .curves import ConicSpec, CurveSpec, HyperellipticSpec
 from .polys import UniPoly
 
-Monomial = tuple[int, int]          # (x exponent, y exponent)
-BiPoly = dict[Monomial, Fraction]   # sparse bivariate polynomial
+Monomial = tuple[int, int]              # (x exponent, y exponent)
+BiPoly = dict[Monomial, Fraction]       # sparse bivariate polynomial
+Poly = tuple[dict[Monomial, int], int]  # (numerators, common denominator)
 
 # The slowest short input found at degree 18, a product of linear
 # factors with 4- to 6-digit rational roots (about 360 characters), takes
@@ -37,6 +45,7 @@ MAX_DEGREE = 18
 # the default int-string digit limit: larger coefficients cannot be printed
 MAX_COEFFICIENT_DIGITS = 4300
 _COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
+_TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
 
 
 class ParseError(ValueError):
@@ -49,36 +58,27 @@ class ParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SINGLE = {"+", "-", "*", "^", "(", ")", "/", "="}
+_KINDS = {"x": "var", "y": "var", **{c: c for c in "+-*^()/="}}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Produce (kind, value, position) triples; kinds are 'int', 'var', or
     a literal operator character."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    end = 0  # end of the last integer literal
+    for i, ch in enumerate(text):
+        if i < end:
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in ("x", "y"):
-            tokens.append(("var", ch, i))
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        kind = _KINDS.get(ch)
+        if kind is not None:
+            tokens.append((kind, ch, i))
+        elif ch.isdigit():
+            end = i + 1
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            tokens.append(("int", text[i:end], i))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
 
 
@@ -86,42 +86,79 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Recursive-descent parser over bivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _poly_add(p: BiPoly, q: BiPoly) -> BiPoly:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if c != 0}
+_ZERO: Poly = ({}, 1)
 
 
-def _poly_mul(p: BiPoly, q: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
+def _poly_add(p: Poly, q: Poly) -> Poly:
+    """p + q over lcm(den p, den q) = den p * den q / g, then cancelled by
+    gcd(content, g): a prime of one denominator only cannot divide the
+    content of the sum (Henrici's rule for Fraction sums)."""
+    (pn, pd), (qn, qd) = p, q
+    g = gcd(pd, qd)
+    sp, sq = qd // g, pd // g
+    out = {m: c * sp for m, c in pn.items()}
+    for m, c in qn.items():
+        out[m] = out[m] + c * sq if m in out else c * sq
+    out = {m: c for m, c in out.items() if c}
+    if not out:
+        return _ZERO
+    g = gcd(g, *out.values())
+    if g == 1:
+        return out, pd * sp
+    return {m: c // g for m, c in out.items()}, pd * sp // g
+
+
+def _poly_mul(p: Poly, q: Poly) -> Poly:
+    """p * q with each content first cancelled against the other
+    denominator; by Gauss's lemma the product is then content-reduced."""
+    (pn, pd), (qn, qd) = p, q
+    if qd != 1 and (g := gcd(qd, *pn.values())) != 1:
+        pn, qd = {m: c // g for m, c in pn.items()}, qd // g
+    if pd != 1 and (g := gcd(pd, *qn.values())) != 1:
+        qn, pd = {m: c // g for m, c in qn.items()}, pd // g
+    out: dict[Monomial, int] = {}
+    for (i1, j1), c1 in pn.items():
+        for (i2, j2), c2 in qn.items():
             m = (i1 + i2, j1 + j2)
-            c = c1 * c2
-            out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if c != 0}
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    out = {m: c for m, c in out.items() if c}
+    return (out, pd * qd) if out else _ZERO
 
 
-def _poly_neg(p: BiPoly) -> BiPoly:
-    return {m: -c for m, c in p.items()}
+def _poly_neg(p: Poly) -> Poly:
+    return {m: -c for m, c in p[0].items()}, p[1]
 
 
-def _degree_bounded(p: BiPoly, position: int) -> BiPoly:
-    """p itself, or a ParseError at `position` when its degree is too high."""
+def _degree_bounded(p: dict[Monomial, object], position: int) -> None:
     if p and max(map(sum, p)) > MAX_DEGREE:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
-    return p
 
 
-def _bounded(p: BiPoly, position: int) -> BiPoly:
+def _checked(p: BiPoly, position: int) -> BiPoly:
     """p itself, or a ParseError at `position` when its degree is too
     high or a coefficient too long."""
     _degree_bounded(p, position)
-    for c in p.values():
-        if abs(c.numerator) >= _COEFFICIENT_BOUND or c.denominator >= _COEFFICIENT_BOUND:
-            raise ParseError("coefficient of more than "
-                             f"{MAX_COEFFICIENT_DIGITS} digits", position)
+    bound = _COEFFICIENT_BOUND
+    if not all(-bound < c.numerator < bound and c.denominator < bound
+               for c in p.values()):
+        raise ParseError(_TOO_LONG, position)
+    return p
+
+
+def _bounded(p: Poly, position: int) -> Poly:
+    """p itself, or the ParseError of `_checked` on its coefficients.
+
+    A denominator and numerators below the bound bound every coefficient
+    in lowest terms; past it, c/den is too long in lowest terms when |c|
+    or den reaches the bound times gcd(c, den)."""
+    terms, den = p
+    _degree_bounded(terms, position)
+    bound, values = _COEFFICIENT_BOUND, terms.values()
+    if den >= bound or not -bound < min(values, default=0) <= max(values, default=0) < bound:
+        for c in values:
+            least = bound * gcd(c, den)
+            if not -least < c < least or den >= least:
+                raise ParseError(_TOO_LONG, position)
     return p
 
 
@@ -135,17 +172,14 @@ def _int(tok: tuple[str, str, int]) -> int:
 
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
+        # an end token ends the list, so looking ahead never runs off it
+        self.tokens = tokens + [("end", "", length)]
         self.pos = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.pos += 1
         return tok
 
@@ -155,67 +189,74 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> BiPoly:
-        tok = self.peek()
-        if tok is not None and tok[0] in ("+", "-"):
-            self.next()
+    def parse_expr(self) -> Poly:
+        tok = self.tokens[self.pos]
+        if tok[0] == "+" or tok[0] == "-":
+            self.pos += 1
             acc = self.parse_term()
             if tok[0] == "-":
                 acc = _poly_neg(acc)
         else:
             acc = self.parse_term()
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] not in ("+", "-"):
+            tok = self.tokens[self.pos]
+            if tok[0] != "+" and tok[0] != "-":
                 return acc
-            self.next()
+            self.pos += 1
             term = self.parse_term()
             acc = _poly_add(acc, _poly_neg(term) if tok[0] == "-" else term)
 
-    def parse_term(self) -> BiPoly:
+    def parse_term(self) -> Poly:
         acc = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok is None:
-                return acc
+            tok = self.tokens[self.pos]
             if tok[0] == "*":
-                self.next()
+                self.pos += 1
             elif tok[0] not in ("int", "var", "("):
                 return acc
             # "*" or implicit multiplication, e.g. "2x" or "(x-1)(x+1)"
-            acc = _degree_bounded(_poly_mul(acc, self.parse_factor()), tok[2])
+            acc = _poly_mul(acc, self.parse_factor())
+            _degree_bounded(acc[0], tok[2])
 
-    def parse_factor(self) -> BiPoly:
+    def parse_factor(self) -> Poly:
         base = self.parse_base()
-        tok = self.peek()
-        if tok is not None and tok[0] == "^":
-            self.next()
-            etok = self.expect("int")
-            e = _int(etok)
-            if e > MAX_DEGREE:
-                raise ParseError(f"exponent above the limit of {MAX_DEGREE}", etok[2])
-            power: BiPoly = {(0, 0): Fraction(1)}
-            for _ in range(e):
-                power = _bounded(_poly_mul(power, base), etok[2])
-            return power
-        return base
+        if self.tokens[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        etok = self.expect("int")
+        e = _int(etok)
+        if e > MAX_DEGREE:
+            raise ParseError(f"exponent above the limit of {MAX_DEGREE}", etok[2])
+        terms, den = base
+        if den == 1 and len(terms) == 1:
+            [((i, j), c)] = terms.items()
+            if c == 1 or c == -1:
+                # the degree grows with each step and no coefficient can,
+                # so the steps' checks come down to the degree of the last
+                power = {(i * e, j * e): c ** e}
+                _degree_bounded(power, etok[2])
+                return power, 1
+        power: Poly = ({(0, 0): 1}, 1)
+        for _ in range(e):
+            power = _bounded(_poly_mul(power, base), etok[2])
+        return power
 
-    def parse_base(self) -> BiPoly:
+    def parse_base(self) -> Poly:
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
             num = _int(tok)
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "/":
-                self.next()
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
                 dtok = self.expect("int")
                 den = _int(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return {(0, 0): Fraction(num, den)}
-            return {(0, 0): Fraction(num)}
+                g = gcd(num, den)
+                return ({(0, 0): num // g}, den // g) if num else _ZERO
+            return ({(0, 0): num}, 1) if num else _ZERO
         if kind == "var":
-            return {(1, 0) if value == "x" else (0, 1): Fraction(1)}
+            return {(1, 0) if value == "x" else (0, 1): 1}, 1
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -227,8 +268,8 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
-    """Parse a polynomial in x, y into sparse form.
+def _parse(text: str, offset: int) -> tuple[Poly, BiPoly]:
+    """The polynomial as it was parsed and with Fraction coefficients.
 
     `offset` is the position of `text` inside the whole input; it is
     added once here to the position of every error, end of input
@@ -236,35 +277,39 @@ def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
     """
     try:
         parser = _Parser(_tokenize(text), len(text))
-        poly = _bounded(parser.parse_expr(), 0)
-        tok = parser.peek()
-        if tok is not None:
+        p = parser.parse_expr()
+        poly = _checked({m: Fraction(c, p[1]) for m, c in p[0].items()}, 0)
+        tok = parser.tokens[parser.pos]
+        if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     except ParseError as err:
         raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
-    return {m: c for m, c in poly.items() if c != 0}
+    return p, poly
+
+
+def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
+    """Parse a polynomial in x, y into sparse form, errors shifted by
+    `offset`."""
+    return _parse(text, offset)[1]
 
 
 # ---------------------------------------------------------------------------
 # Curve-level parsing
 # ---------------------------------------------------------------------------
 
-def _is_y_squared(p: BiPoly) -> bool:
-    return p == {(0, 2): Fraction(1)}
-
-
-def _to_unipoly_in_x(p: BiPoly, position: int) -> UniPoly:
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), c in p.items():
-        if j != 0:
-            raise ParseError("right-hand side must involve x only", position)
-        coeffs[i] = c
-    if not coeffs:
-        return UniPoly.zero()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return UniPoly(out)
+def _to_unipoly_in_x(p: BiPoly, numerators: dict[Monomial, int],
+                     position: int) -> UniPoly:
+    """p as a UniPoly, given with its primitive integer multiple: the
+    numerators over their content, which is that of p's numerators
+    because the common denominator is coprime to it."""
+    if any(j for _, j in p):
+        raise ParseError("right-hand side must involve x only", position)
+    coeffs = [Fraction(0)] * (max((i for i, _ in p), default=-1) + 1)
+    primitive = [0] * len(coeffs)
+    content = gcd(*(c.numerator for c in p.values()))
+    for (i, _), c in p.items():
+        coeffs[i], primitive[i] = c, numerators[i, 0] // content
+    return UniPoly(coeffs, primitive=primitive)
 
 
 def parse_curve(text: str) -> CurveSpec:
@@ -279,12 +324,12 @@ def parse_curve(text: str) -> CurveSpec:
     lhs_text, rhs_text = text.split("=")
     rhs_offset = len(lhs_text) + 1
     lhs = parse_polynomial(lhs_text)
-    rhs = parse_polynomial(rhs_text, offset=rhs_offset)
+    (numerators, _), rhs = _parse(rhs_text, rhs_offset)
 
     if rhs == {}:  # "... = 0"
         return conic_from_bipoly(lhs, position=0)
-    if _is_y_squared(lhs):
-        q = _to_unipoly_in_x(rhs, rhs_offset)
+    if lhs == {(0, 2): Fraction(1)}:
+        q = _to_unipoly_in_x(rhs, numerators, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
     raise ParseError(
         "left-hand side must be y^2, or the right-hand side must be 0", 0)
@@ -317,6 +362,6 @@ def parse_coefficient_list(text: str) -> HyperellipticSpec:
         coeffs = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad coefficient list: {err}", 0) from None
-    _bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
+    _checked({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
     q = UniPoly(coeffs)
     return hyperelliptic_from_unipoly(q)

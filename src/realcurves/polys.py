@@ -67,16 +67,23 @@ class UniPoly:
     Coefficients are stored in ascending degree order with the trailing
     zeros trimmed, so the leading coefficient is nonzero unless the
     polynomial is zero.  The zero polynomial has degree -1.
+
+    A caller that has the primitive integer polynomial that is a
+    positive multiple of this one, in ascending order, may pass it as
+    `primitive`; the Sturm chain then starts from it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integers")
 
-    def __init__(self, coefficients: Iterable[Rational]):
+    def __init__(self, coefficients: Iterable[Rational],
+                 primitive: Sequence[int] | None = None):
         coeffs = [as_fraction(c) if not isinstance(c, Fraction) else c
                   for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_integers",
+                           None if primitive is None else tuple(primitive))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("UniPoly is immutable")
@@ -121,49 +128,8 @@ class UniPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, cb in enumerate(b):
-            out[i] += cb
-        return UniPoly(out)
-
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return UniPoly.zero()
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, v: Rational) -> Fraction:
-        v = as_fraction(v) if not isinstance(v, Fraction) else v
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -205,11 +171,18 @@ def _primitive(coeffs: Sequence[int]) -> list[int]:
     return list(coeffs) if content == 1 else [c // content for c in coeffs]
 
 
-def _integer_primitive(p: UniPoly) -> list[int]:
+def _integer_primitive(p: UniPoly) -> Sequence[int]:
     """The primitive integer polynomial that is a positive rational
-    multiple of p; empty for the zero polynomial."""
+    multiple of p; empty for the zero polynomial.
+
+    The coefficients are in lowest terms, so no prime of the common
+    denominator divides every scaled numerator: the content is the gcd
+    of the numerators alone."""
+    if p._integers is not None:
+        return p._integers
     scale = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
+    content = gcd(*(c.numerator for c in p.coeffs))
+    return [c.numerator // content * (scale // c.denominator) for c in p.coeffs]
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -239,7 +212,7 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return rem
 
 
-def _remainder_chain(a: list[int], b: list[int]) -> list[tuple[int, ...]]:
+def _remainder_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ...]]:
     """a, b, then the negated primitive pseudo-remainders, up to the
     first zero remainder.
 
@@ -315,8 +288,9 @@ def count_real_roots(p: UniPoly) -> int:
     return sign_variations(at_minus) - sign_variations(at_plus)
 
 
-def integer_roots_monic(p: UniPoly) -> list[int]:
-    """All integer roots of a monic integer polynomial of degree at most 3.
+def integer_roots_monic(coeffs: Sequence[int]) -> list[int]:
+    """All integer roots of a monic integer polynomial of degree at most 3,
+    given by its coefficients in ascending order.
 
     Every rational root of such a polynomial is an integer (rational
     root theorem).  The critical points, (-c2 +- sqrt(c2^2 - 3*c1))/3
@@ -326,15 +300,16 @@ def integer_roots_monic(p: UniPoly) -> list[int]:
     searched by integer bisection on the sign of p.  Degree above 3
     raises ValueError.
     """
-    if p.is_zero:
+    if not coeffs:
         raise ValueError("zero polynomial")
-    if p.leading != 1:
+    if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    if any(c.denominator != 1 for c in p.coeffs):
+    if not all(isinstance(c, int) for c in coeffs):
         raise ValueError("polynomial must have integer coefficients")
-    if p.degree > 3:
+    degree = len(coeffs) - 1
+    if degree > 3:
         raise ValueError("polynomial must have degree at most 3")
-    coeffs = [c.numerator for c in reversed(p.coeffs)]  # descending
+    coeffs = coeffs[::-1]  # descending
 
     def value_at(n: int) -> int:
         acc = 0
@@ -344,10 +319,10 @@ def integer_roots_monic(p: UniPoly) -> list[int]:
 
     bound = 1 + max((abs(c) for c in coeffs[1:]), default=0)
     points = {-bound, bound}
-    if p.degree == 2:
+    if degree == 2:
         c1 = coeffs[1]
         points.update(range(-c1 // 2, -(c1 // 2) + 1))
-    elif p.degree == 3:
+    elif degree == 3:
         c2, c1 = coeffs[1], coeffs[2]
         disc = c2 * c2 - 3 * c1
         if disc >= 0:

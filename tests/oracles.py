@@ -7,9 +7,15 @@ pseudo-remainder chain), resultants by Sylvester determinant, real-root
 counts by Descartes/bisection isolation and by the Fraction Sturm chain
 evaluated at the Cauchy bound, integer roots by Sturm bisection on
 half-integer endpoints, the quartic normal form on Fraction shifts with
-a Euclid gcd square-free test, elliptic addition by explicit chord
-substitution and Vieta, and a Nagell-Lutz integrality screen for
-non-torsion.  None of it calls the library routine it is checking.
+a Euclid gcd square-free test, the parser with Fraction coefficients
+normalized after every sum and product (the library keeps one integer
+common denominator), conic classification on Fraction matrices with the
+kernel direction by cross products (the library scales to integer
+matrices and reads the direction off a determinant), elliptic addition
+by explicit chord substitution and Vieta, and a Nagell-Lutz
+integrality screen for non-torsion.  Polynomial sums, products,
+evaluation and derivatives, which `UniPoly` does not have, are here as
+plain functions.  None of it calls the library routine it is checking.
 """
 
 from __future__ import annotations
@@ -19,10 +25,55 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from realcurves import (CurveInvariants, ECPoint, GroupDescriptor, INFINITY,
-                        QuarticParams, UniPoly, WeierstrassCurve)
+from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
+                        HypothesisError, INFINITY, ParseError, QuarticParams,
+                        UniPoly, WeierstrassCurve)
+from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
+                               IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
+from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
 from realcurves.polys import (integer_roots_monic, is_square_free, rational_sqrt,
                               sign_variations)
+
+
+# ---------------------------------------------------------------------------
+# Fraction polynomial arithmetic: sums, products, evaluation, derivative
+# ---------------------------------------------------------------------------
+
+def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, cb in enumerate(b):
+        out[i] += cb
+    return UniPoly(out)
+
+
+def poly_mul(p: UniPoly, q) -> UniPoly:
+    """p * q for a polynomial or a rational q."""
+    if isinstance(q, (int, Fraction)):
+        return UniPoly(tuple(c * q for c in p.coeffs))
+    if p.is_zero or q.is_zero:
+        return UniPoly.zero()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, ca in enumerate(p.coeffs):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(q.coeffs):
+            out[i + j] += ca * cb
+    return UniPoly(out)
+
+
+def poly_eval(p: UniPoly, v) -> Fraction:
+    """p(v) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def derivative(p: UniPoly) -> UniPoly:
+    return UniPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +114,7 @@ def shift(p: UniPoly, h) -> UniPoly:
     acc = UniPoly.zero()
     xh = UniPoly((h, 1))
     for c in reversed(p.coeffs):
-        acc = acc * xh + UniPoly((c,))
+        acc = poly_add(poly_mul(acc, xh), UniPoly((c,)))
     return acc
 
 
@@ -153,7 +204,7 @@ def descartes_count_roots(p: UniPoly) -> int:
         return 0
     bound = cauchy_bound(p)
     lo, hi = -bound - 1, bound + 1
-    assert p(lo) != 0 and p(hi) != 0
+    assert poly_eval(p, lo) != 0 and poly_eval(p, hi) != 0
     return _vca_count(p, lo, hi)
 
 
@@ -164,7 +215,7 @@ def _vca_count(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     if variations == 1:
         return 1
     mid = (lo + hi) / 2
-    at_mid = 1 if p(mid) == 0 else 0
+    at_mid = 1 if poly_eval(p, mid) == 0 else 0
     return _vca_count(p, lo, mid) + at_mid + _vca_count(p, mid, hi)
 
 
@@ -177,12 +228,12 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     num_pows = [UniPoly((1,))]
     den_pows = [UniPoly((1,))]
     for _ in range(d):
-        num_pows.append(num_pows[-1] * num)
-        den_pows.append(den_pows[-1] * den)
+        num_pows.append(poly_mul(num_pows[-1], num))
+        den_pows.append(poly_mul(den_pows[-1], den))
     acc = UniPoly.zero()
     for i, c in enumerate(p.coeffs):
         if c != 0:
-            acc = acc + c * (num_pows[i] * den_pows[d - i])
+            acc = poly_add(acc, poly_mul(poly_mul(num_pows[i], den_pows[d - i]), c))
     return sign_variations(list(acc.coeffs))
 
 
@@ -193,7 +244,7 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
 def fraction_sturm_sequence(p: UniPoly) -> list[UniPoly]:
     """Canonical Sturm chain by Fraction Euclid: p, p', then negated
     remainders."""
-    seq = [p, p.derivative()]
+    seq = [p, derivative(p)]
     while not seq[-1].is_zero:
         rem = poly_divmod(seq[-2], seq[-1])[1]
         if rem.is_zero:
@@ -219,7 +270,7 @@ def fraction_count_real_roots(p: UniPoly,
     bound = cauchy_bound(p) + 1
 
     def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (q(x) for q in seq) if v != 0]
+        signs = [v > 0 for v in (poly_eval(q, x) for q in seq) if v != 0]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return variations(-bound) - variations(bound)
@@ -241,7 +292,7 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
     assert p.leading == 1 and all(c.denominator == 1 for c in p.coeffs)
     if p.degree == 0:
         return []
-    sq = poly_divmod(p, fraction_poly_gcd(p, p.derivative()))[0]
+    sq = poly_divmod(p, fraction_poly_gcd(p, derivative(p)))[0]
     chain = []
     for q in fraction_sturm_sequence(sq):
         scale = 1
@@ -271,7 +322,7 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
         width = (hi_num - lo_num) // 2
         if width == 1:
             cand = (lo_num + 1) // 2
-            if sq(cand) == 0:
+            if poly_eval(sq, cand) == 0:
                 roots.append(cand)
             continue
         mid_num = lo_num + 2 * (width // 2)
@@ -293,7 +344,7 @@ def fraction_normal_form_quartic(params: QuarticParams) -> UniPoly:
     sc = 1 if params.k == 0 else -1
     left = UniPoly([b * b + sa * a * a, 2 * b, 1])
     right = UniPoly([b * b + sc * c * c, -2 * b, 1])
-    return left * right
+    return poly_mul(left, right)
 
 
 def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
@@ -310,7 +361,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         raise ValueError("polynomial must have degree 4")
     if q.leading != 1:
         raise ValueError("polynomial must be monic")
-    if fraction_poly_gcd(q, q.derivative()).degree > 0:
+    if fraction_poly_gcd(q, derivative(q)).degree > 0:
         raise ValueError("polynomial must be square-free")
 
     qt = shift(q, -q.coefficient(3) / 4)
@@ -329,8 +380,9 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     c1 = big_p * big_p - 4 * big_r
     c0 = -big_c * big_c
     m = lcm(c2.denominator, c1.denominator, c0.denominator)
-    scaled = UniPoly([c0 * m ** 3, c1 * m ** 2, c2 * m, 1])
-    for root in integer_roots_monic(scaled):
+    scaled = [c0 * m ** 3, c1 * m ** 2, c2 * m]
+    assert all(c.denominator == 1 for c in scaled)
+    for root in integer_roots_monic([c.numerator for c in scaled] + [1]):
         if root <= 0:
             continue
         z = Fraction(root, m)
@@ -359,6 +411,264 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     params = QuarticParams(k=k, a=a, b=b, c=c)
     assert fraction_normal_form_quartic(params) == qt
     return params
+
+
+# ---------------------------------------------------------------------------
+# The parser on Fraction coefficients (independent of the common denominator)
+# ---------------------------------------------------------------------------
+
+def _fraction_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch in ("x", "y"):
+            tokens.append(("var", ch, i))
+            i += 1
+            continue
+        if ch in "+-*^()/=":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def _bipoly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _bipoly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _bipoly_neg(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
+
+
+def _degree_checked(p: dict, position: int) -> dict:
+    if p and max(map(sum, p)) > MAX_DEGREE:
+        raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
+    return p
+
+
+def _size_checked(p: dict, position: int) -> dict:
+    _degree_checked(p, position)
+    bound = 10 ** MAX_COEFFICIENT_DIGITS
+    for c in p.values():
+        if abs(c.numerator) >= bound or c.denominator >= bound:
+            raise ParseError("coefficient of more than "
+                             f"{MAX_COEFFICIENT_DIGITS} digits", position)
+    return p
+
+
+def _literal(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long",
+                         tok[2]) from None
+
+
+class _FractionParser:
+    """Recursive descent over dicts of Fraction coefficients, each sum and
+    product normalized coefficient by coefficient."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.length = length
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.length)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def expr(self) -> dict:
+        tok = self.peek()
+        if tok is not None and tok[0] in ("+", "-"):
+            self.next()
+            acc = self.term()
+            if tok[0] == "-":
+                acc = _bipoly_neg(acc)
+        else:
+            acc = self.term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] not in ("+", "-"):
+                return acc
+            self.next()
+            term = self.term()
+            acc = _bipoly_add(acc, _bipoly_neg(term) if tok[0] == "-" else term)
+
+    def term(self) -> dict:
+        acc = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return acc
+            if tok[0] == "*":
+                self.next()
+            elif tok[0] not in ("int", "var", "("):
+                return acc
+            acc = _degree_checked(_bipoly_mul(acc, self.factor()), tok[2])
+
+    def factor(self) -> dict:
+        base = self.base()
+        tok = self.peek()
+        if tok is not None and tok[0] == "^":
+            self.next()
+            etok = self.expect("int")
+            e = _literal(etok)
+            if e > MAX_DEGREE:
+                raise ParseError(f"exponent above the limit of {MAX_DEGREE}", etok[2])
+            power = {(0, 0): Fraction(1)}
+            for _ in range(e):
+                power = _size_checked(_bipoly_mul(power, base), etok[2])
+            return power
+        return base
+
+    def base(self) -> dict:
+        tok = self.next()
+        kind, value, pos = tok
+        if kind == "int":
+            num = _literal(tok)
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == "/":
+                self.next()
+                dtok = self.expect("int")
+                den = _literal(dtok)
+                if den == 0:
+                    raise ParseError("zero denominator", dtok[2])
+                return {(0, 0): Fraction(num, den)}
+            return {(0, 0): Fraction(num)}
+        if kind == "var":
+            return {(1, 0) if value == "x" else (0, 1): Fraction(1)}
+        if kind == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if kind == "-":
+            return _bipoly_neg(self.factor())
+        if kind == "+":
+            return self.factor()
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def fraction_parse_polynomial(text: str, offset: int = 0) -> dict:
+    """parse_polynomial with Fraction arithmetic throughout: the same
+    grammar, results, errors and positions."""
+    try:
+        parser = _FractionParser(_fraction_tokenize(text), len(text))
+        poly = _size_checked(parser.expr(), 0)
+        tok = parser.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    except ParseError as err:
+        raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
+    return {m: c for m, c in poly.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# Conic classification on Fraction matrices (independent of the integer
+# scaling)
+# ---------------------------------------------------------------------------
+
+def _fraction_signature(matrix: list[list[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts by Descartes' rule on
+    the characteristic polynomial."""
+    if len(matrix) == 2:
+        (a, b), (_, c) = matrix
+        coeffs = [a * c - b * b, -(a + c), Fraction(1)]
+    else:
+        (a, b, d), (_, c, e), (_, _, f) = matrix
+        m2 = (a * c - b * b) + (a * f - d * d) + (c * f - e * e)
+        det = a * (c * f - e * e) - b * (b * f - e * d) + d * (b * e - c * d)
+        coeffs = [-det, m2, -(a + c + f), Fraction(1)]
+    zero = 0
+    while coeffs[zero] == 0:
+        zero += 1
+    body = coeffs[zero:]
+    return (sign_variations(body),
+            sign_variations([c * (-1) ** i for i, c in enumerate(body)]), zero)
+
+
+def fraction_classify_conic(spec: ConicSpec) -> ConicClass:
+    """classify_conic on the Fraction matrices of the quadratic form:
+    the same classes, invariants and errors."""
+    a, b, c = Fraction(spec.xx), Fraction(spec.xy), Fraction(spec.yy)
+    d, e, f = Fraction(spec.x1), Fraction(spec.y1), Fraction(spec.c0)
+    h = Fraction(1, 2)
+    if a == 0 and b == 0 and c == 0:
+        return ConicClass(LINE, CurveInvariants(
+            genus=0, real_at_infinity=1, complex_at_infinity=0,
+            components=1, compact_components=0))
+    proj = [[a, h * b, h * d], [h * b, c, h * e], [h * d, h * e, f]]
+    pos2, neg2, _ = _fraction_signature([[a, h * b], [h * b, c]])
+    pos3, neg3, zero3 = _fraction_signature(proj)
+    if zero3 == 0:
+        if pos2 == 1 and neg2 == 1:
+            return ConicClass(HYPERBOLA, CurveInvariants(
+                genus=0, real_at_infinity=2, complex_at_infinity=0,
+                components=2, compact_components=0))
+        if pos2 + neg2 == 2:
+            if pos3 == 3 or neg3 == 3:
+                return ConicClass(IMAGINARY_ELLIPSE, CurveInvariants(
+                    genus=0, real_at_infinity=0, complex_at_infinity=1,
+                    components=0, compact_components=0))
+            return ConicClass(ELLIPSE, CurveInvariants(
+                genus=0, real_at_infinity=0, complex_at_infinity=1,
+                components=1, compact_components=1))
+        return ConicClass(PARABOLA, CurveInvariants(
+            genus=0, real_at_infinity=1, complex_at_infinity=0,
+            components=1, compact_components=0))
+    if zero3 == 1:
+        if pos3 == 2 or neg3 == 2:
+            # the kernel of proj, by the cross product of two independent rows
+            kz = next(r1[0] * r2[1] - r1[1] * r2[0]
+                      for i, r1 in enumerate(proj) for r2 in proj[i + 1:]
+                      if any(r1[k] * r2[l] != r1[l] * r2[k]
+                             for k, l in ((1, 2), (2, 0), (0, 1))))
+            if kz == 0:
+                return ConicClass(GEOM_DISCONNECTED, CurveInvariants(
+                    genus=0, real_at_infinity=0, complex_at_infinity=1,
+                    components=0, compact_components=0,
+                    geometrically_connected=False))
+            raise HypothesisError("not a smooth connected curve: conjugate "
+                                  "lines meeting at a real affine point")
+        raise HypothesisError(
+            "not a smooth connected curve: really-reducible conic (two real lines)")
+    raise HypothesisError("not a smooth connected curve: double line")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +770,8 @@ def has_rational_quadratic_split(q: UniPoly) -> bool:
     if c0 == 0:
         # x divides q; pair it with each rational linear factor
         rest = UniPoly([q.coefficient(1), q.coefficient(2), q.coefficient(3), 1])
-        return any(rest(n) == 0 for n in _divisor_candidates(int(rest.coefficient(0)))) \
+        return any(poly_eval(rest, n) == 0
+                   for n in _divisor_candidates(int(rest.coefficient(0)))) \
             if rest.coefficient(0) != 0 else True
     for r in _divisor_candidates(c0):
         if c0 % r != 0:

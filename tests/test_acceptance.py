@@ -22,7 +22,7 @@ from realcurves.curves import HyperellipticSpec
 from realcurves.picard import TwoCandidates
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
-from oracles import (descartes_count_roots, random_curve_with_points,
+from oracles import (descartes_count_roots, poly_mul, random_curve_with_points,
                      random_invariants, random_squarefree_poly, tangent_double)
 
 F = Fraction
@@ -71,9 +71,9 @@ def _poly_with_roots(sign: int, d: int, k: int) -> UniPoly:
     k real roots."""
     poly = UniPoly([sign])
     for i in range(1, k + 1):
-        poly = poly * UniPoly([-i, 1])
+        poly = poly_mul(poly, UniPoly([-i, 1]))
     for j in range(1, (d - k) // 2 + 1):
-        poly = poly * UniPoly([j, 0, 1])
+        poly = poly_mul(poly, UniPoly([j, 0, 1]))
     return poly
 
 

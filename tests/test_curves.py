@@ -9,7 +9,7 @@ from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA,
                                HyperellipticSpec)
 
-from oracles import random_squarefree_poly
+from oracles import fraction_classify_conic, random_squarefree_poly
 
 
 def conic(expr: str) -> ConicSpec:
@@ -112,6 +112,81 @@ def _substitute(spec: ConicSpec, xmap, ymap) -> ConicSpec:
     g = lambda m: acc.get(m, Fraction(0))
     return ConicSpec(xx=g((2, 0)), xy=g((1, 1)), yy=g((0, 2)),
                      x1=g((1, 0)), y1=g((0, 1)), c0=g((0, 0)))
+
+
+def _random_rational(rng: random.Random, digits: int = 2) -> Fraction:
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                    rng.randint(1, 10 ** rng.randint(0, digits)))
+
+
+def _linear_form(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
+    return tuple(_random_rational(rng) for _ in range(3))
+
+
+def _product(s, t) -> list[Fraction]:
+    """The six coefficients of (a x + b y + c)(d x + e y + f)."""
+    (a, b, c), (d, e, f) = s, t
+    return [a * d, a * e + b * d, b * e, a * f + c * d, b * f + c * e, c * f]
+
+
+def random_conic(rng: random.Random) -> ConicSpec:
+    """Generic conics, images of the six table conics, and the degenerate
+    ones: two real lines, a double line, and conjugate lines meeting at a
+    real point, affine or at infinity."""
+    r = rng.random()
+    if r < 0.3:
+        digits = 30 if rng.random() < 0.2 else 2
+        coeffs = [_random_rational(rng, digits) for _ in range(6)]
+    elif r < 0.45:
+        coeffs = _product(_linear_form(rng), _linear_form(rng))
+    elif r < 0.55:
+        line = _linear_form(rng)
+        coeffs = _product(line, line)
+    elif r < 0.7:
+        # l1^2 + l2^2: complex conjugate lines l1 +- i l2
+        l1, l2 = _linear_form(rng), _linear_form(rng)
+        if rng.random() < 0.5:  # parallel: they meet at infinity
+            w = _random_rational(rng)
+            l2 = (l1[0] * w, l1[1] * w, _random_rational(rng))
+        coeffs = [u + v for u, v in zip(_product(l1, l1), _product(l2, l2))]
+    else:
+        spec = conic(rng.choice(list(CONIC_TABLE)))
+        transform = [_random_rational(rng, 1) for _ in range(6)]
+        spec = _substitute(spec, transform[:3], transform[3:])
+        coeffs = [spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0]
+    scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 50), rng.randint(1, 50))
+    return ConicSpec(*(c * scale for c in coeffs))
+
+
+def classify_outcome(classify, spec: ConicSpec):
+    try:
+        return classify(spec)
+    except HypothesisError as err:
+        return str(err)
+
+
+class TestConicAgainstFractionOracle:
+    """classify_conic on the integer matrices against the Fraction
+    matrices: the same class and invariants, or the same error."""
+
+    def test_random_conics(self):
+        rng = random.Random(7919)
+        outcomes = {}
+        checked = 0
+        while checked < 2500:
+            try:
+                spec = random_conic(rng)
+            except HypothesisError:  # no term of degree >= 1
+                continue
+            got = classify_outcome(classify_conic, spec)
+            assert got == classify_outcome(fraction_classify_conic, spec), spec
+            key = got if isinstance(got, str) else got.kind
+            outcomes[key] = outcomes.get(key, 0) + 1
+            checked += 1
+        # every class and every rejection occurs
+        assert len(outcomes) == 9 and min(outcomes.values()) >= 20, outcomes
 
 
 class TestHyperellipticInvariants:

@@ -1,5 +1,7 @@
+import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,9 @@ from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         parse_curve)
 from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE,
                                parse_polynomial)
+from realcurves.polys import sturm_sequence
+
+from oracles import fraction_parse_polynomial
 
 
 class TestConicPath:
@@ -151,6 +156,42 @@ class TestWorkBounds:
             assert exc.value.position == position
         assert parse_polynomial(f"{big}*{big[2:]}*x")  # 4300 digits
 
+    @staticmethod
+    def coprime_numbers(seed: int, count: int, digits: int) -> list[int]:
+        rng = random.Random(seed)
+        numbers: list[int] = []
+        while len(numbers) < count:
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            if all(gcd(n, m) == 1 for m in numbers):
+                numbers.append(n)
+        return numbers
+
+    def test_common_denominator_beyond_the_limit(self):
+        # five 4000-digit denominators: their product, the common
+        # denominator, has 20000 digits, but every coefficient in lowest
+        # terms is inside the limit
+        dens = self.coprime_numbers(5, 5, 4000)
+        rhs = " + ".join(f"{i + 2}/{d}*x^{4 - i}" for i, d in enumerate(dens))
+        poly = parse_polynomial(rhs)
+        assert poly == fraction_parse_polynomial(rhs)
+        assert poly == {(4 - i, 0): Fraction(i + 2, d) for i, d in enumerate(dens)}
+        spec = parse_curve(f"y^2 = {rhs}")
+        assert spec.q.coeffs == tuple(Fraction(i + 2, d)
+                                      for i, d in reversed(list(enumerate(dens))))
+
+    def test_cube_of_a_reduced_sum_too_long(self):
+        # the square of 1/A*x + 1/B has coefficients of 4200 digits; the
+        # cube's 1/A^3 has 6300, so the power fails at its exponent
+        a, b, c = self.coprime_numbers(7, 3, 2100)
+        text = f"y^2 = (1/{a}*x + 1/{b})^4 + 1/{c}"
+        with pytest.raises(ParseError, match="coefficient of more") as exc:
+            parse_curve(text)
+        assert exc.value.position == 4218 == text.index("^4") + 1
+        with pytest.raises(ParseError) as oracle:
+            fraction_parse_polynomial(text[6:], 6)
+        assert (str(oracle.value), oracle.value.position) == \
+            (str(exc.value), exc.value.position)
+
     def test_coefficient_list_rejects_exponent_notation(self):
         for entry in ("1e3", "2.5E-2", "1e20000000"):
             with pytest.raises(ParseError, match="exponent notation"):
@@ -201,3 +242,118 @@ class TestDisplayRoundTrip:
         except HypothesisError:
             assume(False)
         assert parse_curve(spec.display()) == spec
+
+
+def random_literal(rng: random.Random) -> str:
+    """Integers and p/q literals from one digit to past the coefficient
+    limit, zero denominators included."""
+    digits = rng.choice((1, 1, 1, 2, 3, 8, 20))
+    if rng.random() < 0.01:
+        digits = rng.choice((1500, 2200, MAX_COEFFICIENT_DIGITS + 1))
+    num = "".join(rng.choices("0123456789", k=digits))
+    if rng.random() < 0.4:
+        return f"{num}/{rng.randint(0 if rng.random() < 0.02 else 1, 10 ** rng.choice((1, 2, 6)))}"
+    return num
+
+
+def random_factor(rng: random.Random, depth: int) -> str:
+    r = rng.random()
+    if depth < 3 and r < 0.25:
+        base = f"({random_expression(rng, depth + 1)})"
+    elif r < 0.55:
+        base = rng.choice("xy")
+    elif r < 0.65:
+        base = rng.choice(("-", "+", "- ")) + random_factor(rng, depth + 1)
+    else:
+        base = random_literal(rng)
+    if rng.random() < 0.3:
+        top = MAX_DEGREE + 1 if depth > 0 or "(" not in base else 4
+        base += "^" + str(rng.choice((0, 1, 2, 2, 3, rng.randint(0, top))))
+    return base
+
+
+def random_term(rng: random.Random, depth: int) -> str:
+    out = random_factor(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        # "*" or an implicit product, e.g. "2x", "x y" or "(x-1)(x+1)";
+        # digits on both sides of "" would run into one literal
+        factor = random_factor(rng, depth)
+        glue = rng.choice(("*", " * ", "", " "))
+        if not glue and out[-1].isdigit() and factor[0].isdigit():
+            glue = " "
+        out += glue + factor
+    return out
+
+
+def random_expression(rng: random.Random, depth: int = 0) -> str:
+    out = rng.choice(("", "", "-", "+ ")) + random_term(rng, depth)
+    for _ in range(rng.randint(0, 3 - depth)):
+        out += rng.choice((" + ", " - ", "+", "-")) + random_term(rng, depth)
+    return out
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """text with one character deleted, inserted or replaced, or cut short."""
+    i = rng.randrange(len(text) + 1)
+    ch = rng.choice("xy+-*^()/= 0123456789@z.")
+    return rng.choice((text[:i] + ch + text[i:], text[:i] + text[i + 1:],
+                       text[:i] + ch + text[i + 1:], text[:i]))
+
+
+def parse_outcome(parse, text: str, offset: int):
+    try:
+        poly = parse(text, offset)
+    except ParseError as err:
+        return type(err), str(err), err.position
+    assert all(type(c) is Fraction and c != 0 for c in poly.values()), text
+    return poly
+
+
+class TestAgainstFractionOracle:
+    """parse_polynomial on one common denominator against the Fraction
+    parser: equal polynomials, or the same error at the same position."""
+
+    def test_random_expressions(self):
+        rng = random.Random(9001)
+        errors = 0
+        for _ in range(2000):
+            text = random_expression(rng)
+            if rng.random() < 0.15:
+                text = mutated(rng, text)
+            offset = rng.choice((0, 0, 6, 11))
+            got = parse_outcome(parse_polynomial, text, offset)
+            assert got == parse_outcome(fraction_parse_polynomial, text, offset), text
+            errors += isinstance(got, tuple)
+        # both outcomes are well represented
+        assert 200 < errors < 1500
+
+    def test_curves_carry_their_primitive_polynomial(self):
+        # parse_curve hands y^2 = Q the primitive integer multiple of Q
+        # that the parse gives; a fresh UniPoly rebuilds it
+        rng = random.Random(9013)
+        checked = 0
+        while checked < 150:
+            text = "y^2 = " + random_expression(rng).replace("y", "x")
+            if len(text) > 600:  # Sturm chains of long literals are slow
+                continue
+            try:
+                spec = parse_curve(text)
+            except (ParseError, HypothesisError):
+                continue
+            if isinstance(spec, ConicSpec):  # "y^2 = 0"
+                continue
+            fresh = UniPoly(spec.q.coeffs)
+            assert sturm_sequence(spec.q) == sturm_sequence(fresh), text
+            assert spec.real_roots == HyperellipticSpec(fresh).real_roots, text
+            checked += 1
+
+    def test_rational_powers_near_the_limits(self):
+        rng = random.Random(9011)
+        for _ in range(200):
+            num = rng.randint(1, 10 ** rng.choice((20, 80, 250)))
+            den = rng.randint(1, 10 ** rng.choice((1, 40, 150)))
+            e = rng.randint(1, MAX_DEGREE)
+            text = (f"({num}/{den}*x{rng.choice('+-')}{den}/{num}*y)^{e}"
+                    f" {rng.choice('+-')} {rng.randint(0, 9)}/{den}")
+            assert parse_outcome(parse_polynomial, text, 0) == \
+                parse_outcome(fraction_parse_polynomial, text, 0), text

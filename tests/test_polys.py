@@ -10,10 +10,11 @@ from realcurves import eta as eta_module
 from realcurves.polys import integer_roots_monic, sign_variations, sturm_sequence
 from realcurves.sampling import SampleBox, draw_params
 
-from oracles import (cauchy_bound, descartes_count_roots,
+from oracles import (cauchy_bound, derivative, descartes_count_roots,
                      fraction_count_real_roots, fraction_poly_gcd,
-                     fraction_sturm_sequence, poly_divmod, random_squarefree_poly,
-                     shift, sturm_integer_roots, sylvester_resultant)
+                     fraction_sturm_sequence, poly_add, poly_divmod, poly_eval,
+                     poly_mul, random_squarefree_poly, shift, sturm_integer_roots,
+                     sylvester_resultant)
 
 
 def P(*coeffs):
@@ -43,7 +44,7 @@ class TestGcd:
             g = random_squarefree_poly(rng, max_degree=3, coeff_bound=6)
             a = random_squarefree_poly(rng, max_degree=3, coeff_bound=6)
             b = random_squarefree_poly(rng, max_degree=3, coeff_bound=6)
-            p, q = g * a, g * b
+            p, q = poly_mul(g, a), poly_mul(g, b)
             d = poly_gcd(p, q)
             assert not d.is_zero and d.leading == 1
             assert d == fraction_poly_gcd(p, q)
@@ -60,9 +61,9 @@ class TestSquareFree:
         assert not is_square_free(P(1, -2, 1))  # (x-1)^2
 
     def test_product_of_distinct_irreducibles(self):
-        p = P(1, 0, 1) * P(4, 0, 1)
+        p = poly_mul(P(1, 0, 1), P(4, 0, 1))
         assert is_square_free(p)
-        assert sylvester_resultant(p, p.derivative()) != 0
+        assert sylvester_resultant(p, derivative(p)) != 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +76,7 @@ class TestSquareFree:
             coeffs = [rng.randint(-9, 9) for _ in range(degree)]
             coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
             p = UniPoly(coeffs)
-            assert is_square_free(p) == (sylvester_resultant(p, p.derivative()) != 0)
+            assert is_square_free(p) == (sylvester_resultant(p, derivative(p)) != 0)
 
 
 class TestCountRealRoots:
@@ -104,7 +105,8 @@ class TestCountRealRoots:
             q = random_squarefree_poly(rng, max_degree=4, coeff_bound=8)
             if poly_gcd(p, q).degree != 0:
                 continue
-            assert count_real_roots(p * q) == count_real_roots(p) + count_real_roots(q)
+            assert count_real_roots(poly_mul(p, q)) == \
+                count_real_roots(p) + count_real_roots(q)
             done += 1
 
     def test_agrees_with_bisection_oracle(self):
@@ -119,8 +121,8 @@ class TestCountRealRoots:
             p = random_squarefree_poly(rng, max_degree=5)
             bound = cauchy_bound(p)
             seq = fraction_sturm_sequence(p)
-            inside = (sign_variations([q(-bound) for q in seq])
-                      - sign_variations([q(bound) for q in seq]))
+            inside = (sign_variations([poly_eval(q, -bound) for q in seq])
+                      - sign_variations([poly_eval(q, bound) for q in seq]))
             assert inside == count_real_roots(p)
 
 
@@ -159,7 +161,7 @@ class TestSturmAgainstFractionOracle:
         for q, r in zip(chain, oracle):
             assert type(q) is tuple and all(type(c) is int for c in q), p
             ratio = q[-1] / r.leading
-            assert ratio > 0 and q == (r * ratio).coeffs, p
+            assert ratio > 0 and q == poly_mul(r, ratio).coeffs, p
 
     def test_random_rational_degrees_1_to_18(self):
         # the Fraction oracle slows steeply with the degree, so degrees
@@ -176,7 +178,7 @@ class TestSturmAgainstFractionOracle:
             power = rng.randint(2, 3)
             p = random_rational_poly(rng, rng.randint(0, 12 - power * factor.degree), 2)
             for _ in range(power):
-                p = p * factor
+                p = poly_mul(p, factor)
             with pytest.raises(ValueError, match="not square-free"):
                 count_real_roots(p)
             self.assert_agrees(p)
@@ -186,7 +188,8 @@ class TestSturmAgainstFractionOracle:
         for _ in range(400):
             p = random_rational_poly(rng, 0, 1)
             for _ in range(rng.randint(1, 18) if rng.random() < 0.1 else rng.randint(1, 8)):
-                p = p * UniPoly([random_rational(rng, 2), rng.choice((1, -1, 2, 3))])
+                p = poly_mul(p, UniPoly([random_rational(rng, 2),
+                                         rng.choice((1, -1, 2, 3))]))
             self.assert_agrees(p)
 
     def test_coefficients_of_300_digits(self):
@@ -194,6 +197,11 @@ class TestSturmAgainstFractionOracle:
         for _ in range(200):
             self.assert_agrees(random_rational_poly(
                 rng, rng.randint(1, 4), 300, rng.choice((0, 2, 300))))
+
+    def test_chain_starts_from_a_given_primitive_polynomial(self):
+        q = UniPoly([Fraction(9, 16), 0, Fraction(-5, 2), 0, 1], primitive=(9, 0, -40, 0, 16))
+        assert sturm_sequence(q) == sturm_sequence(UniPoly(q.coeffs))
+        assert sturm_sequence(q)[0] == (9, 0, -40, 0, 16)
 
     def test_canonical_chain_of_a_quartic(self):
         # 16x^4 - 40x^2 + 9 = (4x^2 - 1)(4x^2 - 9); the Fraction chain is
@@ -204,30 +212,39 @@ class TestSturmAgainstFractionOracle:
         assert count_real_roots(P(9, 0, -40, 0, 16)) == 4
 
 
+def integer_coeffs(p: UniPoly) -> tuple[int, ...]:
+    """The ascending integer coefficients of a UniPoly over Z."""
+    assert all(c.denominator == 1 for c in p.coeffs)
+    return tuple(c.numerator for c in p.coeffs)
+
+
 class TestIntegerRoots:
     def test_fixed_cubics(self):
         # z(z-4)(z-16): resolvent shape that actually occurs
-        assert integer_roots_monic(P(0, 64, -20, 1)) == [0, 4, 16]
-        assert integer_roots_monic(P(-2, 0, 0, 1)) == []  # z^3 = 2
-        assert integer_roots_monic(P(6, -11, 6, -1) * -1) == [1, 2, 3]
+        assert integer_roots_monic((0, 64, -20, 1)) == [0, 4, 16]
+        assert integer_roots_monic((-2, 0, 0, 1)) == []  # z^3 = 2
+        assert integer_roots_monic((-6, 11, -6, 1)) == [1, 2, 3]
 
     def test_large_coefficients(self):
         n = 10 ** 14
-        p = P(-n * n, 0, 1) * P(-7, 1)  # roots +-10^14 and 7
-        assert integer_roots_monic(p) == [-n, 7, n]
+        p = poly_mul(P(-n * n, 0, 1), P(-7, 1))  # roots +-10^14 and 7
+        assert integer_roots_monic(integer_coeffs(p)) == [-n, 7, n]
 
     def test_repeated_roots_deduplicated(self):
-        assert integer_roots_monic(P(-1, 1) * P(-1, 1) * P(5, 1)) == [-5, 1]
+        p = poly_mul(poly_mul(P(-1, 1), P(-1, 1)), P(5, 1))
+        assert integer_roots_monic(integer_coeffs(p)) == [-5, 1]
 
     def test_requires_monic_integer(self):
         with pytest.raises(ValueError):
-            integer_roots_monic(P(1, 2))
+            integer_roots_monic((1, 2))
         with pytest.raises(ValueError):
-            integer_roots_monic(P(Fraction(1, 2), 0, 1))
+            integer_roots_monic((Fraction(1, 2), 0, 1))
+        with pytest.raises(ValueError):
+            integer_roots_monic(())
 
     def test_degree_above_three_rejected(self):
         with pytest.raises(ValueError, match="degree"):
-            integer_roots_monic(P(-1, 0, 0, 0, 1))
+            integer_roots_monic((-1, 0, 0, 0, 1))
 
 
 def random_monic(rng: random.Random, degree: int, magnitude: int) -> UniPoly:
@@ -243,13 +260,13 @@ def random_monic(rng: random.Random, degree: int, magnitude: int) -> UniPoly:
         roots[0] = 0
     p = P(1)
     for r in roots:
-        p = p * P(-r, 1)
+        p = poly_mul(p, P(-r, 1))
     while p.degree < degree:
         if degree - p.degree >= 2 and rng.random() < 0.5:
-            p = p * P(rng.randint(-magnitude, magnitude),
-                      rng.randint(-magnitude, magnitude), 1)
+            p = poly_mul(p, P(rng.randint(-magnitude, magnitude),
+                              rng.randint(-magnitude, magnitude), 1))
         else:
-            p = p * P(rng.randint(-magnitude, magnitude), 1)
+            p = poly_mul(p, P(rng.randint(-magnitude, magnitude), 1))
     return p
 
 
@@ -262,7 +279,7 @@ class TestIntegerRootsAgainstOracle:
         for _ in range(1000):
             magnitude = 10 ** rng.choice((1, 3, 8, 15, 30))
             p = random_monic(rng, rng.randint(1, 3), magnitude)
-            assert integer_roots_monic(p) == sturm_integer_roots(p), p
+            assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p), p
 
     def test_resolvent_cubics_of_sampler_quartics(self, monkeypatch):
         cubics = []
@@ -285,8 +302,8 @@ class TestIntegerRootsAgainstOracle:
                 assert quartic_normal_form(shift(scaled.quartic(), h)) is not None
         assert len(cubics) == 2000
         for p in cubics:
-            assert p.degree == 3
-            assert integer_roots_monic(p) == sturm_integer_roots(p), p
+            assert len(p) == 4 and all(type(c) is int for c in p), p
+            assert integer_roots_monic(p) == sturm_integer_roots(UniPoly(p)), p
 
 
 class TestRationalSqrt:
@@ -308,14 +325,14 @@ class TestUniPolyAlgebra:
             a = random_squarefree_poly(rng, max_degree=5, coeff_bound=9)
             b = random_squarefree_poly(rng, max_degree=3, coeff_bound=9)
             q, r = poly_divmod(a, b)
-            assert q * b + r == a
+            assert poly_add(poly_mul(q, b), r) == a
             assert r.degree < b.degree
 
     def test_shift(self):
         p = P(9, 0, -10, 0, 1)
         shifted = shift(p, Fraction(3))
         for x in (-2, 0, Fraction(1, 2), 5):
-            assert shifted(x) == p(Fraction(x) + 3)
+            assert poly_eval(shifted, x) == poly_eval(p, Fraction(x) + 3)
 
     def test_zero_degree_conventions(self):
         assert UniPoly.zero().degree == -1
