@@ -5,8 +5,10 @@ models built downstream arrive as products of three explicit v-factors
 and their marked points should stay bit-identical to those expressions.
 
 All arithmetic is exact rational chord-and-tangent; there is no
-tolerance parameter anywhere.  Off-curve points are rejected with the
-exact residual of the curve equation.
+tolerance parameter anywhere.  The public functions check their point
+arguments once on entry, rejecting an off-curve point with the exact
+residual of the curve equation, and then iterate with the unchecked
+group law `_add`.
 """
 
 from __future__ import annotations
@@ -101,50 +103,47 @@ class WeierstrassCurve:
 
 def ec_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-and-tangent sum; the identity is the point at infinity and
-    -(v, u) = (v, -u)."""
+    -(v, u) = (v, -u).  Both operands are checked to lie on the curve."""
     curve.require(p)
     curve.require(q)
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.v == q.v:
-        if p.u == -q.u:
-            return INFINITY
-        return ec_double(curve, p)
-    slope = (q.u - p.u) / (q.v - p.v)
-    return _third_point(curve, slope, p, q.v)
+    return _add(curve, p, q)
 
 
 def ec_double(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
     """2P via the tangent line; 2P is the identity exactly when u = 0."""
     curve.require(p)
-    if p.is_infinity or p.u == 0:
-        return INFINITY
-    slope = (3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1) / (2 * p.u)
-    return _third_point(curve, slope, p, p.v)
+    return _add(curve, p, p)
 
 
-def _third_point(curve: WeierstrassCurve, slope: Fraction,
-                 p: ECPoint, other_v: Fraction) -> ECPoint:
-    v3 = slope * slope - curve.c2 - p.v - other_v
-    u3 = slope * (p.v - v3) - p.u
-    return ECPoint(v3, u3)
+def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """The group law with no membership check: p and q must lie on the
+    curve, and then so does the result."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.v == q.v:
+        if p.u == -q.u:  # inverse pair, or a 2-torsion point doubled
+            return INFINITY
+        slope = (3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1) / (2 * p.u)
+    else:
+        slope = (q.u - p.u) / (q.v - p.v)
+    v3 = slope * slope - curve.c2 - p.v - q.v
+    return ECPoint(v3, slope * (p.v - v3) - p.u)
 
 
 def multiple(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     """nP by double-and-add; (-n)P = -(nP)."""
     curve.require(p)
     if n < 0:
-        return -multiple(curve, -n, p)
+        n, p = -n, -p
     acc = INFINITY
-    addend = p
     while n:
         if n & 1:
-            acc = ec_add(curve, acc, addend)
+            acc = _add(curve, acc, p)
         n >>= 1
         if n:
-            addend = ec_add(curve, addend, addend)
+            p = _add(curve, p, p)
     return acc
 
 
@@ -160,7 +159,7 @@ def torsion_order_bounded(curve: WeierstrassCurve, p: ECPoint,
     curve.require(p)
     acc = INFINITY
     for n in range(1, bound + 1):
-        acc = ec_add(curve, acc, p)
+        acc = _add(curve, acc, p)
         if acc.is_infinity:
             return n
     return None

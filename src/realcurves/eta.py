@@ -37,7 +37,7 @@ from math import gcd, isqrt, lcm
 
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
-from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, ec_add, multiple,
+from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
                        torsion_order_bounded)
 from .polys import UniPoly, integer_roots_monic, rational_sqrt
 
@@ -333,8 +333,7 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
             "p3": ECPoint.affine(-((c - a) ** 2), 0),
         }
         neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
-    curve.require(p)
-    for point in torsion.values():
+    for point in (p, *torsion.values()):
         curve.require(point)
     return QuarticModel(curve=curve, p=p, two_torsion=torsion,
                         neutral_two_torsion=neutral)
@@ -373,7 +372,9 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     Runs the normal-form search; without a rational factorization the
     answer is Undetermined.  Otherwise the finite torsion case list is
     checked with exact arithmetic, multiples of p computed incrementally
-    so that nothing beyond the listed relations is ever touched.
+    so that nothing beyond the listed relations is ever touched.  They
+    come from the unchecked group law, as the model's points are checked;
+    an exhausted search checks once that its last multiple is on the curve.
     """
     params = quartic_normal_form(q)
     if params is None:
@@ -393,7 +394,7 @@ def eta_from_params(params: QuarticParams,
 
     def multiple_of_p(n: int) -> ECPoint:
         while len(multiples) <= n:
-            multiples.append(ec_add(model.curve, multiples[-1], model.p))
+            multiples.append(_add(model.curve, multiples[-1], model.p))
         return multiples[n]
 
     checked: list[str] = []
@@ -418,6 +419,9 @@ def eta_from_params(params: QuarticParams,
                                             relation=relation, order=order))
     if stats is not None:
         stats.max_multiple = len(multiples) - 1
+    if not model.curve.contains(multiples[-1]):
+        raise InternalInconsistencyError(
+            f"exhausted search left the curve at {len(multiples) - 1}p")
     return EtaResult(0, Certificate(TORSION_EXHAUSTED,
                                     cases_checked=tuple(checked)))
 
@@ -443,8 +447,7 @@ class EtaAnalysis:
         }
 
 
-def eta_full(spec: CurveSpec, inv: CurveInvariants,
-             stats: SearchStats | None = None) -> EtaAnalysis:
+def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
     """Closed rules first; the elliptic pipeline for quartics with a
     square leading coefficient; the twin quartic y^2 = -Q for the
     negative-leading-coefficient form (the complexifications of the two
@@ -453,12 +456,12 @@ def eta_full(spec: CurveSpec, inv: CurveInvariants,
     """
     closed = eta_closed_rules(inv)
     q = spec.q if isinstance(spec, HyperellipticSpec) else None
-    eta = closed if closed is not None else _quartic_dispatch(q, stats)
-    eta_complex = _eta_complex(q, inv, eta, stats)
+    eta = closed if closed is not None else _quartic_dispatch(q)
+    eta_complex = _eta_complex(q, inv, eta)
     return EtaAnalysis(eta=eta, eta_complex=eta_complex)
 
 
-def _quartic_dispatch(q: UniPoly | None, stats: SearchStats | None) -> EtaResult:
+def _quartic_dispatch(q: UniPoly | None) -> EtaResult:
     """eta of y^2 = q for q with positive leading coefficient l.  When q
     is a quartic and l a rational square, y -> y/sqrt(l) maps the curve
     onto y^2 = q/l over Q, which runs the monic pipeline; anything else
@@ -467,11 +470,11 @@ def _quartic_dispatch(q: UniPoly | None, stats: SearchStats | None) -> EtaResult
         return EtaResult(None, Certificate(GENUS_TOO_HIGH))
     if rational_sqrt(q.leading) is None:
         return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
-    return quartic_eta(q.monic(), stats=stats)
+    return quartic_eta(q.monic())
 
 
-def _eta_complex(q: UniPoly | None, inv: CurveInvariants, eta: EtaResult,
-                 stats: SearchStats | None) -> EtaResult | None:
+def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
+                 eta: EtaResult) -> EtaResult | None:
     if inv.complete:
         return None
     if not inv.geometrically_connected:
@@ -485,7 +488,7 @@ def _eta_complex(q: UniPoly | None, inv: CurveInvariants, eta: EtaResult,
         # two conjugate boundary points on a genus-zero completion
         return EtaResult(1, Certificate(RULE_CONIC_TABLE))
     if q is not None and q.degree % 2 == 0 and q.leading < 0:
-        return _quartic_dispatch(-q, stats)
+        return _quartic_dispatch(-q)
     return None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .eta import EtaResult, QuarticParams, SearchStats, quartic_eta
+from .eta import EtaResult, QuarticParams, quartic_eta
 
 PIN_B_ZERO = "b=0"
 PIN_A_EQ_C = "a=c"
@@ -54,7 +54,6 @@ class SampleSummary:
     known1: int = 0
     undetermined: int = 0
     known1_certificates: list[dict] = field(default_factory=list)
-    stats: list[SearchStats] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -90,8 +89,7 @@ def draw_params(rng: random.Random, box: SampleBox) -> QuarticParams:
             continue
 
 
-def run_sample(count: int, seed: int, box: SampleBox,
-               collect_stats: bool = False) -> SampleSummary:
+def run_sample(count: int, seed: int, box: SampleBox) -> SampleSummary:
     """Run `count` independent quartic eta decisions.
 
     Each sample expands its parameters into the quartic polynomial and
@@ -104,11 +102,7 @@ def run_sample(count: int, seed: int, box: SampleBox,
     for index in range(count):
         rng = random.Random(f"{seed}:{index}")
         params = draw_params(rng, box)
-        stats = SearchStats() if collect_stats else None
-        result = quartic_eta(params.quartic(), stats=stats)
-        if collect_stats:
-            summary.stats.append(stats)
-        _tally(summary, index, params, result)
+        _tally(summary, index, params, quartic_eta(params.quartic()))
     return summary
 
 

@@ -31,8 +31,7 @@ from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
 from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
-from realcurves.polys import (integer_roots_monic, is_square_free, rational_sqrt,
-                              sign_variations)
+from realcurves.polys import is_square_free, rational_sqrt, sign_variations
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +351,10 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
 
     Square-freeness by gcd(q, q'); the cubic term removed by the shift
     x -> x - coeff(x^3)/4; the resolvent cubic rescaled by the common
-    denominator of its coefficients before its integer roots are
-    searched; the chosen parameters checked by multiplying the two
-    quadratic factors back out.  Same selection rule and same errors as
-    the library routine.
+    denominator of its coefficients before its integer roots are found
+    by Sturm bisection; the chosen parameters checked by multiplying the
+    two quadratic factors back out.  Same selection rule and same errors
+    as the library routine.
     """
     if q.degree != 4:
         raise ValueError("polynomial must have degree 4")
@@ -382,7 +381,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     m = lcm(c2.denominator, c1.denominator, c0.denominator)
     scaled = [c0 * m ** 3, c1 * m ** 2, c2 * m]
     assert all(c.denominator == 1 for c in scaled)
-    for root in integer_roots_monic([c.numerator for c in scaled] + [1]):
+    for root in sturm_integer_roots(UniPoly(scaled + [1])):
         if root <= 0:
             continue
         z = Fraction(root, m)

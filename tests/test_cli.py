@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import time
 
@@ -12,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realcurves.eta
-from realcurves import INFINITY
+from realcurves import ECPoint, INFINITY
 from realcurves.cli import main
 from realcurves.parser import MAX_COEFFICIENT_DIGITS
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema.json")
-    .read_text())
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
+
+# A sampler quartic (k = 0, a = 5, b = 2, c = 9) whose torsion search
+# runs to exhaustion: eta = 0.
+EXHAUSTED_QUARTIC = "y^2 = ((x+2)^2 + 25)*((x-2)^2 + 81)"
 
 
 def run(capsys, *argv):
@@ -160,6 +165,40 @@ class TestExitCodes:
         monkeypatch.setattr(realcurves.eta, "multiple", lambda curve, n, p: INFINITY)
         code, _, err = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)")
         assert code == 4 and "failed re-verification" in err
+
+    def test_search_leaving_the_curve_is_4(self, capsys, monkeypatch):
+        # a group law fault is a failed self-check, not an off-curve input
+        code, out, _ = run(capsys, "analyze", EXHAUSTED_QUARTIC, "--json")
+        assert code == 0 and json.loads(out)["eta"]["certificate"]["kind"] == \
+            "torsion-exhausted"
+        monkeypatch.setattr(realcurves.eta, "_add",
+                            lambda curve, p, q: ECPoint(q.v, q.u + 1))
+        code, _, err = run(capsys, "analyze", EXHAUSTED_QUARTIC)
+        assert code == 4 and "exhausted search left the curve" in err
+
+    @pytest.mark.parametrize("name, fault, expr, message", [
+        ("_add", "lambda curve, p, q: ECPoint(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
+         "exhausted search left the curve"),
+        ("multiple", "lambda curve, n, p: INFINITY", "y^2 = (x^2-1)*(x^2-9)",
+         "failed re-verification"),
+    ], ids=("add", "multiple"))
+    def test_self_checks_hold_under_optimize(self, name, fault, expr, message):
+        # the two faults above, installed in a `python -O` process
+        script = "\n".join((
+            "import sys",
+            "import realcurves.eta",
+            "from realcurves import ECPoint, INFINITY",
+            "from realcurves.cli import main",
+            "if __debug__:",
+            "    sys.exit('assertions are enabled')",
+            f"realcurves.eta.{name} = {fault}",
+            f"sys.exit(main(['analyze', {expr!r}]))"))
+        path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4 and message in proc.stderr, proc.stderr
 
 
 _GRAMMAR = "xy0123456789+-*/^()= "

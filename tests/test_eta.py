@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcurves import (QuarticParams, SearchStats, UniPoly,
+from realcurves import (QuarticParams, SearchStats, UniPoly, WeierstrassCurve,
                         build_quartic_model, classify_conic, count_real_roots,
                         curves, eta_closed_rules, eta_from_params, eta_full,
                         full_report, hyperelliptic_invariants, level_bounds,
@@ -13,7 +13,8 @@ from realcurves import (QuarticParams, SearchStats, UniPoly,
                         quartic_normal_form)
 from realcurves import eta as eta_module
 from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
-                            RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY)
+                            RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY,
+                            TORSION_EXHAUSTED)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (fraction_normal_form_quartic, fraction_quartic_normal_form,
@@ -460,7 +461,8 @@ class TestSquareLeadingQuartics:
 class TestEachFactOnce:
     """Square-freeness and k of Q are computed once per curve; the
     normal form decides square-freeness from its resolvent's
-    discriminant, with no gcd."""
+    discriminant, with no gcd.  Curve membership is checked once per
+    marked point, plus one self-check when the search is exhausted."""
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -503,6 +505,22 @@ class TestEachFactOnce:
         assert result.certificate.kind == NON_RATIONAL_FACTORIZATION
         assert stats.k is None
         assert calls == {"count_real_roots": [], "sturm_sequence": []}
+
+    @pytest.mark.parametrize("k, a, b, c, marked", [
+        (0, 5, 2, 9, 4), (2, 1, 5, 4, 2), (4, 1, -4, 2, 4)])
+    def test_exhausted_search_checks_membership_once(self, monkeypatch,
+                                                     k, a, b, c, marked):
+        calls = {"require": 0, "contains": 0}
+        for name in calls:
+            def counted(curve, point, _original=getattr(WeierstrassCurve, name),
+                        _name=name):
+                calls[_name] += 1
+                return _original(curve, point)
+
+            monkeypatch.setattr(WeierstrassCurve, name, counted)
+        result = eta_from_params(QuarticParams(k=k, a=a, b=b, c=c))
+        assert result.certificate.kind == TORSION_EXHAUSTED
+        assert calls == {"require": marked, "contains": 1}
 
     def test_normal_form_k_matches_sturm_count(self):
         rng = random.Random(83)
