@@ -32,26 +32,25 @@ builds affine curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .curves import CurveInvariants
 
 
-@dataclass(frozen=True)
-class CohomologyDims:
+class CohomologyDims(Record):
     """h_stable is the common dimension for i >= 3 (and i >= 2 where the
     table is already stable there)."""
 
-    h0: int
-    h1: int
-    h2: int
-    h_stable: int
+    __slots__ = _fields = ("h0", "h1", "h2", "h_stable")
 
-    def __post_init__(self):
-        if self.h0 != 1:
+    def __init__(self, h0: int, h1: int, h2: int, h_stable: int):
+        if h0 != 1:
             raise ValueError("connected curves have h0 = 1")
-        if min(self.h1, self.h2, self.h_stable) < 0:
+        if min(h1, h2, h_stable) < 0:
             raise ValueError("dimensions must be nonnegative")
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "h_stable", h_stable)
 
     def to_json(self) -> dict:
         return {"h0": self.h0, "h1": self.h1, "h2": self.h2,

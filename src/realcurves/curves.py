@@ -23,10 +23,10 @@ of signs, which is exact for polynomials with all roots real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from ._record import Record
 from .polys import UniPoly, count_real_roots, sign_variations
 
 
@@ -42,20 +42,21 @@ class InternalInconsistencyError(RuntimeError):
 # Curve specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConicSpec:
+class ConicSpec(Record):
     """Coefficients of P(x,y) = xx*x^2 + xy*x*y + yy*y^2 + x1*x + y1*y + c0."""
 
-    xx: Fraction
-    xy: Fraction
-    yy: Fraction
-    x1: Fraction
-    y1: Fraction
-    c0: Fraction
+    __slots__ = _fields = ("xx", "xy", "yy", "x1", "y1", "c0")
 
-    def __post_init__(self):
-        if all(v == 0 for v in (self.xx, self.xy, self.yy, self.x1, self.y1)):
+    def __init__(self, xx: Fraction, xy: Fraction, yy: Fraction,
+                 x1: Fraction, y1: Fraction, c0: Fraction):
+        if all(v == 0 for v in (xx, xy, yy, x1, y1)):
             raise HypothesisError("conic has no degree >= 1 terms")
+        object.__setattr__(self, "xx", xx)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "yy", yy)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "c0", c0)
 
     def display(self) -> str:
         terms = [
@@ -80,21 +81,21 @@ class ConicSpec:
         return " ".join(parts) + " = 0"
 
 
-@dataclass(frozen=True)
-class HyperellipticSpec:
+class HyperellipticSpec(Record):
     """The curve y^2 = q(x) with q nonconstant and square-free."""
 
-    q: UniPoly
-    # k, counted on the Sturm chain that also decides square-freeness
-    real_roots: int = field(init=False, repr=False, compare=False)
+    # real_roots is k, from the Sturm chain that decides square-freeness
+    __slots__ = ("q", "real_roots")
+    _fields = ("q",)
 
-    def __post_init__(self):
-        if self.q.is_zero or self.q.degree < 1:
+    def __init__(self, q: UniPoly):
+        if q.is_zero or q.degree < 1:
             raise HypothesisError("right-hand side must be nonconstant")
         try:
-            object.__setattr__(self, "real_roots", count_real_roots(self.q))
+            object.__setattr__(self, "real_roots", count_real_roots(q))
         except ValueError:
             raise HypothesisError("right-hand side must be square-free") from None
+        object.__setattr__(self, "q", q)
 
     def display(self) -> str:
         return f"y^2 = {self.q}"
@@ -107,8 +108,7 @@ CurveSpec = ConicSpec | HyperellipticSpec
 # Invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(Record):
     """Invariant tuple of a smooth connected real curve.
 
     genus is the genus of the completed complexification (of one
@@ -117,39 +117,49 @@ class CurveInvariants:
     well; they are None for conics and abstract tuples.
     """
 
-    genus: int
-    real_at_infinity: int       # real points of the completion outside the curve
-    complex_at_infinity: int    # complex (conjugate-pair) points outside the curve
-    components: int             # connected components of the real locus
-    compact_components: int     # how many of those are circles
-    complete: bool = False
-    geometrically_connected: bool = True
-    degree: int | None = None   # degree of Q (hyperelliptic only)
-    real_roots: int | None = None
+    __slots__ = _fields = ("genus", "real_at_infinity", "complex_at_infinity",
+                           "components", "compact_components", "complete",
+                           "geometrically_connected", "degree", "real_roots")
 
-    def __post_init__(self):
-        g, r, c, s, t = (self.genus, self.real_at_infinity,
-                         self.complex_at_infinity, self.components,
-                         self.compact_components)
+    def __init__(self, genus: int,
+                 real_at_infinity: int,     # real points of the completion outside the curve
+                 complex_at_infinity: int,  # complex (conjugate-pair) points outside the curve
+                 components: int,           # connected components of the real locus
+                 compact_components: int,   # how many of those are circles
+                 complete: bool = False,
+                 geometrically_connected: bool = True,
+                 degree: int | None = None,  # degree of Q (hyperelliptic only)
+                 real_roots: int | None = None):
+        g, r, c, s, t = (genus, real_at_infinity, complex_at_infinity,
+                         components, compact_components)
         if min(g, r, c, s, t) < 0:
             raise ValueError("invariants must be nonnegative")
         if s > 0 and s != t + r:
             raise ValueError(f"component count must satisfy s = t + r, got s={s}, t={t}, r={r}")
         if s == 0 and (t != 0 or r != 0):
             raise ValueError("empty real locus forces t = r = 0")
-        if self.complete:
+        if complete:
             if r != 0 or c != 0:
                 raise ValueError("complete curve has no points at infinity")
             if t != s:
                 raise ValueError("every component of a complete curve is a circle")
         elif r + c == 0:
             raise ValueError("non-complete curve needs at least one point at infinity")
-        if not self.geometrically_connected:
+        if not geometrically_connected:
             if s != 0:
                 raise ValueError("geometrically disconnected curves have no real points")
-        if self.degree is not None and self.real_roots is not None:
-            if self.real_roots > self.degree:
+        if degree is not None and real_roots is not None:
+            if real_roots > degree:
                 raise ValueError("cannot have more real roots than the degree")
+        object.__setattr__(self, "genus", g)
+        object.__setattr__(self, "real_at_infinity", r)
+        object.__setattr__(self, "complex_at_infinity", c)
+        object.__setattr__(self, "components", s)
+        object.__setattr__(self, "compact_components", t)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "geometrically_connected", geometrically_connected)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "real_roots", real_roots)
 
     @property
     def half_degree(self) -> int | None:
@@ -199,10 +209,12 @@ LINE = "line"
 GEOM_DISCONNECTED = "geometrically_disconnected"
 
 
-@dataclass(frozen=True)
-class ConicClass:
-    kind: str
-    invariants: CurveInvariants
+class ConicClass(Record):
+    __slots__ = _fields = ("kind", "invariants")
+
+    def __init__(self, kind: str, invariants: CurveInvariants):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "invariants", invariants)
 
 
 def _char_poly_signature(matrix: list[list[int]]) -> tuple[int, int, int]:

@@ -13,9 +13,9 @@ group law `_add`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .polys import as_fraction
 
 
@@ -30,13 +30,15 @@ class OffCurveError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(Record):
     """Either the point at infinity (both coordinates None) or an affine
     point (v, u)."""
 
-    v: Fraction | None
-    u: Fraction | None
+    __slots__ = _fields = ("v", "u")
+
+    def __init__(self, v: Fraction | None, u: Fraction | None):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", u)
 
     @classmethod
     def affine(cls, v, u) -> "ECPoint":
@@ -60,19 +62,16 @@ class ECPoint:
 INFINITY = ECPoint(None, None)
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(Record):
     """u^2 = v^3 + c2*v^2 + c1*v + c0 with rational coefficients and
     nonzero discriminant."""
 
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
+    __slots__ = _fields = ("c2", "c1", "c0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c2", as_fraction(self.c2))
-        object.__setattr__(self, "c1", as_fraction(self.c1))
-        object.__setattr__(self, "c0", as_fraction(self.c0))
+    def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction):
+        object.__setattr__(self, "c2", as_fraction(c2))
+        object.__setattr__(self, "c1", as_fraction(c1))
+        object.__setattr__(self, "c0", as_fraction(c0))
         if self.discriminant() == 0:
             raise SingularCurveError(f"cubic has a repeated root: {self}")
 

@@ -31,10 +31,10 @@ relations that were excluded, so both are independently re-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from ._record import Record
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
@@ -50,12 +50,16 @@ NON_RATIONAL_FACTORIZATION = "non-rational-factorization"
 GENUS_TOO_HIGH = "genus-too-high"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    relation: str | None = None
-    order: int | None = None
-    cases_checked: tuple[str, ...] | None = None
+class Certificate(Record):
+    __slots__ = _fields = ("kind", "relation", "order", "cases_checked")
+
+    def __init__(self, kind: str, relation: str | None = None,
+                 order: int | None = None,
+                 cases_checked: tuple[str, ...] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cases_checked", cases_checked)
 
     def to_json(self) -> dict:
         return {
@@ -67,19 +71,20 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class EtaResult:
+class EtaResult(Record):
     """value 0 or 1 when decided, None when undetermined."""
 
-    value: int | None
-    certificate: Certificate
+    __slots__ = _fields = ("value", "certificate")
+
+    def __init__(self, value: int | None, certificate: Certificate):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {"eta": self.value, "certificate": self.certificate.to_json()}
 
 
-@dataclass(frozen=True)
-class QuarticParams:
+class QuarticParams(Record):
     """Parameters of the normal form of a monic rational quartic:
 
         k = 0:  ((x+b)^2 + a^2)((x-b)^2 + c^2)
@@ -89,22 +94,22 @@ class QuarticParams:
     with a, c > 0.  k is the number of real roots of the quartic.
     """
 
-    k: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = _fields = ("k", "a", "b", "c")
 
-    def __post_init__(self):
-        if self.k not in (0, 2, 4):
+    def __init__(self, k: int, a: Fraction, b: Fraction, c: Fraction):
+        if k not in (0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
-        if self.a <= 0 or self.c <= 0:
+        if a <= 0 or c <= 0:
             raise ValueError("a and c must be positive")
         # square-freeness of the induced quartic
-        if self.k == 0 and self.b == 0 and self.a == self.c:
+        if k == 0 and b == 0 and a == c:
             raise ValueError("repeated complex roots (b = 0 with a = c)")
-        if self.k == 4 and 2 * abs(self.b) in (abs(self.c - self.a),
-                                               self.c + self.a):
+        if k == 4 and 2 * abs(b) in (abs(c - a), c + a):
             raise ValueError("repeated real roots (2b in {+-(c-a), +-(c+a)})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def quartic(self) -> UniPoly:
         """Expand the normal form back into the quartic polynomial
@@ -126,22 +131,24 @@ class QuarticParams:
         return {"k": self.k, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record, frozen=False):
     """Instrumentation for the bounded torsion search.
 
     k is the root count of the normal form that was searched; it stays
     None when the quartic has no rational normal form.
     """
 
-    k: int | None = None
-    relations_checked: int = 0
-    max_multiple: int = 0
-    case_list: tuple[str, ...] = ()
+    __slots__ = _fields = ("k", "relations_checked", "max_multiple", "case_list")
+
+    def __init__(self, k: int | None = None, relations_checked: int = 0,
+                 max_multiple: int = 0, case_list: tuple[str, ...] = ()):
+        self.k = k
+        self.relations_checked = relations_checked
+        self.max_multiple = max_multiple
+        self.case_list = case_list
 
 
-@dataclass(frozen=True)
-class QuarticModel:
+class QuarticModel(Record):
     """Weierstrass model of the Jacobian with the marked points.
 
     p is the class of the difference of the two points at infinity.  For
@@ -150,10 +157,15 @@ class QuarticModel:
     it is None for k = 0 and k = 2.
     """
 
-    curve: WeierstrassCurve
-    p: ECPoint
-    two_torsion: dict[str, ECPoint]
-    neutral_two_torsion: str | None
+    __slots__ = _fields = ("curve", "p", "two_torsion", "neutral_two_torsion")
+
+    def __init__(self, curve: WeierstrassCurve, p: ECPoint,
+                 two_torsion: dict[str, ECPoint],
+                 neutral_two_torsion: str | None):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "two_torsion", two_torsion)
+        object.__setattr__(self, "neutral_two_torsion", neutral_two_torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +442,16 @@ def eta_from_params(params: QuarticParams,
 # Full dispatch and level bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaAnalysis:
+class EtaAnalysis(Record):
     """eta of the curve itself and, when it can be reported, eta of its
     complexification (which drives the level bound when the real locus
     is empty)."""
 
-    eta: EtaResult
-    eta_complex: EtaResult | None
+    __slots__ = _fields = ("eta", "eta_complex")
+
+    def __init__(self, eta: EtaResult, eta_complex: EtaResult | None):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta_complex", eta_complex)
 
     def to_json(self) -> dict:
         return {
@@ -492,16 +506,18 @@ def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
     return None
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Record):
     """Level of the coordinate ring.  'infinite' when the real locus is
     nonempty (the ring is formally real); otherwise the level is 2 or 3,
     pinned to exactly 3 when eta of the complexification vanishes
     (a positive lower bound on the anti-invariant boundary rank is
     necessary for level 2)."""
 
-    value: str  # "infinite" | "3" | "2 or 3"
-    reason: str
+    __slots__ = _fields = ("value", "reason")
+
+    def __init__(self, value: str, reason: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {"ring_level": self.value, "reason": self.reason}

@@ -9,42 +9,41 @@ parity-sensitive unit-group formulas stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """A direct sum Z^free_rank + (Q/Z)^qz + (Z/4)^z4 + (Z/n)^count + (Z/2)^z2.
 
-    Equality is field-wise.  The zn summand is normalized so that a zero
-    count collapses to None and n in {2, 4} folds into the dedicated
-    fields, keeping the representation canonical.
+    Equality is field-wise.  The zn summand, given as (n, count), is
+    normalized so that a zero count collapses to None and n in {2, 4}
+    folds into the dedicated fields, keeping the representation canonical.
     """
 
-    free_rank: int = 0
-    qz: int = 0
-    z4: int = 0
-    zn: tuple[int, int] | None = None  # (n, count)
-    z2: int = 0
+    __slots__ = _fields = ("free_rank", "qz", "z4", "zn", "z2")
 
-    def __post_init__(self):
-        for name in ("free_rank", "qz", "z4", "z2"):
-            if getattr(self, name) < 0:
+    def __init__(self, free_rank: int = 0, qz: int = 0, z4: int = 0,
+                 zn: tuple[int, int] | None = None, z2: int = 0):
+        for name, value in zip(("free_rank", "qz", "z4", "z2"), (free_rank, qz, z4, z2)):
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.zn is not None:
-            n, count = self.zn
+        if zn is not None:
+            n, count = zn
             if n < 2:
                 raise ValueError("zn modulus must be >= 2")
             if count < 0:
                 raise ValueError("zn count must be nonnegative")
-            if count == 0:
-                object.__setattr__(self, "zn", None)
-            elif n == 2:
-                object.__setattr__(self, "z2", self.z2 + count)
-                object.__setattr__(self, "zn", None)
+            if count == 0 or n in (2, 4):
+                zn = None
+            if n == 2:
+                z2 += count
             elif n == 4:
-                object.__setattr__(self, "z4", self.z4 + count)
-                object.__setattr__(self, "zn", None)
+                z4 += count
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "qz", qz)
+        object.__setattr__(self, "z4", z4)
+        object.__setattr__(self, "zn", zn)
+        object.__setattr__(self, "z2", z2)
 
     @property
     def is_trivial(self) -> bool:

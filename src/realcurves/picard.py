@@ -21,18 +21,19 @@ guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .curves import CurveInvariants
 from .groups import GroupDescriptor
 
 
-@dataclass(frozen=True)
-class TwoCandidates:
+class TwoCandidates(Record):
     """Both candidate groups when eta could be 0 or 1."""
 
-    eta0: GroupDescriptor
-    eta1: GroupDescriptor
+    __slots__ = _fields = ("eta0", "eta1")
+
+    def __init__(self, eta0: GroupDescriptor, eta1: GroupDescriptor):
+        object.__setattr__(self, "eta0", eta0)
+        object.__setattr__(self, "eta1", eta1)
 
     def to_json(self) -> dict:
         return {

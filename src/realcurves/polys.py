@@ -28,14 +28,14 @@ bisection on the sign of the cubic itself.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
-def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
+def as_fraction(x: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction."""
     if isinstance(x, Fraction):
         return x

@@ -15,7 +15,7 @@ the command line can distinguish it from user errors.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cohomology import etale_dims, quotient_space_dims
 from .curves import (ConicSpec, CurveInvariants, CurveSpec,

@@ -16,44 +16,51 @@ are scheduled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .eta import EtaResult, QuarticParams, quartic_eta
 
 PIN_B_ZERO = "b=0"
 PIN_A_EQ_C = "a=c"
 
 
-@dataclass(frozen=True)
-class SampleBox:
-    k: int | None = None        # None: draw k uniformly from {0, 2, 4}
-    amax: int = 50
-    bmax: int = 50
-    cmax: int = 50
-    pin: str | None = None      # None | "b=0" | "a=c"
+class SampleBox(Record):
+    __slots__ = _fields = ("k", "amax", "bmax", "cmax", "pin")
 
-    def __post_init__(self):
-        if self.k not in (None, 0, 2, 4):
+    def __init__(self, k: int | None = None,  # None: draw k uniformly from {0, 2, 4}
+                 amax: int = 50, bmax: int = 50, cmax: int = 50,
+                 pin: str | None = None):     # None | "b=0" | "a=c"
+        if k not in (None, 0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
-        if min(self.amax, self.cmax) < 1 or self.bmax < 0:
+        if min(amax, cmax) < 1 or bmax < 0:
             raise ValueError("box bounds must be positive")
-        if self.pin not in (None, PIN_B_ZERO, PIN_A_EQ_C):
-            raise ValueError(f"unknown pin {self.pin!r}")
+        if pin not in (None, PIN_B_ZERO, PIN_A_EQ_C):
+            raise ValueError(f"unknown pin {pin!r}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "amax", amax)
+        object.__setattr__(self, "bmax", bmax)
+        object.__setattr__(self, "cmax", cmax)
+        object.__setattr__(self, "pin", pin)
 
     def to_json(self) -> dict:
         return {"k": self.k, "amax": self.amax, "bmax": self.bmax,
                 "cmax": self.cmax, "pin": self.pin}
 
 
-@dataclass
-class SampleSummary:
-    count: int
-    seed: int
-    box: SampleBox
-    known0: int = 0
-    known1: int = 0
-    undetermined: int = 0
-    known1_certificates: list[dict] = field(default_factory=list)
+class SampleSummary(Record, frozen=False):
+    __slots__ = _fields = ("count", "seed", "box", "known0", "known1",
+                           "undetermined", "known1_certificates")
+
+    def __init__(self, count: int, seed: int, box: SampleBox, known0: int = 0,
+                 known1: int = 0, undetermined: int = 0,
+                 known1_certificates: list[dict] | None = None):
+        self.count = count
+        self.seed = seed
+        self.box = box
+        self.known0 = known0
+        self.known1 = known1
+        self.undetermined = undetermined
+        self.known1_certificates = [] if known1_certificates is None else known1_certificates
 
     def to_json(self) -> dict:
         return {

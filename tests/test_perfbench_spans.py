@@ -4,7 +4,11 @@ rather than break a traced benchmark run."""
 
 import importlib
 import runpy
+import sys
+import types
 from pathlib import Path
+
+from realcurves import ECPoint, HyperellipticSpec, UniPoly, WeierstrassCurve
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -19,3 +23,36 @@ def test_every_traced_name_resolves():
             assert hasattr(target, attribute), f"{dotted} does not resolve"
             target = getattr(target, attribute)
         assert callable(target), f"{dotted} is not callable"
+
+
+
+def _package_namespaces() -> dict:
+    """Every attribute of the package's modules and of their classes."""
+    names = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "realcurves":
+            continue
+        for name, value in vars(module).items():
+            names[module_name, name] = value
+            if isinstance(value, type) and value.__module__ == module_name:
+                for attribute, member in vars(value).items():
+                    names[module_name, name, attribute] = member
+    return names
+
+
+def test_tracer_counts_constructor_and_methods_and_restores_them():
+    before = _package_namespaces()
+    tracer = runpy.run_path(str(SPANS), run_name="perfbench_spans")["Tracer"]()
+    tracer.install(types.SimpleNamespace())
+    try:
+        spec = HyperellipticSpec(UniPoly([-1, 0, 1]))
+        WeierstrassCurve(0, -1, 0).require(ECPoint(0, 0))
+    finally:
+        tracer.remove()
+    assert spec.real_roots == 2
+    for dotted in ("curves.HyperellipticSpec", "polys.count_real_roots",
+                   "elliptic.WeierstrassCurve.require"):
+        assert tracer.calls[dotted] == 1, dotted
+    after = _package_namespaces()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
