@@ -25,7 +25,7 @@ from .curves import HypothesisError, InternalInconsistencyError
 from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
-from .parser import ParseError, parse_coefficient_list, parse_curve
+from .parser import ParseError, _bounded, parse_coefficient_list, parse_curve
 from .report import full_report
 from .sampling import SampleBox, run_sample
 
@@ -191,8 +191,11 @@ def _group_or_candidates(entry: dict) -> str:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ParseError("--count must be >= 1", 0)
-    box = SampleBox(k=args.k, amax=args.amax, bmax=args.bmax,
-                    cmax=args.cmax, pin=args.pin)
+    try:
+        box = SampleBox(k=args.k, amax=args.amax, bmax=args.bmax,
+                        cmax=args.cmax, pin=args.pin)
+    except ValueError as err:
+        raise ParseError(str(err), 0) from None
     summary = run_sample(args.count, args.seed, box)
     if args.json:
         print(json.dumps({"command": "sample", **summary.to_json()}, indent=2))
@@ -243,8 +246,13 @@ def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
 
 
 def _point_json(point: ECPoint) -> dict | str:
+    """The point's JSON form; a coordinate with a part of more than
+    MAX_COEFFICIENT_DIGITS digits, which could not be printed, is a
+    ParseError."""
     if point.is_infinity:
         return "infinity"
+    for c in (point.v, point.u):
+        _bounded(({(0, 0): c.numerator}, c.denominator), 0)
     return {"v": str(point.v), "u": str(point.u)}
 
 
@@ -276,6 +284,8 @@ def _cmd_ec(args) -> int:
     else:
         if len(args.args) != 1:
             raise ParseError("torsion needs one point", 0)
+        if args.bound < 1:
+            raise ParseError("--bound must be >= 1", 0)
         order = torsion_order_bounded(curve, _parse_point(args.args[0]), args.bound)
         if order is None:
             payload = {"not_torsion_within": args.bound}

@@ -328,7 +328,7 @@ def hyperelliptic_invariants(spec: HyperellipticSpec) -> CurveInvariants:
         return CurveInvariants(genus=dp, real_at_infinity=1, complex_at_infinity=0,
                                components=kp + 1, compact_components=kp,
                                degree=d, real_roots=k)
-    if q.leading < 0:
+    if q.numerators[-1] < 0:
         return CurveInvariants(genus=dp - 1, real_at_infinity=0, complex_at_infinity=1,
                                components=kp, compact_components=kp,
                                degree=d, real_roots=k)

@@ -150,14 +150,14 @@ def torsion_order_bounded(curve: WeierstrassCurve, p: ECPoint,
                           bound: int) -> int | None:
     """Smallest n <= bound with nP = Infinity, or None if there is none.
 
-    Callers interested in rational torsion pass bound 12, which covers
-    every order allowed by Mazur's theorem.
+    By Mazur's theorem no rational point has finite order above 12, so
+    the search stops at min(bound, 12).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     curve.require(p)
     acc = INFINITY
-    for n in range(1, bound + 1):
+    for n in range(1, min(bound, 12) + 1):
         acc = _add(curve, acc, p)
         if acc.is_infinity:
             return n

@@ -32,7 +32,7 @@ relations that were excluded, so both are independently re-checkable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from ._record import Record
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
@@ -117,15 +117,15 @@ class QuarticParams(Record):
             x^4 + (m + n - 4b^2) x^2 + 2b(n - m) x + mn
 
         with m = b^2 +- a^2 and n = b^2 +- c^2, in integers over the
-        common denominator of a, b and c."""
-        den = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
+        fourth power of a common denominator of a, b and c."""
+        den = self.a.denominator * self.b.denominator * self.c.denominator
         a, b, c = (x.numerator * (den // x.denominator)
                    for x in (self.a, self.b, self.c))
         m = b * b + (a * a if self.k != 4 else -a * a)
         n = b * b + (c * c if self.k == 0 else -c * c)
-        return UniPoly([Fraction(m * n, den ** 4), Fraction(2 * b * (n - m), den ** 3),
-                        Fraction(m + n - 4 * b * b, den * den), Fraction(0),
-                        Fraction(1)])
+        return UniPoly.from_integers([m * n, 2 * b * (n - m) * den,
+                                      (m + n - 4 * b * b) * den * den, 0, den ** 4],
+                                     den ** 4)
 
     def to_json(self) -> dict:
         return {"k": self.k, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
@@ -225,17 +225,16 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     """
     if q.degree != 4:
         raise ValueError("polynomial must have degree 4")
-    if q.leading != 1:
+    n0, n1, n2, n3, n4 = q.numerators
+    den = q.denominator
+    if n4 != den:
         raise ValueError("polynomial must be monic")
-    a0, a1, a2, a3 = q.coeffs[:4]
-    den = lcm(a0.denominator, a1.denominator, a2.denominator, a3.denominator)
-    # every A_i = s^(4-i) a_i is an integer, and A3 = 4t
-    n3 = a3.numerator * (den // a3.denominator)
+    # a_i = n_i / den; every A_i = s^(4-i) a_i is an integer, and A3 = 4t
     s = den * (4 // gcd(n3, 4))
     t = n3 // gcd(n3, 4)
-    big_a2 = a2.numerator * (s * s // a2.denominator)
-    big_a1 = a1.numerator * (s ** 3 // a1.denominator)
-    big_a0 = a0.numerator * (s ** 4 // a0.denominator)
+    big_a2 = n2 * (s * s // den)
+    big_a1 = n1 * (s ** 3 // den)
+    big_a0 = n0 * (s ** 4 // den)
     big_p = big_a2 - 6 * t * t
     big_c = big_a1 - 2 * t * big_a2 + 8 * t ** 3
     big_r = big_a0 - t * big_a1 + t * t * big_a2 - 3 * t ** 4
@@ -398,10 +397,6 @@ def eta_from_params(params: QuarticParams,
                     stats: SearchStats | None = None) -> EtaResult:
     model = build_quartic_model(params)
     cases = _case_list(params, model)
-    if stats is not None:
-        stats.k = params.k
-        stats.case_list = tuple(_relation_string(n, t) for n, t in cases)
-
     multiples: list[ECPoint] = [INFINITY]  # multiples[i] = i * p
 
     def multiple_of_p(n: int) -> ECPoint:
@@ -411,31 +406,33 @@ def eta_from_params(params: QuarticParams,
 
     checked: list[str] = []
     for n, target_name in cases:
-        relation = _relation_string(n, target_name)
-        checked.append(relation)
-        if stats is not None:
-            stats.relations_checked += 1
+        checked.append(_relation_string(n, target_name))
         target = -model.p if target_name == "-p" else model.two_torsion[target_name]
         if multiple_of_p(n) == target:
-            if stats is not None:
-                stats.max_multiple = len(multiples) - 1
-            # re-verify through an independent group-law path
-            if multiple(model.curve, n, model.p) != target:
-                raise InternalInconsistencyError(
-                    f"certificate {relation!r} failed re-verification")
-            order = torsion_order_bounded(model.curve, model.p, 12)
-            if order is None:
-                raise InternalInconsistencyError(
-                    "certified relation without bounded torsion")
-            return EtaResult(1, Certificate(TORSION_COINCIDENCE,
-                                            relation=relation, order=order))
+            break
+    else:
+        target = None
     if stats is not None:
+        stats.k = params.k
+        stats.case_list = tuple(_relation_string(m, t) for m, t in cases)
+        stats.relations_checked = len(checked)
         stats.max_multiple = len(multiples) - 1
-    if not model.curve.contains(multiples[-1]):
+    if target is None:
+        if not model.curve.contains(multiples[-1]):
+            raise InternalInconsistencyError(
+                f"exhausted search left the curve at {len(multiples) - 1}p")
+        return EtaResult(0, Certificate(TORSION_EXHAUSTED,
+                                        cases_checked=tuple(checked)))
+    # re-verify through an independent group-law path
+    if multiple(model.curve, n, model.p) != target:
         raise InternalInconsistencyError(
-            f"exhausted search left the curve at {len(multiples) - 1}p")
-    return EtaResult(0, Certificate(TORSION_EXHAUSTED,
-                                    cases_checked=tuple(checked)))
+            f"certificate {checked[-1]!r} failed re-verification")
+    order = torsion_order_bounded(model.curve, model.p, 12)
+    if order is None:
+        raise InternalInconsistencyError(
+            "certified relation without bounded torsion")
+    return EtaResult(1, Certificate(TORSION_COINCIDENCE,
+                                    relation=checked[-1], order=order))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +498,7 @@ def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
     if inv.genus == 0:
         # two conjugate boundary points on a genus-zero completion
         return EtaResult(1, Certificate(RULE_CONIC_TABLE))
-    if q is not None and q.degree % 2 == 0 and q.leading < 0:
+    if q is not None and q.degree % 2 == 0 and q.numerators[-1] < 0:
         return _quartic_dispatch(-q)
     return None
 

@@ -14,15 +14,18 @@ character position at which they were detected.
 While it is parsed, a polynomial is a pair: integer numerators by
 monomial over one positive common denominator that is coprime to their
 content.  A p/q literal is reduced on entry, a sum goes over the lcm of
-the two denominators and a product multiplies integers; Fractions are
-built once, for the finished polynomial.
+the two denominators and a product multiplies integers.  That is the
+form a `UniPoly` holds, so the right-hand side of y^2 = Q becomes one
+with no Fractions; `parse_polynomial` builds Fractions once, for the
+finished polynomial.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE and coefficients (in lowest terms) of more than
 MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
 after every product, the steps of a power included; coefficients after
 every step of a power, where they can grow exponentially in the input
-length, and once for the whole polynomial, reported at its start.
+length, and once for the whole polynomial, reported at its start.  A
+--coeffs list is checked in the same integer form, after it is read.
 """
 
 from __future__ import annotations
@@ -134,19 +137,9 @@ def _degree_bounded(p: dict[Monomial, object], position: int) -> None:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
 
 
-def _checked(p: BiPoly, position: int) -> BiPoly:
-    """p itself, or a ParseError at `position` when its degree is too
-    high or a coefficient too long."""
-    _degree_bounded(p, position)
-    bound = _COEFFICIENT_BOUND
-    if not all(-bound < c.numerator < bound and c.denominator < bound
-               for c in p.values()):
-        raise ParseError(_TOO_LONG, position)
-    return p
-
-
 def _bounded(p: Poly, position: int) -> Poly:
-    """p itself, or the ParseError of `_checked` on its coefficients.
+    """p itself, or a ParseError at `position` when its degree is too
+    high or a coefficient, in lowest terms, too long.
 
     A denominator and numerators below the bound bound every coefficient
     in lowest terms; past it, c/den is too long in lowest terms when |c|
@@ -268,8 +261,8 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _parse(text: str, offset: int) -> tuple[Poly, BiPoly]:
-    """The polynomial as it was parsed and with Fraction coefficients.
+def _parse(text: str, offset: int) -> Poly:
+    """The polynomial as it was parsed.
 
     `offset` is the position of `text` inside the whole input; it is
     added once here to the position of every error, end of input
@@ -277,39 +270,34 @@ def _parse(text: str, offset: int) -> tuple[Poly, BiPoly]:
     """
     try:
         parser = _Parser(_tokenize(text), len(text))
-        p = parser.parse_expr()
-        poly = _checked({m: Fraction(c, p[1]) for m, c in p[0].items()}, 0)
+        p = _bounded(parser.parse_expr(), 0)
         tok = parser.tokens[parser.pos]
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     except ParseError as err:
         raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
-    return p, poly
+    return p
 
 
 def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
     """Parse a polynomial in x, y into sparse form, errors shifted by
     `offset`."""
-    return _parse(text, offset)[1]
+    terms, den = _parse(text, offset)
+    return {m: Fraction(c, den) for m, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
 # Curve-level parsing
 # ---------------------------------------------------------------------------
 
-def _to_unipoly_in_x(p: BiPoly, numerators: dict[Monomial, int],
-                     position: int) -> UniPoly:
-    """p as a UniPoly, given with its primitive integer multiple: the
-    numerators over their content, which is that of p's numerators
-    because the common denominator is coprime to it."""
-    if any(j for _, j in p):
+def _to_unipoly_in_x(p: Poly, position: int) -> UniPoly:
+    terms, den = p
+    if any(j for _, j in terms):
         raise ParseError("right-hand side must involve x only", position)
-    coeffs = [Fraction(0)] * (max((i for i, _ in p), default=-1) + 1)
-    primitive = [0] * len(coeffs)
-    content = gcd(*(c.numerator for c in p.values()))
-    for (i, _), c in p.items():
-        coeffs[i], primitive[i] = c, numerators[i, 0] // content
-    return UniPoly(coeffs, primitive=primitive)
+    numerators = [0] * (max((i for i, _ in terms), default=-1) + 1)
+    for (i, _), c in terms.items():
+        numerators[i] = c
+    return UniPoly.from_integers(numerators, den)
 
 
 def parse_curve(text: str) -> CurveSpec:
@@ -324,12 +312,12 @@ def parse_curve(text: str) -> CurveSpec:
     lhs_text, rhs_text = text.split("=")
     rhs_offset = len(lhs_text) + 1
     lhs = parse_polynomial(lhs_text)
-    (numerators, _), rhs = _parse(rhs_text, rhs_offset)
+    rhs = _parse(rhs_text, rhs_offset)
 
-    if rhs == {}:  # "... = 0"
+    if not rhs[0]:  # "... = 0"
         return conic_from_bipoly(lhs, position=0)
     if lhs == {(0, 2): Fraction(1)}:
-        q = _to_unipoly_in_x(rhs, numerators, rhs_offset)
+        q = _to_unipoly_in_x(rhs, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
     raise ParseError(
         "left-hand side must be y^2, or the right-hand side must be 0", 0)
@@ -362,6 +350,8 @@ def parse_coefficient_list(text: str) -> HyperellipticSpec:
         coeffs = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad coefficient list: {err}", 0) from None
-    _checked({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
+    # the degree first: the common denominator of a long list is costly
+    _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
     q = UniPoly(coeffs)
+    _bounded(({(i, 0): c for i, c in enumerate(q.numerators) if c}, q.denominator), 0)
     return hyperelliptic_from_unipoly(q)

@@ -1,10 +1,11 @@
 """Exact univariate polynomial algebra over the rationals.
 
-`UniPoly` holds `fractions.Fraction` coefficients and every operation is
-exact; there is no floating point anywhere in this module.  The case
-analysis downstream (component counts, group structures) is discrete, so
-a single wrong sign would flip an entire output group -- hence the hard
-exactness requirement.
+`UniPoly` holds integer numerators over one positive common denominator
+coprime to their content, the form the parser builds, and every
+operation is exact; there is no floating point anywhere in this module.
+The case analysis downstream (component counts, group structures) is
+discrete, so a single wrong sign would flip an entire output group --
+hence the hard exactness requirement.
 
 The only polynomial division is an integer pseudo-remainder, and one
 remainder chain built on it gives the Sturm chain, square-freeness and
@@ -12,7 +13,8 @@ the gcd.  The chain is a primitive polynomial remainder sequence
 (Brown-Traub; Cohen, GTM 138, 3.3): every element is scaled by a
 positive constant to a primitive integer polynomial, kept as a tuple of
 its coefficients, which keeps the signs of the Euclidean chain and the
-coefficients small.  Its last element is the gcd up to a constant.
+coefficients small.  It starts from a polynomial's numerators over
+their content, and its last element is the gcd up to a constant.
 
 Real-root counting uses Sturm's theorem: the number of distinct real
 roots of a square-free polynomial p in (a, b] equals V(a) - V(b), where
@@ -31,6 +33,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from ._record import Record
 
 Rational = int | Fraction
 
@@ -61,83 +65,87 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-class UniPoly:
-    """Immutable univariate polynomial with Fraction coefficients.
+class UniPoly(Record):
+    """Immutable univariate polynomial with rational coefficients.
 
-    Coefficients are stored in ascending degree order with the trailing
-    zeros trimmed, so the leading coefficient is nonzero unless the
-    polynomial is zero.  The zero polynomial has degree -1.
-
-    A caller that has the primitive integer polynomial that is a
-    positive multiple of this one, in ascending order, may pass it as
-    `primitive`; the Sturm chain then starts from it.
+    It is held in one canonical form: integer `numerators` in ascending
+    degree order, trailing zeros trimmed, over a positive `denominator`
+    coprime to their content, so equal polynomials have equal fields.
+    The zero polynomial is ((), 1) and has degree -1.  `coeffs` is the
+    derived tuple of Fraction coefficients.
     """
 
-    __slots__ = ("coeffs", "_integers")
+    __slots__ = _fields = ("numerators", "denominator")
 
-    def __init__(self, coefficients: Iterable[Rational],
-                 primitive: Sequence[int] | None = None):
-        coeffs = [as_fraction(c) if not isinstance(c, Fraction) else c
+    def __init__(self, coefficients: Iterable[Rational]):
+        coeffs = [c if isinstance(c, (int, Fraction)) else as_fraction(c)
                   for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "_integers",
-                           None if primitive is None else tuple(primitive))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("UniPoly is immutable")
-
-    # -- constructors -------------------------------------------------
+        den = lcm(*(c.denominator for c in coeffs))
+        self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @classmethod
-    def zero(cls) -> "UniPoly":
+    def from_integers(cls, numerators: Iterable[int], denominator: int = 1) -> UniPoly:
+        """sum(numerators[i] * x^i) / denominator."""
+        p = cls.__new__(cls)
+        p._reduce(numerators, denominator)
+        return p
+
+    def _reduce(self, numerators: Iterable[int], denominator: int) -> None:
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        nums = list(numerators)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(denominator, *nums)
+        if denominator < 0:
+            g = -g
+        if g != 1:
+            nums, denominator = [c // g for c in nums], denominator // g
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def zero(cls) -> UniPoly:
         return cls(())
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self.numerators):
+            return Fraction(self.numerators[exponent], self.denominator)
         return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
     # -- arithmetic ----------------------------------------------------
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self) -> UniPoly:
+        return UniPoly.from_integers([-c for c in self.numerators], self.denominator)
 
-    def monic(self) -> "UniPoly":
+    def monic(self) -> UniPoly:
         if self.is_zero:
             return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return UniPoly(tuple(c / lead for c in self.coeffs))
+        return UniPoly.from_integers(self.numerators, self.numerators[-1])
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -169,20 +177,6 @@ def _primitive(coeffs: Sequence[int]) -> list[int]:
     """Integer coefficients divided by their positive content."""
     content = gcd(*coeffs)
     return list(coeffs) if content == 1 else [c // content for c in coeffs]
-
-
-def _integer_primitive(p: UniPoly) -> Sequence[int]:
-    """The primitive integer polynomial that is a positive rational
-    multiple of p; empty for the zero polynomial.
-
-    The coefficients are in lowest terms, so no prime of the common
-    denominator divides every scaled numerator: the content is the gcd
-    of the numerators alone."""
-    if p._integers is not None:
-        return p._integers
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    content = gcd(*(c.numerator for c in p.coeffs))
-    return [c.numerator // content * (scale // c.denominator) for c in p.coeffs]
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -239,7 +233,7 @@ def sturm_sequence(p: UniPoly) -> list[tuple[int, ...]]:
     """
     if p.is_zero:
         return []
-    a = _integer_primitive(p)
+    a = _primitive(p.numerators)
     return _remainder_chain(a, _primitive([i * c for i, c in enumerate(a) if i > 0]))
 
 
@@ -248,8 +242,8 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
     It is the last element of the remainder chain on (p, q), made monic.
     """
-    chain = _remainder_chain(_integer_primitive(p), _integer_primitive(q))
-    return UniPoly(chain[-1]).monic()
+    chain = _remainder_chain(_primitive(p.numerators), _primitive(q.numerators))
+    return UniPoly.from_integers(chain[-1]).monic()
 
 
 def is_square_free(p: UniPoly) -> bool:

@@ -38,14 +38,29 @@ from realcurves.polys import is_square_free, rational_sqrt, sign_variations
 # Fraction polynomial arithmetic: sums, products, evaluation, derivative
 # ---------------------------------------------------------------------------
 
-def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    a, b = p.coeffs, q.coeffs
+def _add_lists(a, b) -> list:
+    """Sum of two ascending coefficient sequences."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, cb in enumerate(b):
         out[i] += cb
-    return UniPoly(out)
+    return out
+
+
+def _mul_lists(a, b) -> list:
+    """Product of two nonempty ascending coefficient sequences."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
+    return UniPoly(_add_lists(p.coeffs, q.coeffs))
 
 
 def poly_mul(p: UniPoly, q) -> UniPoly:
@@ -54,13 +69,7 @@ def poly_mul(p: UniPoly, q) -> UniPoly:
         return UniPoly(tuple(c * q for c in p.coeffs))
     if p.is_zero or q.is_zero:
         return UniPoly.zero()
-    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, ca in enumerate(p.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(q.coeffs):
-            out[i + j] += ca * cb
-    return UniPoly(out)
+    return UniPoly(_mul_lists(p.coeffs, q.coeffs))
 
 
 def poly_eval(p: UniPoly, v) -> Fraction:
@@ -83,8 +92,8 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder of Fraction long division."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    dq = len(a.coeffs) - len(b.coeffs)
+    rem, divisor = list(a.coeffs), b.coeffs
+    dq = len(rem) - len(divisor)
     if dq < 0:
         return UniPoly.zero(), a
     quot = [Fraction(0)] * (dq + 1)
@@ -95,7 +104,7 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         if coef == 0:
             continue
         quot[i] = coef
-        for j, cb in enumerate(b.coeffs):
+        for j, cb in enumerate(divisor):
             rem[i + j] -= coef * cb
     return UniPoly(quot), UniPoly(rem)
 
@@ -222,18 +231,15 @@ def _mobius_variations(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     """Sign variations of (1+x)^d p((lo + hi*x)/(1+x)), an upper bound
     (exact at 0 and 1) for the number of roots of p in (lo, hi)."""
     d = p.degree
-    num = UniPoly([lo, hi])
-    den = UniPoly([1, 1])
-    num_pows = [UniPoly((1,))]
-    den_pows = [UniPoly((1,))]
+    num_pows, den_pows = [[Fraction(1)]], [[Fraction(1)]]
     for _ in range(d):
-        num_pows.append(poly_mul(num_pows[-1], num))
-        den_pows.append(poly_mul(den_pows[-1], den))
-    acc = UniPoly.zero()
+        num_pows.append(_mul_lists(num_pows[-1], (lo, hi)))
+        den_pows.append(_mul_lists(den_pows[-1], (1, 1)))
+    acc = []
     for i, c in enumerate(p.coeffs):
         if c != 0:
-            acc = poly_add(acc, poly_mul(poly_mul(num_pows[i], den_pows[d - i]), c))
-    return sign_variations(list(acc.coeffs))
+            acc = _add_lists(acc, _mul_lists(_mul_lists(num_pows[i], den_pows[d - i]), (c,)))
+    return sign_variations(acc)
 
 
 # ---------------------------------------------------------------------------

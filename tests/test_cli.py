@@ -132,6 +132,9 @@ class TestExitCodes:
         for argv in (("analyze", "y^2 = (x+1)^2000"),
                      ("analyze", "y^2 = ((((9^18)^18)^18)^18)^18*x + 1"),
                      ("analyze", "--coeffs=" + ",".join(["1"] * 2001)),
+                     # 400 distinct 300-digit denominators: a 121 KB list
+                     ("analyze", "--coeffs=" + ",".join(f"1/{10 ** 299 + 2 * i + 1}"
+                                                        for i in range(400))),
                      ("analyze", "--coeffs=1e20000000,0,1")):
             started = time.perf_counter()
             code, _, err = run(capsys, *argv)
@@ -159,6 +162,20 @@ class TestExitCodes:
                      ("ec", "--curve=0,-1,1", "--bound=--", "torsion", "(0,1)")):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "needs a value" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--count", "1", "--amax", "0"), "box bounds must be positive"),
+        (("sample", "--count", "1", "--bmax", "-1"), "box bounds must be positive"),
+        (("ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--bound", "0"),
+         "--bound must be >= 1"),
+        # 300(0,1) has coordinates with parts of 17,000 digits and more
+        (("ec", "--curve", "0,-1,1", "multiple", "300", "(0,1)"),
+         f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"),
+    ])
+    def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
+        for as_json in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *as_json)
+            assert code == 2 and message in err and out == ""
 
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
         # a re-verification that disagrees with the incremental search
@@ -227,21 +244,64 @@ _analyze_inputs = st.one_of(
         lambda pair: ["analyze", pair[0], "--units=" + pair[1]]))
 
 
+_small_values = st.one_of(st.integers(-3, 6).map(str),
+                         st.sampled_from(("b=0", "a=c", "x", "", "1/2")))
+_sample_inputs = st.tuples(
+    st.integers(-1, 3),
+    st.lists(st.tuples(st.sampled_from(("--seed", "--k", "--amax", "--bmax",
+                                        "--cmax", "--pin")), _small_values),
+             max_size=4)).map(
+    lambda pair: ["sample", f"--count={pair[0]}",
+                  *(f"{option}={value}" for option, value in pair[1])])
+_ec_numbers = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
+    st.text("0123456789-/", max_size=4))
+_ec_args = st.one_of(
+    st.sampled_from(("inf", "(0,1)", "(1,1)", "(3,5)", "(-4,0)")),
+    st.builds("({},{})".format, _ec_numbers, _ec_numbers),
+    st.integers(-400, 400).map(str),
+    st.text("(),0123456789-/inf", max_size=8))
+_ec_inputs = st.builds(
+    lambda curve, op, args, bound: ["ec", "--curve=" + ",".join(curve), op, *args,
+                                    f"--bound={bound}"],
+    st.one_of(st.sampled_from((["0", "-1", "1"], ["3", "-4", "0"])),
+              st.lists(_ec_numbers, min_size=2, max_size=4)),
+    st.sampled_from(("add", "double", "multiple", "torsion")),
+    st.lists(_ec_args, max_size=3),
+    st.integers(-2, 30))
+
+
 class TestExitCodeFuzz:
-    """Every analyze input exits 0, 2, 3 or 4.  Inputs stay within 40
-    characters of the grammar, 20 coefficients or 12 characters of
-    --units, so none can ask for unbounded work."""
+    """Every analyze, sample and ec input exits 0, 2, 3 or 4.  Inputs stay
+    within 40 characters of the grammar, 20 coefficients, 12 characters
+    of --units, 3 samples or multiples up to 400, so none can ask for
+    unbounded work."""
+
+    @staticmethod
+    def assert_exit_code(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # how argparse reports usage errors
+                code = exit.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(argv=_analyze_inputs, as_json=st.booleans())
     def test_exit_codes(self, argv, as_json):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv + ["--json"] * as_json)
-            except SystemExit as exit:  # how argparse reports usage errors
-                code = exit.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        self.assert_exit_code(argv + ["--json"] * as_json)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(argv=_sample_inputs, as_json=st.booleans())
+    def test_sample_exit_codes(self, argv, as_json):
+        self.assert_exit_code(argv + ["--json"] * as_json)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(argv=_ec_inputs, as_json=st.booleans())
+    def test_ec_exit_codes(self, argv, as_json):
+        self.assert_exit_code(argv + ["--json"] * as_json)
 
 
 class TestSample:
@@ -303,6 +363,17 @@ class TestEc:
                            "double", "(0,1)")
         assert code == 0
         assert out.strip() == "(1/4, -7/8)"
+
+    def test_torsion_search_stops_at_mazurs_bound(self, capsys):
+        for bound in ("12", "1000", str(10 ** 30)):
+            started = time.perf_counter()
+            code, out, _ = run(capsys, "ec", "--curve", self.RANK_CURVE,
+                               "torsion", "(0,1)", "--bound", bound)
+            assert code == 0 and out == f"NotTorsionWithin({bound})\n"
+            assert time.perf_counter() - started < 1.0
+        payload = run_json(capsys, "ec", "--curve", self.TWO_TORSION_CURVE,
+                           "torsion", "(0,0)", "--bound", "1000")
+        assert payload["result"] == {"order": 2}
 
     def test_torsion_verdicts(self, capsys):
         payload = run_json(capsys, "ec", "--curve", self.TWO_TORSION_CURVE,

@@ -1,11 +1,16 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from realcurves import (QuarticParams, UniPoly, count_real_roots,
-                        is_square_free, poly_gcd, quartic_normal_form,
-                        rational_sqrt)
+from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
+                        QuarticParams, UniPoly, count_real_roots, is_square_free,
+                        parse_curve, poly_gcd, quartic_normal_form, rational_sqrt)
 from realcurves import eta as eta_module
 from realcurves.polys import integer_roots_monic, sign_variations, sturm_sequence
 from realcurves.sampling import SampleBox, draw_params
@@ -198,11 +203,6 @@ class TestSturmAgainstFractionOracle:
             self.assert_agrees(random_rational_poly(
                 rng, rng.randint(1, 4), 300, rng.choice((0, 2, 300))))
 
-    def test_chain_starts_from_a_given_primitive_polynomial(self):
-        q = UniPoly([Fraction(9, 16), 0, Fraction(-5, 2), 0, 1], primitive=(9, 0, -40, 0, 16))
-        assert sturm_sequence(q) == sturm_sequence(UniPoly(q.coeffs))
-        assert sturm_sequence(q)[0] == (9, 0, -40, 0, 16)
-
     def test_canonical_chain_of_a_quartic(self):
         # 16x^4 - 40x^2 + 9 = (4x^2 - 1)(4x^2 - 9); the Fraction chain is
         # p, 64x^3 - 80x, 20x^2 - 9, 256/5 x, 9
@@ -343,3 +343,91 @@ class TestUniPolyAlgebra:
         assert str(P(9, 0, -10, 0, 1)) == "x^4 - 10*x^2 + 9"
         assert str(P(Fraction(-1, 2), 1)) == "x - 1/2"
         assert str(UniPoly.zero()) == "0"
+
+
+_rationals = st.fractions(max_denominator=60).filter(lambda r: abs(r) < 10 ** 6)
+_positive = st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60)
+_rational_lists = st.lists(st.one_of(_rationals, st.integers(-50, 50)), max_size=7)
+
+
+class TestCanonicalForm:
+    """Every way of building a UniPoly ends in one form: integer
+    numerators, trailing zeros trimmed, over a positive denominator
+    coprime to their content, equal to UniPoly(p.coeffs)."""
+
+    @staticmethod
+    def assert_canonical(p):
+        nums, den = p.numerators, p.denominator
+        assert type(nums) is tuple and all(type(c) is int for c in nums), p
+        assert type(den) is int and den > 0, p
+        assert not nums or nums[-1] != 0, p
+        assert gcd(den, *nums) == 1, p
+        # the least common denominator of the Fraction coefficients
+        coeffs = p.coeffs
+        assert den == lcm(*(c.denominator for c in coeffs))
+        assert nums == tuple(int(c * den) for c in coeffs)
+        rebuilt = UniPoly(coeffs)
+        assert (rebuilt.numerators, rebuilt.denominator) == (nums, den)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(coeffs=_rational_lists)
+    def test_rational_lists(self, coeffs):
+        p = UniPoly(coeffs)
+        self.assert_canonical(p)
+        assert p.coeffs == tuple(Fraction(c) for c in coeffs)[:p.degree + 1]
+        assert all(c == 0 for c in coeffs[p.degree + 1:])
+        self.assert_canonical(-p)
+        assert (-p).coeffs == tuple(-c for c in p.coeffs)
+        self.assert_canonical(p.monic())
+        if not p.is_zero:
+            assert p.monic().coeffs == tuple(c / p.leading for c in p.coeffs)
+        assert copy.deepcopy(p) == p == pickle.loads(pickle.dumps(p))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(numerators=st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=7),
+           denominator=st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    def test_integer_constructor(self, numerators, denominator):
+        p = UniPoly.from_integers(numerators, denominator)
+        self.assert_canonical(p)
+        assert p == UniPoly([Fraction(c, denominator) for c in numerators])
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(factors=st.lists(_rational_lists.filter(any), min_size=1, max_size=3),
+           constant=_rationals)
+    def test_parse_curve(self, factors, constant):
+        # y^2 = P1*P2*... + c, so that the parser sums and multiplies
+        text = "y^2 = " + "*".join(f"({UniPoly(f)})" for f in factors) + f" + ({constant})"
+        try:
+            spec = parse_curve(text)
+        except (HypothesisError, ParseError):  # not square-free, or constant
+            assume(False)
+        assume(isinstance(spec, HyperellipticSpec))  # not "y^2 = 0"
+        q = spec.q
+        self.assert_canonical(q)
+        product = UniPoly([1])
+        for f in factors:
+            product = poly_mul(product, UniPoly(f))
+        assert q == poly_add(product, UniPoly([constant])), text
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(k=st.sampled_from((0, 2, 4)), a=_positive, b=_rationals, c=_positive)
+    def test_quartic_of_params(self, k, a, b, c):
+        try:
+            params = QuarticParams(k, a, b, c)
+        except ValueError:  # not square-free
+            assume(False)
+        q = params.quartic()
+        self.assert_canonical(q)
+        m = b * b + (a * a if k != 4 else -a * a)
+        n = b * b + (c * c if k == 0 else -c * c)
+        assert q == UniPoly([m * n, 2 * b * (n - m), m + n - 4 * b * b, 0, 1])
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(common=_rational_lists, p=_rational_lists, q=_rational_lists)
+    def test_poly_gcd(self, common, p, q):
+        p = poly_mul(UniPoly(common), UniPoly(p))
+        q = poly_mul(UniPoly(common), UniPoly(q))
+        g = poly_gcd(p, q)
+        self.assert_canonical(g)
+        assert g == fraction_poly_gcd(p, q)
