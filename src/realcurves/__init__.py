@@ -11,7 +11,7 @@ arithmetic.
 from .cohomology import CohomologyDims, etale_dims, quotient_space_dims
 from .curves import (ConicClass, ConicSpec, CurveInvariants, CurveSpec,
                      HyperellipticSpec, HypothesisError, classify_conic,
-                     curve_invariants, hyperelliptic_invariants)
+                     hyperelliptic_invariants)
 from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
@@ -34,7 +34,7 @@ __all__ = [
     "CohomologyDims", "etale_dims", "quotient_space_dims",
     "ConicClass", "ConicSpec", "CurveInvariants", "CurveSpec",
     "HyperellipticSpec", "HypothesisError", "classify_conic",
-    "curve_invariants", "hyperelliptic_invariants",
+    "hyperelliptic_invariants",
     "ECPoint", "INFINITY", "OffCurveError", "SingularCurveError",
     "WeierstrassCurve", "ec_add", "ec_double", "multiple",
     "torsion_order_bounded",

@@ -10,6 +10,10 @@ Exit codes: 0 success, 2 parse/usage error, 3 hypothesis violation
 (non-square-free input, singular conic, off-curve point), 4 internal
 inconsistency: a failed self-check (should never fire).
 
+Every number the command line takes is read by `parser`: expressions
+by its grammar, --coeffs, `ec --curve` and `ec` points by
+`read_rationals`, all to one digit limit.
+
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
 """
@@ -19,13 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .curves import HypothesisError, InternalInconsistencyError
 from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
-from .parser import ParseError, _bounded, parse_coefficient_list, parse_curve
+from .parser import (ParseError, bounded_rational, parse_coefficient_list,
+                     parse_curve, read_rationals)
 from .report import full_report
 from .sampling import SampleBox, run_sample
 
@@ -68,7 +72,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "ec", help="debug arithmetic on u^2 = v^3 + c2*v^2 + c1*v + c0")
     ec.add_argument("--curve", required=True, metavar="c2,c1,c0",
                     help="comma-separated rational coefficients")
-    ec.add_argument("op", choices=("add", "double", "multiple", "torsion"))
+    ec.add_argument("op", choices=tuple(_EC_ARITY))
     ec.add_argument("args", nargs="*",
                     help="points as '(v,u)' or 'inf'; multiple takes n first")
     ec.add_argument("--bound", type=int, default=12,
@@ -225,23 +229,16 @@ def _parse_point(text: str) -> ECPoint:
         return INFINITY
     if not (cleaned.startswith("(") and cleaned.endswith(")")):
         raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}", 0)
-    body = cleaned[1:-1].split(",")
-    if len(body) != 2:
+    body = cleaned[1:-1]
+    if body.count(",") != 1:
         raise ParseError(f"point must have two coordinates, got {text!r}", 0)
-    try:
-        return ECPoint.affine(Fraction(body[0].strip()), Fraction(body[1].strip()))
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"bad point coordinate: {err}", 0) from None
+    return ECPoint.affine(*read_rationals(body, "point coordinate"))
 
 
 def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
-    parts = text.split(",")
-    if len(parts) != 3:
+    if text.count(",") != 2:
         raise ParseError("--curve needs exactly c2,c1,c0", 0)
-    try:
-        c2, c1, c0 = (Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"bad curve coefficient: {err}", 0) from None
+    c2, c1, c0 = read_rationals(text, "curve coefficient")
     return WeierstrassCurve(c2=c2, c1=c1, c0=c0)
 
 
@@ -251,39 +248,25 @@ def _point_json(point: ECPoint) -> dict | str:
     ParseError."""
     if point.is_infinity:
         return "infinity"
-    for c in (point.v, point.u):
-        _bounded(({(0, 0): c.numerator}, c.denominator), 0)
-    return {"v": str(point.v), "u": str(point.u)}
+    return {"v": str(bounded_rational(point.v)), "u": str(bounded_rational(point.u))}
+
+
+# each op's number of arguments, and the usage error when it differs
+_EC_ARITY = {
+    "add": (2, "add needs two points"),
+    "double": (1, "double needs one point"),
+    "multiple": (2, "multiple needs n and a point"),
+    "torsion": (1, "torsion needs one point"),
+}
 
 
 def _cmd_ec(args) -> int:
     curve = _parse_curve_coeffs(args.curve)
     op = args.op
-    if op == "add":
-        if len(args.args) != 2:
-            raise ParseError("add needs two points", 0)
-        result = ec_add(curve, _parse_point(args.args[0]), _parse_point(args.args[1]))
-        payload = {"point": _point_json(result)}
-        text = str(result)
-    elif op == "double":
-        if len(args.args) != 1:
-            raise ParseError("double needs one point", 0)
-        result = ec_double(curve, _parse_point(args.args[0]))
-        payload = {"point": _point_json(result)}
-        text = str(result)
-    elif op == "multiple":
-        if len(args.args) != 2:
-            raise ParseError("multiple needs n and a point", 0)
-        try:
-            n = int(args.args[0])
-        except ValueError:
-            raise ParseError(f"bad multiplier {args.args[0]!r}", 0) from None
-        result = multiple(curve, n, _parse_point(args.args[1]))
-        payload = {"point": _point_json(result)}
-        text = str(result)
-    else:
-        if len(args.args) != 1:
-            raise ParseError("torsion needs one point", 0)
+    count, usage = _EC_ARITY[op]
+    if len(args.args) != count:
+        raise ParseError(usage, 0)
+    if op == "torsion":
         if args.bound < 1:
             raise ParseError("--bound must be >= 1", 0)
         order = torsion_order_bounded(curve, _parse_point(args.args[0]), args.bound)
@@ -293,6 +276,19 @@ def _cmd_ec(args) -> int:
         else:
             payload = {"order": order}
             text = f"order {order}"
+    else:
+        if op == "add":
+            result = ec_add(curve, *map(_parse_point, args.args))
+        elif op == "double":
+            result = ec_double(curve, _parse_point(args.args[0]))
+        else:
+            try:
+                n = int(args.args[0])
+            except ValueError:
+                raise ParseError(f"bad multiplier {args.args[0]!r}", 0) from None
+            result = multiple(curve, n, _parse_point(args.args[1]))
+        payload = {"point": _point_json(result)}
+        text = str(result)
     if args.json:
         print(json.dumps({"command": "ec", "curve": {"c2": str(curve.c2),
                                                      "c1": str(curve.c1),

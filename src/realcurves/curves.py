@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import Record
-from .polys import UniPoly, count_real_roots, sign_variations
+from .polys import UniPoly, count_real_roots, format_terms, sign_variations
 
 
 class HypothesisError(ValueError):
@@ -59,26 +59,10 @@ class ConicSpec(Record):
         object.__setattr__(self, "c0", c0)
 
     def display(self) -> str:
-        terms = [
+        return format_terms([
             (self.xx, "x^2"), (self.xy, "x*y"), (self.yy, "y^2"),
             (self.x1, "x"), (self.y1, "y"), (self.c0, ""),
-        ]
-        parts: list[str] = []
-        for coef, mono in terms:
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            if mono == "":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts) + " = 0"
+        ]) + " = 0"
 
 
 class HyperellipticSpec(Record):
@@ -339,9 +323,3 @@ def hyperelliptic_invariants(spec: HyperellipticSpec) -> CurveInvariants:
     return CurveInvariants(genus=dp - 1, real_at_infinity=2, complex_at_infinity=0,
                            components=2, compact_components=0,
                            degree=d, real_roots=k)
-
-
-def curve_invariants(spec: CurveSpec) -> CurveInvariants:
-    if isinstance(spec, ConicSpec):
-        return classify_conic(spec).invariants
-    return hyperelliptic_invariants(spec)

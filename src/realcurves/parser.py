@@ -24,8 +24,9 @@ MAX_DEGREE and coefficients (in lowest terms) of more than
 MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
 after every product, the steps of a power included; coefficients after
 every step of a power, where they can grow exponentially in the input
-length, and once for the whole polynomial, reported at its start.  A
---coeffs list is checked in the same integer form, after it is read.
+length, and once for the whole polynomial, reported at its start.  The
+other numbers the command line takes (--coeffs, `ec --curve`, `ec`
+points) are read by `read_rationals`, and held to the same digit limit.
 """
 
 from __future__ import annotations
@@ -342,16 +343,33 @@ def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSp
 
 def parse_coefficient_list(text: str) -> HyperellipticSpec:
     """Parse the --coeffs form: 'a0,a1,...,ad' ascending, rationals allowed."""
+    coeffs = read_rationals(text, "coefficient list")
+    # the degree first: the common denominator of a long list is costly
+    _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
+    return hyperelliptic_from_unipoly(UniPoly(coeffs))
+
+
+def read_rationals(text: str, what: str) -> list[Fraction]:
+    """The comma-separated rationals of `text`, in Fraction's syntax
+    without exponent notation and checked by `bounded_rational`; any
+    other entry is a ParseError "bad <what>: ..."."""
     parts = [p.strip() for p in text.split(",")]
     for p in parts:
         if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
-            raise ParseError(f"bad coefficient list: exponent notation in {p!r}", 0)
+            raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
     try:
-        coeffs = [Fraction(p) for p in parts]
+        values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"bad coefficient list: {err}", 0) from None
-    # the degree first: the common denominator of a long list is costly
-    _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
-    q = UniPoly(coeffs)
-    _bounded(({(i, 0): c for i, c in enumerate(q.numerators) if c}, q.denominator), 0)
-    return hyperelliptic_from_unipoly(q)
+        raise ParseError(f"bad {what}: {err}", 0) from None
+    for value in values:
+        bounded_rational(value)
+    return values
+
+
+def bounded_rational(value: Fraction) -> Fraction:
+    """`value` itself, or a ParseError when its numerator or denominator
+    has more than MAX_COEFFICIENT_DIGITS digits, too many to print."""
+    if (value.denominator >= _COEFFICIENT_BOUND
+            or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
+        raise ParseError(_TOO_LONG, 0)
+    return value

@@ -148,28 +148,29 @@ class UniPoly(Record):
         return UniPoly.from_integers(self.numerators, self.numerators[-1])
 
     def __str__(self) -> str:
-        return format_poly(self)
+        """Descending-order form, e.g. 'x^4 - 10*x^2 + 9'."""
+        return format_terms((self.coefficient(e), f"x^{e}" if e > 1 else "x" if e else "")
+                            for e in range(self.degree, -1, -1)) or "0"
 
 
-def format_poly(p: UniPoly, var: str = "x") -> str:
-    """Human-readable descending-order form, e.g. 'x^4 - 10*x^2 + 9'."""
-    if p.is_zero:
-        return "0"
+def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The sum of (coefficient, monomial) pairs in the given order, e.g.
+    'x^2 - 3*x*y + 1/2': zero terms are left out, a coefficient of
+    magnitude 1 is dropped except on the constant, whose monomial is
+    '', and the first term carries a bare sign."""
     parts: list[str] = []
-    for e in range(p.degree, -1, -1):
-        c = p.coefficient(e)
-        if c == 0:
+    for coef, mono in terms:
+        if coef == 0:
             continue
-        mag = abs(c)
-        if e == 0:
+        mag = abs(coef)
+        if not mono:
             body = str(mag)
         else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if mag == 1 else f"{mag}*{v}"
+            body = mono if mag == 1 else f"{mag}*{mono}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if coef > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
     return " ".join(parts)
 
 

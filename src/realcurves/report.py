@@ -61,9 +61,7 @@ def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
         "etale_cohomology": etale.to_json(),
         "quotient_cohomology": quotient.to_json(),
         "witt": _group_json(witt),
-        "eta": analysis.eta.to_json(),
-        "eta_complex": None if analysis.eta_complex is None
-        else analysis.eta_complex.to_json(),
+        **analysis.to_json(),
         "pic_tors": _pic_json(inv, analysis),
         "units": [_units_json(inv, analysis, n) for n in units],
         "level": _level_json(inv, analysis),

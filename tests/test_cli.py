@@ -129,17 +129,24 @@ class TestExitCodes:
             assert code == 2 and "too long" in err
 
     def test_unbounded_work_is_2(self, capsys):
+        # 1/10^4300 as a decimal: a denominator of 4301 digits
+        tiny = "0." + "0" * (MAX_COEFFICIENT_DIGITS - 1) + "1"
         for argv in (("analyze", "y^2 = (x+1)^2000"),
                      ("analyze", "y^2 = ((((9^18)^18)^18)^18)^18*x + 1"),
                      ("analyze", "--coeffs=" + ",".join(["1"] * 2001)),
                      # 400 distinct 300-digit denominators: a 121 KB list
                      ("analyze", "--coeffs=" + ",".join(f"1/{10 ** 299 + 2 * i + 1}"
                                                         for i in range(400))),
-                     ("analyze", "--coeffs=1e20000000,0,1")):
-            started = time.perf_counter()
-            code, _, err = run(capsys, *argv)
-            assert code == 2 and "parse error" in err
-            assert time.perf_counter() - started < 1.0
+                     ("analyze", "--coeffs=1e20000000,0,1"),
+                     ("ec", "--curve=1e2000000,0,1", "torsion", "(0,1)"),
+                     ("ec", "--curve=0,-1,1", "torsion", "(1e200000,1)"),
+                     ("ec", f"--curve={tiny},0,1", "torsion", "(0,1)"),
+                     ("ec", "--curve=0,-1,1", "add", f"({tiny},1)", "(0,1)")):
+            for as_json in ((), ("--json",)):
+                started = time.perf_counter()
+                code, _, err = run(capsys, *argv, *as_json)
+                assert code == 2 and "parse error" in err
+                assert time.perf_counter() - started < 1.0
 
     def test_largest_coefficients_analyze_quickly(self, capsys):
         # degree 8 with nine random coefficients of the most digits the
@@ -171,6 +178,17 @@ class TestExitCodes:
         # 300(0,1) has coordinates with parts of 17,000 digits and more
         (("ec", "--curve", "0,-1,1", "multiple", "300", "(0,1)"),
          f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"),
+        # each op's arity, then the messages of the number reader
+        (("ec", "--curve", "0,-1,1", "add", "(0,1)"), "add needs two points"),
+        (("ec", "--curve", "0,-1,1", "double"), "double needs one point"),
+        (("ec", "--curve", "0,-1,1", "multiple", "(0,1)"), "multiple needs n and a point"),
+        (("ec", "--curve", "0,-1,1", "torsion", "inf", "inf"), "torsion needs one point"),
+        (("ec", "--curve", "0,-1", "double", "(0,1)"), "--curve needs exactly c2,c1,c0"),
+        (("ec", "--curve", "0,-1,1/0", "double", "(0,1)"), "bad curve coefficient: "),
+        (("ec", "--curve", "0,-1,1", "double", "(0)"), "point must have two coordinates"),
+        (("ec", "--curve", "0,-1,1", "double", "(0,x)"), "bad point coordinate: "),
+        (("ec", "--curve", "0,-1,1", "double", "(0,1e0)"),
+         "bad point coordinate: exponent notation in '1e0'"),
     ])
     def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
         for as_json in ((), ("--json",)):
@@ -256,7 +274,7 @@ _sample_inputs = st.tuples(
 _ec_numbers = st.one_of(
     st.integers(-9, 9).map(str),
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
-    st.text("0123456789-/", max_size=4))
+    st.text("0123456789-/e._ ", max_size=4))
 _ec_args = st.one_of(
     st.sampled_from(("inf", "(0,1)", "(1,1)", "(3,5)", "(-4,0)")),
     st.builds("({},{})".format, _ec_numbers, _ec_numbers),

@@ -29,11 +29,23 @@ ANALYZE_INPUTS = [
     "y^2 = (1/2*x^2 - 3)*(x^2 + 1/3)",
 ]
 
+EC_CASES = [
+    # the README examples
+    ["ec", "--curve", "0,-1,1", "add", "(0,1)", "(1,1)"],
+    ["ec", "--curve", "3,-4,0", "multiple", "2", "(-4,0)"],
+    ["ec", "--curve", "0,-1,1", "torsion", "(0,1)"],
+    ["ec", "--curve", "0,-1,1", "double", "(0,1)"],
+    ["ec", "--curve", "0,-1,1", "multiple", "-5", "(0,1)"],
+    ["ec", "--curve", "3,-4,0", "add", "inf", "(1,0)"],
+    # build_quartic_model(QuarticParams(0, 1/2, 1/3, 3/2)) and its point p
+    ["ec", "--curve=-41/9,16/9,16/9", "torsion", "(0,4/3)"],
+]
+
 CASES = [["analyze", text, "--json"] for text in ANALYZE_INPUTS] + [
     ["analyze", "--coeffs=-1,0,0,0,1", "--units", "2,3,4", "--json"],
     ["sample", "--count", "300", "--seed", "1", "--json"],
     ["sample", "--count", "20", "--seed", "3", "--pin", "b=0", "--json"],
-]
+] + [argv + as_json for argv in EC_CASES for as_json in ([], ["--json"])]
 
 
 def _key(argv):

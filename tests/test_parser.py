@@ -11,7 +11,7 @@ from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
 from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE,
-                               parse_polynomial)
+                               parse_polynomial, read_rationals)
 from realcurves.polys import sturm_sequence
 
 from oracles import fraction_parse_polynomial
@@ -214,6 +214,48 @@ class TestCoefficientList:
             parse_coefficient_list("1,oops,3")
         with pytest.raises(ParseError):
             parse_coefficient_list("5")  # constant
+
+
+_limit = MAX_COEFFICIENT_DIGITS
+_rational_parts = st.one_of(
+    st.text("0123456789-+/._e ", max_size=8),
+    # decimals about the digit limit: 10^-4299 fits, 10^-4300 does not
+    st.builds("0.{}1".format, st.integers(_limit - 2, _limit).map(lambda n: "0" * n)),
+    # integer and decimal parts within the int-string limit, whose
+    # numerator in lowest terms may pass the digit limit
+    st.builds("{}.{}".format, st.integers(0, 2300).map(lambda n: "9" * n),
+              st.integers(1, 2300).map(lambda n: "9" * n)),
+    st.builds("1/{}".format, st.integers(_limit - 1, _limit + 1).map(lambda n: "9" * n)))
+
+
+def _fraction_oracle(parts: list[str]) -> list[Fraction] | None:
+    """Fraction's values for the parts, or None where the reader must
+    refuse them: an 'e', a part Fraction refuses, or a numerator or
+    denominator of more than MAX_COEFFICIENT_DIGITS digits."""
+    if any("e" in part.lower() for part in parts):
+        return None
+    values = []
+    for part in parts:
+        try:
+            value = Fraction(part.strip())
+        except (ValueError, ZeroDivisionError):
+            return None
+        if max(abs(value.numerator), value.denominator) >= 10 ** _limit:
+            return None
+        values.append(value)
+    return values
+
+
+class TestReadRationals:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(parts=st.lists(_rational_parts, min_size=1, max_size=4))
+    def test_against_fraction(self, parts):
+        expected = _fraction_oracle(parts)
+        if expected is None:
+            with pytest.raises(ParseError):
+                read_rationals(",".join(parts), "entry")
+        else:
+            assert read_rationals(",".join(parts), "entry") == expected
 
 
 _coefficients = st.one_of(
