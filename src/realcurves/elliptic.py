@@ -9,11 +9,20 @@ tolerance parameter anywhere.  The public functions check their point
 arguments once on entry, rejecting an off-curve point with the exact
 residual of the curve equation, and then iterate with the unchecked
 group law `_add`.
+
+A curve keeps its coefficients as Fractions and, beside them, as
+integers N2, N1, N0 over L, the lcm of their denominators.  The
+discriminant and the membership test run on those integers; a Fraction
+is built only for `discriminant()`, `residual()` or an error.  The same
+L gives the integral model v -> L^2 v, u -> L^3 u, on which every
+rational torsion point has integer coordinates (Nagell-Lutz), so the
+torsion search stops at the first multiple without them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 from .polys import as_fraction
@@ -66,35 +75,62 @@ class WeierstrassCurve(Record):
     """u^2 = v^3 + c2*v^2 + c1*v + c0 with rational coefficients and
     nonzero discriminant."""
 
-    __slots__ = _fields = ("c2", "c1", "c0")
+    _fields = ("c2", "c1", "c0")
+    __slots__ = _fields + ("_integral",)
 
     def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction):
-        object.__setattr__(self, "c2", as_fraction(c2))
-        object.__setattr__(self, "c1", as_fraction(c1))
-        object.__setattr__(self, "c0", as_fraction(c0))
-        if self.discriminant() == 0:
+        c2, c1, c0 = as_fraction(c2), as_fraction(c1), as_fraction(c0)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", c0)
+        scale = lcm(c2.denominator, c1.denominator, c0.denominator)
+        # (L, N2, N1, N0) with c_i = N_i / L
+        object.__setattr__(self, "_integral", (
+            scale, c2.numerator * (scale // c2.denominator),
+            c1.numerator * (scale // c1.denominator),
+            c0.numerator * (scale // c0.denominator)))
+        if self._scaled_discriminant() == 0:
             raise SingularCurveError(f"cubic has a repeated root: {self}")
 
+    def _scaled_discriminant(self) -> int:
+        """The discriminant of the cubic times L^4."""
+        scale, n2, n1, n0 = self._integral
+        return (18 * n2 * n1 * n0 * scale - 4 * n2 ** 3 * n0 + n2 * n2 * n1 * n1
+                - 4 * n1 ** 3 * scale - 27 * n0 * n0 * scale * scale)
+
     def discriminant(self) -> Fraction:
-        a, b, c = self.c2, self.c1, self.c0
-        return (18 * a * b * c - 4 * a ** 3 * c + a ** 2 * b ** 2
-                - 4 * b ** 3 - 27 * c ** 2)
+        return Fraction(self._scaled_discriminant(), self._integral[0] ** 4)
 
     def rhs(self, v: Fraction) -> Fraction:
         return ((v + self.c2) * v + self.c1) * v + self.c0
 
-    def residual(self, point: ECPoint) -> Fraction:
+    def _scaled_residual(self, point: ECPoint) -> tuple[int, int]:
+        """u^2 - rhs(v) as an integer numerator over a positive
+        denominator: for v = a/d and u = e/f that is
+        e^2 d^3 L - f^2 (a^3 L + N2 a^2 d + N1 a d^2 + N0 d^3) over
+        f^2 d^3 L, not reduced."""
         if point.is_infinity:
-            return Fraction(0)
-        return point.u * point.u - self.rhs(point.v)
+            return 0, 1
+        scale, n2, n1, n0 = self._integral
+        a, d = point.v.numerator, point.v.denominator
+        e, f = point.u.numerator, point.u.denominator
+        d2 = d * d
+        d3 = d2 * d
+        ff = f * f
+        num = e * e * d3 * scale - ff * (((a * scale + n2 * d) * a + n1 * d2) * a
+                                          + n0 * d3)
+        return num, ff * d3 * scale
+
+    def residual(self, point: ECPoint) -> Fraction:
+        return Fraction(*self._scaled_residual(point))
 
     def contains(self, point: ECPoint) -> bool:
-        return self.residual(point) == 0
+        return self._scaled_residual(point)[0] == 0
 
     def require(self, point: ECPoint) -> None:
-        res = self.residual(point)
-        if res != 0:
-            raise OffCurveError(point, res)
+        num, den = self._scaled_residual(point)
+        if num:
+            raise OffCurveError(point, Fraction(num, den))
 
     def __str__(self) -> str:
         return f"u^2 = v^3 + ({self.c2})*v^2 + ({self.c1})*v + ({self.c0})"
@@ -151,14 +187,22 @@ def torsion_order_bounded(curve: WeierstrassCurve, p: ECPoint,
     """Smallest n <= bound with nP = Infinity, or None if there is none.
 
     By Mazur's theorem no rational point has finite order above 12, so
-    the search stops at min(bound, 12).
+    the search stops at min(bound, 12).  Every multiple of a torsion
+    point is torsion, and by Nagell-Lutz its image (L^2 v, L^3 u) on the
+    integral model has integer coordinates; the search returns None at
+    the first multiple whose image does not.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     curve.require(p)
+    scale = curve._integral[0]
+    scale2 = scale * scale
+    scale3 = scale2 * scale
     acc = INFINITY
     for n in range(1, min(bound, 12) + 1):
         acc = _add(curve, acc, p)
         if acc.is_infinity:
             return n
+        if scale2 % acc.v.denominator or scale3 % acc.u.denominator:
+            return None
     return None

@@ -24,15 +24,17 @@ decision procedure checks, exactly and in this order, the relation lists
            shares the identity component with p) for n <= 4,
            the even-order coincidences                       (4 cases)
 
-Every Known(1) answer carries the satisfied relation, re-verified
-through the group law; every Known(0) answer carries the full list of
-relations that were excluded, so both are independently re-checkable.
+Every Known(1) answer carries the satisfied relation, re-verified by
+recomputing np through double-and-add (`multiple`) and the order of p
+through `torsion_order_bounded`; every Known(0) answer carries the full
+list of relations that were excluded, so both are independently
+re-checkable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from ._record import Record
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
@@ -307,56 +309,54 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
         k = 4: u^2 = (v + 4b^2)(v + (c-a)^2)(v + (c+a)^2)
 
     p = (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
-    Every marked point is verified to lie on the curve; configurations
-    with vanishing discriminant (non-square-free quartics) are rejected
-    by the curve constructor.
+    The model is computed in integers: with a, b, c = A/D, B/D, C/D over
+    the lcm D of their denominators, v-values (the roots and c2) are
+    integers over D^2, c1 over D^4, c0 over D^6 and u-values over D^3,
+    and each coordinate becomes a Fraction once.  Every marked point is
+    verified to lie on the curve; configurations with vanishing
+    discriminant (non-square-free quartics) are rejected by the curve
+    constructor.
     """
     a, b, c = params.a, params.b, params.c
-    four_b2 = 4 * b * b
-    if params.k == 0:
-        roots = [-four_b2, (c - a) ** 2, (c + a) ** 2]
-        curve = _curve_from_roots(roots)
-        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
-        torsion = {
-            "p1": ECPoint.affine(-four_b2, 0),
-            "p2": ECPoint.affine((c - a) ** 2, 0),
-            "p3": ECPoint.affine((c + a) ** 2, 0),
-        }
-        neutral = None
-    elif params.k == 2:
-        cc_aa = c * c - a * a
-        norm2 = (c * c + a * a) ** 2
-        curve = WeierstrassCurve(
-            c2=four_b2 - 2 * cc_aa,
-            c1=norm2 - 2 * four_b2 * cc_aa,
-            c0=four_b2 * norm2,
-        )
-        p = ECPoint.affine(0, 2 * b * (c * c + a * a))
-        torsion = {"p1": ECPoint.affine(-four_b2, 0)}
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    big_a = a.numerator * (den // a.denominator)
+    big_b = b.numerator * (den // b.denominator)
+    big_c = c.numerator * (den // c.denominator)
+    den2 = den * den
+    den3 = den2 * den
+    four_b2 = 4 * big_b * big_b
+    cc, aa = big_c * big_c, big_a * big_a
+    if params.k == 2:
+        norm2 = (cc + aa) ** 2
+        c2 = four_b2 - 2 * (cc - aa)
+        c1 = norm2 - 2 * four_b2 * (cc - aa)
+        c0 = four_b2 * norm2
+        p_u = 2 * big_b * (cc + aa)
+        roots = {"p1": -four_b2}
         neutral = None
     else:
-        roots = [-four_b2, -((c - a) ** 2), -((c + a) ** 2)]
-        curve = _curve_from_roots(roots)
-        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
-        torsion = {
-            "p1": ECPoint.affine(-four_b2, 0),
-            "p2": ECPoint.affine(-((c + a) ** 2), 0),
-            "p3": ECPoint.affine(-((c - a) ** 2), 0),
-        }
-        neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
+        minus2, plus2 = (big_c - big_a) ** 2, (big_c + big_a) ** 2
+        if params.k == 0:
+            roots = {"p1": -four_b2, "p2": minus2, "p3": plus2}
+            neutral = None
+        else:
+            roots = {"p1": -four_b2, "p2": -plus2, "p3": -minus2}
+            neutral = "p3" if four_b2 > minus2 else "p1"
+        r1, r2, r3 = roots.values()
+        c2 = -(r1 + r2 + r3)
+        c1 = r1 * r2 + r1 * r3 + r2 * r3
+        c0 = -(r1 * r2 * r3)
+        p_u = 2 * big_b * (cc - aa)
+    zero = Fraction(0)
+    curve = WeierstrassCurve(Fraction(c2, den2), Fraction(c1, den2 * den2),
+                             Fraction(c0, den3 * den3))
+    p = ECPoint(zero, Fraction(p_u, den3))
+    torsion = {name: ECPoint(Fraction(root, den2), zero)
+               for name, root in roots.items()}
     for point in (p, *torsion.values()):
         curve.require(point)
     return QuarticModel(curve=curve, p=p, two_torsion=torsion,
                         neutral_two_torsion=neutral)
-
-
-def _curve_from_roots(roots: list[Fraction]) -> WeierstrassCurve:
-    r1, r2, r3 = roots
-    return WeierstrassCurve(
-        c2=-(r1 + r2 + r3),
-        c1=r1 * r2 + r1 * r3 + r2 * r3,
-        c0=-(r1 * r2 * r3),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,8 @@ def eta_from_params(params: QuarticParams,
                 f"exhausted search left the curve at {len(multiples) - 1}p")
         return EtaResult(0, Certificate(TORSION_EXHAUSTED,
                                         cases_checked=tuple(checked)))
-    # re-verify through an independent group-law path
+    # re-verify: np again by double-and-add, then the order of p by the
+    # bounded torsion search (both use the same group law as the search)
     if multiple(model.curve, n, model.p) != target:
         raise InternalInconsistencyError(
             f"certificate {checked[-1]!r} failed re-verification")

@@ -12,10 +12,14 @@ normalized after every sum and product (the library keeps one integer
 common denominator), conic classification on Fraction matrices with the
 kernel direction by cross products (the library scales to integer
 matrices and reads the direction off a determinant), elliptic addition
-by explicit chord substitution and Vieta, and a Nagell-Lutz
-integrality screen for non-torsion.  Polynomial sums, products,
-evaluation and derivatives, which `UniPoly` does not have, are here as
-plain functions.  None of it calls the library routine it is checking.
+by explicit chord substitution and Vieta, the discriminant and the
+membership residual of a Weierstrass cubic in Fractions (the library
+works on integers over one common denominator), the torsion order by
+adding the point to itself up to Mazur's bound with no Nagell-Lutz
+exit, the Jacobian model of a quartic in Fractions (the library builds
+it in integers), and a Nagell-Lutz integrality screen for non-torsion.
+Polynomial sums, products, evaluation and derivatives, which `UniPoly`
+does not have, are here as plain functions.  None of it calls the library routine it is checking.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from math import gcd, lcm
 from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
                         HypothesisError, INFINITY, ParseError, QuarticParams,
                         UniPoly, WeierstrassCurve)
+from realcurves.eta import QuarticModel
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
 from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
@@ -350,6 +355,58 @@ def fraction_normal_form_quartic(params: QuarticParams) -> UniPoly:
     left = UniPoly([b * b + sa * a * a, 2 * b, 1])
     right = UniPoly([b * b + sc * c * c, -2 * b, 1])
     return poly_mul(left, right)
+
+
+def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
+    """build_quartic_model in Fraction arithmetic: the model from its
+    roots (or, for k = 2, from the real root and the norm of the complex
+    pair) and the marked points, each checked by `fraction_residual`."""
+    a, b, c = params.a, params.b, params.c
+    four_b2 = 4 * b * b
+    if params.k == 0:
+        curve = _fraction_curve_from_roots([-four_b2, (c - a) ** 2, (c + a) ** 2])
+        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
+        torsion = {
+            "p1": ECPoint.affine(-four_b2, 0),
+            "p2": ECPoint.affine((c - a) ** 2, 0),
+            "p3": ECPoint.affine((c + a) ** 2, 0),
+        }
+        neutral = None
+    elif params.k == 2:
+        cc_aa = c * c - a * a
+        norm2 = (c * c + a * a) ** 2
+        curve = WeierstrassCurve(
+            c2=four_b2 - 2 * cc_aa,
+            c1=norm2 - 2 * four_b2 * cc_aa,
+            c0=four_b2 * norm2,
+        )
+        p = ECPoint.affine(0, 2 * b * (c * c + a * a))
+        torsion = {"p1": ECPoint.affine(-four_b2, 0)}
+        neutral = None
+    else:
+        curve = _fraction_curve_from_roots(
+            [-four_b2, -((c - a) ** 2), -((c + a) ** 2)])
+        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
+        torsion = {
+            "p1": ECPoint.affine(-four_b2, 0),
+            "p2": ECPoint.affine(-((c + a) ** 2), 0),
+            "p3": ECPoint.affine(-((c - a) ** 2), 0),
+        }
+        neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
+    assert fraction_discriminant(curve.c2, curve.c1, curve.c0) != 0
+    for point in (p, *torsion.values()):
+        assert fraction_residual(curve, point) == 0
+    return QuarticModel(curve=curve, p=p, two_torsion=torsion,
+                        neutral_two_torsion=neutral)
+
+
+def _fraction_curve_from_roots(roots: list[Fraction]) -> WeierstrassCurve:
+    r1, r2, r3 = roots
+    return WeierstrassCurve(
+        c2=-(r1 + r2 + r3),
+        c1=r1 * r2 + r1 * r3 + r2 * r3,
+        c0=-(r1 * r2 * r3),
+    )
 
 
 def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
@@ -728,6 +785,32 @@ def _intersection_cubic(curve: WeierstrassCurve, m: Fraction,
     are the abscissas of the line-curve intersections."""
     return UniPoly([curve.c0 - q0 * q0, curve.c1 - 2 * m * q0,
                     curve.c2 - m * m, 1])
+
+
+def fraction_discriminant(c2: Fraction, c1: Fraction, c0: Fraction) -> Fraction:
+    """The discriminant of v^3 + c2 v^2 + c1 v + c0 in Fractions."""
+    return (18 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2
+            - 4 * c1 ** 3 - 27 * c0 ** 2)
+
+
+def fraction_residual(curve: WeierstrassCurve, point: ECPoint) -> Fraction:
+    """u^2 - (v^3 + c2 v^2 + c1 v + c0) in Fractions; 0 at infinity."""
+    if point.is_infinity:
+        return Fraction(0)
+    v, u = point.v, point.u
+    return u * u - (((v + curve.c2) * v + curve.c1) * v + curve.c0)
+
+
+def stepwise_torsion_order(curve: WeierstrassCurve, p: ECPoint,
+                           bound: int) -> int | None:
+    """The smallest n <= min(bound, 12) with nP = Infinity, by adding P
+    to itself with `chord_add` up to that bound and nothing else."""
+    acc = INFINITY
+    for n in range(1, min(bound, 12) + 1):
+        acc = chord_add(curve, acc, p)
+        if acc.is_infinity:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,21 @@ class TestEc:
                            "torsion", "(0,0)", "--bound", "1000")
         assert payload["result"] == {"order": 2}
 
+    def test_torsion_search_stops_at_first_non_integral_multiple(self, capsys):
+        # c2 = 10^4299, the most digits the parser accepts: 2p = (-c2, -1)
+        # is integral but 3p is not, so Nagell-Lutz rules torsion out at
+        # 3p; the 12-step search took about 24 s on this input
+        curve = "--curve=1" + "0" * (MAX_COEFFICIENT_DIGITS - 1) + ",0,1"
+        for as_json in ((), ("--json",)):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "ec", curve, "torsion", "(0,1)", *as_json)
+            assert time.perf_counter() - started < 1.0
+            assert code == 0, err
+            if as_json:
+                assert json.loads(out)["result"] == {"not_torsion_within": 12}
+            else:
+                assert out == "NotTorsionWithin(12)\n"
+
     def test_torsion_verdicts(self, capsys):
         payload = run_json(capsys, "ec", "--curve", self.TWO_TORSION_CURVE,
                            "torsion", "(0,0)")

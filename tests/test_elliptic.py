@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcurves import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                         WeierstrassCurve, ec_add, ec_double, multiple,
                         torsion_order_bounded)
 
-from oracles import (chord_add, nagell_lutz_excludes_torsion,
-                     random_curve_with_points, tangent_double)
+from oracles import (chord_add, fraction_discriminant, fraction_residual,
+                     nagell_lutz_excludes_torsion, random_curve_with_points,
+                     stepwise_torsion_order, tangent_double)
+
+F = Fraction
 
 # u^2 = v(v-1)(v+4) = v^3 + 3v^2 - 4v
 CURVE_014 = WeierstrassCurve(c2=3, c1=-4, c0=0)
@@ -138,9 +143,122 @@ class TestTorsion:
                     for smaller in range(1, order):
                         assert multiple(curve, smaller, p) != INFINITY
 
+    def test_matches_stepwise_search(self):
+        # torsion points of every order Mazur allows, their multiples,
+        # points of infinite order, all on rational curves; the
+        # Nagell-Lutz exit must never change the answer
+        cases = [(CURVE_014, INFINITY)]
+        cases += [(CURVE_014, p) for p in TWO_TORSION_014]
+        for a1, a3 in ((F(1), F(1)), (F(1, 2), F(-3)), (F(-4, 3), F(5, 7))):
+            # y^2 + a1 xy + a3 y = x^3: (0, 0) has order 3
+            curve = WeierstrassCurve(a1 * a1 / 4, a1 * a3 / 2, a3 * a3 / 4)
+            cases.append((curve, ECPoint(F(0), a3 / 2)))
+        for order in (4, 5, 6, 7, 8, 9, 10, 12):
+            for t in (F(2), F(-2, 3), F(5, 4), F(7, 3)):
+                curve, p = _tate_normal_form(*_kubert(order, t))
+                assert stepwise_torsion_order(curve, p, 12) == order
+                cases += [(curve, multiple(curve, m, p)) for m in range(1, order)]
+        rng = random.Random(37)
+        for _ in range(30):
+            curve, pts = random_curve_with_points(rng)
+            cases += [(curve, p) for p in pts]
+        orders = set()
+        for curve, p in cases:
+            for bound in (1, 3, 12, 40):
+                expected = stepwise_torsion_order(curve, p, bound)
+                assert torsion_order_bounded(curve, p, bound) == expected
+            orders.add(stepwise_torsion_order(curve, p, 12))
+        assert orders == {None, *range(1, 11), 12}
+
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             torsion_order_bounded(CURVE_014, INFINITY, 0)
+
+
+def _kubert(order: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """Kubert's (b, c) for which (0, 0) on the Tate normal form has the
+    given order, 4 <= order <= 12 and order != 11."""
+    if order == 4:
+        return t, F(0)
+    if order == 5:
+        return t, t
+    if order == 6:
+        return t + t * t, t
+    if order == 7:
+        return t ** 3 - t ** 2, t * t - t
+    if order == 8:
+        b = (2 * t - 1) * (t - 1)
+        return b, b / t
+    if order == 9:
+        c = t * t * (t - 1)
+        return c * (t * t - t + 1), c
+    if order == 10:
+        d = t * t / (t - (t - 1) ** 2)
+    else:
+        m = (3 * t - 3 * t * t - 1) / (t - 1)
+        d = m + t
+        t = m / (1 - t)
+    c = t * d - t
+    return c * d, c
+
+
+def _tate_normal_form(b: Fraction, c: Fraction) -> tuple[WeierstrassCurve, ECPoint]:
+    """y^2 + (1-c)xy - by = x^3 - bx^2 with u = y + ((1-c)x - b)/2, and
+    the image of (0, 0)."""
+    a1 = 1 - c
+    curve = WeierstrassCurve(-b + a1 * a1 / 4, -a1 * b / 2, b * b / 4)
+    return curve, ECPoint(F(0), -b / 2)
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=16)
+
+
+@st.composite
+def _curves_and_points(draw):
+    """Coefficients (c2, c1, c0) and a point: random coefficients, a
+    cubic from roots that often coincide, or a cubic through the point;
+    the point is affine or, now and then, infinity."""
+    v, u = draw(_rationals), draw(_rationals)
+    form = draw(st.sampled_from(("coefficients", "roots", "through")))
+    if form == "coefficients":
+        c2, c1, c0 = draw(_rationals), draw(_rationals), draw(_rationals)
+    elif form == "roots":
+        r1, r2, r3 = draw(st.lists(st.sampled_from((F(-2), F(0), F(1, 2), F(3))),
+                                   min_size=3, max_size=3))
+        c2, c1, c0 = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3)
+    else:
+        c2, c1 = draw(_rationals), draw(_rationals)
+        c0 = u * u - ((v + c2) * v + c1) * v
+    point = INFINITY if draw(st.integers(0, 9)) == 0 else ECPoint(v, u)
+    return (c2, c1, c0), point
+
+
+class TestIntegerChecks:
+    """The curve's discriminant and membership tests run on integers;
+    they must agree with the Fraction formulas exactly."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=_curves_and_points())
+    def test_matches_fraction_formulas(self, case):
+        (c2, c1, c0), point = case
+        disc = fraction_discriminant(c2, c1, c0)
+        if disc == 0:
+            with pytest.raises(SingularCurveError):
+                WeierstrassCurve(c2, c1, c0)
+            return
+        curve = WeierstrassCurve(c2, c1, c0)
+        assert curve.discriminant() == disc
+        residual = fraction_residual(curve, point)
+        assert curve.residual(point) == residual
+        assert curve.contains(point) == (residual == 0)
+        if residual == 0:
+            curve.require(point)
+            return
+        with pytest.raises(OffCurveError) as exc:
+            curve.require(point)
+        assert type(exc.value.residual) is Fraction
+        assert exc.value.residual == residual
+        assert str(exc.value) == f"point {point} is not on the curve; residual {residual}"
 
 
 class TestGuards:

@@ -17,8 +17,9 @@ from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
                             TORSION_EXHAUSTED)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
-from oracles import (fraction_normal_form_quartic, fraction_quartic_normal_form,
-                     has_rational_quadratic_split, poly_mul, shift)
+from oracles import (fraction_build_quartic_model, fraction_normal_form_quartic,
+                     fraction_quartic_normal_form, has_rational_quadratic_split,
+                     poly_mul, shift)
 
 
 def conic_inv(expr):
@@ -215,6 +216,29 @@ class TestModelBuilder:
                 continue
             for pt in [model.p, *model.two_torsion.values()]:
                 assert model.curve.contains(pt)
+
+    def test_matches_fraction_oracle(self):
+        # sampler draws from every box, the same draws over a common
+        # denominator t, and the normal forms of shifted sampler quartics
+        rng = random.Random(89)
+        params = []
+        for k in (0, 2, 4):
+            for pin in (None, "b=0", "a=c"):
+                box = SampleBox(k=k, pin=pin)
+                for _ in range(170):
+                    drawn = draw_params(rng, box)
+                    t = rng.randint(2, 9)
+                    params += [drawn, QuarticParams(k, F(drawn.a, t), F(drawn.b, t),
+                                                    F(drawn.c, t))]
+                for _ in range(40):
+                    h = F(rng.randint(-30, 30), rng.randint(1, 7))
+                    params.append(quartic_normal_form(
+                        shift(draw_params(rng, box).quartic(), h)))
+        assert len(params) >= 3000
+        for param in params:
+            model, oracle = build_quartic_model(param), fraction_build_quartic_model(param)
+            assert model == oracle
+            assert repr(model) == repr(oracle)
 
     def test_neutral_component_flips_with_inequality(self):
         wide = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(5), c=F(2)))
