@@ -41,7 +41,7 @@ from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
                        torsion_order_bounded)
-from .polys import UniPoly, integer_roots_monic, rational_sqrt
+from .polys import UniPoly, as_fraction, integer_roots_monic, rational_sqrt
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -317,7 +317,7 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     discriminant (non-square-free quartics) are rejected by the curve
     constructor.
     """
-    a, b, c = params.a, params.b, params.c
+    a, b, c = as_fraction(params.a), as_fraction(params.b), as_fraction(params.c)
     den = lcm(a.denominator, b.denominator, c.denominator)
     big_a = a.numerator * (den // a.denominator)
     big_b = b.numerator * (den // b.denominator)

@@ -240,6 +240,10 @@ class TestModelBuilder:
             assert model == oracle
             assert repr(model) == repr(oracle)
 
+    def test_inexact_parameters_rejected(self):
+        with pytest.raises(TypeError):
+            build_quartic_model(QuarticParams(k=0, a=0.5, b=F(1), c=F(2)))
+
     def test_neutral_component_flips_with_inequality(self):
         wide = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(5), c=F(2)))
         assert wide.neutral_two_torsion == "p3"  # 4b^2 = 100 > 1
