@@ -396,7 +396,7 @@ class TestEc:
     def test_torsion_search_stops_at_first_non_integral_multiple(self, capsys):
         # c2 = 10^4299, the most digits the parser accepts: 2p = (-c2, -1)
         # is integral but 3p is not, so Nagell-Lutz rules torsion out at
-        # 3p; the 12-step search took about 24 s on this input
+        # 3p; the 12-step search took about 24 s on one 2-CPU Intel Xeon VM
         curve = "--curve=1" + "0" * (MAX_COEFFICIENT_DIGITS - 1) + ",0,1"
         for as_json in ((), ("--json",)):
             started = time.perf_counter()
