@@ -41,7 +41,7 @@ from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
                        torsion_order_bounded)
-from .polys import UniPoly, as_fraction, integer_roots_monic, rational_sqrt
+from .polys import Rational, UniPoly, integer_roots_monic, rational_sqrt
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -86,6 +86,10 @@ class EtaResult(Record):
         return {"eta": self.value, "certificate": self.certificate.to_json()}
 
 
+# bound once: every sampler draw builds a QuarticParams
+_set = object.__setattr__
+
+
 class QuarticParams(Record):
     """Parameters of the normal form of a monic rational quartic:
 
@@ -94,35 +98,51 @@ class QuarticParams(Record):
         k = 4:  ((x+b)^2 - a^2)((x-b)^2 - c^2)
 
     with a, c > 0.  k is the number of real roots of the quartic.
+
+    a, b and c are ints or Fractions, kept as given.  Beside them the
+    constructor keeps their integer form (D, A, B, C), with a, b, c =
+    A/D, B/D, C/D over the lcm D of their denominators (a private slot,
+    not part of equality or the repr); the validity checks run on it,
+    and `quartic` and `build_quartic_model` read it.
     """
 
-    __slots__ = _fields = ("k", "a", "b", "c")
+    _fields = ("k", "a", "b", "c")
+    __slots__ = _fields + ("_integral",)
 
-    def __init__(self, k: int, a: Fraction, b: Fraction, c: Fraction):
+    def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
         if k not in (0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
-        if a <= 0 or c <= 0:
+        if type(a) is int and type(b) is int and type(c) is int:
+            den = 1
+            big_a, big_b, big_c = a, b, c
+        else:
+            for x in (a, b, c):
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+            den = lcm(a.denominator, b.denominator, c.denominator)
+            big_a = a.numerator * (den // a.denominator)
+            big_b = b.numerator * (den // b.denominator)
+            big_c = c.numerator * (den // c.denominator)
+        if big_a <= 0 or big_c <= 0:
             raise ValueError("a and c must be positive")
         # square-freeness of the induced quartic
-        if k == 0 and b == 0 and a == c:
+        if k == 0 and big_b == 0 and big_a == big_c:
             raise ValueError("repeated complex roots (b = 0 with a = c)")
-        if k == 4 and 2 * abs(b) in (abs(c - a), c + a):
+        if k == 4 and 2 * abs(big_b) in (abs(big_c - big_a), big_c + big_a):
             raise ValueError("repeated real roots (2b in {+-(c-a), +-(c+a)})")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set(self, "k", k)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "_integral", (den, big_a, big_b, big_c))
 
     def quartic(self) -> UniPoly:
         """Expand the normal form back into the quartic polynomial
 
             x^4 + (m + n - 4b^2) x^2 + 2b(n - m) x + mn
 
-        with m = b^2 +- a^2 and n = b^2 +- c^2, in integers over the
-        fourth power of a common denominator of a, b and c."""
-        den = self.a.denominator * self.b.denominator * self.c.denominator
-        a, b, c = (x.numerator * (den // x.denominator)
-                   for x in (self.a, self.b, self.c))
+        with m = b^2 +- a^2 and n = b^2 +- c^2, in integers over D^4."""
+        den, a, b, c = self._integral
         m = b * b + (a * a if self.k != 4 else -a * a)
         n = b * b + (c * c if self.k == 0 else -c * c)
         return UniPoly.from_integers([m * n, 2 * b * (n - m) * den,
@@ -309,19 +329,15 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
         k = 4: u^2 = (v + 4b^2)(v + (c-a)^2)(v + (c+a)^2)
 
     p = (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
-    The model is computed in integers: with a, b, c = A/D, B/D, C/D over
-    the lcm D of their denominators, v-values (the roots and c2) are
-    integers over D^2, c1 over D^4, c0 over D^6 and u-values over D^3,
-    and each coordinate becomes a Fraction once.  Every marked point is
+    The model is computed in integers from the params' integer form
+    a, b, c = A/D, B/D, C/D: v-values (the roots and c2) are integers
+    over D^2, c1 over D^4, c0 over D^6 and u-values over D^3, and each
+    coordinate becomes a Fraction once.  Every marked point is
     verified to lie on the curve; configurations with vanishing
     discriminant (non-square-free quartics) are rejected by the curve
     constructor.
     """
-    a, b, c = as_fraction(params.a), as_fraction(params.b), as_fraction(params.c)
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    big_a = a.numerator * (den // a.denominator)
-    big_b = b.numerator * (den // b.denominator)
-    big_c = c.numerator * (den // c.denominator)
+    den, big_a, big_b, big_c = params._integral
     den2 = den * den
     den3 = den2 * den
     four_b2 = 4 * big_b * big_b

@@ -23,9 +23,13 @@ whole real line is covered by reading V at -oo and +oo, where each
 element has the sign of its leading coefficient, times (-1)^degree at
 -oo, so nothing is evaluated.
 
-Integer roots of the resolvent cubic need no Sturm chain: its critical
-points split the line into monotone runs, each searched by integer
-bisection on the sign of the cubic itself.
+Integer roots of the resolvent cubic need no Sturm chain.  Its roots lie
+inside Fujiwara's bound 2*max(|c2|, |c1|^(1/2), |c0|^(1/3)), rounded up
+to a power of two from the coefficients' bit lengths, and its critical
+points split that bracket into monotone runs, searched from the right
+by integer bisection on the sign of the cubic itself.  The first
+integer root deflates the cubic to a quadratic, whose roots come from
+an exact `isqrt` of its discriminant, so no other run is searched.
 """
 
 from __future__ import annotations
@@ -288,11 +292,16 @@ def integer_roots_monic(coeffs: Sequence[int]) -> list[int]:
     given by its coefficients in ascending order.
 
     Every rational root of such a polynomial is an integer (rational
-    root theorem).  The critical points, (-c2 +- sqrt(c2^2 - 3*c1))/3
-    for degree 3 and -c1/2 for degree 2, are bracketed between integers
-    (through isqrt) where p is evaluated directly; each monotone run
-    between the brackets and the Cauchy bound +-(1 + max|c_i|) is
-    searched by integer bisection on the sign of p.  Degree above 3
+    root theorem).  A quadratic's roots are read off an exact `isqrt` of
+    its discriminant.  A cubic's roots lie inside Fujiwara's bound
+    2*max(|c2|, |c1|^(1/2), |c0|^(1/3)), taken as the power of two 2^(e+1)
+    with every term below 2^e, read off `bit_length()`.  Its critical
+    points, (-c2 +- sqrt(c2^2 - 3*c1))/3, are bracketed between integers
+    (through isqrt) where p is evaluated directly, and the monotone runs
+    between the brackets and +-2^(e+1) are searched by integer bisection
+    on the sign of p, the rightmost first.  The first integer root r
+    found deflates the cubic to the quadratic p/(z - r), which gives the
+    other roots; the remaining runs are not searched.  Degree above 3
     raises ValueError.
     """
     if not coeffs:
@@ -304,43 +313,64 @@ def integer_roots_monic(coeffs: Sequence[int]) -> list[int]:
     degree = len(coeffs) - 1
     if degree > 3:
         raise ValueError("polynomial must have degree at most 3")
-    coeffs = coeffs[::-1]  # descending
+    if degree == 2:
+        return _quadratic_roots(coeffs[1], coeffs[0])
+    if degree < 2:
+        return [-coeffs[0]] if degree else []
+    c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
 
     def value_at(n: int) -> int:
-        acc = 0
-        for c in coeffs:
-            acc = acc * n + c
-        return acc
+        return ((n + c2) * n + c1) * n + c0
 
-    bound = 1 + max((abs(c) for c in coeffs[1:]), default=0)
+    def deflated(root: int) -> list[int]:
+        # p = (z - root)(z^2 + q1 z + q0) with p(root) = 0
+        q1 = c2 + root
+        return sorted({root, *_quadratic_roots(q1, c1 + root * q1)})
+
+    # |c2| < 2^e, |c1| < 2^(2e) and |c0| < 2^(3e), so every root has
+    # |z| < 2^(e+1); the critical points lie inside too (Gauss-Lucas)
+    exponent = max(abs(c2).bit_length(), -(-abs(c1).bit_length() // 2),
+                   -(-abs(c0).bit_length() // 3))
+    bound = 2 << exponent
     points = {-bound, bound}
-    if degree == 2:
-        c1 = coeffs[1]
-        points.update(range(-c1 // 2, -(c1 // 2) + 1))
-    elif degree == 3:
-        c2, c1 = coeffs[1], coeffs[2]
-        disc = c2 * c2 - 3 * c1
-        if disc >= 0:
-            s = isqrt(disc)
-            # each critical point lies in ((centre - 1)/3, (centre + 1)/3)
-            for centre in (-c2 - s, -c2 + s):
-                points.update(range((centre - 1) // 3, -((-centre - 1) // 3) + 1))
-    ends = sorted(points)
-    values = [value_at(n) for n in ends]
-    roots = [n for n, v in zip(ends, values) if v == 0]
+    disc = c2 * c2 - 3 * c1
+    if disc >= 0:
+        s = isqrt(disc)
+        # each critical point lies in ((centre - 1)/3, (centre + 1)/3)
+        for centre in (-c2 - s, -c2 + s):
+            points.update(range((centre - 1) // 3, -((-centre - 1) // 3) + 1))
     # no critical point lies strictly between consecutive ends, so p is
-    # strictly monotone there and a sign change brackets exactly one root
-    for lo, hi, v_lo, v_hi in zip(ends, ends[1:], values, values[1:]):
-        if hi - lo < 2 or v_lo * v_hi >= 0:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = value_at(mid)
-            if v_mid == 0:
-                roots.append(mid)
-                break
-            if (v_mid < 0) == (v_lo < 0):
-                lo = mid
-            else:
-                hi = mid
-    return sorted(roots)
+    # strictly monotone there and a sign change brackets exactly one root;
+    # the ends are read from the right, from the largest, beyond every root
+    ends = sorted(points, reverse=True)
+    hi, v_hi = ends[0], value_at(ends[0])
+    for lo in ends[1:]:
+        v_lo = value_at(lo)
+        if v_lo == 0:
+            return deflated(lo)
+        if hi - lo > 1 and (v_lo < 0) != (v_hi < 0):
+            left, right = lo, hi
+            while right - left > 1:
+                mid = (left + right) // 2
+                v_mid = value_at(mid)
+                if v_mid == 0:
+                    return deflated(mid)
+                if (v_mid < 0) == (v_lo < 0):
+                    left = mid
+                else:
+                    right = mid
+        hi, v_hi = lo, v_lo
+    return []
+
+
+def _quadratic_roots(c1: int, c0: int) -> list[int]:
+    """The integer roots of z^2 + c1*z + c0, in ascending order: both are
+    integers when the discriminant is an integer square, whose root then
+    has the parity of c1, and neither is rational otherwise."""
+    disc = c1 * c1 - 4 * c0
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    return sorted({(-c1 - s) // 2, (-c1 + s) // 2})

@@ -36,7 +36,7 @@ from realcurves.eta import QuarticModel
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
 from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
-from realcurves.polys import is_square_free, rational_sqrt, sign_variations
+from realcurves.polys import rational_sqrt, sign_variations
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +912,7 @@ def random_squarefree_poly(rng: random.Random, max_degree: int = 8,
         coeffs.append(rng.choice([c for c in range(-coeff_bound, coeff_bound + 1)
                                   if c != 0]))
         p = UniPoly(coeffs)
-        if is_square_free(p):
+        if fraction_poly_gcd(p, derivative(p)).degree == 0:
             return p
 
 

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -80,6 +82,15 @@ class TestNormalForm:
         shifted = shift(base.quartic(), F(-7, 2))  # translate x
         params = quartic_normal_form(shifted)
         assert params == base
+
+    def test_thousand_digit_parameters_recovered_quickly(self):
+        rng = random.Random(1009)
+        a, b, c = (rng.randrange(10 ** 999, 10 ** 1000) for _ in range(3))
+        params = QuarticParams(2, a, b, c)
+        q = params.quartic()
+        started = time.perf_counter()
+        assert quartic_normal_form(q) == params
+        assert time.perf_counter() - started < 10.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -243,6 +254,23 @@ class TestModelBuilder:
     def test_inexact_parameters_rejected(self):
         with pytest.raises(TypeError):
             build_quartic_model(QuarticParams(k=0, a=0.5, b=F(1), c=F(2)))
+
+    @pytest.mark.parametrize("a, b, c", [(0.5, 1, 2), (1, 0.5, 2), (1, 1, 2.0),
+                                         ("1/2", 1, 2), (None, 1, 2)])
+    def test_constructor_rejects_non_rational_parameters(self, a, b, c):
+        with pytest.raises(TypeError):
+            QuarticParams(0, a, b, c)
+
+    def test_integer_form_matches_parameters(self):
+        # equal params over ints and Fractions share one integer form
+        for args in ((4, 7, -3, 5), (0, F(1, 2), F(1, 3), F(3, 2)),
+                     (2, 6, F(5, 4), 1), (4, F(10, 2), 0, F(3))):
+            params = QuarticParams(*args)
+            den, big_a, big_b, big_c = params._integral
+            assert (F(big_a, den), F(big_b, den), F(big_c, den)) == args[1:]
+            assert den == lcm(*(F(x).denominator for x in args[1:]))
+            assert params == QuarticParams(args[0], *map(F, args[1:]))
+            assert params.quartic() == fraction_normal_form_quartic(params)
 
     def test_neutral_component_flips_with_inequality(self):
         wide = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(5), c=F(2)))

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -304,6 +304,109 @@ class TestIntegerRootsAgainstOracle:
         for p in cubics:
             assert len(p) == 4 and all(type(c) is int for c in p), p
             assert integer_roots_monic(p) == sturm_integer_roots(UniPoly(p)), p
+
+
+def cubic_with_roots(*roots: int) -> UniPoly:
+    p = P(1)
+    for r in roots:
+        p = poly_mul(p, P(-r, 1))
+    return p
+
+
+def recorded_resolvents(monkeypatch) -> list[tuple[int, ...]]:
+    """The list that collects every cubic `quartic_normal_form` hands to
+    `integer_roots_monic` from now on."""
+    cubics = []
+
+    def recorded(p, _original=integer_roots_monic):
+        cubics.append(p)
+        return _original(p)
+
+    monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
+    return cubics
+
+
+class TestIntegerRootsByShape:
+    """integer_roots_monic (Fujiwara bracket, deflation at the first root)
+    against Sturm bisection on cubics of each shape the deflation meets:
+    the first root found may be any of three, the only one, or none."""
+
+    def test_three_integer_roots(self):
+        # repeated roots, 0 and +-10^k among them
+        rng = random.Random(4409)
+        for _ in range(400):
+            pool = [0, rng.randint(-10 ** 6, 10 ** 6)] + \
+                [sign * 10 ** rng.randint(0, 60) for sign in (1, -1)]
+            roots = [rng.choice(pool) for _ in range(3)]
+            p = cubic_with_roots(*roots)
+            found = integer_roots_monic(integer_coeffs(p))
+            assert found == sturm_integer_roots(p) == sorted(set(roots)), roots
+
+    def test_one_integer_root_times_irreducible_quadratic(self):
+        rng = random.Random(4421)
+        shapes = 0
+        while shapes < 400:
+            magnitude = 10 ** rng.choice((1, 3, 8, 20, 40))
+            c1, c0 = rng.randint(-magnitude, magnitude), rng.randint(-magnitude, magnitude)
+            disc = c1 * c1 - 4 * c0
+            if disc >= 0 and isqrt(disc) ** 2 == disc:
+                continue  # the quadratic splits over Q
+            root = rng.choice((0, rng.randint(-magnitude, magnitude),
+                               -(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40)))
+            p = poly_mul(P(c0, c1, 1), P(-root, 1))
+            assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p) \
+                == [root], p
+            shapes += 1
+
+    def test_no_integer_root(self):
+        rng = random.Random(4423)
+        cubics = []
+        # three real roots, none an integer: prod(z - r_i) = -1 needs
+        # |z - r_i| = 1 for three distinct r_i, and a spacing of 2 keeps
+        # both local extrema away from -1
+        while len(cubics) < 150:
+            magnitude = 10 ** rng.choice((1, 3, 8, 20))
+            roots = sorted(rng.randint(-magnitude, magnitude) for _ in range(3))
+            if roots[1] - roots[0] >= 2 and roots[2] - roots[1] >= 2:
+                cubics.append(poly_add(cubic_with_roots(*roots), P(1)))
+        # irreducible z^3 - n, and random cubics with no integer root
+        cubics += [P(-n, 0, 0, 1) for n in (2, 3, 10 ** 30 + 1, -(10 ** 45) + 7)]
+        while len(cubics) < 400:
+            magnitude = 10 ** rng.choice((1, 3, 8, 20))
+            p = P(*[rng.randint(-magnitude, magnitude) for _ in range(3)], 1)
+            if not sturm_integer_roots(p):
+                cubics.append(p)
+        for p in cubics:
+            assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p) \
+                == [], p
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_sampler_resolvents_for_each_k(self, monkeypatch, k):
+        cubics = recorded_resolvents(monkeypatch)
+        rng = random.Random(4441 + k)
+        for pin, draws in ((None, 300), ("b=0", 100), ("a=c", 100)):
+            box = SampleBox(k=k, pin=pin)
+            for _ in range(draws):
+                assert quartic_normal_form(draw_params(rng, box).quartic()) is not None
+        assert len(cubics) == 500
+        for p in cubics:
+            found = integer_roots_monic(p)
+            assert found and found == sturm_integer_roots(UniPoly(p)), p
+
+    def test_resolvents_of_300_digit_normal_forms(self, monkeypatch):
+        cubics = recorded_resolvents(monkeypatch)
+        rng = random.Random(4447)
+        for k in (0, 2, 4):
+            a, b, c = (Fraction(rng.randrange(10 ** 299, 10 ** 300), rng.randint(1, 6))
+                       for _ in range(3))
+            params = QuarticParams(k, a, b, c)
+            h = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            assert quartic_normal_form(shift(params.quartic(), h)) is not None
+        assert len(cubics) == 3
+        for p in cubics:
+            assert min(len(str(abs(c))) for c in p[:3]) > 600
+            found = integer_roots_monic(p)
+            assert found and found == sturm_integer_roots(UniPoly(p)), p
 
 
 class TestRationalSqrt:
