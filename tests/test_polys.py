@@ -270,6 +270,19 @@ def random_monic(rng: random.Random, degree: int, magnitude: int) -> UniPoly:
     return p
 
 
+def recorded_resolvents(monkeypatch) -> list[tuple[int, ...]]:
+    """The list that collects every cubic `quartic_normal_form` hands to
+    `integer_roots_monic` from now on."""
+    cubics = []
+
+    def recorded(p, _original=integer_roots_monic):
+        cubics.append(p)
+        return _original(p)
+
+    monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
+    return cubics
+
+
 class TestIntegerRootsAgainstOracle:
     """integer_roots_monic (monotone runs) against Sturm bisection on
     half-integers."""
@@ -282,25 +295,21 @@ class TestIntegerRootsAgainstOracle:
             assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p), p
 
     def test_resolvent_cubics_of_sampler_quartics(self, monkeypatch):
-        cubics = []
-
-        def recorded(p, _original=integer_roots_monic):
-            cubics.append(p)
-            return _original(p)
-
-        monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
+        cubics = recorded_resolvents(monkeypatch)
         rng = random.Random(3067)
+        ks = set()
         for pin, draws in ((None, 1000), ("b=0", 500), ("a=c", 500)):
             box = SampleBox(pin=pin)
             for _ in range(draws):
                 params = draw_params(rng, box)
+                ks.add(params.k)
                 t = rng.randint(1, 6)
                 scaled = QuarticParams(k=params.k, a=Fraction(params.a, t),
                                        b=Fraction(params.b, t),
                                        c=Fraction(params.c, t))
                 h = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
                 assert quartic_normal_form(shift(scaled.quartic(), h)) is not None
-        assert len(cubics) == 2000
+        assert len(cubics) == 2000 and ks == {0, 2, 4}
         for p in cubics:
             assert len(p) == 4 and all(type(c) is int for c in p), p
             assert integer_roots_monic(p) == sturm_integer_roots(UniPoly(p)), p
@@ -311,19 +320,6 @@ def cubic_with_roots(*roots: int) -> UniPoly:
     for r in roots:
         p = poly_mul(p, P(-r, 1))
     return p
-
-
-def recorded_resolvents(monkeypatch) -> list[tuple[int, ...]]:
-    """The list that collects every cubic `quartic_normal_form` hands to
-    `integer_roots_monic` from now on."""
-    cubics = []
-
-    def recorded(p, _original=integer_roots_monic):
-        cubics.append(p)
-        return _original(p)
-
-    monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
-    return cubics
 
 
 class TestIntegerRootsByShape:
@@ -341,6 +337,17 @@ class TestIntegerRootsByShape:
             p = cubic_with_roots(*roots)
             found = integer_roots_monic(integer_coeffs(p))
             assert found == sturm_integer_roots(p) == sorted(set(roots)), roots
+
+    def test_only_root_near_the_bound(self):
+        # (z - 2r)((z + r)^2 + 1): c2 = 0, c1 = -3r^2 + 1, c0 = -2r^3 - 2r,
+        # so the one real root 2r is about 2/sqrt(3) times Fujiwara's max
+        # and no second integer root can stand in for it
+        rng = random.Random(4417)
+        for r in [*range(1, 300), *(rng.randint(1, 10 ** 40) for _ in range(100))]:
+            for sign in (1, -1):
+                p = poly_mul(P(-2 * sign * r, 1), P(r * r + 1, 2 * sign * r, 1))
+                assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p) \
+                    == [2 * sign * r], p
 
     def test_one_integer_root_times_irreducible_quadratic(self):
         rng = random.Random(4421)
@@ -379,19 +386,6 @@ class TestIntegerRootsByShape:
         for p in cubics:
             assert integer_roots_monic(integer_coeffs(p)) == sturm_integer_roots(p) \
                 == [], p
-
-    @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_sampler_resolvents_for_each_k(self, monkeypatch, k):
-        cubics = recorded_resolvents(monkeypatch)
-        rng = random.Random(4441 + k)
-        for pin, draws in ((None, 300), ("b=0", 100), ("a=c", 100)):
-            box = SampleBox(k=k, pin=pin)
-            for _ in range(draws):
-                assert quartic_normal_form(draw_params(rng, box).quartic()) is not None
-        assert len(cubics) == 500
-        for p in cubics:
-            found = integer_roots_monic(p)
-            assert found and found == sturm_integer_roots(UniPoly(p)), p
 
     def test_resolvents_of_300_digit_normal_forms(self, monkeypatch):
         cubics = recorded_resolvents(monkeypatch)
