@@ -24,10 +24,10 @@ of signs, which is exact for polynomials with all roots real.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._record import Record
-from .polys import UniPoly, count_real_roots, format_terms, sign_variations
+from .polys import (UniPoly, count_real_roots, format_terms, integer_form,
+                    sign_variations)
 
 
 class HypothesisError(ValueError):
@@ -237,13 +237,12 @@ def classify_conic(spec: ConicSpec) -> ConicClass:
     real parallel line pairs) are rejected: they are not smooth
     connected curves.
 
-    The quadratic-form matrices are scaled by 2*lcm of the six
-    denominators, a positive integer, which makes them integer matrices
-    with the same signatures.
+    The quadratic-form matrices are scaled by twice the common
+    denominator of `polys.integer_form`, a positive integer, which makes
+    them integer matrices with the same signatures.
     """
-    coeffs = (spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0)
-    scale = lcm(*(v.denominator for v in coeffs))
-    a, b, c, d, e, f = (v.numerator * (scale // v.denominator) for v in coeffs)
+    _, (a, b, c, d, e, f) = integer_form(
+        (spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0))
 
     if a == 0 and b == 0 and c == 0:
         return ConicClass(LINE, _genus_zero(1, 0, 1, 0))

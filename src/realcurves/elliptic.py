@@ -11,21 +11,21 @@ residual of the curve equation, and then iterate with the unchecked
 group law `_add`.
 
 A curve keeps its coefficients as Fractions and, beside them, as
-integers N2, N1, N0 over L, the lcm of their denominators.  The
-discriminant and the membership test run on those integers; a Fraction
-is built only for `discriminant()`, `residual()` or an error.  The same
-L gives the integral model v -> L^2 v, u -> L^3 u, on which every
-rational torsion point has integer coordinates (Nagell-Lutz), so the
-torsion search stops at the first multiple without them.
+integers N2, N1, N0 over L, the lcm of their denominators, from
+`polys.integer_form`.  The discriminant and the membership test run on
+those integers; a Fraction is built only for the residual that an
+`OffCurveError` carries.  The same L gives the integral model
+v -> L^2 v, u -> L^3 u, on which every rational torsion point has
+integer coordinates (Nagell-Lutz), so the torsion search stops at the
+first multiple without them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._record import Record
-from .polys import as_fraction
+from .polys import as_fraction, integer_form
 
 
 class SingularCurveError(ValueError):
@@ -83,12 +83,9 @@ class WeierstrassCurve(Record):
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c0", c0)
-        scale = lcm(c2.denominator, c1.denominator, c0.denominator)
+        scale, numerators = integer_form((c2, c1, c0))
         # (L, N2, N1, N0) with c_i = N_i / L
-        object.__setattr__(self, "_integral", (
-            scale, c2.numerator * (scale // c2.denominator),
-            c1.numerator * (scale // c1.denominator),
-            c0.numerator * (scale // c0.denominator)))
+        object.__setattr__(self, "_integral", (scale, *numerators))
         if self._scaled_discriminant() == 0:
             raise SingularCurveError(f"cubic has a repeated root: {self}")
 
@@ -98,15 +95,9 @@ class WeierstrassCurve(Record):
         return (18 * n2 * n1 * n0 * scale - 4 * n2 ** 3 * n0 + n2 * n2 * n1 * n1
                 - 4 * n1 ** 3 * scale - 27 * n0 * n0 * scale * scale)
 
-    def discriminant(self) -> Fraction:
-        return Fraction(self._scaled_discriminant(), self._integral[0] ** 4)
-
-    def rhs(self, v: Fraction) -> Fraction:
-        return ((v + self.c2) * v + self.c1) * v + self.c0
-
     def _scaled_residual(self, point: ECPoint) -> tuple[int, int]:
-        """u^2 - rhs(v) as an integer numerator over a positive
-        denominator: for v = a/d and u = e/f that is
+        """u^2 - (v^3 + c2 v^2 + c1 v + c0) as an integer numerator over
+        a positive denominator: for v = a/d and u = e/f that is
         e^2 d^3 L - f^2 (a^3 L + N2 a^2 d + N1 a d^2 + N0 d^3) over
         f^2 d^3 L, not reduced."""
         if point.is_infinity:
@@ -120,9 +111,6 @@ class WeierstrassCurve(Record):
         num = e * e * d3 * scale - ff * (((a * scale + n2 * d) * a + n1 * d2) * a
                                           + n0 * d3)
         return num, ff * d3 * scale
-
-    def residual(self, point: ECPoint) -> Fraction:
-        return Fraction(*self._scaled_residual(point))
 
     def contains(self, point: ECPoint) -> bool:
         return self._scaled_residual(point)[0] == 0

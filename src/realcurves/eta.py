@@ -34,14 +34,15 @@ re-checkable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd
 
 from ._record import Record
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
                        torsion_order_bounded)
-from .polys import Rational, UniPoly, integer_roots_monic, rational_sqrt
+from .polys import (Rational, UniPoly, exact_isqrt, integer_form,
+                    integer_roots_monic, rational_sqrt)
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -100,10 +101,11 @@ class QuarticParams(Record):
     with a, c > 0.  k is the number of real roots of the quartic.
 
     a, b and c are ints or Fractions, kept as given.  Beside them the
-    constructor keeps their integer form (D, A, B, C), with a, b, c =
-    A/D, B/D, C/D over the lcm D of their denominators (a private slot,
-    not part of equality or the repr); the validity checks run on it,
-    and `quartic` and `build_quartic_model` read it.
+    constructor keeps their integer form (D, A, B, C) from
+    `polys.integer_form`, with a, b, c = A/D, B/D, C/D over the lcm D of
+    their denominators (a private slot, not part of equality or the
+    repr); the validity checks run on it, and `quartic` and
+    `build_quartic_model` read it.
     """
 
     _fields = ("k", "a", "b", "c")
@@ -112,17 +114,10 @@ class QuarticParams(Record):
     def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
         if k not in (0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
-        if type(a) is int and type(b) is int and type(c) is int:
-            den = 1
-            big_a, big_b, big_c = a, b, c
-        else:
-            for x in (a, b, c):
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-            den = lcm(a.denominator, b.denominator, c.denominator)
-            big_a = a.numerator * (den // a.denominator)
-            big_b = b.numerator * (den // b.denominator)
-            big_c = c.numerator * (den // c.denominator)
+        for x in (a, b, c):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        den, (big_a, big_b, big_c) = integer_form((a, b, c))
         if big_a <= 0 or big_c <= 0:
             raise ValueError("a and c must be positive")
         # square-freeness of the induced quartic
@@ -268,7 +263,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     # (u = 2sb, constant of the (y+sb) factor, constant of the (y-sb) factor)
     assignments: list[tuple[int, int, int]] = []
     if big_c == 0:
-        sq = _exact_isqrt(c1)
+        sq = exact_isqrt(c1)
         if sq is not None:
             # sq = P mod 2, so both constants are integers
             v = (big_p - sq) // 2
@@ -277,7 +272,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
             if v != w:
                 assignments.append((0, w, v))
     for z in integer_roots_monic((c0, c1, c2, 1)):
-        u = _exact_isqrt(z)
+        u = exact_isqrt(z)
         if not u:
             continue
         v = (big_p + z - big_c // u) // 2
@@ -292,7 +287,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         d_minus = 4 * m_minus - u * u
         if d_plus < 0 < d_minus:
             continue
-        a, c = _exact_isqrt(abs(d_plus)), _exact_isqrt(abs(d_minus))
+        a, c = exact_isqrt(abs(d_plus)), exact_isqrt(abs(d_minus))
         if not a or not c:
             continue
         candidates.add((a, u, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
@@ -307,14 +302,6 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         raise InternalInconsistencyError("normal form failed to reproduce the quartic")
     return QuarticParams(k=k, a=Fraction(a, 2 * s), b=Fraction(u, 2 * s),
                          c=Fraction(c, 2 * s))
-
-
-def _exact_isqrt(n: int) -> int | None:
-    """The square root of n when n is the square of an integer, else None."""
-    if n < 0:
-        return None
-    root = isqrt(n)
-    return root if root * root == n else None
 
 
 # ---------------------------------------------------------------------------

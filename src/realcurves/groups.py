@@ -45,29 +45,6 @@ class GroupDescriptor(Record):
         object.__setattr__(self, "zn", zn)
         object.__setattr__(self, "z2", z2)
 
-    @property
-    def is_trivial(self) -> bool:
-        return (self.free_rank == 0 and self.qz == 0 and self.z4 == 0
-                and self.zn is None and self.z2 == 0)
-
-    def direct_sum(self, other: "GroupDescriptor") -> "GroupDescriptor":
-        """Field-wise addition; commutative and associative by construction."""
-        if self.zn is not None and other.zn is not None and self.zn[0] != other.zn[0]:
-            raise ValueError("cannot merge Z/n summands with different moduli")
-        if self.zn is None:
-            zn = other.zn
-        elif other.zn is None:
-            zn = self.zn
-        else:
-            zn = (self.zn[0], self.zn[1] + other.zn[1])
-        return GroupDescriptor(
-            free_rank=self.free_rank + other.free_rank,
-            qz=self.qz + other.qz,
-            z4=self.z4 + other.z4,
-            zn=zn,
-            z2=self.z2 + other.z2,
-        )
-
     def format(self) -> str:
         """Deterministic display, summands in the fixed order
         Z, Q/Z, Z/4, Z/n, Z/2; the trivial group prints '0'."""
@@ -94,6 +71,12 @@ class GroupDescriptor(Record):
 
     def __str__(self) -> str:
         return self.format()
+
+
+def group_json(g: GroupDescriptor) -> dict:
+    """A group as it appears in a report: the structured descriptor and
+    its display string."""
+    return {"group": g.to_json(), "display": g.format()}
 
 
 def _summand(symbol: str, count: int, bare: bool = False) -> list[str]:

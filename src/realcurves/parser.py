@@ -94,9 +94,9 @@ _ZERO: Poly = ({}, 1)
 
 
 def _poly_add(p: Poly, q: Poly) -> Poly:
-    """p + q over lcm(den p, den q) = den p * den q / g, then cancelled by
-    gcd(content, g): a prime of one denominator only cannot divide the
-    content of the sum (Henrici's rule for Fraction sums)."""
+    """p + q over the lcm of den p and den q, den p * den q / g, then
+    cancelled by gcd(content, g): a prime of one denominator only cannot
+    divide the content of the sum (Henrici's rule for Fraction sums)."""
     (pn, pd), (qn, qd) = p, q
     g = gcd(pd, qd)
     sp, sq = qd // g, pd // g
@@ -316,7 +316,7 @@ def parse_curve(text: str) -> CurveSpec:
     rhs = _parse(rhs_text, rhs_offset)
 
     if not rhs[0]:  # "... = 0"
-        return conic_from_bipoly(lhs, position=0)
+        return conic_from_bipoly(lhs)
     if lhs == {(0, 2): Fraction(1)}:
         q = _to_unipoly_in_x(rhs, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
@@ -324,12 +324,12 @@ def parse_curve(text: str) -> CurveSpec:
         "left-hand side must be y^2, or the right-hand side must be 0", 0)
 
 
-def conic_from_bipoly(p: BiPoly, position: int = 0) -> ConicSpec:
+def conic_from_bipoly(p: BiPoly) -> ConicSpec:
     if not p:
-        raise ParseError("polynomial is identically zero", position)
+        raise ParseError("polynomial is identically zero", 0)
     for (i, j) in p:
         if i + j > 2:
-            raise ParseError("total degree > 2 on the conic path", position)
+            raise ParseError("total degree > 2 on the conic path", 0)
     g = lambda m: p.get(m, Fraction(0))
     return ConicSpec(xx=g((2, 0)), xy=g((1, 1)), yy=g((0, 2)),
                      x1=g((1, 0)), y1=g((0, 1)), c0=g((0, 0)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .curves import CurveInvariants
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, group_json
 
 
 class TwoCandidates(Record):
@@ -39,8 +39,8 @@ class TwoCandidates(Record):
         return {
             "eta_undetermined": True,
             "candidates": {
-                "eta_0": {"group": self.eta0.to_json(), "display": self.eta0.format()},
-                "eta_1": {"group": self.eta1.to_json(), "display": self.eta1.format()},
+                "eta_0": group_json(self.eta0),
+                "eta_1": group_json(self.eta1),
             },
         }
 

@@ -7,6 +7,12 @@ The case analysis downstream (component counts, group structures) is
 discrete, so a single wrong sign would flip an entire output group --
 hence the hard exactness requirement.
 
+`integer_form` brings ints and Fractions to integer numerators over the
+lcm of their denominators, the form that `UniPoly`, `eta.QuarticParams`,
+`elliptic.WeierstrassCurve` and `curves.classify_conic` compute on, and
+`exact_isqrt` is the package's one test of an integer for being a
+square.
+
 The only polynomial division is an integer pseudo-remainder, and one
 remainder chain built on it gives the Sturm chain, square-freeness and
 the gcd.  The chain is a primitive polynomial remainder sequence
@@ -29,7 +35,7 @@ to a power of two from the coefficients' bit lengths, and its critical
 points split that bracket into monotone runs, searched from the right
 by integer bisection on the sign of the cubic itself.  The first
 integer root deflates the cubic to a quadratic, whose roots come from
-an exact `isqrt` of its discriminant, so no other run is searched.
+`exact_isqrt` of its discriminant, so no other run is searched.
 """
 
 from __future__ import annotations
@@ -54,19 +60,35 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(D, numerators) with values[i] = numerators[i] / D, over the lcm D
+    of the denominators of the given ints and Fractions."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    if den == 1:  # all integers, as the sampler draws them
+        return den, [v.numerator for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def exact_isqrt(n: int) -> int | None:
+    """The square root of n when n is the square of an integer, else None."""
+    if n < 0:
+        return None
+    root = isqrt(n)
+    return root if root * root == n else None
+
+
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational.
 
     A fraction in lowest terms is a square iff numerator and denominator
     are both perfect squares.
     """
-    if x < 0:
+    rn, rd = exact_isqrt(x.numerator), exact_isqrt(x.denominator)
+    if rn is None or rd is None:
         return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+    return Fraction(rn, rd)
 
 
 class UniPoly(Record):
@@ -82,10 +104,10 @@ class UniPoly(Record):
     __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coefficients: Iterable[Rational]):
-        coeffs = [c if isinstance(c, (int, Fraction)) else as_fraction(c)
-                  for c in coefficients]
-        den = lcm(*(c.denominator for c in coeffs))
-        self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
+        den, numerators = integer_form(
+            [c if isinstance(c, (int, Fraction)) else as_fraction(c)
+             for c in coefficients])
+        self._reduce(numerators, den)
 
     @classmethod
     def from_integers(cls, numerators: Iterable[int], denominator: int = 1) -> UniPoly:
@@ -107,10 +129,6 @@ class UniPoly(Record):
             nums, denominator = [c // g for c in nums], denominator // g
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", denominator)
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
 
     # -- basic queries -------------------------------------------------
 
@@ -292,7 +310,7 @@ def integer_roots_monic(coeffs: Sequence[int]) -> list[int]:
     given by its coefficients in ascending order.
 
     Every rational root of such a polynomial is an integer (rational
-    root theorem).  A quadratic's roots are read off an exact `isqrt` of
+    root theorem).  A quadratic's roots are read off `exact_isqrt` of
     its discriminant.  A cubic's roots lie inside Fujiwara's bound
     2*max(|c2|, |c1|^(1/2), |c0|^(1/3)), taken as the power of two 2^(e+1)
     with every term below 2^e, read off `bit_length()`.  Its critical
@@ -367,10 +385,7 @@ def _quadratic_roots(c1: int, c0: int) -> list[int]:
     """The integer roots of z^2 + c1*z + c0, in ascending order: both are
     integers when the discriminant is an integer square, whose root then
     has the parity of c1, and neither is rational otherwise."""
-    disc = c1 * c1 - 4 * c0
-    if disc < 0:
-        return []
-    s = isqrt(disc)
-    if s * s != disc:
+    s = exact_isqrt(c1 * c1 - 4 * c0)
+    if s is None:
         return []
     return sorted({(-c1 - s) // 2, (-c1 + s) // 2})

@@ -22,13 +22,9 @@ from .curves import (ConicSpec, CurveInvariants, CurveSpec,
                      InternalInconsistencyError, classify_conic,
                      hyperelliptic_invariants)
 from .eta import EtaAnalysis, LevelReport, eta_full, level_bounds
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, group_json
 from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
 from .witt import witt_group
-
-
-def _group_json(g: GroupDescriptor) -> dict:
-    return {"group": g.to_json(), "display": g.format()}
 
 
 def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
@@ -60,7 +56,7 @@ def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
         "invariants": inv.to_json(),
         "etale_cohomology": etale.to_json(),
         "quotient_cohomology": quotient.to_json(),
-        "witt": _group_json(witt),
+        "witt": group_json(witt),
         **analysis.to_json(),
         "pic_tors": _pic_json(inv, analysis),
         "units": [_units_json(inv, analysis, n) for n in units],
@@ -77,11 +73,11 @@ def _pic_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:
         if eta_c is None or eta_c.value is None:
             raise InternalInconsistencyError("no eta over C for a disconnected curve")
         group = pic_tors_complex(inv.genus, inv.complex_at_infinity, eta_c.value)
-        return {"eta_undetermined": False, **_group_json(group)}
+        return {"eta_undetermined": False, **group_json(group)}
     result = pic_tors(inv, analysis.eta.value)
     if isinstance(result, TwoCandidates):
         return result.to_json()
-    return {"eta_undetermined": False, **_group_json(result)}
+    return {"eta_undetermined": False, **group_json(result)}
 
 
 def _units_json(inv: CurveInvariants, analysis: EtaAnalysis, n: int) -> dict:
@@ -89,11 +85,11 @@ def _units_json(inv: CurveInvariants, analysis: EtaAnalysis, n: int) -> dict:
         # over C the constants are divisible, so U_n is (Z/n)^eta with no
         # sign contribution; eta vanishes here (single point at infinity)
         return {"n": n, "eta_undetermined": False,
-                **_group_json(GroupDescriptor(zn=(n, 0)))}
+                **group_json(GroupDescriptor(zn=(n, 0)))}
     value = analysis.eta.value
     if value is None:
         return {"n": n, **TwoCandidates(units_mod_n(0, n), units_mod_n(1, n)).to_json()}
-    return {"n": n, "eta_undetermined": False, **_group_json(units_mod_n(value, n))}
+    return {"n": n, "eta_undetermined": False, **group_json(units_mod_n(value, n))}
 
 
 def _level_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:

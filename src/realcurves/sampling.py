@@ -91,7 +91,8 @@ def draw_params(rng: random.Random, box: SampleBox) -> QuarticParams:
         if box.pin is None and (b == 0 or a == c):
             continue
         try:
-            return QuarticParams(k=k, a=a, b=b, c=c)
+            # positional: a keyword call of a class is slower in CPython 3.11
+            return QuarticParams(k, a, b, c)
         except ValueError:  # not square-free
             continue
 

@@ -73,7 +73,7 @@ def poly_mul(p: UniPoly, q) -> UniPoly:
     if isinstance(q, (int, Fraction)):
         return UniPoly(tuple(c * q for c in p.coeffs))
     if p.is_zero or q.is_zero:
-        return UniPoly.zero()
+        return UniPoly(())
     return UniPoly(_mul_lists(p.coeffs, q.coeffs))
 
 
@@ -100,7 +100,7 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     rem, divisor = list(a.coeffs), b.coeffs
     dq = len(rem) - len(divisor)
     if dq < 0:
-        return UniPoly.zero(), a
+        return UniPoly(()), a
     quot = [Fraction(0)] * (dq + 1)
     lead = b.leading
     db = b.degree
@@ -124,7 +124,7 @@ def fraction_poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 def shift(p: UniPoly, h) -> UniPoly:
     """Return p(x + h)."""
-    acc = UniPoly.zero()
+    acc = UniPoly(())
     xh = UniPoly((h, 1))
     for c in reversed(p.coeffs):
         acc = poly_add(poly_mul(acc, xh), UniPoly((c,)))

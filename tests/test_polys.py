@@ -12,7 +12,8 @@ from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
                         parse_curve, poly_gcd, quartic_normal_form, rational_sqrt)
 from realcurves import eta as eta_module
-from realcurves.polys import integer_roots_monic, sign_variations, sturm_sequence
+from realcurves.polys import (exact_isqrt, integer_form, integer_roots_monic,
+                              sign_variations, sturm_sequence)
 from realcurves.sampling import SampleBox, draw_params
 
 from oracles import (cauchy_bound, derivative, descartes_count_roots,
@@ -40,8 +41,8 @@ class TestGcd:
         assert poly_gcd(p, q) == P(1)
 
     def test_gcd_with_zero_is_monic(self):
-        assert poly_gcd(P(0, 0, 3), UniPoly.zero()) == P(0, 0, 1)
-        assert poly_gcd(UniPoly.zero(), UniPoly.zero()).is_zero
+        assert poly_gcd(P(0, 0, 3), UniPoly(())) == P(0, 0, 1)
+        assert poly_gcd(UniPoly(()), UniPoly(())).is_zero
 
     def test_divides_both_exactly(self):
         rng = random.Random(11)
@@ -72,7 +73,7 @@ class TestSquareFree:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            is_square_free(UniPoly.zero())
+            is_square_free(UniPoly(()))
 
     def test_matches_resultant_oracle(self):
         rng = random.Random(23)
@@ -98,7 +99,7 @@ class TestCountRealRoots:
 
     def test_rejects_zero_and_non_square_free(self):
         with pytest.raises(ValueError):
-            count_real_roots(UniPoly.zero())
+            count_real_roots(UniPoly(()))
         with pytest.raises(ValueError):
             count_real_roots(P(1, -2, 1))
 
@@ -415,6 +416,45 @@ class TestRationalSqrt:
         assert rational_sqrt(Fraction(-4)) is None
 
 
+class TestIntegerForm:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                                     st.fractions(max_denominator=10 ** 12)),
+                           max_size=8))
+    def test_against_fraction_arithmetic(self, values):
+        den, numerators = integer_form(values)
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in numerators)
+        assert [Fraction(n, den) for n in numerators] == [Fraction(v) for v in values]
+        # a common denominator is the least one iff it is coprime to the
+        # numerators over it
+        assert gcd(den, *numerators) == 1
+
+    def test_small_cases(self):
+        assert integer_form((Fraction(1, 6), 2, Fraction(-3, 4))) == (12, [2, 24, -9])
+        assert integer_form([Fraction(5), 0, -7]) == (1, [5, 0, -7])
+        assert integer_form(()) == (1, [])
+
+
+class TestExactIsqrt:
+    def test_against_brute_force(self):
+        roots = {r * r: r for r in range(120)}
+        for n in range(-60, 120 * 120):
+            assert exact_isqrt(n) == roots.get(n), n
+
+    def test_near_squares_up_to_4300_digits(self):
+        rng = random.Random(15)
+        roots = [2, 3, 10 ** 4300 - 1, 10 ** 4300]
+        roots += [10 ** k + d for k in range(1, 4300, 97) for d in (-1, 0, 1)]
+        roots += [rng.randrange(2, 10 ** rng.randint(1, 4300)) for _ in range(150)]
+        for r in roots:
+            assert exact_isqrt(r * r) == r
+            # (r - 1)^2 < r^2 - 1 and r^2 + 1 < (r + 1)^2 for r >= 2
+            assert exact_isqrt(r * r - 1) is None
+            assert exact_isqrt(r * r + 1) is None
+            assert exact_isqrt(-r * r) is None
+
+
 class TestUniPolyAlgebra:
     def test_divmod_is_exact(self):
         rng = random.Random(53)
@@ -432,14 +472,14 @@ class TestUniPolyAlgebra:
             assert poly_eval(shifted, x) == poly_eval(p, Fraction(x) + 3)
 
     def test_zero_degree_conventions(self):
-        assert UniPoly.zero().degree == -1
+        assert UniPoly(()).degree == -1
         assert P(5).degree == 0
         assert P(0, 0, 0).is_zero
 
     def test_display(self):
         assert str(P(9, 0, -10, 0, 1)) == "x^4 - 10*x^2 + 9"
         assert str(P(Fraction(-1, 2), 1)) == "x - 1/2"
-        assert str(UniPoly.zero()) == "0"
+        assert str(UniPoly(())) == "0"
 
 
 _rationals = st.fractions(max_denominator=60).filter(lambda r: abs(r) < 10 ** 6)
