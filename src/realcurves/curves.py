@@ -16,18 +16,25 @@ intervals).  For a curve with real points the components satisfy
 s = t + r.
 
 Conic classification works from exact signatures of the quadratic-form
-matrices (the 2x2 affine part and the 3x3 projective matrix).  The
-signature is read off the characteristic polynomial by Descartes' rule
-of signs, which is exact for polynomials with all roots real.
+matrices (the 2x2 affine part and the 3x3 projective matrix), scaled to
+integer matrices from the conic's integer form.  The signatures are
+read off the signs of the coefficients of the characteristic
+polynomials, by Descartes' rule of signs, which is exact for
+polynomials with all roots real.
+
+A conic keeps its coefficients beside their integer form, the parser's
+numerators over one common denominator; classification and display run
+on the integers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .polys import (UniPoly, count_real_roots, format_terms, integer_form,
-                    sign_variations)
+from .polys import (Rational, UniPoly, count_real_roots, format_terms,
+                    integer_form)
 
 
 class HypothesisError(ValueError):
@@ -43,26 +50,52 @@ class InternalInconsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ConicSpec(Record):
-    """Coefficients of P(x,y) = xx*x^2 + xy*x*y + yy*y^2 + x1*x + y1*y + c0."""
+    """Coefficients of P(x,y) = xx*x^2 + xy*x*y + yy*y^2 + x1*x + y1*y + c0.
 
-    __slots__ = _fields = ("xx", "xy", "yy", "x1", "y1", "c0")
+    The six coefficients are ints or Fractions, kept as given.  Beside
+    them the spec keeps their integer form (D, numerators), the
+    numerators over a positive D coprime to their content (a private
+    slot, not part of equality or the repr); `classify_conic` and
+    `display` read it.  The parser hands that form over directly through
+    `from_integers`, which builds the six Fractions from it.
+    """
 
-    def __init__(self, xx: Fraction, xy: Fraction, yy: Fraction,
-                 x1: Fraction, y1: Fraction, c0: Fraction):
-        if all(v == 0 for v in (xx, xy, yy, x1, y1)):
+    _fields = ("xx", "xy", "yy", "x1", "y1", "c0")
+    __slots__ = _fields + ("_integral",)
+
+    def __init__(self, xx: Rational, xy: Rational, yy: Rational,
+                 x1: Rational, y1: Rational, c0: Rational):
+        values = (xx, xy, yy, x1, y1, c0)
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot interpret {v!r} as an exact rational")
+        self._store(values, *integer_form(values))
+
+    @classmethod
+    def from_integers(cls, numerators: Sequence[int], denominator: int) -> ConicSpec:
+        """The conic with coefficients numerators[i] / denominator, in the
+        order of the fields, for a positive denominator coprime to the
+        content of the numerators."""
+        spec = cls.__new__(cls)
+        spec._store([Fraction(c, denominator) if c else _ZERO for c in numerators],
+                    denominator, numerators)
+        return spec
+
+    def _store(self, values: Sequence[Rational], den: int,
+               numerators: Sequence[int]) -> None:
+        if not any(numerators[:5]):
             raise HypothesisError("conic has no degree >= 1 terms")
-        object.__setattr__(self, "xx", xx)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "yy", yy)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "c0", c0)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_integral", (den, tuple(numerators)))
 
     def display(self) -> str:
-        return format_terms([
-            (self.xx, "x^2"), (self.xy, "x*y"), (self.yy, "y^2"),
-            (self.x1, "x"), (self.y1, "y"), (self.c0, ""),
-        ]) + " = 0"
+        den, numerators = self._integral
+        return format_terms(zip(numerators, _CONIC_MONOMIALS), den) + " = 0"
+
+
+_CONIC_MONOMIALS = ("x^2", "x*y", "y^2", "x", "y", "")
+_ZERO = Fraction(0)
 
 
 class HyperellipticSpec(Record):
@@ -201,33 +234,20 @@ class ConicClass(Record):
         object.__setattr__(self, "invariants", invariants)
 
 
-def _char_poly_signature(matrix: list[list[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a 2x2 or 3x3
-    symmetric matrix.
-
-    Descartes' rule of signs is exact on the characteristic polynomial
-    because all eigenvalues of a symmetric matrix are real.
-    """
-    if len(matrix) == 2:
-        (a, b), (_, c) = matrix
-        coeffs = [a * c - b * b, -(a + c), 1]
-    else:
-        (a, b, d), (_, c, e), (_, _, f) = matrix
-        m2 = (a * c - b * b) + (a * f - d * d) + (c * f - e * e)
-        det = (a * (c * f - e * e) - b * (b * f - e * d) + d * (b * e - c * d))
-        coeffs = [-det, m2, -(a + c + f), 1]
-    zero = 0
-    while coeffs[zero] == 0:
-        zero += 1
-    body = coeffs[zero:]
-    pos = sign_variations(body)
-    neg = sign_variations([c * (-1) ** i for i, c in enumerate(body)])
-    return pos, neg, zero
+def _genus_zero(kind: str, r: int, c: int, s: int, t: int, **flags) -> ConicClass:
+    return ConicClass(kind, CurveInvariants(
+        genus=0, real_at_infinity=r, complex_at_infinity=c,
+        components=s, compact_components=t, **flags))
 
 
-def _genus_zero(r: int, c: int, s: int, t: int, **flags) -> CurveInvariants:
-    return CurveInvariants(genus=0, real_at_infinity=r, complex_at_infinity=c,
-                           components=s, compact_components=t, **flags)
+# the six classes are records, built once
+_LINE = _genus_zero(LINE, 1, 0, 1, 0)
+_HYPERBOLA = _genus_zero(HYPERBOLA, 2, 0, 2, 0)
+_IMAGINARY_ELLIPSE = _genus_zero(IMAGINARY_ELLIPSE, 0, 1, 0, 0)
+_ELLIPSE = _genus_zero(ELLIPSE, 0, 1, 1, 1)
+_PARABOLA = _genus_zero(PARABOLA, 1, 0, 1, 0)
+_GEOM_DISCONNECTED = _genus_zero(GEOM_DISCONNECTED, 0, 1, 0, 0,
+                                 geometrically_connected=False)
 
 
 def classify_conic(spec: ConicSpec) -> ConicClass:
@@ -237,45 +257,53 @@ def classify_conic(spec: ConicSpec) -> ConicClass:
     real parallel line pairs) are rejected: they are not smooth
     connected curves.
 
-    The quadratic-form matrices are scaled by twice the common
-    denominator of `polys.integer_form`, a positive integer, which makes
-    them integer matrices with the same signatures.
+    The quadratic-form matrices are scaled by twice the spec's common
+    denominator, a positive integer, which makes them integer matrices
+    with the same signatures.  Their eigenvalues are real, so the signs
+    of the coefficients of the characteristic polynomials decide the
+    signatures (Descartes' rule is exact there).
     """
-    _, (a, b, c, d, e, f) = integer_form(
-        (spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0))
+    _, (a, b, c, d, e, f) = spec._integral
 
     if a == 0 and b == 0 and c == 0:
-        return ConicClass(LINE, _genus_zero(1, 0, 1, 0))
+        return _LINE
 
-    pos2, neg2, zero2 = _char_poly_signature([[2 * a, b], [b, 2 * c]])
-    pos3, neg3, zero3 = _char_poly_signature([[2 * a, b, d],
-                                              [b, 2 * c, e],
-                                              [d, e, 2 * f]])
-    if zero3 == 0:
-        if pos2 == 1 and neg2 == 1:
-            return ConicClass(HYPERBOLA, _genus_zero(2, 0, 2, 0))
-        if pos2 + neg2 == 2:  # definite quadratic part
-            if pos3 == 3 or neg3 == 3:
-                return ConicClass(IMAGINARY_ELLIPSE, _genus_zero(0, 1, 0, 0))
-            return ConicClass(ELLIPSE, _genus_zero(0, 1, 1, 1))
+    # the quadratic part Q = [[2a, b], [b, 2c]] is definite when its
+    # determinant is positive, indefinite when negative and of rank 1
+    # when zero
+    det2 = 4 * a * c - b * b
+    # the projective matrix M = [[2a, b, d], [b, 2c, e], [d, e, 2f]] has
+    # characteristic polynomial z^3 - trace z^2 + minors z - det; with
+    # det = 0 and minors != 0 its rank is 2, and its two nonzero
+    # eigenvalues have the sign of each other exactly when minors > 0
+    aa, cc, ff = 2 * a, 2 * c, 2 * f
+    minors = (aa * cc - b * b) + (aa * ff - d * d) + (cc * ff - e * e)
+    det = aa * (cc * ff - e * e) - b * (b * ff - e * d) + d * (b * e - cc * d)
+    if det != 0:
+        if det2 < 0:
+            return _HYPERBOLA
+        if det2 > 0:
+            # M is definite when its eigenvalues are all of one sign:
+            # minors > 0 and trace and det of one sign
+            if minors > 0 and (aa + cc + ff > 0) == (det > 0):
+                return _IMAGINARY_ELLIPSE
+            return _ELLIPSE
         # rank-1 quadratic part with full projective rank
-        return ConicClass(PARABOLA, _genus_zero(1, 0, 1, 0))
+        return _PARABOLA
 
-    if zero3 == 1:
-        if pos3 == 2 or neg3 == 2:
-            # Two conjugate complex lines.  Their real intersection point is
-            # the kernel direction k of the projective matrix M; the affine
-            # curve is smooth iff k lies at infinity.  The adjugate of M is
-            # a nonzero multiple of k k^T, so k_z^2 is a nonzero multiple of
-            # the quadratic part's determinant.
-            if zero2:
-                return ConicClass(GEOM_DISCONNECTED,
-                                  _genus_zero(0, 1, 0, 0, geometrically_connected=False))
-            raise HypothesisError(
-                "not a smooth connected curve: conjugate lines meeting at a real affine point")
+    if minors > 0:
+        # Two conjugate complex lines.  Their real intersection point is
+        # the kernel direction k of the projective matrix M; the affine
+        # curve is smooth iff k lies at infinity.  The adjugate of M is
+        # a nonzero multiple of k k^T, so k_z^2 is a nonzero multiple of
+        # the quadratic part's determinant.
+        if det2 == 0:
+            return _GEOM_DISCONNECTED
+        raise HypothesisError(
+            "not a smooth connected curve: conjugate lines meeting at a real affine point")
+    if minors < 0:
         raise HypothesisError(
             "not a smooth connected curve: really-reducible conic (two real lines)")
-
     raise HypothesisError("not a smooth connected curve: double line")
 
 

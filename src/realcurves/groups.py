@@ -24,9 +24,10 @@ class GroupDescriptor(Record):
 
     def __init__(self, free_rank: int = 0, qz: int = 0, z4: int = 0,
                  zn: tuple[int, int] | None = None, z2: int = 0):
-        for name, value in zip(("free_rank", "qz", "z4", "z2"), (free_rank, qz, z4, z2)):
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if min(free_rank, qz, z4, z2) < 0:
+            name = next(name for name, value in zip(
+                ("free_rank", "qz", "z4", "z2"), (free_rank, qz, z4, z2)) if value < 0)
+            raise ValueError(f"{name} must be nonnegative")
         if zn is not None:
             n, count = zn
             if n < 2:
@@ -49,16 +50,18 @@ class GroupDescriptor(Record):
         """Deterministic display, summands in the fixed order
         Z, Q/Z, Z/4, Z/n, Z/2; the trivial group prints '0'."""
         parts: list[str] = []
-        parts.extend(_summand("Z", self.free_rank, bare=True))
-        parts.extend(_summand("Q/Z", self.qz))
-        parts.extend(_summand("Z/4", self.z4))
-        if self.zn is not None:
+        if self.free_rank:
+            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
+        if self.qz:
+            parts.append(_summand("Q/Z", self.qz))
+        if self.z4:
+            parts.append(_summand("Z/4", self.z4))
+        if self.zn is not None:  # normalized: its count is positive
             n, count = self.zn
-            parts.extend(_summand(f"Z/{n}", count))
-        parts.extend(_summand("Z/2", self.z2))
-        if not parts:
-            return "0"
-        return " (+) ".join(parts)
+            parts.append(_summand(f"Z/{n}", count))
+        if self.z2:
+            parts.append(_summand("Z/2", self.z2))
+        return " (+) ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
         return {
@@ -79,14 +82,9 @@ def group_json(g: GroupDescriptor) -> dict:
     return {"group": g.to_json(), "display": g.format()}
 
 
-def _summand(symbol: str, count: int, bare: bool = False) -> list[str]:
-    if count == 0:
-        return []
-    if count == 1:
-        return [symbol]
-    if bare:
-        return [f"{symbol}^{count}"]
-    return [f"({symbol})^{count}"]
+def _summand(symbol: str, count: int) -> str:
+    """A torsion summand that occurs count >= 1 times."""
+    return symbol if count == 1 else f"({symbol})^{count}"
 
 
 TRIVIAL_GROUP = GroupDescriptor()

@@ -13,20 +13,24 @@ character position at which they were detected.
 
 While it is parsed, a polynomial is a pair: integer numerators by
 monomial over one positive common denominator that is coprime to their
-content.  A p/q literal is reduced on entry, a sum goes over the lcm of
-the two denominators and a product multiplies integers.  That is the
-form a `UniPoly` holds, so the right-hand side of y^2 = Q becomes one
-with no Fractions; `parse_polynomial` builds Fractions once, for the
-finished polynomial.
+content.  A p/q literal is reduced on entry, a sum or difference goes
+over the lcm of the two denominators, a product multiplies integers and
+a constant factor scales the other's numerators.  That is the form a
+`UniPoly` holds and the one a `ConicSpec` keeps beside its coefficients,
+so `parse_curve` hands it to either spec as it is: the right-hand side
+of y^2 = Q builds no Fraction, and a conic one per nonzero coefficient.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE and coefficients (in lowest terms) of more than
 MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
-after every product, the steps of a power included; coefficients after
-every step of a power, where they can grow exponentially in the input
-length, and once for the whole polynomial, reported at its start.  The
-other numbers the command line takes (--coeffs, `ec --curve`, `ec`
-points) are read by `read_rationals`, and held to the same digit limit.
+after every product by a nonconstant factor, the steps of a power
+included; coefficients after every step of a power, where they can grow
+exponentially in the input length, and once for the whole polynomial,
+reported at its start, unless it is a power just checked.  The steps of
+a power whose common denominator would pass the bound run on
+coefficients in lowest terms.  The other numbers the command line takes
+(--coeffs, `ec --curve`, `ec` points) are read by `read_rationals`, and
+held to the same digit limit.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .curves import ConicSpec, CurveSpec, HyperellipticSpec
 from .polys import UniPoly
 
 Monomial = tuple[int, int]              # (x exponent, y exponent)
-BiPoly = dict[Monomial, Fraction]       # sparse bivariate polynomial
 Poly = tuple[dict[Monomial, int], int]  # (numerators, common denominator)
 
 # The slowest short input found at degree 18, a product of linear
@@ -91,41 +94,59 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 
 _ZERO: Poly = ({}, 1)
+_CONSTANT: Monomial = (0, 0)
 
 
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    """p + q over the lcm of den p and den q, den p * den q / g, then
-    cancelled by gcd(content, g): a prime of one denominator only cannot
-    divide the content of the sum (Henrici's rule for Fraction sums)."""
+def _poly_add(p: Poly, q: Poly, sign: int = 1) -> Poly:
+    """p + sign*q, sign 1 or -1, over the lcm of den p and den q,
+    den p * den q / g, then cancelled by gcd(content, g): a prime of one
+    denominator only cannot divide the content of the sum (Henrici's
+    rule for Fraction sums)."""
     (pn, pd), (qn, qd) = p, q
     g = gcd(pd, qd)
-    sp, sq = qd // g, pd // g
-    out = {m: c * sp for m, c in pn.items()}
+    sp, sq = qd // g, sign * (pd // g)
+    out = dict(pn) if sp == 1 else {m: c * sp for m, c in pn.items()}
     for m, c in qn.items():
-        out[m] = out[m] + c * sq if m in out else c * sq
-    out = {m: c for m, c in out.items() if c}
+        if m not in out:
+            out[m] = c * sq
+        elif total := out[m] + c * sq:
+            out[m] = total
+        else:
+            del out[m]
     if not out:
         return _ZERO
-    g = gcd(g, *out.values())
-    if g == 1:
-        return out, pd * sp
-    return {m: c // g for m, c in out.items()}, pd * sp // g
+    if g != 1 and (g := gcd(g, *out.values())) != 1:
+        return {m: c // g for m, c in out.items()}, pd * sp // g
+    return out, pd * sp
+
+
+def _mul_terms(pn: dict, qn: dict) -> dict:
+    """The product of two sparse polynomials, int or Fraction valued,
+    with no zero terms."""
+    out = {}
+    for (i1, j1), c1 in pn.items():
+        for (i2, j2), c2 in qn.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if c} if 0 in out.values() else out
 
 
 def _poly_mul(p: Poly, q: Poly) -> Poly:
     """p * q with each content first cancelled against the other
-    denominator; by Gauss's lemma the product is then content-reduced."""
+    denominator; by Gauss's lemma the product is then content-reduced.
+    A constant factor scales the other's numerators."""
     (pn, pd), (qn, qd) = p, q
     if qd != 1 and (g := gcd(qd, *pn.values())) != 1:
         pn, qd = {m: c // g for m, c in pn.items()}, qd // g
     if pd != 1 and (g := gcd(pd, *qn.values())) != 1:
         qn, pd = {m: c // g for m, c in qn.items()}, pd // g
-    out: dict[Monomial, int] = {}
-    for (i1, j1), c1 in pn.items():
-        for (i2, j2), c2 in qn.items():
-            m = (i1 + i2, j1 + j2)
-            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-    out = {m: c for m, c in out.items() if c}
+    if len(pn) == 1 and _CONSTANT in pn:
+        pn, qn = qn, pn
+    if len(qn) == 1 and _CONSTANT in qn:
+        k = qn[_CONSTANT]
+        out = {m: c * k for m, c in pn.items()}
+    else:
+        out = _mul_terms(pn, qn)
     return (out, pd * qd) if out else _ZERO
 
 
@@ -156,6 +177,40 @@ def _bounded(p: Poly, position: int) -> Poly:
     return p
 
 
+def _power(base: Poly, e: int, position: int) -> Poly:
+    """base^e for e >= 1, each step held to the bounds at `position`.
+
+    Step i has the denominator den^i, so the step whose denominator
+    would reach the coefficient bound is known before it is taken; from
+    there on the steps run on coefficients in lowest terms, whose check
+    compares sizes where the integer form would reduce every numerator
+    against the grown common denominator."""
+    power = _bounded(base, position)
+    for step in range(1, e):
+        if power[1] * base[1] >= _COEFFICIENT_BOUND:
+            return _reduced_power(power, base, e - step, position)
+        power = _bounded(_poly_mul(power, base), position)
+    return power
+
+
+def _reduced_power(power: Poly, base: Poly, steps: int, position: int) -> Poly:
+    """power * base^steps for a power of base, on Fraction coefficients,
+    checked after every step as `_bounded` checks; the result is back in
+    the integer form, over den power * den base^steps."""
+    bound = _COEFFICIENT_BOUND
+    terms, den = power
+    acc = {m: Fraction(c, den) for m, c in terms.items()}
+    factor = {m: Fraction(c, base[1]) for m, c in base[0].items()}
+    for _ in range(steps):
+        acc = _mul_terms(acc, factor)
+        _degree_bounded(acc, position)
+        for c in acc.values():
+            if not -bound < c.numerator < bound or c.denominator >= bound:
+                raise ParseError(_TOO_LONG, position)
+    den *= base[1] ** steps
+    return {m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den
+
+
 def _int(tok: tuple[str, str, int]) -> int:
     try:
         return int(tok[1])
@@ -169,6 +224,7 @@ class _Parser:
         # an end token ends the list, so looking ahead never runs off it
         self.tokens = tokens + [("end", "", length)]
         self.pos = 0
+        self.power = None  # the last power taken, which passed `_bounded`
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -184,33 +240,36 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Poly:
-        tok = self.tokens[self.pos]
-        if tok[0] == "+" or tok[0] == "-":
+        tokens = self.tokens
+        kind = tokens[self.pos][0]
+        if kind == "+" or kind == "-":
             self.pos += 1
             acc = self.parse_term()
-            if tok[0] == "-":
+            if kind == "-":
                 acc = _poly_neg(acc)
         else:
             acc = self.parse_term()
         while True:
-            tok = self.tokens[self.pos]
-            if tok[0] != "+" and tok[0] != "-":
+            kind = tokens[self.pos][0]
+            if kind != "+" and kind != "-":
                 return acc
             self.pos += 1
-            term = self.parse_term()
-            acc = _poly_add(acc, _poly_neg(term) if tok[0] == "-" else term)
+            acc = _poly_add(acc, self.parse_term(), 1 if kind == "+" else -1)
 
     def parse_term(self) -> Poly:
+        tokens = self.tokens
         acc = self.parse_factor()
         while True:
-            tok = self.tokens[self.pos]
+            tok = tokens[self.pos]
             if tok[0] == "*":
                 self.pos += 1
             elif tok[0] not in ("int", "var", "("):
                 return acc
             # "*" or implicit multiplication, e.g. "2x" or "(x-1)(x+1)"
-            acc = _poly_mul(acc, self.parse_factor())
-            _degree_bounded(acc[0], tok[2])
+            factor = self.parse_factor()
+            acc = _poly_mul(acc, factor)
+            if len(factor[0]) != 1 or _CONSTANT not in factor[0]:
+                _degree_bounded(acc[0], tok[2])
 
     def parse_factor(self) -> Poly:
         base = self.parse_base()
@@ -230,14 +289,17 @@ class _Parser:
                 power = {(i * e, j * e): c ** e}
                 _degree_bounded(power, etok[2])
                 return power, 1
-        power: Poly = ({(0, 0): 1}, 1)
-        for _ in range(e):
-            power = _bounded(_poly_mul(power, base), etok[2])
-        return power
+        if e == 0:
+            return {_CONSTANT: 1}, 1
+        self.power = _power(base, e, etok[2])
+        return self.power
 
     def parse_base(self) -> Poly:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         kind, value, pos = tok
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        self.pos += 1
         if kind == "int":
             num = _int(tok)
             if self.tokens[self.pos][0] == "/":
@@ -247,8 +309,8 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
                 g = gcd(num, den)
-                return ({(0, 0): num // g}, den // g) if num else _ZERO
-            return ({(0, 0): num}, 1) if num else _ZERO
+                return ({_CONSTANT: num // g}, den // g) if num else _ZERO
+            return ({_CONSTANT: num}, 1) if num else _ZERO
         if kind == "var":
             return {(1, 0) if value == "x" else (0, 1): 1}, 1
         if kind == "(":
@@ -271,20 +333,15 @@ def _parse(text: str, offset: int) -> Poly:
     """
     try:
         parser = _Parser(_tokenize(text), len(text))
-        p = _bounded(parser.parse_expr(), 0)
+        p = parser.parse_expr()
+        if p is not parser.power:  # a power was checked at its last step
+            _bounded(p, 0)
         tok = parser.tokens[parser.pos]
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     except ParseError as err:
         raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
     return p
-
-
-def parse_polynomial(text: str, offset: int = 0) -> BiPoly:
-    """Parse a polynomial in x, y into sparse form, errors shifted by
-    `offset`."""
-    terms, den = _parse(text, offset)
-    return {m: Fraction(c, den) for m, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +363,38 @@ def parse_curve(text: str) -> CurveSpec:
 
     "<poly in x,y> = 0" takes the conic path (total degree <= 2
     enforced); "y^2 = <poly in x>" takes the hyperelliptic path with the
-    right-hand side stored exactly.
+    right-hand side stored exactly.  Both hand the parsed integer form
+    over as it is.
     """
     if text.count("=") != 1:
         raise ParseError("expected exactly one '='", len(text))
     lhs_text, rhs_text = text.split("=")
     rhs_offset = len(lhs_text) + 1
-    lhs = parse_polynomial(lhs_text)
+    lhs = _parse(lhs_text, 0)
     rhs = _parse(rhs_text, rhs_offset)
 
     if not rhs[0]:  # "... = 0"
-        return conic_from_bipoly(lhs)
-    if lhs == {(0, 2): Fraction(1)}:
+        return _conic(lhs)
+    if lhs == _Y_SQUARED:
         q = _to_unipoly_in_x(rhs, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
     raise ParseError(
         "left-hand side must be y^2, or the right-hand side must be 0", 0)
 
 
-def conic_from_bipoly(p: BiPoly) -> ConicSpec:
-    if not p:
+_Y_SQUARED: Poly = ({(0, 2): 1}, 1)
+# the monomials of ConicSpec's fields, in their order
+_CONIC_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), _CONSTANT)
+
+
+def _conic(p: Poly) -> ConicSpec:
+    terms, den = p
+    if not terms:
         raise ParseError("polynomial is identically zero", 0)
-    for (i, j) in p:
+    for (i, j) in terms:
         if i + j > 2:
             raise ParseError("total degree > 2 on the conic path", 0)
-    g = lambda m: p.get(m, Fraction(0))
-    return ConicSpec(xx=g((2, 0)), xy=g((1, 1)), yy=g((0, 2)),
-                     x1=g((1, 0)), y1=g((0, 1)), c0=g((0, 0)))
+    return ConicSpec.from_integers([terms.get(m, 0) for m in _CONIC_MONOMIALS], den)
 
 
 def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSpec:

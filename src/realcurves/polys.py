@@ -9,9 +9,12 @@ hence the hard exactness requirement.
 
 `integer_form` brings ints and Fractions to integer numerators over the
 lcm of their denominators, the form that `UniPoly`, `eta.QuarticParams`,
-`elliptic.WeierstrassCurve` and `curves.classify_conic` compute on, and
+`elliptic.WeierstrassCurve` and `curves.ConicSpec` compute on, and
 `exact_isqrt` is the package's one test of an integer for being a
-square.
+square.  `format_terms` writes integer numerators over a denominator as
+a sum of terms, each coefficient reduced by a gcd, for `UniPoly`, the
+conic display and, through `format_rational`, the report's coefficient
+list; no Fraction is built.
 
 The only polynomial division is an integer pseudo-remainder, and one
 remainder chain built on it gives the Sturm chain, square-freeness and
@@ -151,11 +154,6 @@ class UniPoly(Record):
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.numerators[-1], self.denominator)
 
-    def coefficient(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.numerators):
-            return Fraction(self.numerators[exponent], self.denominator)
-        return Fraction(0)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
@@ -171,28 +169,42 @@ class UniPoly(Record):
 
     def __str__(self) -> str:
         """Descending-order form, e.g. 'x^4 - 10*x^2 + 9'."""
-        return format_terms((self.coefficient(e), f"x^{e}" if e > 1 else "x" if e else "")
-                            for e in range(self.degree, -1, -1)) or "0"
+        nums = self.numerators
+        return format_terms(((nums[e], f"x^{e}" if e > 1 else "x" if e else "")
+                             for e in range(len(nums) - 1, -1, -1)),
+                            self.denominator) or "0"
 
 
-def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
-    """The sum of (coefficient, monomial) pairs in the given order, e.g.
-    'x^2 - 3*x*y + 1/2': zero terms are left out, a coefficient of
+def format_rational(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction:
+    'n/d' in lowest terms, or 'n' when the denominator reduces to 1."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != den:
+            return f"{num // g}/{den // g}"
+        num //= g
+    return str(num)
+
+
+def format_terms(terms: Iterable[tuple[int, str]], den: int) -> str:
+    """The sum of (numerator, monomial) pairs over the denominator `den`,
+    in the given order, e.g. 'x^2 - 3*x*y + 1/2': each coefficient is
+    written in lowest terms, zero terms are left out, a coefficient of
     magnitude 1 is dropped except on the constant, whose monomial is
     '', and the first term carries a bare sign."""
     parts: list[str] = []
-    for coef, mono in terms:
-        if coef == 0:
+    for num, mono in terms:
+        if not num:
             continue
-        mag = abs(coef)
+        mag = abs(num)
         if not mono:
-            body = str(mag)
+            body = format_rational(mag, den)
         else:
-            body = mono if mag == 1 else f"{mag}*{mono}"
+            body = mono if mag == den else f"{format_rational(mag, den)}*{mono}"
         if not parts:
-            parts.append(body if coef > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
 
 

@@ -24,7 +24,8 @@ from .curves import (ConicSpec, CurveInvariants, CurveSpec,
 from .eta import EtaAnalysis, LevelReport, eta_full, level_bounds
 from .groups import GroupDescriptor, group_json
 from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
-from .witt import witt_group
+from .polys import format_rational
+from .witt import witt_from_h1
 
 
 def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
@@ -41,13 +42,14 @@ def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
         curve_json = {
             "kind": "hyperelliptic",
             "display": spec.display(),
-            "q_coefficients": [str(c) for c in spec.q.coeffs],
+            "q_coefficients": [format_rational(c, spec.q.denominator)
+                               for c in spec.q.numerators],
         }
 
     analysis = eta_full(spec, inv)
     etale = etale_dims(inv)
     quotient = quotient_space_dims(inv)
-    witt = witt_group(inv)
+    witt = witt_from_h1(inv, etale.h1)
     _cross_check(inv, etale.h1, quotient.h1, quotient.h2, etale.h2,
                  witt, analysis)
 

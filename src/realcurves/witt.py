@@ -21,7 +21,13 @@ from .groups import GroupDescriptor
 
 
 def witt_group(inv: CurveInvariants) -> GroupDescriptor:
-    u = etale_dims(inv).h1
+    """W(X) from the invariant tuple alone."""
+    return witt_from_h1(inv, etale_dims(inv).h1)
+
+
+def witt_from_h1(inv: CurveInvariants, u: int) -> GroupDescriptor:
+    """W(X) from the invariant tuple and u = dim H^1_et(X, Z/2), for a
+    caller that already holds the etale dimensions."""
     s = inv.components
     level = inv.function_field_level
     if s > 0:

@@ -14,7 +14,9 @@ kernel direction by cross products (the library scales to integer
 matrices and reads the direction off a determinant), elliptic addition
 by explicit chord substitution and Vieta, the discriminant and the
 membership residual of a Weierstrass cubic in Fractions (the library
-works on integers over one common denominator), the torsion order by
+works on integers over one common denominator), curve display by
+formatting Fraction coefficients (the library formats integer
+numerators over one denominator), the torsion order by
 adding the point to itself up to Mazur's bound with no Nagell-Lutz
 exit, the Jacobian model of a quartic in Fractions (the library builds
 it in integers), and a Nagell-Lutz integrality screen for non-torsion.
@@ -62,6 +64,11 @@ def _mul_lists(a, b) -> list:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
+
+
+def coefficient(p: UniPoly, exponent: int) -> Fraction:
+    """The coefficient of x^exponent in p, 0 above its degree."""
+    return p.coeffs[exponent] if exponent <= p.degree else Fraction(0)
 
 
 def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -426,8 +433,8 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     if fraction_poly_gcd(q, derivative(q)).degree > 0:
         raise ValueError("polynomial must be square-free")
 
-    qt = shift(q, -q.coefficient(3) / 4)
-    big_p, big_c, big_r = qt.coefficient(2), qt.coefficient(1), qt.coefficient(0)
+    qt = shift(q, -coefficient(q, 3) / 4)
+    big_p, big_c, big_r = coefficient(qt, 2), coefficient(qt, 1), coefficient(qt, 0)
 
     assignments: list[tuple[Fraction, Fraction, Fraction]] = []
     if big_c == 0:
@@ -661,6 +668,28 @@ def fraction_parse_polynomial(text: str, offset: int = 0) -> dict:
     return {m: c for m, c in poly.items() if c != 0}
 
 
+def fraction_format_terms(terms) -> str:
+    """The term formatter on Fraction coefficients, the form the library
+    used before it formatted integer numerators over a denominator:
+    (coefficient, monomial) pairs in the given order, zero terms left
+    out, a coefficient of magnitude 1 dropped except on the constant,
+    and a bare sign on the first term."""
+    parts: list[str] = []
+    for coef, mono in terms:
+        if coef == 0:
+            continue
+        mag = abs(coef)
+        if not mono:
+            body = str(mag)
+        else:
+            body = mono if mag == 1 else f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if coef > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # Conic classification on Fraction matrices (independent of the integer
 # scaling)
@@ -759,7 +788,7 @@ def chord_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     assert rem1.is_zero
     quot2, rem2 = poly_divmod(quot1, UniPoly([-q.v, 1]))
     assert rem2.is_zero
-    v3 = -quot2.coefficient(0)
+    v3 = -coefficient(quot2, 0)
     return ECPoint(v3, -(m * v3 + q0))
 
 
@@ -775,7 +804,7 @@ def tangent_double(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
     cubic = _intersection_cubic(curve, m, q0)
     quot, rem = poly_divmod(cubic, UniPoly([p.v * p.v, -2 * p.v, 1]))
     assert rem.is_zero
-    v3 = -quot.coefficient(0)
+    v3 = -coefficient(quot, 0)
     return ECPoint(v3, -(m * v3 + q0))
 
 
@@ -851,16 +880,16 @@ def has_rational_quadratic_split(q: UniPoly) -> bool:
         raise ValueError("monic quartic required")
     if any(c.denominator != 1 for c in q.coeffs):
         raise ValueError("integer coefficients required")
-    c0 = int(q.coefficient(0))
-    c1 = int(q.coefficient(1))
-    c2 = int(q.coefficient(2))
-    c3 = int(q.coefficient(3))
+    c0 = int(coefficient(q, 0))
+    c1 = int(coefficient(q, 1))
+    c2 = int(coefficient(q, 2))
+    c3 = int(coefficient(q, 3))
     if c0 == 0:
         # x divides q; pair it with each rational linear factor
-        rest = UniPoly([q.coefficient(1), q.coefficient(2), q.coefficient(3), 1])
+        rest = UniPoly([coefficient(q, 1), coefficient(q, 2), coefficient(q, 3), 1])
         return any(poly_eval(rest, n) == 0
-                   for n in _divisor_candidates(int(rest.coefficient(0)))) \
-            if rest.coefficient(0) != 0 else True
+                   for n in _divisor_candidates(int(coefficient(rest, 0)))) \
+            if coefficient(rest, 0) != 0 else True
     for r in _divisor_candidates(c0):
         if c0 % r != 0:
             continue

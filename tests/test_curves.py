@@ -9,7 +9,8 @@ from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA,
                                HyperellipticSpec)
 
-from oracles import fraction_classify_conic, random_squarefree_poly
+from oracles import (fraction_classify_conic, fraction_format_terms,
+                     random_squarefree_poly)
 
 
 def conic(expr: str) -> ConicSpec:
@@ -187,6 +188,43 @@ class TestConicAgainstFractionOracle:
             checked += 1
         # every class and every rejection occurs
         assert len(outcomes) == 9 and min(outcomes.values()) >= 20, outcomes
+
+
+_CONIC_MONOMIALS = ("x^2", "x*y", "y^2", "x", "y", "")
+
+
+def fraction_display(spec: ConicSpec) -> str:
+    values = (spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0)
+    return fraction_format_terms(zip(values, _CONIC_MONOMIALS)) + " = 0"
+
+
+class TestDisplayAgainstFractionOracle:
+    """ConicSpec.display on the integer form against the Fraction
+    formatter on the six coefficients, byte for byte, for conics built
+    from rationals and for parsed ones."""
+
+    def test_random_conics(self):
+        rng = random.Random(7927)
+        all_six = 0
+        for _ in range(1500):
+            try:
+                spec = random_conic(rng)
+            except HypothesisError:
+                continue
+            text = spec.display()
+            assert text == fraction_display(spec), spec
+            parsed = parse_curve(text)
+            assert parsed == spec and parsed.display() == text, text
+            all_six += all((spec.xx, spec.xy, spec.yy, spec.x1, spec.y1, spec.c0))
+        assert all_six > 300
+
+    def test_unit_and_long_coefficients(self):
+        big = Fraction(-(10 ** 4299 + 7), 3 * 10 ** 4298 + 1)
+        for coeffs in ((1, -1, Fraction(-1), 1, -1, 1),
+                       (Fraction(-3, 2), 2, Fraction(1, 3), 0, Fraction(-5, 7), -1),
+                       (big, 1, -big, Fraction(-1), big, 0)):
+            spec = ConicSpec(*coeffs)
+            assert spec.display() == fraction_display(spec)
 
 
 class TestHyperellipticInvariants:

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -10,11 +11,21 @@ from hypothesis import strategies as st
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
-from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE,
-                               parse_polynomial, read_rationals)
+from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, _parse,
+                               read_rationals)
 from realcurves.polys import sturm_sequence
 
 from oracles import fraction_parse_polynomial
+
+
+def parse_polynomial(text: str, offset: int = 0) -> dict:
+    """`_parse`'s integer form, checked to be canonical (nonzero integer
+    numerators over a positive denominator coprime to their content),
+    as the oracle's dict of Fractions."""
+    terms, den = _parse(text, offset)
+    assert den > 0 and gcd(den, *terms.values()) == 1, text
+    assert all(type(c) is int and c != 0 for c in terms.values()), text
+    return {m: Fraction(c, den) for m, c in terms.items()}
 
 
 class TestConicPath:
@@ -192,6 +203,25 @@ class TestWorkBounds:
         assert (str(oracle.value), oracle.value.position) == \
             (str(exc.value), exc.value.position)
 
+    def test_power_past_the_common_denominator_bound(self):
+        # the common denominator of (a/b*x + b/c*y + c/a)^e with 230-digit
+        # a, b, c passes the bound at e = 7, long before a coefficient in
+        # lowest terms does; the later steps run on coefficients in lowest
+        # terms, not on a gcd against that denominator per coefficient
+        a, b, c = self.coprime_numbers(11, 3, 230)
+        lhs = f"({a}/{b}*x + {b}/{c}*y + {c}/{a})^18"
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_curve(f"{lhs} = 0")
+        assert time.perf_counter() - started < 10.0
+        assert (str(exc.value), exc.value.position) == \
+            ("total degree > 2 on the conic path (at position 0)", 0)
+        assert parse_polynomial(lhs) == fraction_parse_polynomial(lhs)
+        # one step past the bound that passes, then a sum
+        a, b = self.coprime_numbers(13, 2, 800)
+        text = f"({a}/{b}*x - {b}/{a}*y + 1)^3 + 1/{a}"
+        assert parse_polynomial(text) == fraction_parse_polynomial(text)
+
     def test_coefficient_list_rejects_exponent_notation(self):
         for entry in ("1e3", "2.5E-2", "1e20000000"):
             with pytest.raises(ParseError, match="exponent notation"):
@@ -352,8 +382,8 @@ def parse_outcome(parse, text: str, offset: int):
 
 
 class TestAgainstFractionOracle:
-    """parse_polynomial on one common denominator against the Fraction
-    parser: equal polynomials, or the same error at the same position."""
+    """The parse on one common denominator against the Fraction parser:
+    equal polynomials, or the same error at the same position."""
 
     def test_random_expressions(self):
         rng = random.Random(9001)

@@ -12,12 +12,15 @@ from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
                         parse_curve, poly_gcd, quartic_normal_form, rational_sqrt)
 from realcurves import eta as eta_module
-from realcurves.polys import (exact_isqrt, integer_form, integer_roots_monic,
-                              sign_variations, sturm_sequence)
+from realcurves.parser import MAX_COEFFICIENT_DIGITS, parse_coefficient_list
+from realcurves.polys import (exact_isqrt, format_rational, format_terms,
+                              integer_form, integer_roots_monic, sign_variations,
+                              sturm_sequence)
 from realcurves.sampling import SampleBox, draw_params
 
 from oracles import (cauchy_bound, derivative, descartes_count_roots,
-                     fraction_count_real_roots, fraction_poly_gcd,
+                     fraction_count_real_roots, fraction_format_terms,
+                     fraction_poly_gcd,
                      fraction_sturm_sequence, poly_add, poly_divmod, poly_eval,
                      poly_mul, random_squarefree_poly, shift, sturm_integer_roots,
                      sylvester_resultant)
@@ -480,6 +483,80 @@ class TestUniPolyAlgebra:
         assert str(P(9, 0, -10, 0, 1)) == "x^4 - 10*x^2 + 9"
         assert str(P(Fraction(-1, 2), 1)) == "x - 1/2"
         assert str(UniPoly(())) == "0"
+
+
+def _random_part(rng: random.Random) -> int:
+    """A positive integer of 1 to MAX_COEFFICIENT_DIGITS digits."""
+    digits = rng.choice((1, 1, 1, 2, 3, 20, MAX_COEFFICIENT_DIGITS))
+    return rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+
+def _fraction_str(p: UniPoly) -> str:
+    """str(p) by the Fraction formatter on p's coefficients."""
+    return fraction_format_terms(
+        (c, f"x^{e}" if e > 1 else "x" if e else "")
+        for e, c in reversed(list(enumerate(p.coeffs)))) or "0"
+
+
+class TestFormatAgainstFractionOracle:
+    """format_terms and format_rational on integer numerators over a
+    denominator against the Fraction formatter and str(Fraction), byte
+    for byte."""
+
+    MONOMIALS = ("x^3", "x^2", "x*y", "y^2", "x", "y", "")
+
+    def test_random_term_lists(self):
+        rng = random.Random(6007)
+        for _ in range(3000):
+            den = rng.choice((1, 1, 2, 6, rng.randint(1, 10 ** 6), _random_part(rng)))
+            terms = []
+            for mono in rng.sample(self.MONOMIALS, rng.randint(0, len(self.MONOMIALS))):
+                r = rng.random()
+                if r < 0.15:
+                    num = 0
+                elif r < 0.35:  # magnitude 1
+                    num = rng.choice((den, -den))
+                elif r < 0.5:  # an integer in lowest terms
+                    num = rng.choice((1, -1)) * den * rng.randint(2, 9)
+                else:  # negative rationals too
+                    num = rng.choice((1, -1)) * _random_part(rng)
+                terms.append((num, mono))
+            fractions = [(Fraction(c, den), m) for c, m in terms]
+            assert format_terms(terms, den) == fraction_format_terms(fractions)
+            for c, _ in terms:
+                assert format_rational(c, den) == str(Fraction(c, den))
+
+    def test_small_cases(self):
+        assert format_terms([], 1) == ""
+        assert format_terms([(0, "x"), (0, "")], 5) == ""
+        assert format_terms([(-4, "x^2"), (4, "y"), (-4, "")], 4) == "-x^2 + y - 1"
+        assert format_terms([(-6, "x"), (3, "")], 4) == "-3/2*x + 3/4"
+        assert format_rational(-10, 4) == "-5/2" and format_rational(0, 7) == "0"
+
+    def test_unipoly_display(self):
+        rng = random.Random(6011)
+        for _ in range(600):
+            den = rng.choice((1, 1, 3, rng.randint(1, 10 ** 4), _random_part(rng)))
+            coeffs = [Fraction(rng.choice((0, 0, 1, -1, rng.randint(-9, 9),
+                                           _random_part(rng))), den)
+                      for _ in range(rng.randint(1, 8))]
+            p = UniPoly(coeffs)
+            assert str(p) == _fraction_str(p), coeffs
+
+    def test_coefficient_list_display(self):
+        # the --coeffs reader, on small parts: its Sturm chain is costly
+        rng = random.Random(6029)
+        checked = 0
+        while checked < 150:
+            den = rng.choice((1, 2, rng.randint(1, 10 ** 4)))
+            coeffs = [Fraction(rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6))), den)
+                      for _ in range(rng.randint(2, 7))]
+            try:
+                q = parse_coefficient_list(",".join(map(str, coeffs))).q
+            except (HypothesisError, ParseError):
+                continue
+            assert str(q) == _fraction_str(UniPoly(coeffs)), coeffs
+            checked += 1
 
 
 _rationals = st.fractions(max_denominator=60).filter(lambda r: abs(r) < 10 ** 6)
