@@ -312,7 +312,7 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     """Exact Jacobian model for the quartic with the marked points.
 
         k = 0: u^2 = (v + 4b^2)(v - (c-a)^2)(v - (c+a)^2)
-        k = 2: u^2 = (v + 4b^2)(v^2 - 2(c^2-a^2)v + (c^2+a^2)^2)
+        k = 2: u^2 = (v + 4b^2)(v^2 - 2(a^2-c^2)v + (c^2+a^2)^2)
         k = 4: u^2 = (v + 4b^2)(v + (c-a)^2)(v + (c+a)^2)
 
     p = (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
@@ -331,8 +331,8 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     cc, aa = big_c * big_c, big_a * big_a
     if params.k == 2:
         norm2 = (cc + aa) ** 2
-        c2 = four_b2 - 2 * (cc - aa)
-        c1 = norm2 - 2 * four_b2 * (cc - aa)
+        c2 = four_b2 - 2 * (aa - cc)
+        c1 = norm2 - 2 * four_b2 * (aa - cc)
         c0 = four_b2 * norm2
         p_u = 2 * big_b * (cc + aa)
         roots = {"p1": -four_b2}

@@ -19,7 +19,9 @@ formatting Fraction coefficients (the library formats integer
 numerators over one denominator), the torsion order by
 adding the point to itself up to Mazur's bound with no Nagell-Lutz
 exit, the Jacobian model of a quartic in Fractions (the library builds
-it in integers), and a Nagell-Lutz integrality screen for non-torsion.
+it in integers), the j-invariant of that model from the classical
+invariants I and J of the quartic (the library never computes j), and a
+Nagell-Lutz integrality screen for non-torsion.
 Polynomial sums, products, evaluation and derivatives, which `UniPoly`
 does not have, are here as plain functions.  None of it calls the library routine it is checking.
 """
@@ -380,11 +382,11 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
         }
         neutral = None
     elif params.k == 2:
-        cc_aa = c * c - a * a
+        aa_cc = a * a - c * c
         norm2 = (c * c + a * a) ** 2
         curve = WeierstrassCurve(
-            c2=four_b2 - 2 * cc_aa,
-            c1=norm2 - 2 * four_b2 * cc_aa,
+            c2=four_b2 - 2 * aa_cc,
+            c1=norm2 - 2 * four_b2 * aa_cc,
             c0=four_b2 * norm2,
         )
         p = ECPoint.affine(0, 2 * b * (c * c + a * a))
@@ -820,6 +822,28 @@ def fraction_discriminant(c2: Fraction, c1: Fraction, c0: Fraction) -> Fraction:
     """The discriminant of v^3 + c2 v^2 + c1 v + c0 in Fractions."""
     return (18 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2
             - 4 * c1 ** 3 - 27 * c0 ** 2)
+
+
+def weierstrass_j_invariant(curve: WeierstrassCurve) -> Fraction:
+    """j of u^2 = v^3 + c2 v^2 + c1 v + c0: c4^3 / Delta with
+    c4 = 16 (c2^2 - 3 c1) and Delta = 16 disc, i.e.
+    256 (c2^2 - 3 c1)^3 / disc."""
+    c2, c1, c0 = curve.c2, curve.c1, curve.c0
+    return 256 * (c2 * c2 - 3 * c1) ** 3 / fraction_discriminant(c2, c1, c0)
+
+
+def quartic_j_invariant(q: UniPoly) -> Fraction:
+    """j of the Jacobian of y^2 = q, q a square-free quartic
+    a x^4 + b x^3 + c x^2 + d x + e, from its classical invariants
+    I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3:
+    the Jacobian is Y^2 = X^3 - 27 I X - 27 J, so j = 6912 I^3 / (4 I^3 - J^2)
+    (Cremona, Classical invariants and 2-descent on elliptic curves,
+    J. Symbolic Comput. 31, 2001).  It shares no formula with the
+    library's Jacobian model, which is built from the normal form."""
+    e, d, c, b, a = q.coeffs
+    big_i = 12 * a * e - 3 * b * d + c * c
+    big_j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3
+    return 6912 * big_i ** 3 / (4 * big_i ** 3 - big_j ** 2)
 
 
 def fraction_residual(curve: WeierstrassCurve, point: ECPoint) -> Fraction:

@@ -21,7 +21,8 @@ from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (fraction_build_quartic_model, fraction_normal_form_quartic,
                      fraction_quartic_normal_form, has_rational_quadratic_split,
-                     poly_mul, shift)
+                     poly_mul, quartic_j_invariant, shift,
+                     weierstrass_j_invariant)
 
 
 def conic_inv(expr):
@@ -251,6 +252,28 @@ class TestModelBuilder:
             assert model == oracle
             assert repr(model) == repr(oracle)
 
+    def test_j_invariant_matches_the_quartic(self):
+        # the model's j against j from the quartic's invariants I and J,
+        # which also holds for the quartic moved by x -> l*x + h and scaled
+        # by mu, and for the model of that quartic's normal form
+        rng = random.Random(97)
+        for k in (0, 2, 4):
+            for pin in (None, "b=0", "a=c"):
+                box = SampleBox(k=k, pin=pin)
+                for _ in range(100 if pin is None else 20):
+                    params = draw_params(rng, box)
+                    q = params.quartic()
+                    j = weierstrass_j_invariant(build_quartic_model(params).curve)
+                    assert j == quartic_j_invariant(q), params
+                    h = F(rng.randint(-9, 9), rng.randint(1, 5))
+                    l = F(rng.randint(1, 9), rng.randint(1, 9))
+                    mu = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+                    moved = shift(q, h)
+                    moved = UniPoly([mu * c * l ** i for i, c in enumerate(moved.coeffs)])
+                    assert quartic_j_invariant(moved) == j, (params, h, l, mu)
+                    nf = quartic_normal_form(shift(q, h))
+                    assert weierstrass_j_invariant(build_quartic_model(nf).curve) == j
+
     def test_inexact_parameters_rejected(self):
         with pytest.raises(TypeError):
             build_quartic_model(QuarticParams(k=0, a=0.5, b=F(1), c=F(2)))
@@ -302,8 +325,8 @@ class TestQuarticEta:
         assert res.certificate.order == 4
 
     def test_k2_double_coincidence(self):
-        # b^2 = (a^2+c^2)^2 / (8(a^2-c^2)) with a=3, c=1
-        params = QuarticParams(k=2, a=F(3), b=F(5, 4), c=F(1))
+        # b^2 = (a^2+c^2)^2 / (8(c^2-a^2)) with a=1, c=3
+        params = QuarticParams(k=2, a=F(1), b=F(5, 4), c=F(3))
         res = quartic_eta(params.quartic())
         assert res.value == 1
         assert res.certificate.relation == "2p = p1"
@@ -315,10 +338,10 @@ class TestQuarticEta:
         assert (res.value, res.certificate.relation) == (1, "2p = p3")
 
     def test_k2_three_torsion_family(self):
-        # b = (a^2+c^2)/(4a) puts the boundary class at order 3, hitting
+        # b = (a^2+c^2)/(4c) puts the boundary class at order 3, hitting
         # the "2p = -p" branch of the k=2 case list
         for a, c in ((F(1), F(1)), (F(2), F(3)), (F(5), F(2)), (F(1), F(6))):
-            b = (a * a + c * c) / (4 * a)
+            b = (a * a + c * c) / (4 * c)
             params = QuarticParams(k=2, a=a, b=b, c=c)
             model = build_quartic_model(params)
             assert multiple(model.curve, 3, model.p).is_infinity
@@ -343,7 +366,7 @@ class TestQuarticEta:
 
     def test_known1_reverified_through_group_law(self):
         for params in (QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)),
-                       QuarticParams(k=2, a=F(3), b=F(5, 4), c=F(1))):
+                       QuarticParams(k=2, a=F(1), b=F(5, 4), c=F(3))):
             model = build_quartic_model(params)
             res = eta_from_params(params)
             assert res.value == 1
