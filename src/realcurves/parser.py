@@ -268,6 +268,7 @@ class _Parser:
             # "*" or implicit multiplication, e.g. "2x" or "(x-1)(x+1)"
             factor = self.parse_factor()
             acc = _poly_mul(acc, factor)
+            # a constant factor keeps the degree, which was checked
             if len(factor[0]) != 1 or _CONSTANT not in factor[0]:
                 _degree_bounded(acc[0], tok[2])
 
