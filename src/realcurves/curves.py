@@ -57,7 +57,7 @@ class ConicSpec(Record):
     numerators over a positive D coprime to their content (a private
     slot, not part of equality or the repr); `classify_conic` and
     `display` read it.  The parser hands that form over directly through
-    `from_integers`, which builds the six Fractions from it.
+    `_from_integers`, which builds the six Fractions from it.
     """
 
     _fields = ("xx", "xy", "yy", "x1", "y1", "c0")
@@ -72,7 +72,7 @@ class ConicSpec(Record):
         self._store(values, *integer_form(values))
 
     @classmethod
-    def from_integers(cls, numerators: Sequence[int], denominator: int) -> ConicSpec:
+    def _from_integers(cls, numerators: Sequence[int], denominator: int) -> ConicSpec:
         """The conic with coefficients numerators[i] / denominator, in the
         order of the fields, for a positive denominator coprime to the
         content of the numerators."""

@@ -19,6 +19,12 @@ a constant factor scales the other's numerators.  That is the form a
 `UniPoly` holds and the one a `ConicSpec` keeps beside its coefficients,
 so `parse_curve` hands it to either spec as it is: the right-hand side
 of y^2 = Q builds no Fraction, and a conic one per nonzero coefficient.
+A polynomial whose digit check finds its common denominator or a
+numerator past the bound comes back from the check in lowest terms, as
+ints and Fractions over no common denominator, and every sum and product
+with it stays in lowest terms; the specs are then built from those
+rationals.  The check of the whole polynomial, the last, keeps an
+integer form as it is.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE and coefficients (in lowest terms) of more than
@@ -26,11 +32,11 @@ MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
 after every product by a nonconstant factor, the steps of a power
 included; coefficients after every step of a power, where they can grow
 exponentially in the input length, and once for the whole polynomial,
-reported at its start, unless it is a power just checked.  The steps of
-a power whose common denominator would pass the bound run on
-coefficients in lowest terms.  The other numbers the command line takes
-(--coeffs, `ec --curve`, `ec` points) are read by `read_rationals`, and
-held to the same digit limit.
+reported at its start.  So a coefficient is reduced against a common
+denominator past the bound at most once: the steps of a power after
+that check, and the checks after it, compare sizes.  The other numbers
+the command line takes (--coeffs, `ec --curve`, `ec` points) are read
+by `read_rationals`, and held to the same digit limit.
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ from .curves import ConicSpec, CurveSpec, HyperellipticSpec
 from .polys import UniPoly
 
 Monomial = tuple[int, int]              # (x exponent, y exponent)
-Poly = tuple[dict[Monomial, int], int]  # (numerators, common denominator)
+# (numerators, common denominator), or past the coefficient bound
+# (coefficients in lowest terms, None)
+Poly = (tuple[dict[Monomial, int], int]
+        | tuple[dict[Monomial, int | Fraction], None])
 
 # The slowest short input found at degree 18, a product of linear
 # factors with 4- to 6-digit rational roots (about 360 characters), takes
@@ -101,8 +110,10 @@ def _poly_add(p: Poly, q: Poly, sign: int = 1) -> Poly:
     """p + sign*q, sign 1 or -1, over the lcm of den p and den q,
     den p * den q / g, then cancelled by gcd(content, g): a prime of one
     denominator only cannot divide the content of the sum (Henrici's
-    rule for Fraction sums)."""
+    rule for Fraction sums).  In lowest terms when p or q is."""
     (pn, pd), (qn, qd) = p, q
+    if pd is None or qd is None:
+        return _rational_add(p, q, sign)
     g = gcd(pd, qd)
     sp, sq = qd // g, sign * (pd // g)
     out = dict(pn) if sp == 1 else {m: c * sp for m, c in pn.items()}
@@ -134,8 +145,11 @@ def _mul_terms(pn: dict, qn: dict) -> dict:
 def _poly_mul(p: Poly, q: Poly) -> Poly:
     """p * q with each content first cancelled against the other
     denominator; by Gauss's lemma the product is then content-reduced.
-    A constant factor scales the other's numerators."""
+    A constant factor scales the other's numerators.  In lowest terms
+    when p or q is."""
     (pn, pd), (qn, qd) = p, q
+    if pd is None or qd is None:
+        return _rational_mul(p, q)
     if qd != 1 and (g := gcd(qd, *pn.values())) != 1:
         pn, qd = {m: c // g for m, c in pn.items()}, qd // g
     if pd != 1 and (g := gcd(pd, *qn.values())) != 1:
@@ -150,6 +164,32 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
     return (out, pd * qd) if out else _ZERO
 
 
+def _rationals(p: Poly) -> dict[Monomial, int | Fraction]:
+    """The coefficients of p in lowest terms, p's own dict when they
+    already are."""
+    terms, den = p
+    if den is None or den == 1:
+        return terms
+    return {m: Fraction(c, den) for m, c in terms.items()}
+
+
+def _rational_add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q in lowest terms."""
+    out = dict(_rationals(p))
+    for m, c in _rationals(q).items():
+        if total := out.get(m, 0) + sign * c:
+            out[m] = total
+        else:
+            del out[m]
+    return (out, None) if out else _ZERO
+
+
+def _rational_mul(p: Poly, q: Poly) -> Poly:
+    """p * q in lowest terms."""
+    out = _mul_terms(_rationals(p), _rationals(q))
+    return (out, None) if out else _ZERO
+
+
 def _poly_neg(p: Poly) -> Poly:
     return {m: -c for m, c in p[0].items()}, p[1]
 
@@ -160,55 +200,25 @@ def _degree_bounded(p: dict[Monomial, object], position: int) -> None:
 
 
 def _bounded(p: Poly, position: int) -> Poly:
-    """p itself, or a ParseError at `position` when its degree is too
-    high or a coefficient, in lowest terms, too long.
+    """p, or a ParseError at `position` when its degree is too high or a
+    coefficient, in lowest terms, too long.
 
     A denominator and numerators below the bound bound every coefficient
-    in lowest terms; past it, c/den is too long in lowest terms when |c|
-    or den reaches the bound times gcd(c, den)."""
+    in lowest terms, and p comes back as it is.  Past the bound p comes
+    back in lowest terms, so that the steps after it do not reduce
+    against its common denominator again; coefficients in lowest terms
+    are compared with the bound as they are."""
     terms, den = p
     _degree_bounded(terms, position)
     bound, values = _COEFFICIENT_BOUND, terms.values()
-    if den >= bound or not -bound < min(values, default=0) <= max(values, default=0) < bound:
-        for c in values:
-            least = bound * gcd(c, den)
-            if not -least < c < least or den >= least:
-                raise ParseError(_TOO_LONG, position)
+    if den is not None:
+        if den < bound and -bound < min(values, default=0) <= max(values, default=0) < bound:
+            return p
+        p = _rationals(p), None
+    for c in p[0].values():
+        if c.denominator >= bound or not -bound < c.numerator < bound:
+            raise ParseError(_TOO_LONG, position)
     return p
-
-
-def _power(base: Poly, e: int, position: int) -> Poly:
-    """base^e for e >= 1, each step held to the bounds at `position`.
-
-    Step i has the denominator den^i, so the step whose denominator
-    would reach the coefficient bound is known before it is taken; from
-    there on the steps run on coefficients in lowest terms, whose check
-    compares sizes where the integer form would reduce every numerator
-    against the grown common denominator."""
-    power = _bounded(base, position)
-    for step in range(1, e):
-        if power[1] * base[1] >= _COEFFICIENT_BOUND:
-            return _reduced_power(power, base, e - step, position)
-        power = _bounded(_poly_mul(power, base), position)
-    return power
-
-
-def _reduced_power(power: Poly, base: Poly, steps: int, position: int) -> Poly:
-    """power * base^steps for a power of base, on Fraction coefficients,
-    checked after every step as `_bounded` checks; the result is back in
-    the integer form, over den power * den base^steps."""
-    bound = _COEFFICIENT_BOUND
-    terms, den = power
-    acc = {m: Fraction(c, den) for m, c in terms.items()}
-    factor = {m: Fraction(c, base[1]) for m, c in base[0].items()}
-    for _ in range(steps):
-        acc = _mul_terms(acc, factor)
-        _degree_bounded(acc, position)
-        for c in acc.values():
-            if not -bound < c.numerator < bound or c.denominator >= bound:
-                raise ParseError(_TOO_LONG, position)
-    den *= base[1] ** steps
-    return {m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den
 
 
 def _int(tok: tuple[str, str, int]) -> int:
@@ -224,7 +234,6 @@ class _Parser:
         # an end token ends the list, so looking ahead never runs off it
         self.tokens = tokens + [("end", "", length)]
         self.pos = 0
-        self.power = None  # the last power taken, which passed `_bounded`
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -292,8 +301,10 @@ class _Parser:
                 return power, 1
         if e == 0:
             return {_CONSTANT: 1}, 1
-        self.power = _power(base, e, etok[2])
-        return self.power
+        power = _bounded(base, etok[2])
+        for _ in range(e - 1):
+            power = _bounded(_poly_mul(power, base), etok[2])
+        return power
 
     def parse_base(self) -> Poly:
         tok = self.tokens[self.pos]
@@ -335,8 +346,7 @@ def _parse(text: str, offset: int) -> Poly:
     try:
         parser = _Parser(_tokenize(text), len(text))
         p = parser.parse_expr()
-        if p is not parser.power:  # a power was checked at its last step
-            _bounded(p, 0)
+        _bounded(p, 0)  # an integer form stays one, the form the specs take
         tok = parser.tokens[parser.pos]
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -353,10 +363,12 @@ def _to_unipoly_in_x(p: Poly, position: int) -> UniPoly:
     terms, den = p
     if any(j for _, j in terms):
         raise ParseError("right-hand side must involve x only", position)
-    numerators = [0] * (max((i for i, _ in terms), default=-1) + 1)
+    coefficients = [0] * (max((i for i, _ in terms), default=-1) + 1)
     for (i, _), c in terms.items():
-        numerators[i] = c
-    return UniPoly.from_integers(numerators, den)
+        coefficients[i] = c
+    if den is None:  # in lowest terms
+        return UniPoly(coefficients)
+    return UniPoly.from_integers(coefficients, den)
 
 
 def parse_curve(text: str) -> CurveSpec:
@@ -365,7 +377,8 @@ def parse_curve(text: str) -> CurveSpec:
     "<poly in x,y> = 0" takes the conic path (total degree <= 2
     enforced); "y^2 = <poly in x>" takes the hyperelliptic path with the
     right-hand side stored exactly.  Both hand the parsed integer form
-    over as it is.
+    over as it is, or build the spec from the coefficients in lowest
+    terms past the coefficient bound.
     """
     if text.count("=") != 1:
         raise ParseError("expected exactly one '='", len(text))
@@ -376,14 +389,14 @@ def parse_curve(text: str) -> CurveSpec:
 
     if not rhs[0]:  # "... = 0"
         return _conic(lhs)
-    if lhs == _Y_SQUARED:
+    if _rationals(lhs) == _Y_SQUARED:
         q = _to_unipoly_in_x(rhs, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
     raise ParseError(
         "left-hand side must be y^2, or the right-hand side must be 0", 0)
 
 
-_Y_SQUARED: Poly = ({(0, 2): 1}, 1)
+_Y_SQUARED = {(0, 2): 1}
 # the monomials of ConicSpec's fields, in their order
 _CONIC_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), _CONSTANT)
 
@@ -395,7 +408,10 @@ def _conic(p: Poly) -> ConicSpec:
     for (i, j) in terms:
         if i + j > 2:
             raise ParseError("total degree > 2 on the conic path", 0)
-    return ConicSpec.from_integers([terms.get(m, 0) for m in _CONIC_MONOMIALS], den)
+    values = [terms.get(m, 0) for m in _CONIC_MONOMIALS]
+    if den is None:  # in lowest terms
+        return ConicSpec(*values)
+    return ConicSpec._from_integers(values, den)
 
 
 def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSpec:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import realcurves.parser
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
@@ -19,10 +21,14 @@ from oracles import fraction_parse_polynomial
 
 
 def parse_polynomial(text: str, offset: int = 0) -> dict:
-    """`_parse`'s integer form, checked to be canonical (nonzero integer
-    numerators over a positive denominator coprime to their content),
-    as the oracle's dict of Fractions."""
+    """`_parse`'s result as the oracle's dict of Fractions, checked to be
+    in one of its two forms: the canonical integer form (nonzero integer
+    numerators over a positive denominator coprime to their content), or
+    past the coefficient bound nonzero ints and Fractions over None."""
     terms, den = _parse(text, offset)
+    if den is None:
+        assert all(type(c) in (int, Fraction) and c != 0 for c in terms.values()), text
+        return {m: Fraction(c) for m, c in terms.items()}
     assert den > 0 and gcd(den, *terms.values()) == 1, text
     assert all(type(c) is int and c != 0 for c in terms.values()), text
     return {m: Fraction(c, den) for m, c in terms.items()}
@@ -203,24 +209,81 @@ class TestWorkBounds:
         assert (str(oracle.value), oracle.value.position) == \
             (str(exc.value), exc.value.position)
 
-    def test_power_past_the_common_denominator_bound(self):
+    def test_power_past_the_common_denominator_bound(self, monkeypatch):
         # the common denominator of (a/b*x + b/c*y + c/a)^e with 230-digit
         # a, b, c passes the bound at e = 7, long before a coefficient in
-        # lowest terms does; the later steps run on coefficients in lowest
-        # terms, not on a gcd against that denominator per coefficient
+        # lowest terms does: the check of that step brings its 36 terms to
+        # lowest terms, and the steps after it, the sum or product after
+        # the power and the check of the whole polynomial run there, so
+        # no other gcd has two operands past the bound
         a, b, c = self.coprime_numbers(11, 3, 230)
-        lhs = f"({a}/{b}*x + {b}/{c}*y + {c}/{a})^18"
-        started = time.perf_counter()
-        with pytest.raises(ParseError) as exc:
-            parse_curve(f"{lhs} = 0")
-        assert time.perf_counter() - started < 10.0
-        assert (str(exc.value), exc.value.position) == \
-            ("total degree > 2 on the conic path (at position 0)", 0)
-        assert parse_polynomial(lhs) == fraction_parse_polynomial(lhs)
+        base = f"({a}/{b}*x + {b}/{c}*y + {c}/{a})"
+        bound = 10 ** MAX_COEFFICIENT_DIGITS
+        past_the_bound = []
+
+        def checked_gcd(*integers, gcd=math.gcd):
+            if sum(abs(n) >= bound for n in integers) >= 2:
+                past_the_bound.append([n.bit_length() for n in integers])
+            return gcd(*integers)
+
+        monkeypatch.setattr(math, "gcd", checked_gcd)  # for Fraction
+        monkeypatch.setattr(realcurves.parser, "gcd", checked_gcd)
+        for text in (f"{base}^18 = 0", f"{base}^18 + 1 = 0", f"-2*{base}^18 = 0"):
+            past_the_bound.clear()
+            started = time.perf_counter()
+            with pytest.raises(ParseError) as exc:
+                parse_curve(text)
+            assert time.perf_counter() - started < 10.0
+            assert (str(exc.value), exc.value.position) == \
+                ("total degree > 2 on the conic path (at position 0)", 0)
+            assert len(past_the_bound) == 36, text
+        monkeypatch.undo()
+        assert len(fraction_parse_polynomial(f"{base}^7")) == 36
+        assert parse_polynomial(f"{base}^18") == fraction_parse_polynomial(f"{base}^18")
         # one step past the bound that passes, then a sum
         a, b = self.coprime_numbers(13, 2, 800)
         text = f"({a}/{b}*x - {b}/{a}*y + 1)^3 + 1/{a}"
         assert parse_polynomial(text) == fraction_parse_polynomial(text)
+
+    def test_lowest_terms_past_the_common_denominator_bound(self):
+        # A and B have 1500 digits and C 3000, so AB is inside the bound
+        # and AC past it: the check of a power ^1 over AC brings its base
+        # to lowest terms, the sums and products after it run there, and
+        # the specs are built from it; a whole polynomial over AC keeps
+        # its integer form
+        a, b, c = self.coprime_numbers(17, 3, 1500)
+        c = c ** 2
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except ParseError as err:
+                return str(err), err.position
+
+        accepted = [
+            f"1/{a}*x + 1/{b}*y + 1/{c}",
+            f"(1/{a}*x + 1/{b}*y + 1/{c})^1*(x*y - 1) + 1/{c} - 1/{a}*x^2*y",
+            f"(1/{a}*x + 1/{c})^1*{a}*x - x^2",
+            f"-(1/{a}*x + 1/{c})^1*({b}*y - 1) + 2/{a}*x*y",
+        ]
+        # a product over AC after the power, a power with 1/C^2, and a
+        # whole polynomial with 1/(AC)
+        rejected = [f"(1/{a}*x + 1/{b}*y + 1/{c})^1*(x - 1)",
+                    f"(1/{a}*x + 1/{c})^2", f"x + 1/{a}*1/{c}"]
+        for text in accepted + rejected:
+            ours = outcome(parse_polynomial, text)
+            assert ours == outcome(fraction_parse_polynomial, text), text
+            assert isinstance(ours, dict) == (text in accepted), text
+        # a left-hand side y^2 after a cancellation in lowest terms
+        lhs = f"(y^2 + 1/{a}*x + 1/{c})^1 - 1/{a}*x - 1/{c}"
+        assert parse_curve(f"{lhs} = x^3 - x") == parse_curve("y^2 = x^3 - x")
+        spec = parse_curve(f"(1/{a}*x^2 + 1/{c}*y^2)^1 - 1 = 0")
+        assert spec == ConicSpec(Fraction(1, a), 0, Fraction(1, c), 0, 0, -1)
+        assert spec.display() == f"1/{a}*x^2 + 1/{c}*y^2 - 1 = 0"
+        assert spec == parse_curve(f"1/{a}*x^2 + 1/{c}*y^2 - 1 = 0")
+        spec = parse_curve(f"y^2 = (1/{a}*x^3 - 1/{c})^1")
+        assert spec == parse_curve(f"y^2 = 1/{a}*x^3 - 1/{c}")
+        assert spec.q == UniPoly([Fraction(-1, c), 0, 0, Fraction(1, a)])
 
     def test_coefficient_list_rejects_exponent_notation(self):
         for entry in ("1e3", "2.5E-2", "1e20000000"):
