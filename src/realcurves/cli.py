@@ -232,7 +232,7 @@ def _parse_point(text: str) -> ECPoint:
     body = cleaned[1:-1]
     if body.count(",") != 1:
         raise ParseError(f"point must have two coordinates, got {text!r}", 0)
-    return ECPoint.affine(*read_rationals(body, "point coordinate"))
+    return ECPoint(*read_rationals(body, "point coordinate"))
 
 
 def _parse_curve_coeffs(text: str) -> WeierstrassCurve:

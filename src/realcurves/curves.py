@@ -22,15 +22,12 @@ read off the signs of the coefficients of the characteristic
 polynomials, by Descartes' rule of signs, which is exact for
 polynomials with all roots real.
 
-A conic keeps its coefficients beside their integer form, the parser's
-numerators over one common denominator; classification and display run
-on the integers.
+A conic keeps its coefficients, ints or Fractions as the parser or the
+caller gives them, beside their integer form over one common
+denominator; classification and display run on the integers.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from fractions import Fraction
 
 from ._record import Record
 from .polys import (Rational, UniPoly, count_real_roots, format_terms,
@@ -53,11 +50,10 @@ class ConicSpec(Record):
     """Coefficients of P(x,y) = xx*x^2 + xy*x*y + yy*y^2 + x1*x + y1*y + c0.
 
     The six coefficients are ints or Fractions, kept as given.  Beside
-    them the spec keeps their integer form (D, numerators), the
-    numerators over a positive D coprime to their content (a private
-    slot, not part of equality or the repr); `classify_conic` and
-    `display` read it.  The parser hands that form over directly through
-    `_from_integers`, which builds the six Fractions from it.
+    them the spec keeps their integer form (D, numerators) from
+    `polys.integer_form`, the numerators over the lcm D of their
+    denominators (a private slot, not part of equality or the repr);
+    `classify_conic` and `display` read it.
     """
 
     _fields = ("xx", "xy", "yy", "x1", "y1", "c0")
@@ -66,23 +62,7 @@ class ConicSpec(Record):
     def __init__(self, xx: Rational, xy: Rational, yy: Rational,
                  x1: Rational, y1: Rational, c0: Rational):
         values = (xx, xy, yy, x1, y1, c0)
-        for v in values:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"cannot interpret {v!r} as an exact rational")
-        self._store(values, *integer_form(values))
-
-    @classmethod
-    def _from_integers(cls, numerators: Sequence[int], denominator: int) -> ConicSpec:
-        """The conic with coefficients numerators[i] / denominator, in the
-        order of the fields, for a positive denominator coprime to the
-        content of the numerators."""
-        spec = cls.__new__(cls)
-        spec._store([Fraction(c, denominator) if c else _ZERO for c in numerators],
-                    denominator, numerators)
-        return spec
-
-    def _store(self, values: Sequence[Rational], den: int,
-               numerators: Sequence[int]) -> None:
+        den, numerators = integer_form(values)
         if not any(numerators[:5]):
             raise HypothesisError("conic has no degree >= 1 terms")
         for name, value in zip(self._fields, values):
@@ -95,7 +75,6 @@ class ConicSpec(Record):
 
 
 _CONIC_MONOMIALS = ("x^2", "x*y", "y^2", "x", "y", "")
-_ZERO = Fraction(0)
 
 
 class HyperellipticSpec(Record):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .polys import as_fraction, integer_form
+from .polys import Rational, as_fraction, integer_form
 
 
 class SingularCurveError(ValueError):
@@ -41,17 +41,17 @@ class OffCurveError(ValueError):
 
 class ECPoint(Record):
     """Either the point at infinity (both coordinates None) or an affine
-    point (v, u)."""
+    point (v, u) with Fraction coordinates; int coordinates become
+    Fractions, and any other type is a TypeError."""
 
     __slots__ = _fields = ("v", "u")
 
-    def __init__(self, v: Fraction | None, u: Fraction | None):
+    def __init__(self, v: Rational | None, u: Rational | None):
+        if not ((isinstance(v, Fraction) and isinstance(u, Fraction))
+                or (v is None and u is None)):
+            v, u = as_fraction(v), as_fraction(u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
-
-    @classmethod
-    def affine(cls, v, u) -> "ECPoint":
-        return cls(as_fraction(v), as_fraction(u))
 
     @property
     def is_infinity(self) -> bool:
@@ -78,7 +78,7 @@ class WeierstrassCurve(Record):
     _fields = ("c2", "c1", "c0")
     __slots__ = _fields + ("_integral",)
 
-    def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction):
+    def __init__(self, c2: Rational, c1: Rational, c0: Rational):
         c2, c1, c0 = as_fraction(c2), as_fraction(c1), as_fraction(c0)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c1", c1)

@@ -114,9 +114,6 @@ class QuarticParams(Record):
     def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
         if k not in (0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
-        for x in (a, b, c):
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"cannot interpret {x!r} as an exact rational")
         den, (big_a, big_b, big_c) = integer_form((a, b, c))
         if big_a <= 0 or big_c <= 0:
             raise ValueError("a and c must be positive")

@@ -11,20 +11,13 @@ parenthesized subexpressions with + - * are allowed, so inputs like
 "y^2 = (x^2-1)*(x^2-9)" parse directly.  Syntax errors carry the
 character position at which they were detected.
 
-While it is parsed, a polynomial is a pair: integer numerators by
-monomial over one positive common denominator that is coprime to their
-content.  A p/q literal is reduced on entry, a sum or difference goes
-over the lcm of the two denominators, a product multiplies integers and
-a constant factor scales the other's numerators.  That is the form a
-`UniPoly` holds and the one a `ConicSpec` keeps beside its coefficients,
-so `parse_curve` hands it to either spec as it is: the right-hand side
-of y^2 = Q builds no Fraction, and a conic one per nonzero coefficient.
-A polynomial whose digit check finds its common denominator or a
-numerator past the bound comes back from the check in lowest terms, as
-ints and Fractions over no common denominator, and every sum and product
-with it stays in lowest terms; the specs are then built from those
-rationals.  The check of the whole polynomial, the last, keeps an
-integer form as it is.
+While it is parsed, a polynomial is a dict from monomial to its nonzero
+coefficient in lowest terms.  An integer literal is an int, and sums and
+products of ints stay ints; a p/q literal is a Fraction, and so is what
+it is added to or multiplied with.  `parse_curve` hands the coefficients
+to `UniPoly` or `ConicSpec`, which bring them to integer numerators over
+one denominator with `polys.integer_form`, so a curve with integer
+coefficients builds no Fraction.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE and coefficients (in lowest terms) of more than
@@ -32,26 +25,20 @@ MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
 after every product by a nonconstant factor, the steps of a power
 included; coefficients after every step of a power, where they can grow
 exponentially in the input length, and once for the whole polynomial,
-reported at its start.  So a coefficient is reduced against a common
-denominator past the bound at most once: the steps of a power after
-that check, and the checks after it, compare sizes.  The other numbers
-the command line takes (--coeffs, `ec --curve`, `ec` points) are read
-by `read_rationals`, and held to the same digit limit.
+reported at its start.  The other numbers the command line takes
+(--coeffs, `ec --curve`, `ec` points) are read by `read_rationals`, and
+held to the same digit limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .curves import ConicSpec, CurveSpec, HyperellipticSpec
-from .polys import UniPoly
+from .polys import Rational, UniPoly
 
 Monomial = tuple[int, int]              # (x exponent, y exponent)
-# (numerators, common denominator), or past the coefficient bound
-# (coefficients in lowest terms, None)
-Poly = (tuple[dict[Monomial, int], int]
-        | tuple[dict[Monomial, int | Fraction], None])
+Poly = dict[Monomial, Rational]         # nonzero coefficients in lowest terms
 
 # The slowest short input found at degree 18, a product of linear
 # factors with 4- to 6-digit rational roots (about 360 characters), takes
@@ -81,20 +68,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Produce (kind, value, position) triples; kinds are 'int', 'var', or
     a literal operator character."""
     tokens = []
-    end = 0  # end of the last integer literal
-    for i, ch in enumerate(text):
-        if i < end:
-            continue
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
         kind = _KINDS.get(ch)
         if kind is not None:
             tokens.append((kind, ch, i))
         elif ch.isdigit():
             end = i + 1
-            while end < len(text) and text[end].isdigit():
+            while end < n and text[end].isdigit():
                 end += 1
             tokens.append(("int", text[i:end], i))
+            i = end
+            continue
         elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", i)
+        i += 1
     return tokens
 
 
@@ -102,120 +91,58 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Recursive-descent parser over bivariate polynomials
 # ---------------------------------------------------------------------------
 
-_ZERO: Poly = ({}, 1)
 _CONSTANT: Monomial = (0, 0)
 
 
 def _poly_add(p: Poly, q: Poly, sign: int = 1) -> Poly:
-    """p + sign*q, sign 1 or -1, over the lcm of den p and den q,
-    den p * den q / g, then cancelled by gcd(content, g): a prime of one
-    denominator only cannot divide the content of the sum (Henrici's
-    rule for Fraction sums).  In lowest terms when p or q is."""
-    (pn, pd), (qn, qd) = p, q
-    if pd is None or qd is None:
-        return _rational_add(p, q, sign)
-    g = gcd(pd, qd)
-    sp, sq = qd // g, sign * (pd // g)
-    out = dict(pn) if sp == 1 else {m: c * sp for m, c in pn.items()}
-    for m, c in qn.items():
+    """p + sign*q, sign 1 or -1."""
+    out = dict(p)
+    for m, c in q.items():
+        if sign < 0:
+            c = -c
         if m not in out:
-            out[m] = c * sq
-        elif total := out[m] + c * sq:
+            out[m] = c
+        elif total := out[m] + c:
             out[m] = total
         else:
             del out[m]
-    if not out:
-        return _ZERO
-    if g != 1 and (g := gcd(g, *out.values())) != 1:
-        return {m: c // g for m, c in out.items()}, pd * sp // g
-    return out, pd * sp
+    return out
 
 
-def _mul_terms(pn: dict, qn: dict) -> dict:
-    """The product of two sparse polynomials, int or Fraction valued,
-    with no zero terms."""
+def _poly_mul(p: Poly, q: Poly) -> Poly:
+    """p * q; a constant factor scales the other's coefficients."""
+    if len(p) == 1 and _CONSTANT in p:
+        p, q = q, p
+    if len(q) == 1 and _CONSTANT in q:
+        k = q[_CONSTANT]
+        return {m: c * k for m, c in p.items()}
     out = {}
-    for (i1, j1), c1 in pn.items():
-        for (i2, j2), c2 in qn.items():
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
             m = (i1 + i2, j1 + j2)
             out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return {m: c for m, c in out.items() if c} if 0 in out.values() else out
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    """p * q with each content first cancelled against the other
-    denominator; by Gauss's lemma the product is then content-reduced.
-    A constant factor scales the other's numerators.  In lowest terms
-    when p or q is."""
-    (pn, pd), (qn, qd) = p, q
-    if pd is None or qd is None:
-        return _rational_mul(p, q)
-    if qd != 1 and (g := gcd(qd, *pn.values())) != 1:
-        pn, qd = {m: c // g for m, c in pn.items()}, qd // g
-    if pd != 1 and (g := gcd(pd, *qn.values())) != 1:
-        qn, pd = {m: c // g for m, c in qn.items()}, pd // g
-    if len(pn) == 1 and _CONSTANT in pn:
-        pn, qn = qn, pn
-    if len(qn) == 1 and _CONSTANT in qn:
-        k = qn[_CONSTANT]
-        out = {m: c * k for m, c in pn.items()}
-    else:
-        out = _mul_terms(pn, qn)
-    return (out, pd * qd) if out else _ZERO
-
-
-def _rationals(p: Poly) -> dict[Monomial, int | Fraction]:
-    """The coefficients of p in lowest terms, p's own dict when they
-    already are."""
-    terms, den = p
-    if den is None or den == 1:
-        return terms
-    return {m: Fraction(c, den) for m, c in terms.items()}
-
-
-def _rational_add(p: Poly, q: Poly, sign: int) -> Poly:
-    """p + sign*q in lowest terms."""
-    out = dict(_rationals(p))
-    for m, c in _rationals(q).items():
-        if total := out.get(m, 0) + sign * c:
-            out[m] = total
-        else:
-            del out[m]
-    return (out, None) if out else _ZERO
-
-
-def _rational_mul(p: Poly, q: Poly) -> Poly:
-    """p * q in lowest terms."""
-    out = _mul_terms(_rationals(p), _rationals(q))
-    return (out, None) if out else _ZERO
-
-
 def _poly_neg(p: Poly) -> Poly:
-    return {m: -c for m, c in p[0].items()}, p[1]
+    return {m: -c for m, c in p.items()}
 
 
-def _degree_bounded(p: dict[Monomial, object], position: int) -> None:
+def _degree_bounded(p: Poly, position: int) -> None:
     if p and max(map(sum, p)) > MAX_DEGREE:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
 
 
 def _bounded(p: Poly, position: int) -> Poly:
     """p, or a ParseError at `position` when its degree is too high or a
-    coefficient, in lowest terms, too long.
-
-    A denominator and numerators below the bound bound every coefficient
-    in lowest terms, and p comes back as it is.  Past the bound p comes
-    back in lowest terms, so that the steps after it do not reduce
-    against its common denominator again; coefficients in lowest terms
-    are compared with the bound as they are."""
-    terms, den = p
-    _degree_bounded(terms, position)
-    bound, values = _COEFFICIENT_BOUND, terms.values()
-    if den is not None:
-        if den < bound and -bound < min(values, default=0) <= max(values, default=0) < bound:
+    coefficient, in lowest terms, too long."""
+    _degree_bounded(p, position)
+    bound, values = _COEFFICIENT_BOUND, p.values()
+    if Fraction not in map(type, values):  # ints only
+        if -bound < min(values, default=0) and max(values, default=0) < bound:
             return p
-        p = _rationals(p), None
-    for c in p[0].values():
+        raise ParseError(_TOO_LONG, position)
+    for c in values:
         if c.denominator >= bound or not -bound < c.numerator < bound:
             raise ParseError(_TOO_LONG, position)
     return p
@@ -278,8 +205,8 @@ class _Parser:
             factor = self.parse_factor()
             acc = _poly_mul(acc, factor)
             # a constant factor keeps the degree, which was checked
-            if len(factor[0]) != 1 or _CONSTANT not in factor[0]:
-                _degree_bounded(acc[0], tok[2])
+            if len(factor) != 1 or _CONSTANT not in factor:
+                _degree_bounded(acc, tok[2])
 
     def parse_factor(self) -> Poly:
         base = self.parse_base()
@@ -290,17 +217,16 @@ class _Parser:
         e = _int(etok)
         if e > MAX_DEGREE:
             raise ParseError(f"exponent above the limit of {MAX_DEGREE}", etok[2])
-        terms, den = base
-        if den == 1 and len(terms) == 1:
-            [((i, j), c)] = terms.items()
+        if len(base) == 1:
+            [((i, j), c)] = base.items()
             if c == 1 or c == -1:
                 # the degree grows with each step and no coefficient can,
                 # so the steps' checks come down to the degree of the last
                 power = {(i * e, j * e): c ** e}
                 _degree_bounded(power, etok[2])
-                return power, 1
+                return power
         if e == 0:
-            return {_CONSTANT: 1}, 1
+            return {_CONSTANT: 1}
         power = _bounded(base, etok[2])
         for _ in range(e - 1):
             power = _bounded(_poly_mul(power, base), etok[2])
@@ -320,11 +246,10 @@ class _Parser:
                 den = _int(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
-                g = gcd(num, den)
-                return ({_CONSTANT: num // g}, den // g) if num else _ZERO
-            return ({_CONSTANT: num}, 1) if num else _ZERO
+                return {_CONSTANT: Fraction(num, den)} if num else {}
+            return {_CONSTANT: num} if num else {}
         if kind == "var":
-            return {(1, 0) if value == "x" else (0, 1): 1}, 1
+            return {(1, 0) if value == "x" else (0, 1): 1}
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -346,7 +271,7 @@ def _parse(text: str, offset: int) -> Poly:
     try:
         parser = _Parser(_tokenize(text), len(text))
         p = parser.parse_expr()
-        _bounded(p, 0)  # an integer form stays one, the form the specs take
+        _bounded(p, 0)
         tok = parser.tokens[parser.pos]
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -360,15 +285,12 @@ def _parse(text: str, offset: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _to_unipoly_in_x(p: Poly, position: int) -> UniPoly:
-    terms, den = p
-    if any(j for _, j in terms):
+    if any(j for _, j in p):
         raise ParseError("right-hand side must involve x only", position)
-    coefficients = [0] * (max((i for i, _ in terms), default=-1) + 1)
-    for (i, _), c in terms.items():
+    coefficients = [0] * (max((i for i, _ in p), default=-1) + 1)
+    for (i, _), c in p.items():
         coefficients[i] = c
-    if den is None:  # in lowest terms
-        return UniPoly(coefficients)
-    return UniPoly.from_integers(coefficients, den)
+    return UniPoly(coefficients)
 
 
 def parse_curve(text: str) -> CurveSpec:
@@ -376,9 +298,8 @@ def parse_curve(text: str) -> CurveSpec:
 
     "<poly in x,y> = 0" takes the conic path (total degree <= 2
     enforced); "y^2 = <poly in x>" takes the hyperelliptic path with the
-    right-hand side stored exactly.  Both hand the parsed integer form
-    over as it is, or build the spec from the coefficients in lowest
-    terms past the coefficient bound.
+    right-hand side stored exactly.  Both build the spec from the
+    parsed coefficients.
     """
     if text.count("=") != 1:
         raise ParseError("expected exactly one '='", len(text))
@@ -387,9 +308,9 @@ def parse_curve(text: str) -> CurveSpec:
     lhs = _parse(lhs_text, 0)
     rhs = _parse(rhs_text, rhs_offset)
 
-    if not rhs[0]:  # "... = 0"
+    if not rhs:  # "... = 0"
         return _conic(lhs)
-    if _rationals(lhs) == _Y_SQUARED:
+    if lhs == _Y_SQUARED:
         q = _to_unipoly_in_x(rhs, rhs_offset)
         return hyperelliptic_from_unipoly(q, position=rhs_offset)
     raise ParseError(
@@ -402,16 +323,12 @@ _CONIC_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), _CONSTANT)
 
 
 def _conic(p: Poly) -> ConicSpec:
-    terms, den = p
-    if not terms:
+    if not p:
         raise ParseError("polynomial is identically zero", 0)
-    for (i, j) in terms:
+    for (i, j) in p:
         if i + j > 2:
             raise ParseError("total degree > 2 on the conic path", 0)
-    values = [terms.get(m, 0) for m in _CONIC_MONOMIALS]
-    if den is None:  # in lowest terms
-        return ConicSpec(*values)
-    return ConicSpec._from_integers(values, den)
+    return ConicSpec(*[p.get(m, 0) for m in _CONIC_MONOMIALS])
 
 
 def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSpec:

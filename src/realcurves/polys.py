@@ -1,8 +1,8 @@
 """Exact univariate polynomial algebra over the rationals.
 
 `UniPoly` holds integer numerators over one positive common denominator
-coprime to their content, the form the parser builds, and every
-operation is exact; there is no floating point anywhere in this module.
+coprime to their content, and every operation is exact; there is no
+floating point anywhere in this module.
 The case analysis downstream (component counts, group structures) is
 discrete, so a single wrong sign would flip an entire output group --
 hence the hard exactness requirement.
@@ -10,6 +10,8 @@ hence the hard exactness requirement.
 `integer_form` brings ints and Fractions to integer numerators over the
 lcm of their denominators, the form that `UniPoly`, `eta.QuarticParams`,
 `elliptic.WeierstrassCurve` and `curves.ConicSpec` compute on, and
+rejects any other value with a TypeError, so a rational is an int or a
+Fraction throughout (a string is not parsed here); and
 `exact_isqrt` is the package's one test of an integer for being a
 square.  `format_terms` writes integer numerators over a denominator as
 a sum of terms, each coefficient reduced by a gcd, for `UniPoly`, the
@@ -52,23 +54,25 @@ from ._record import Record
 Rational = int | Fraction
 
 
-def as_fraction(x: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction."""
+def as_fraction(x: Rational) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else is a TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """(D, numerators) with values[i] = numerators[i] / D, over the lcm D
-    of the denominators of the given ints and Fractions."""
+    of the denominators of the given ints and Fractions; any other value
+    is a TypeError."""
     den = 1
     for v in values:
-        den = lcm(den, v.denominator)
+        if type(v) is not int:  # an int's denominator is 1
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot interpret {v!r} as an exact rational")
+            den = lcm(den, v.denominator)
     if den == 1:  # all integers, as the sampler draws them
         return den, [v.numerator for v in values]
     return den, [v.numerator * (den // v.denominator) for v in values]
@@ -107,9 +111,7 @@ class UniPoly(Record):
     __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coefficients: Iterable[Rational]):
-        den, numerators = integer_form(
-            [c if isinstance(c, (int, Fraction)) else as_fraction(c)
-             for c in coefficients])
+        den, numerators = integer_form(list(coefficients))
         self._reduce(numerators, den)
 
     @classmethod

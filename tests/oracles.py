@@ -374,11 +374,11 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
     four_b2 = 4 * b * b
     if params.k == 0:
         curve = _fraction_curve_from_roots([-four_b2, (c - a) ** 2, (c + a) ** 2])
-        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
+        p = ECPoint(0, 2 * b * (c * c - a * a))
         torsion = {
-            "p1": ECPoint.affine(-four_b2, 0),
-            "p2": ECPoint.affine((c - a) ** 2, 0),
-            "p3": ECPoint.affine((c + a) ** 2, 0),
+            "p1": ECPoint(-four_b2, 0),
+            "p2": ECPoint((c - a) ** 2, 0),
+            "p3": ECPoint((c + a) ** 2, 0),
         }
         neutral = None
     elif params.k == 2:
@@ -389,17 +389,17 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
             c1=norm2 - 2 * four_b2 * aa_cc,
             c0=four_b2 * norm2,
         )
-        p = ECPoint.affine(0, 2 * b * (c * c + a * a))
-        torsion = {"p1": ECPoint.affine(-four_b2, 0)}
+        p = ECPoint(0, 2 * b * (c * c + a * a))
+        torsion = {"p1": ECPoint(-four_b2, 0)}
         neutral = None
     else:
         curve = _fraction_curve_from_roots(
             [-four_b2, -((c - a) ** 2), -((c + a) ** 2)])
-        p = ECPoint.affine(0, 2 * b * (c * c - a * a))
+        p = ECPoint(0, 2 * b * (c * c - a * a))
         torsion = {
-            "p1": ECPoint.affine(-four_b2, 0),
-            "p2": ECPoint.affine(-((c + a) ** 2), 0),
-            "p3": ECPoint.affine(-((c - a) ** 2), 0),
+            "p1": ECPoint(-four_b2, 0),
+            "p2": ECPoint(-((c + a) ** 2), 0),
+            "p3": ECPoint(-((c - a) ** 2), 0),
         }
         neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
     assert fraction_discriminant(curve.c2, curve.c1, curve.c0) != 0

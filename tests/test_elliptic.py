@@ -17,7 +17,7 @@ F = Fraction
 
 # u^2 = v(v-1)(v+4) = v^3 + 3v^2 - 4v
 CURVE_014 = WeierstrassCurve(c2=3, c1=-4, c0=0)
-TWO_TORSION_014 = [ECPoint.affine(0, 0), ECPoint.affine(1, 0), ECPoint.affine(-4, 0)]
+TWO_TORSION_014 = [ECPoint(0, 0), ECPoint(1, 0), ECPoint(-4, 0)]
 
 
 class TestBasicLaw:
@@ -73,6 +73,43 @@ class TestOracleAgreement:
                 checked += 1
 
 
+class TestIntCoordinates:
+    """Int coordinates become Fractions in `ECPoint`, so the group law
+    never divides an int by an int and its results are exact."""
+
+    CURVE = WeierstrassCurve(0, -1, 1)  # u^2 = v^3 - v + 1
+
+    @staticmethod
+    def assert_fractions(point):
+        assert type(point.v) is Fraction and type(point.u) is Fraction, point
+
+    def test_group_law_returns_fractions(self):
+        curve, p, q = self.CURVE, ECPoint(0, 1), ECPoint(1, 1)
+        self.assert_fractions(p)
+        total = ec_add(curve, p, q)
+        self.assert_fractions(total)
+        assert total == chord_add(curve, p, q) == ECPoint(F(-1), F(-1))
+        double = ec_double(curve, p)
+        self.assert_fractions(double)
+        assert double == chord_add(curve, p, p)
+        for n in (2, 3, 5, -4):
+            expected = INFINITY
+            for _ in range(abs(n)):
+                expected = chord_add(curve, expected, p if n > 0 else -p)
+            got = multiple(curve, n, p)
+            self.assert_fractions(got)
+            assert got == expected, n
+
+    def test_torsion_search_on_int_points(self):
+        # (2, 3) on u^2 = v^3 + 1 has order 6; (0, 1) above has infinite order
+        for curve, point in ((WeierstrassCurve(0, 0, 1), ECPoint(2, 3)),
+                             (self.CURVE, ECPoint(0, 1)),
+                             (CURVE_014, ECPoint(-4, 0))):
+            assert torsion_order_bounded(curve, point, 12) == \
+                stepwise_torsion_order(curve, point, 12)
+        assert torsion_order_bounded(WeierstrassCurve(0, 0, 1), ECPoint(2, 3), 12) == 6
+
+
 class TestGroupAxioms:
     def test_associativity_commutativity_on_random_triples(self):
         rng = random.Random(19)
@@ -124,7 +161,7 @@ class TestTorsion:
                 curve = WeierstrassCurve(c2=c2, c1=c1, c0=c0)
             except SingularCurveError:
                 continue
-            q = multiple(curve, 2, ECPoint.affine(v0, u0))
+            q = multiple(curve, 2, ECPoint(v0, u0))
             if q.is_infinity:
                 continue
             if nagell_lutz_excludes_torsion(curve, q):
@@ -263,7 +300,7 @@ class TestIntegerChecks:
 
 class TestGuards:
     def test_off_curve_rejected_with_residual(self):
-        bad = ECPoint.affine(2, 2)
+        bad = ECPoint(2, 2)
         with pytest.raises(OffCurveError) as exc:
             ec_add(CURVE_014, bad, INFINITY)
         # u^2 - (v^3 + 3v^2 - 4v) at (2, 2)

@@ -1,11 +1,13 @@
 """How many Fractions an analysis builds.
 
-The parser hands its integer form (numerators over one denominator) to
-the curve specs, and classification, display and report assembly read
-it, so the report of a parsed curve builds no Fraction.  The counts are
-pinned exactly: a Fraction round trip that comes back anywhere on the
-path fails here.  A conic still builds one Fraction per nonzero
-coefficient, for the public fields of `ConicSpec`.
+The parser keeps integer literals, and their sums and products, as
+ints; a Fraction appears only for a p/q literal and for what it is
+added to or multiplied with.  The specs bring the coefficients to
+integer numerators over one denominator, and classification, display
+and report assembly read that form, so the report of a parsed curve
+builds no Fraction, and neither does the parse of a curve with integer
+coefficients.  The counts are pinned exactly: a Fraction round trip
+that comes back anywhere on the path fails here.
 """
 
 import fractions
@@ -16,10 +18,14 @@ from realcurves import full_report, parse_curve
 
 # input: (Fractions built by parse_curve, Fractions built by full_report)
 COUNTS = {
-    "x^2 + y^2 - 1 = 0": (3, 0),
-    "2*((-3*x + 4*y - 3)^2 + (x + 4*y + 5)^2 - 16) = 0": (6, 0),
+    "x^2 + y^2 - 1 = 0": (0, 0),
+    "2*((-3*x + 4*y - 3)^2 + (x + 4*y + 5)^2 - 16) = 0": (0, 0),
     "y^2 = x^3 - x": (0, 0),
     "y^2 = 3*x^8 - 10": (0, 0),
+    # a p/q literal builds one Fraction and its product with a monomial
+    # another; the difference x^3 - 1/4*x builds a third, the negation
+    "1/2*x^2 + 3/4*y^2 - 1 = 0": (4, 0),
+    "y^2 = x^3 - 1/4*x": (3, 0),
 }
 
 

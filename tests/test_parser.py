@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import realcurves.parser
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
@@ -22,16 +21,10 @@ from oracles import fraction_parse_polynomial
 
 def parse_polynomial(text: str, offset: int = 0) -> dict:
     """`_parse`'s result as the oracle's dict of Fractions, checked to be
-    in one of its two forms: the canonical integer form (nonzero integer
-    numerators over a positive denominator coprime to their content), or
-    past the coefficient bound nonzero ints and Fractions over None."""
-    terms, den = _parse(text, offset)
-    if den is None:
-        assert all(type(c) in (int, Fraction) and c != 0 for c in terms.values()), text
-        return {m: Fraction(c) for m, c in terms.items()}
-    assert den > 0 and gcd(den, *terms.values()) == 1, text
-    assert all(type(c) is int and c != 0 for c in terms.values()), text
-    return {m: Fraction(c, den) for m, c in terms.items()}
+    in its one form: nonzero ints and Fractions, in lowest terms."""
+    terms = _parse(text, offset)
+    assert all(type(c) in (int, Fraction) and c != 0 for c in terms.values()), text
+    return {m: Fraction(c) for m, c in terms.items()}
 
 
 class TestConicPath:
@@ -212,10 +205,8 @@ class TestWorkBounds:
     def test_power_past_the_common_denominator_bound(self, monkeypatch):
         # the common denominator of (a/b*x + b/c*y + c/a)^e with 230-digit
         # a, b, c passes the bound at e = 7, long before a coefficient in
-        # lowest terms does: the check of that step brings its 36 terms to
-        # lowest terms, and the steps after it, the sum or product after
-        # the power and the check of the whole polynomial run there, so
-        # no other gcd has two operands past the bound
+        # lowest terms does; the parser holds every coefficient in lowest
+        # terms, so no gcd has two operands past the bound
         a, b, c = self.coprime_numbers(11, 3, 230)
         base = f"({a}/{b}*x + {b}/{c}*y + {c}/{a})"
         bound = 10 ** MAX_COEFFICIENT_DIGITS
@@ -227,7 +218,6 @@ class TestWorkBounds:
             return gcd(*integers)
 
         monkeypatch.setattr(math, "gcd", checked_gcd)  # for Fraction
-        monkeypatch.setattr(realcurves.parser, "gcd", checked_gcd)
         for text in (f"{base}^18 = 0", f"{base}^18 + 1 = 0", f"-2*{base}^18 = 0"):
             past_the_bound.clear()
             started = time.perf_counter()
@@ -236,7 +226,7 @@ class TestWorkBounds:
             assert time.perf_counter() - started < 10.0
             assert (str(exc.value), exc.value.position) == \
                 ("total degree > 2 on the conic path (at position 0)", 0)
-            assert len(past_the_bound) == 36, text
+            assert past_the_bound == [], text
         monkeypatch.undo()
         assert len(fraction_parse_polynomial(f"{base}^7")) == 36
         assert parse_polynomial(f"{base}^18") == fraction_parse_polynomial(f"{base}^18")
@@ -246,11 +236,12 @@ class TestWorkBounds:
         assert parse_polynomial(text) == fraction_parse_polynomial(text)
 
     def test_lowest_terms_past_the_common_denominator_bound(self):
-        # A and B have 1500 digits and C 3000, so AB is inside the bound
-        # and AC past it: the check of a power ^1 over AC brings its base
-        # to lowest terms, the sums and products after it run there, and
-        # the specs are built from it; a whole polynomial over AC keeps
-        # its integer form
+        # A and B have 1500 digits and C 3000, so the common denominator
+        # AB is inside the bound and AC past it, while each coefficient in
+        # lowest terms is inside it: the digit checks of a power ^1 and of
+        # the whole polynomial pass over AC, the sums and products after
+        # the power and the specs built from them agree with the oracle,
+        # and only a coefficient past the bound in lowest terms fails
         a, b, c = self.coprime_numbers(17, 3, 1500)
         c = c ** 2
 
@@ -445,8 +436,8 @@ def parse_outcome(parse, text: str, offset: int):
 
 
 class TestAgainstFractionOracle:
-    """The parse on one common denominator against the Fraction parser:
-    equal polynomials, or the same error at the same position."""
+    """The parser against the Fraction parser: equal polynomials, or the
+    same error at the same position."""
 
     def test_random_expressions(self):
         rng = random.Random(9001)
@@ -463,8 +454,8 @@ class TestAgainstFractionOracle:
         assert 200 < errors < 1500
 
     def test_curves_carry_their_primitive_polynomial(self):
-        # parse_curve hands y^2 = Q the primitive integer multiple of Q
-        # that the parse gives; a fresh UniPoly rebuilds it
+        # the UniPoly that parse_curve builds from the parsed coefficients
+        # has the Sturm chain and root count of a fresh one
         rng = random.Random(9013)
         checked = 0
         while checked < 150:

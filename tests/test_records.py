@@ -206,9 +206,27 @@ def test_validators_still_raise(build, error):
 
 
 def test_weierstrass_coefficients_become_fractions():
-    curve = WeierstrassCurve(0, "-1", 0)
+    curve = WeierstrassCurve(0, -1, 0)
     assert curve == CURVE
     assert all(type(c) is Fraction for c in (curve.c2, curve.c1, curve.c0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniPoly(["1e3000000", 1]),
+    lambda: UniPoly([1, "1/2"]),
+    lambda: WeierstrassCurve(0, "1e3000000", 1),
+    lambda: WeierstrassCurve("-1", 0, 0),
+    lambda: ECPoint("0", 0),
+    lambda: ECPoint(0, "1/2"),
+    lambda: ECPoint(None, F(1)),
+    lambda: ConicSpec(1, 0, 1, 0, 0, "-1"),
+    lambda: ConicSpec(1, 0, 1, 0, 0, -1.0),
+])
+def test_strings_are_not_rationals(build):
+    # a rational is an int or a Fraction; a string is not parsed, so it
+    # cannot bypass the digit checks of parser.read_rationals
+    with pytest.raises(TypeError, match="exact rational"):
+        build()
 
 
 @pytest.mark.parametrize("zn, folded", [
