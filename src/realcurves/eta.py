@@ -24,11 +24,13 @@ decision procedure checks, exactly and in this order, the relation lists
            shares the identity component with p) for n <= 4,
            the even-order coincidences                       (4 cases)
 
-Every Known(1) answer carries the satisfied relation, re-verified by
-recomputing np through double-and-add (`multiple`) and the order of p
-through `torsion_order_bounded`; every Known(0) answer carries the full
-list of relations that were excluded, so both are independently
-re-checkable.
+The multiples i*p are computed once, incrementally, into one list.
+Every Known(1) answer carries the satisfied relation and the order of
+p, read off the same list extended until it holds the identity (the
+relation bounds the order by 12); every Known(0) answer carries the
+full list of relations that were excluded, so both are independently
+re-checkable.  Either way the highest multiple other than the identity
+is checked to lie on the curve.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from math import gcd
 from ._record import Record
 from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
-from .elliptic import (ECPoint, INFINITY, WeierstrassCurve, _add, multiple,
-                       torsion_order_bounded)
+from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
 from .polys import (Rational, UniPoly, exact_isqrt, integer_form,
                     integer_roots_monic, rational_sqrt)
 
@@ -383,9 +384,13 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     Runs the normal-form search; without a rational factorization the
     answer is Undetermined.  Otherwise the finite torsion case list is
     checked with exact arithmetic, multiples of p computed incrementally
-    so that nothing beyond the listed relations is ever touched.  They
-    come from the unchecked group law, as the model's points are checked;
-    an exhausted search checks once that its last multiple is on the curve.
+    so that nothing beyond the listed relations is touched; a matched
+    relation then extends the same multiples until one is the identity,
+    which gives the order of p.  They come from the unchecked group law,
+    as the model's points are checked once, when the model is built.
+    The search checks once that its highest multiple other than the
+    identity is on the curve, and a coincidence that the identity is
+    reached by 12p; a failure is an InternalInconsistencyError.
     """
     params = quartic_normal_form(q)
     if params is None:
@@ -396,19 +401,17 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
 def eta_from_params(params: QuarticParams,
                     stats: SearchStats | None = None) -> EtaResult:
     model = build_quartic_model(params)
+    curve, p = model.curve, model.p
     cases = _case_list(params, model)
     multiples: list[ECPoint] = [INFINITY]  # multiples[i] = i * p
-
-    def multiple_of_p(n: int) -> ECPoint:
-        while len(multiples) <= n:
-            multiples.append(_add(model.curve, multiples[-1], model.p))
-        return multiples[n]
 
     checked: list[str] = []
     for n, target_name in cases:
         checked.append(_relation_string(n, target_name))
-        target = -model.p if target_name == "-p" else model.two_torsion[target_name]
-        if multiple_of_p(n) == target:
+        target = -p if target_name == "-p" else model.two_torsion[target_name]
+        while len(multiples) <= n:
+            multiples.append(_add(curve, multiples[-1], p))
+        if multiples[n] == target:
             break
     else:
         target = None
@@ -417,23 +420,25 @@ def eta_from_params(params: QuarticParams,
         stats.case_list = tuple(_relation_string(m, t) for m, t in cases)
         stats.relations_checked = len(checked)
         stats.max_multiple = len(multiples) - 1
+    # the order of p is the least n >= 1 with np = O.  A matched relation
+    # bounds it by 12 (np = T with 2T = O gives 2n, 2np = -p gives 2n + 1),
+    # so the list grows until it holds O, up to 12p
+    while (target is not None and len(multiples) <= 12
+           and not any(point.is_infinity for point in multiples[1:])):
+        multiples.append(_add(curve, multiples[-1], p))
+    top = max(n for n, point in enumerate(multiples) if not point.is_infinity)
+    if not curve.contains(multiples[top]):
+        search = "exhausted search" if target is None else "certified relation"
+        raise InternalInconsistencyError(f"{search} left the curve at {top}p")
     if target is None:
-        if not model.curve.contains(multiples[-1]):
-            raise InternalInconsistencyError(
-                f"exhausted search left the curve at {len(multiples) - 1}p")
         return EtaResult(0, Certificate(TORSION_EXHAUSTED,
                                         cases_checked=tuple(checked)))
-    # re-verify: np again by double-and-add, then the order of p by the
-    # bounded torsion search (both use the same group law as the search)
-    if multiple(model.curve, n, model.p) != target:
+    orders = [n for n, point in enumerate(multiples) if n and point.is_infinity]
+    if not orders:
         raise InternalInconsistencyError(
-            f"certificate {checked[-1]!r} failed re-verification")
-    order = torsion_order_bounded(model.curve, model.p, 12)
-    if order is None:
-        raise InternalInconsistencyError(
-            "certified relation without bounded torsion")
+            f"certificate {checked[-1]!r} failed its self-check: no np = O up to 12p")
     return EtaResult(1, Certificate(TORSION_COINCIDENCE,
-                                    relation=checked[-1], order=order))
+                                    relation=checked[-1], order=orders[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         kind = _KINDS.get(ch)
         if kind is not None:
             tokens.append((kind, ch, i))
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit takes '²' and '١'
             end = i + 1
-            while end < n and text[end].isdigit():
+            while end < n and "0" <= text[end] <= "9":
                 end += 1
             tokens.append(("int", text[i:end], i))
             i = end

@@ -497,9 +497,9 @@ def _fraction_tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

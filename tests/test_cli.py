@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realcurves.eta
-from realcurves import ECPoint, INFINITY
+from realcurves import ECPoint
 from realcurves.cli import main
 from realcurves.parser import MAX_COEFFICIENT_DIGITS
 
@@ -104,6 +104,16 @@ class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "analyze", "x^2 + @ = 0")
         assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize("expr, char, position", [
+        ("y^2 = x²", "²", 7), ("y^2 = x^3 - ١", "١", 12)])
+    def test_non_ascii_digit_is_unexpected_character(self, capsys, expr, char,
+                                                     position):
+        # str.isdigit is true for both; only 0-9 are digits in the grammar
+        for as_json in ((), ("--json",)):
+            code, out, err = run(capsys, "analyze", expr, *as_json)
+            assert code == 2 and out == ""
+            assert f"unexpected character {char!r} (at position {position})" in err
 
     def test_hypothesis_violation_is_3(self, capsys):
         code, _, err = run(capsys, "analyze", "y^2 = (x-1)^2")
@@ -196,10 +206,12 @@ class TestExitCodes:
             assert code == 2 and message in err and out == ""
 
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
-        # a re-verification that disagrees with the incremental search
-        monkeypatch.setattr(realcurves.eta, "multiple", lambda curve, n, p: INFINITY)
+        # a group law fault on an eta = 1 input: the relation p = p3 still
+        # matches, but no multiple of p up to 12p reaches O
+        monkeypatch.setattr(realcurves.eta, "_add",
+                            lambda curve, p, q: q if p.is_infinity else p)
         code, _, err = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)")
-        assert code == 4 and "failed re-verification" in err
+        assert code == 4 and "failed its self-check" in err
 
     def test_search_leaving_the_curve_is_4(self, capsys, monkeypatch):
         # a group law fault is a failed self-check, not an off-curve input
@@ -211,22 +223,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", EXHAUSTED_QUARTIC)
         assert code == 4 and "exhausted search left the curve" in err
 
-    @pytest.mark.parametrize("name, fault, expr, message", [
-        ("_add", "lambda curve, p, q: ECPoint(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
+    @pytest.mark.parametrize("fault, expr, message", [
+        ("lambda curve, p, q: ECPoint(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
          "exhausted search left the curve"),
-        ("multiple", "lambda curve, n, p: INFINITY", "y^2 = (x^2-1)*(x^2-9)",
-         "failed re-verification"),
-    ], ids=("add", "multiple"))
-    def test_self_checks_hold_under_optimize(self, name, fault, expr, message):
-        # the two faults above, installed in a `python -O` process
+        ("lambda curve, p, q: q if p.is_infinity else p",
+         "y^2 = (x^2-1)*(x^2-9)", "failed its self-check"),
+        # p = p3 still matches, then the multiples leave the curve
+        ("lambda curve, p, q: q if p.is_infinity else ECPoint(p.v + 1, p.u)",
+         "y^2 = (x^2-1)*(x^2-9)", "certified relation left the curve at 12p"),
+    ], ids=("add", "order", "coincidence-off-curve"))
+    def test_self_checks_hold_under_optimize(self, fault, expr, message):
+        # group law faults, installed in a `python -O` process
         script = "\n".join((
             "import sys",
             "import realcurves.eta",
-            "from realcurves import ECPoint, INFINITY",
+            "from realcurves import ECPoint",
             "from realcurves.cli import main",
             "if __debug__:",
             "    sys.exit('assertions are enabled')",
-            f"realcurves.eta.{name} = {fault}",
+            f"realcurves.eta._add = {fault}",
             f"sys.exit(main(['analyze', {expr!r}]))"))
         path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                              os.environ.get("PYTHONPATH"))))

@@ -7,22 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcurves import (QuarticParams, SearchStats, UniPoly, WeierstrassCurve,
-                        build_quartic_model, classify_conic, count_real_roots,
-                        curves, eta_closed_rules, eta_from_params, eta_full,
-                        full_report, hyperelliptic_invariants, level_bounds,
-                        multiple, parse_curve, polys, quartic_eta,
-                        quartic_normal_form)
+from realcurves import (INFINITY, QuarticParams, SearchStats, UniPoly,
+                        WeierstrassCurve, build_quartic_model, classify_conic,
+                        count_real_roots, curves, eta_closed_rules,
+                        eta_from_params, eta_full, full_report,
+                        hyperelliptic_invariants, level_bounds, multiple,
+                        parse_curve, polys, quartic_eta, quartic_normal_form)
 from realcurves import eta as eta_module
 from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
                             RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY,
                             TORSION_EXHAUSTED)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
-from oracles import (fraction_build_quartic_model, fraction_normal_form_quartic,
-                     fraction_quartic_normal_form, has_rational_quadratic_split,
-                     poly_mul, quartic_j_invariant, shift,
-                     weierstrass_j_invariant)
+from oracles import (chord_add, fraction_build_quartic_model,
+                     fraction_normal_form_quartic, fraction_quartic_normal_form,
+                     has_rational_quadratic_split, poly_mul, quartic_j_invariant,
+                     shift, stepwise_torsion_order, weierstrass_j_invariant)
 
 
 def conic_inv(expr):
@@ -375,6 +375,41 @@ class TestQuarticEta:
             goal = -model.p if target == "-p" else model.two_torsion[target]
             assert multiple(model.curve, n, model.p) == goal
 
+    def test_known1_order_and_relation_match_stepwise_oracle(self):
+        """Every eta = 1 answer: the order is the oracle's stepwise order
+        of p and `chord_add` reproduces the relation.  The other direction,
+        eta = 0 while the oracle finds an order (k = 4 with p of order 3),
+        is pinned by `test_k4_odd_order_point_exhausts_case_list` and left
+        out here."""
+        rng = random.Random(101)
+        params = [QuarticParams(2, 2, -1, 2),  # 2p = -p, the list reaches 6p = O
+                  quartic_normal_form(UniPoly([4, 0, 5, 0, 1])),
+                  quartic_normal_form(UniPoly([9, 0, -10, 0, 1])),
+                  QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)),
+                  QuarticParams(k=2, a=F(1), b=F(5, 4), c=F(3)),
+                  QuarticParams(k=0, a=F(1), b=F(20, 3), c=F(9))]
+        params += [QuarticParams(k=2, a=a, b=(a * a + c * c) / (4 * c), c=c)
+                   for a, c in ((F(1), F(1)), (F(2), F(3)), (F(5), F(2)), (F(1), F(6)))]
+        for k in (0, 2, 4):
+            for pin, draws in ((None, 60), ("b=0", 20), ("a=c", 20)):
+                box = SampleBox(k=k, pin=pin)
+                params += [draw_params(rng, box) for _ in range(draws)]
+        orders = set()
+        for param in params:
+            res = eta_from_params(param)
+            if res.value != 1:
+                continue
+            model = build_quartic_model(param)
+            assert res.certificate.order == \
+                stepwise_torsion_order(model.curve, model.p, 12), param
+            n_str, target = res.certificate.relation.split("p = ")
+            acc = INFINITY
+            for _ in range(int(n_str) if n_str else 1):
+                acc = chord_add(model.curve, acc, model.p)
+            assert acc == (-model.p if target == "-p" else model.two_torsion[target])
+            orders.add(res.certificate.order)
+        assert orders == {2, 3, 4}
+
     def test_known0_lists_all_cases_and_they_all_fail(self):
         params = QuarticParams(k=0, a=F(1), b=F(1), c=F(2))
         model = build_quartic_model(params)
@@ -541,7 +576,9 @@ class TestEachFactOnce:
     """Square-freeness and k of Q are computed once per curve; the
     normal form decides square-freeness from its resolvent's
     discriminant, with no gcd.  Curve membership is checked once per
-    marked point, plus one self-check when the search is exhausted."""
+    marked point, plus one self-check on the highest multiple of p that
+    the search computed, whether it ends in a coincidence or exhausts
+    the case list."""
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -585,10 +622,8 @@ class TestEachFactOnce:
         assert stats.k is None
         assert calls == {"count_real_roots": [], "sturm_sequence": []}
 
-    @pytest.mark.parametrize("k, a, b, c, marked", [
-        (0, 5, 2, 9, 4), (2, 1, 5, 4, 2), (4, 1, -4, 2, 4)])
-    def test_exhausted_search_checks_membership_once(self, monkeypatch,
-                                                     k, a, b, c, marked):
+    @staticmethod
+    def count_membership_checks(monkeypatch):
         calls = {"require": 0, "contains": 0}
         for name in calls:
             def counted(curve, point, _original=getattr(WeierstrassCurve, name),
@@ -597,8 +632,25 @@ class TestEachFactOnce:
                 return _original(curve, point)
 
             monkeypatch.setattr(WeierstrassCurve, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k, a, b, c, marked", [
+        (0, 5, 2, 9, 4), (2, 1, 5, 4, 2), (4, 1, -4, 2, 4)])
+    def test_exhausted_search_checks_membership_once(self, monkeypatch,
+                                                     k, a, b, c, marked):
+        calls = self.count_membership_checks(monkeypatch)
         result = eta_from_params(QuarticParams(k=k, a=a, b=b, c=c))
         assert result.certificate.kind == TORSION_EXHAUSTED
+        assert calls == {"require": marked, "contains": 1}
+
+    @pytest.mark.parametrize("k, a, b, c, marked", [
+        (0, 1, 0, 2, 4), (2, 1, 0, 2, 2), (4, 1, 0, 2, 4)])
+    def test_coincidence_checks_membership_once(self, monkeypatch,
+                                                k, a, b, c, marked):
+        calls = self.count_membership_checks(monkeypatch)
+        result = eta_from_params(QuarticParams(k=k, a=a, b=b, c=c))
+        cert = result.certificate
+        assert (result.value, cert.relation, cert.order) == (1, "p = p1", 2)
         assert calls == {"require": marked, "contains": 1}
 
     def test_normal_form_k_matches_sturm_count(self):
