@@ -11,10 +11,12 @@ eta = 0, and on a genus-zero curve every degree-zero boundary cycle is
 principal, so eta = r + c - 1.  The interesting case is a quartic
 y^2 = Q(x) with a rational square leading coefficient l (y -> y/sqrt(l)
 makes Q monic): the difference p of the two points at infinity lives
-in the Jacobian, an elliptic curve with an explicit Weierstrass model
-built from a factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2) with
-a, b, c rational and a, c > 0; the number k of real roots of Q is read
-off the two signs.  eta = 1 exactly when p is a torsion point, and
+in the Jacobian.  A factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2)
+with a, b, c rational and a, c > 0 names the marked points; the number
+k of real roots of Q is read off the two signs.  With Q moved to
+x^4 + Px^2 + Cx + R, the Jacobian is the resolvent cubic of the
+quartic, u^2 = v^3 - 2Pv^2 + (P^2 - 4R)v + C^2, for every k, and
+p = (0, +-C).  eta = 1 exactly when p is a torsion point, and
 Mazur's theorem on rational torsion bounds the possible orders.  The
 decision procedure checks, exactly and in this order, the relation lists
 
@@ -91,6 +93,21 @@ class EtaResult(Record):
 # bound once: every sampler draw builds a QuarticParams
 _set = object.__setattr__
 
+# k -> the signs of a^2 and c^2 in the normal form's two factors
+_SIGNS = {0: (1, 1), 2: (1, -1), 4: (-1, -1)}
+
+
+def _expand(k: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(P, C, R) of x^4 + Px^2 + Cx + R = (x^2 + 2bx + m)(x^2 - 2bx + n),
+    the normal form of root count k, with m = b^2 +- a^2 and
+    n = b^2 +- c^2 as `_SIGNS` gives: P = m + n - 4b^2, C = 2b(n - m)
+    and R = mn."""
+    sign_a, sign_c = _SIGNS[k]
+    bb = b * b
+    m = bb + sign_a * a * a
+    n = bb + sign_c * c * c
+    return m + n - 4 * bb, 2 * b * (n - m), m * n
+
 
 class QuarticParams(Record):
     """Parameters of the normal form of a monic rational quartic:
@@ -99,7 +116,8 @@ class QuarticParams(Record):
         k = 2:  ((x+b)^2 + a^2)((x-b)^2 - c^2)
         k = 4:  ((x+b)^2 - a^2)((x-b)^2 - c^2)
 
-    with a, c > 0.  k is the number of real roots of the quartic.
+    with a, c > 0.  k is the number of real roots of the quartic.  The
+    signs are `_SIGNS[k]`, and `_expand` multiplies the factors out.
 
     a, b and c are ints or Fractions, kept as given.  Beside them the
     constructor keeps their integer form (D, A, B, C) from
@@ -113,7 +131,7 @@ class QuarticParams(Record):
     __slots__ = _fields + ("_integral",)
 
     def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
-        if k not in (0, 2, 4):
+        if k not in _SIGNS:
             raise ValueError("k must be 0, 2, or 4")
         den, (big_a, big_b, big_c) = integer_form((a, b, c))
         if big_a <= 0 or big_c <= 0:
@@ -130,16 +148,12 @@ class QuarticParams(Record):
         _set(self, "_integral", (den, big_a, big_b, big_c))
 
     def quartic(self) -> UniPoly:
-        """Expand the normal form back into the quartic polynomial
-
-            x^4 + (m + n - 4b^2) x^2 + 2b(n - m) x + mn
-
-        with m = b^2 +- a^2 and n = b^2 +- c^2, in integers over D^4."""
+        """The normal form multiplied out, x^4 + Px^2 + Cx + R, in
+        integers over D^4 (`_expand` of A, B, C gives P, C and R over
+        D^2, D^3 and D^4)."""
         den, a, b, c = self._integral
-        m = b * b + (a * a if self.k != 4 else -a * a)
-        n = b * b + (c * c if self.k == 0 else -c * c)
-        return UniPoly.from_integers([m * n, 2 * b * (n - m) * den,
-                                      (m + n - 4 * b * b) * den * den, 0, den ** 4],
+        big_p, big_c, big_r = _expand(self.k, a, b, c)
+        return UniPoly.from_integers([big_r, big_c * den, big_p * den * den, 0, den ** 4],
                                      den ** 4)
 
     def to_json(self) -> dict:
@@ -293,10 +307,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     if not candidates:
         return None
     a, u, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
-    m4 = u * u + (a * a if k != 4 else -a * a)
-    n4 = u * u + (c * c if k == 0 else -c * c)
-    if (m4 + n4 - 4 * u * u, u * (n4 - m4), m4 * n4) != \
-            (4 * big_p, 4 * big_c, 16 * big_r):
+    if _expand(k, a, u, c) != (4 * big_p, 8 * big_c, 16 * big_r):
         raise InternalInconsistencyError("normal form failed to reproduce the quartic")
     return QuarticParams(k=k, a=Fraction(a, 2 * s), b=Fraction(u, 2 * s),
                          c=Fraction(c, 2 * s))
@@ -309,49 +320,45 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
 def build_quartic_model(params: QuarticParams) -> QuarticModel:
     """Exact Jacobian model for the quartic with the marked points.
 
-        k = 0: u^2 = (v + 4b^2)(v - (c-a)^2)(v - (c+a)^2)
-        k = 2: u^2 = (v + 4b^2)(v^2 - 2(a^2-c^2)v + (c^2+a^2)^2)
-        k = 4: u^2 = (v + 4b^2)(v + (c-a)^2)(v + (c+a)^2)
+    With (P, C, R) = `_expand` of the params, the curve is the quartic's
+    resolvent cubic (z^3 + 2Pz^2 + (P^2-4R)z - C^2 of
+    `quartic_normal_form` under v = -z), the same for every k:
 
-    p = (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
+        u^2 = v^3 - 2Pv^2 + (P^2 - 4R)v + C^2
+
+            k = 0: = (v + 4b^2)(v - (c-a)^2)(v - (c+a)^2)
+            k = 2: = (v + 4b^2)(v^2 - 2(a^2-c^2)v + (c^2+a^2)^2)
+            k = 4: = (v + 4b^2)(v + (c-a)^2)(v + (c+a)^2)
+
+    p = (0, +-C), with the sign of c^2 in the normal form:
+    (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
+    p1 = -4b^2, and for k != 2 the rational two-torsion points p2 < p3
+    are +-(c-a)^2 and +-(c+a)^2, with the sign of a^2.
     The model is computed in integers from the params' integer form
-    a, b, c = A/D, B/D, C/D: v-values (the roots and c2) are integers
-    over D^2, c1 over D^4, c0 over D^6 and u-values over D^3, and each
-    coordinate becomes a Fraction once.  Every marked point is
-    verified to lie on the curve; configurations with vanishing
-    discriminant (non-square-free quartics) are rejected by the curve
-    constructor.
+    a, b, c = A/D, B/D, C/D: P, C and R lie over D^2, D^3 and D^4, so
+    v-values (the roots and c2) are integers over D^2, c1 over D^4, c0
+    over D^6 and u-values over D^3, and each coordinate becomes a
+    Fraction once.  Every marked point is verified to lie on the curve;
+    configurations with vanishing discriminant (non-square-free
+    quartics) are rejected by the curve constructor.
     """
-    den, big_a, big_b, big_c = params._integral
+    den, a, b, c = params._integral
+    sign_a, sign_c = _SIGNS[params.k]
+    big_p, big_c, big_r = _expand(params.k, a, b, c)
     den2 = den * den
     den3 = den2 * den
-    four_b2 = 4 * big_b * big_b
-    cc, aa = big_c * big_c, big_a * big_a
-    if params.k == 2:
-        norm2 = (cc + aa) ** 2
-        c2 = four_b2 - 2 * (aa - cc)
-        c1 = norm2 - 2 * four_b2 * (aa - cc)
-        c0 = four_b2 * norm2
-        p_u = 2 * big_b * (cc + aa)
-        roots = {"p1": -four_b2}
-        neutral = None
-    else:
-        minus2, plus2 = (big_c - big_a) ** 2, (big_c + big_a) ** 2
-        if params.k == 0:
-            roots = {"p1": -four_b2, "p2": minus2, "p3": plus2}
-            neutral = None
-        else:
-            roots = {"p1": -four_b2, "p2": -plus2, "p3": -minus2}
-            neutral = "p3" if four_b2 > minus2 else "p1"
-        r1, r2, r3 = roots.values()
-        c2 = -(r1 + r2 + r3)
-        c1 = r1 * r2 + r1 * r3 + r2 * r3
-        c0 = -(r1 * r2 * r3)
-        p_u = 2 * big_b * (cc - aa)
+    four_b2 = 4 * b * b
+    roots = {"p1": -four_b2}
+    neutral = None
+    if params.k != 2:
+        roots["p2"], roots["p3"] = sorted((sign_a * (c - a) ** 2, sign_a * (c + a) ** 2))
+        if params.k == 4:
+            neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
     zero = Fraction(0)
-    curve = WeierstrassCurve(Fraction(c2, den2), Fraction(c1, den2 * den2),
-                             Fraction(c0, den3 * den3))
-    p = ECPoint(zero, Fraction(p_u, den3))
+    curve = WeierstrassCurve(Fraction(-2 * big_p, den2),
+                             Fraction(big_p * big_p - 4 * big_r, den2 * den2),
+                             Fraction(big_c * big_c, den3 * den3))
+    p = ECPoint(zero, Fraction(sign_c * big_c, den3))
     torsion = {name: ECPoint(Fraction(root, den2), zero)
                for name, root in roots.items()}
     for point in (p, *torsion.values()):

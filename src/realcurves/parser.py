@@ -64,25 +64,26 @@ class ParseError(ValueError):
 _KINDS = {"x": "var", "y": "var", **{c: c for c in "+-*^()/="}}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
     """Produce (kind, value, position) triples; kinds are 'int', 'var', or
-    a literal operator character."""
+    a literal operator character.  Positions count from the start of the
+    whole input, of which `text` begins at `offset`."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         kind = _KINDS.get(ch)
         if kind is not None:
-            tokens.append((kind, ch, i))
+            tokens.append((kind, ch, i + offset))
         elif "0" <= ch <= "9":  # ASCII only: str.isdigit takes '²' and '١'
             end = i + 1
             while end < n and "0" <= text[end] <= "9":
                 end += 1
-            tokens.append(("int", text[i:end], i))
+            tokens.append(("int", text[i:end], i + offset))
             i = end
             continue
         elif not ch.isspace():
-            raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {ch!r}", i + offset)
         i += 1
     return tokens
 
@@ -143,8 +144,7 @@ def _bounded(p: Poly, position: int) -> Poly:
             return p
         raise ParseError(_TOO_LONG, position)
     for c in values:
-        if c.denominator >= bound or not -bound < c.numerator < bound:
-            raise ParseError(_TOO_LONG, position)
+        bounded_rational(c, position)
     return p
 
 
@@ -264,19 +264,16 @@ class _Parser:
 def _parse(text: str, offset: int) -> Poly:
     """The polynomial as it was parsed.
 
-    `offset` is the position of `text` inside the whole input; it is
-    added once here to the position of every error, end of input
-    included.
+    `offset` is the position of `text` inside the whole input; the
+    tokens carry their positions in the whole input, end of input
+    included, and a polynomial that is too large is reported at
+    `offset`.
     """
-    try:
-        parser = _Parser(_tokenize(text), len(text))
-        p = parser.parse_expr()
-        _bounded(p, 0)
-        tok = parser.tokens[parser.pos]
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    except ParseError as err:
-        raise ParseError(str(err).rsplit(" (at", 1)[0], err.position + offset) from None
+    parser = _Parser(_tokenize(text, offset), offset + len(text))
+    p = _bounded(parser.parse_expr(), offset)
+    tok = parser.tokens[parser.pos]
+    if tok[0] != "end":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     return p
 
 
@@ -347,10 +344,12 @@ def parse_coefficient_list(text: str) -> HyperellipticSpec:
 
 def read_rationals(text: str, what: str) -> list[Fraction]:
     """The comma-separated rationals of `text`, in Fraction's syntax
-    without exponent notation and checked by `bounded_rational`; any
-    other entry is a ParseError "bad <what>: ..."."""
+    with ASCII digits and without exponent notation, and checked by
+    `bounded_rational`; any other entry is a ParseError "bad <what>: ..."."""
     parts = [p.strip() for p in text.split(",")]
     for p in parts:
+        if not p.isascii():  # Fraction's syntax takes any \d, such as '١'
+            raise ParseError(f"bad {what}: non-ASCII character in {p!r}", 0)
         if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
             raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
     try:
@@ -362,10 +361,11 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
     return values
 
 
-def bounded_rational(value: Fraction) -> Fraction:
-    """`value` itself, or a ParseError when its numerator or denominator
-    has more than MAX_COEFFICIENT_DIGITS digits, too many to print."""
+def bounded_rational(value: Rational, position: int = 0) -> Rational:
+    """`value` itself, or a ParseError at `position` when its numerator
+    or denominator has more than MAX_COEFFICIENT_DIGITS digits, too many
+    to print."""
     if (value.denominator >= _COEFFICIENT_BOUND
             or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
-        raise ParseError(_TOO_LONG, 0)
+        raise ParseError(_TOO_LONG, position)
     return value

@@ -199,6 +199,14 @@ class TestExitCodes:
         (("ec", "--curve", "0,-1,1", "double", "(0,x)"), "bad point coordinate: "),
         (("ec", "--curve", "0,-1,1", "double", "(0,1e0)"),
          "bad point coordinate: exponent notation in '1e0'"),
+        # Fraction's string syntax takes any \d; the number reader, like
+        # the expression grammar, takes only the digits 0-9
+        (("analyze", "--coeffs", "١,0,0,1"),
+         "bad coefficient list: non-ASCII character in '١'"),
+        (("ec", "--curve", "0,-1,١", "double", "(0,1)"),
+         "bad curve coefficient: non-ASCII character in '١'"),
+        (("ec", "--curve", "0,-1,1", "double", "(٠,1)"),
+         "bad point coordinate: non-ASCII character in '٠'"),
     ])
     def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
         for as_json in ((), ("--json",)):
