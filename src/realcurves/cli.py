@@ -28,8 +28,8 @@ from .curves import HypothesisError, InternalInconsistencyError
 from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
-from .parser import (ParseError, bounded_rational, parse_coefficient_list,
-                     parse_curve, read_rationals)
+from .parser import (MAX_COEFFICIENT_DIGITS, TOO_LONG, ParseError, bounded_rational,
+                     parse_coefficient_list, parse_curve, read_rationals)
 from .report import full_report
 from .sampling import SampleBox, run_sample
 
@@ -286,7 +286,11 @@ def _cmd_ec(args) -> int:
                 n = int(args.args[0])
             except ValueError:
                 raise ParseError(f"bad multiplier {args.args[0]!r}", 0) from None
-            result = multiple(curve, n, _parse_point(args.args[1]))
+            point = _parse_point(args.args[1])
+            try:
+                result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)
+            except OverflowError:  # too long to print, as `_point_json` would find
+                raise ParseError(TOO_LONG, 0) from None
         payload = {"point": _point_json(result)}
         text = str(result)
     if args.json:

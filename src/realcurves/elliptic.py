@@ -155,11 +155,29 @@ def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     return ECPoint(v3, slope * (p.v - v3) - p.u)
 
 
-def multiple(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
-    """nP by double-and-add; (-n)P = -(nP)."""
+def multiple(curve: WeierstrassCurve, n: int, p: ECPoint,
+             max_digits: int | None = None) -> ECPoint:
+    """nP by double-and-add; (-n)P = -(nP).
+
+    With max_digits, an OverflowError as soon as an intermediate multiple
+    jP shows that nP has a coordinate with a numerator or denominator of
+    more than max_digits digits.  Every jP here has j <= |n|, so its
+    canonical height is at most nP's, and the naive height h(v) of a
+    point differs from twice its canonical height by at most 8b plus a
+    few bits, b the largest bit length of L, N2, N1 and N0: Silverman's
+    bound (Math. Comp. 55, 1990) on the model (L^2 v, L^3 u), whose
+    coefficients have weighted sizes up to 6b, gives 6b, and the scaling
+    by L^2 two more.  So h(v) of jP exceeds nP's by at most 16b plus a
+    few bits, and a v with more than twice the limit's bits plus 16b
+    bits rules out every printable nP.
+    """
     curve.require(p)
     if n < 0:
         n, p = -n, -p
+    cap = None
+    if max_digits is not None:
+        cap = (2 * (10 ** max_digits).bit_length()
+               + 16 * max(x.bit_length() for x in curve._integral))
     acc = INFINITY
     while n:
         if n & 1:
@@ -167,7 +185,16 @@ def multiple(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
         n >>= 1
         if n:
             p = _add(curve, p, p)
+        if cap is not None and max(_height_bits(acc), _height_bits(p)) > cap:
+            raise OverflowError(f"the multiple has parts of more than {max_digits} digits")
     return acc
+
+
+def _height_bits(point: ECPoint) -> int:
+    """The bit length of the larger part of v, 0 at infinity."""
+    if point.is_infinity:
+        return 0
+    return max(point.v.numerator.bit_length(), point.v.denominator.bit_length())
 
 
 def torsion_order_bounded(curve: WeierstrassCurve, p: ECPoint,

@@ -27,6 +27,12 @@ decision procedure checks, exactly and in this order, the relation lists
            the even-order coincidences                       (4 cases)
 
 The multiples i*p are computed once, incrementally, into one list.
+For k = 2 the relation 2np = -p is tested as (n+1)p = -np: both say
+(2n+1)p = O, and the second needs no multiple beyond the 6p that the
+np = p1 cases built, so 7p and 8p are never computed.  They would add
+nothing: p1 = (-4b^2, 0) is a rational 2-torsion point, and Mazur's
+theorem leaves no rational point of order 7 or 9 beside one, since
+Z/14 and Z/18 do not occur, so 6p = -p and 8p = -p never hold.
 Every Known(1) answer carries the satisfied relation and the order of
 p, read off the same list extended until it holds the identity (the
 relation bounds the order by 12); every Known(0) answer carries the
@@ -391,13 +397,17 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     Runs the normal-form search; without a rational factorization the
     answer is Undetermined.  Otherwise the finite torsion case list is
     checked with exact arithmetic, multiples of p computed incrementally
-    so that nothing beyond the listed relations is touched; a matched
-    relation then extends the same multiples until one is the identity,
-    which gives the order of p.  They come from the unchecked group law,
-    as the model's points are checked once, when the model is built.
-    The search checks once that its highest multiple other than the
-    identity is on the curve, and a coincidence that the identity is
-    reached by 12p; a failure is an InternalInconsistencyError.
+    so that nothing beyond the listed relations is touched.  A k = 2
+    relation 2np = -p is tested as (n+1)p = -np, so that list stops at
+    6p: both say (2n+1)p = O, and the orders 7 and 9 of 6p = -p and
+    8p = -p are ruled out by Mazur beside the rational 2-torsion point
+    p1.  A matched relation then extends the same multiples until one
+    is the identity, which gives the order of p.  They come from the
+    unchecked group law, as the model's points are checked once, when
+    the model is built.  The search checks once that the highest
+    multiple it computed other than the identity is on the curve, and a
+    coincidence that the identity is reached by 12p; a failure is an
+    InternalInconsistencyError.
     """
     params = quartic_normal_form(q)
     if params is None:
@@ -415,10 +425,14 @@ def eta_from_params(params: QuarticParams,
     checked: list[str] = []
     for n, target_name in cases:
         checked.append(_relation_string(n, target_name))
-        target = -p if target_name == "-p" else model.two_torsion[target_name]
-        while len(multiples) <= n:
+        # 2mp = -p and (m+1)p = -mp both say (2m+1)p = O; the second needs
+        # no multiple beyond the 6p that the np = p1 cases built
+        opposite = target_name == "-p"
+        m = n // 2 + 1 if opposite else n
+        while len(multiples) <= m:
             multiples.append(_add(curve, multiples[-1], p))
-        if multiples[n] == target:
+        target = -multiples[m - 1] if opposite else model.two_torsion[target_name]
+        if multiples[m] == target:
             break
     else:
         target = None

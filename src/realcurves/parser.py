@@ -48,7 +48,7 @@ MAX_DEGREE = 18
 # the default int-string digit limit: larger coefficients cannot be printed
 MAX_COEFFICIENT_DIGITS = 4300
 _COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
-_TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
+TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
 
 
 class ParseError(ValueError):
@@ -142,7 +142,7 @@ def _bounded(p: Poly, position: int) -> Poly:
     if Fraction not in map(type, values):  # ints only
         if -bound < min(values, default=0) and max(values, default=0) < bound:
             return p
-        raise ParseError(_TOO_LONG, position)
+        raise ParseError(TOO_LONG, position)
     for c in values:
         bounded_rational(c, position)
     return p
@@ -367,5 +367,5 @@ def bounded_rational(value: Rational, position: int = 0) -> Rational:
     to print."""
     if (value.denominator >= _COEFFICIENT_BOUND
             or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
-        raise ParseError(_TOO_LONG, position)
+        raise ParseError(TOO_LONG, position)
     return value

@@ -152,7 +152,7 @@ def test_mazur_bounded_exhaustion():
         2: ("p = p1", "2p = p1", "3p = p1", "4p = p1", "5p = p1", "6p = p1",
             "2p = -p", "4p = -p", "6p = -p", "8p = -p"),
     }
-    max_multiple = {0: 4, 2: 8, 4: 4}
+    max_multiple = {0: 4, 2: 6, 4: 4}
     exhausted = {0: 0, 2: 0, 4: 0}
     for k in (0, 2, 4):
         for index in range(120):

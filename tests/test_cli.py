@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -398,6 +399,41 @@ class TestEc:
         payload = run_json(capsys, "ec", "--curve", self.TWO_TORSION_CURVE,
                            "multiple", "2", "(-4,0)")
         assert payload["result"] == {"point": "infinity"}
+
+    @pytest.mark.parametrize("n", ["1000", str(10 ** 23), str(10 ** 30)])
+    def test_multiple_stops_past_the_digit_limit(self, capsys, n):
+        # double-and-add stops once an intermediate multiple shows that
+        # n(0,1) cannot be printed; n = 1000 took 8.1 s to exit 2 on one
+        # 2-CPU Intel Xeon VM, and n = 10^23 did not end in 20 s
+        for as_json in ((), ("--json",)):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "ec", "--curve", self.RANK_CURVE,
+                                 "multiple", n, "(0,1)", *as_json)
+            assert time.perf_counter() - started < 10.0
+            assert code == 2 and out == ""
+            assert f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits" in err
+
+    def test_multiple_of_torsion_point_with_huge_n(self, capsys):
+        n = str(10 ** 30 + 1)
+        # (0,1) on u^2 = v^3 + 1 has order 3, and n = 2 mod 3
+        payload = run_json(capsys, "ec", "--curve", "0,0,1", "multiple", n, "(0,1)")
+        assert payload["result"] == {"point": {"v": "0", "u": "-1"}}
+        code, out, _ = run(capsys, "ec", "--curve", self.TWO_TORSION_CURVE,
+                           "multiple", n, "(-4,0)")
+        assert (code, out) == (0, "(-4, 0)\n")
+
+    def test_largest_printable_multiple_is_unchanged(self, capsys):
+        # 121(0,1) is the last multiple of (0,1) whose parts have at most
+        # 4300 digits; the sha256 of both outputs before the loop was bounded
+        expected = {(): "e2990a28c76127e0360cc590dee925af4482242f01d296ac872115d7542f4340",
+                    ("--json",): "63f58ecfbbe52baae4f0edad9b864319e07d95dce0d90a70c873254cbae0b70e"}
+        for as_json, digest in expected.items():
+            code, out, err = run(capsys, "ec", "--curve", self.RANK_CURVE,
+                                 "multiple", "121", "(0,1)", *as_json)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, _, err = run(capsys, "ec", "--curve", self.RANK_CURVE, "multiple", "122", "(0,1)")
+        assert code == 2 and f"more than {MAX_COEFFICIENT_DIGITS} digits" in err
 
     def test_double(self, capsys):
         code, out, _ = run(capsys, "ec", "--curve", self.RANK_CURVE,

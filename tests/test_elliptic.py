@@ -138,6 +138,31 @@ class TestGroupAxioms:
             assert multiple(curve, m + n, p) == \
                 ec_add(curve, multiple(curve, m, p), multiple(curve, n, p))
 
+    def test_digit_limit_refuses_no_printable_multiple(self):
+        # max_digits may stop the loop before nP is reached, but never
+        # when nP's coordinates have parts of at most max_digits digits;
+        # 121(0,1) on u^2 = v^3 - v + 1 is the last multiple that fits 4300
+        rng = random.Random(41)
+        cases = [(WeierstrassCurve(0, -1, 1), ECPoint(0, 1), 4300, range(100, 131))]
+        for _ in range(8):
+            curve, pts = random_curve_with_points(rng)
+            cases += [(curve, p, 20, range(-30, 31)) for p in pts]
+        fitted = refused = 0
+        for curve, p, digits, multipliers in cases:
+            bound = 10 ** digits
+            for n in multipliers:
+                expected = multiple(curve, n, p)
+                fits = expected.is_infinity or all(
+                    x.denominator < bound and -bound < x.numerator < bound
+                    for x in (expected.v, expected.u))
+                try:
+                    assert multiple(curve, n, p, max_digits=digits) == expected
+                except OverflowError:
+                    assert not fits, (curve, p, n)
+                    refused += 1
+                fitted += fits
+        assert fitted > 100 and refused > 100
+
 
 class TestTorsion:
     def test_infinity_has_order_one(self):
@@ -190,6 +215,9 @@ class TestTorsion:
             # y^2 + a1 xy + a3 y = x^3: (0, 0) has order 3
             curve = WeierstrassCurve(a1 * a1 / 4, a1 * a3 / 2, a3 * a3 / 4)
             cases.append((curve, ECPoint(F(0), a3 / 2)))
+        # L = 3, and the order-3 point's v-denominator 9 divides L^2 but
+        # not L: an exit that tested L*v for integrality would stop at 1p
+        cases.append((WeierstrassCurve(F(47, 3), F(1, 3), F(0)), ECPoint(F(1, 9), F(13, 27))))
         for order in (4, 5, 6, 7, 8, 9, 10, 12):
             for t in (F(2), F(-2, 3), F(5, 4), F(7, 3)):
                 curve, p = _tate_normal_form(*_kubert(order, t))

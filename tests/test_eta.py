@@ -424,8 +424,43 @@ class TestQuarticEta:
             goal = -model.p if target == "-p" else model.two_torsion[target]
             assert multiple(model.curve, n, model.p) != goal
 
+    def test_k2_search_matches_literal_relation_check(self):
+        """The k = 2 search tests 2np = -p as (n+1)p = -np and computes
+        nothing beyond 6p; a literal check of the ten relations, in list
+        order, on multiples up to 8p built with `chord_add` must give the
+        same eta, relation, order and cases_checked."""
+        relations = [(n, "p1") for n in range(1, 7)] + [(2 * n, "-p") for n in range(1, 5)]
+        labels = tuple(f"{'' if n == 1 else n}p = {target}" for n, target in relations)
+        rng = random.Random(211)
+        params = [QuarticParams(2, 2, -1, 2),
+                  QuarticParams(k=2, a=F(1), b=F(5, 4), c=F(3))]
+        params += [QuarticParams(k=2, a=a, b=(a * a + c * c) / (4 * c), c=c)
+                   for a, c in ((F(1), F(1)), (F(2), F(3)), (F(5), F(2)), (F(1), F(6)))]
+        for pin, draws in ((None, 60), ("b=0", 20), ("a=c", 20)):
+            box = SampleBox(k=2, pin=pin)
+            params += [draw_params(rng, box) for _ in range(draws)]
+        seen = set()
+        for param in params:
+            model = build_quartic_model(param)
+            multiples = [INFINITY]
+            while len(multiples) <= 8:
+                multiples.append(chord_add(model.curve, multiples[-1], model.p))
+            expected = (0, None, None, labels)
+            for (n, target), label in zip(relations, labels):
+                goal = -model.p if target == "-p" else model.two_torsion[target]
+                if multiples[n] == goal:
+                    expected = (1, label, stepwise_torsion_order(model.curve, model.p, 12),
+                                None)
+                    break
+            res = eta_from_params(param)
+            cert = res.certificate
+            assert (res.value, cert.relation, cert.order, cert.cases_checked) == \
+                expected, param
+            seen.add(expected[1])
+        assert {None, "p = p1", "2p = p1", "2p = -p"} <= seen
+
     def test_case_list_sizes_and_multiple_bounds(self):
-        expected = {0: (6, 4), 2: (10, 8), 4: (4, 4)}
+        expected = {0: (6, 4), 2: (10, 6), 4: (4, 4)}
         rng = random.Random(67)
         seen = {0: 0, 2: 0, 4: 0}
         while min(seen.values()) < 10:
