@@ -403,7 +403,7 @@ class TestEc:
     @pytest.mark.parametrize("n", ["1000", str(10 ** 23), str(10 ** 30)])
     def test_multiple_stops_past_the_digit_limit(self, capsys, n):
         # double-and-add stops once an intermediate multiple shows that
-        # n(0,1) cannot be printed; n = 1000 took 8.1 s to exit 2 on one
+        # n(0,1) cannot be printed; n = 1000 took 8.6 s to exit 2 on one
         # 2-CPU Intel Xeon VM, and n = 10^23 did not end in 20 s
         for as_json in ((), ("--json",)):
             started = time.perf_counter()
