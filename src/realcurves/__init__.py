@@ -22,8 +22,7 @@ from .eta import (Certificate, EtaAnalysis, EtaResult, LevelReport,
 from .groups import GroupDescriptor, TRIVIAL_GROUP
 from .parser import ParseError, parse_coefficient_list, parse_curve
 from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
-from .polys import (UniPoly, count_real_roots, is_square_free, poly_gcd,
-                    rational_sqrt)
+from .polys import UniPoly, count_real_roots, is_square_free, poly_gcd
 from .report import InternalInconsistencyError, full_report
 from .sampling import SampleBox, SampleSummary, run_sample
 from .witt import witt_group
@@ -46,7 +45,6 @@ __all__ = [
     "ParseError", "parse_coefficient_list", "parse_curve",
     "TwoCandidates", "pic_tors", "pic_tors_complex", "units_mod_n",
     "UniPoly", "count_real_roots", "is_square_free", "poly_gcd",
-    "rational_sqrt",
     "InternalInconsistencyError", "full_report",
     "SampleBox", "SampleSummary", "run_sample",
     "witt_group",

@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 parse/usage error, 3 hypothesis violation
 (non-square-free input, singular conic, off-curve point), 4 internal
-inconsistency: a failed self-check (should never fire).
+inconsistency: a failed self-check (should never fire).  A reader that
+closes stdout before the output is written, as `| head -1` does, is no
+error: the command did its work, so it exits 0 with nothing on stderr.
 
 Every number the command line takes is read by `parser`: expressions
 by its grammar, --coeffs, `ec --curve` and `ec` points by
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .curves import HypothesisError, InternalInconsistencyError
@@ -85,11 +88,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         _require_single_values(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        return _cmd_ec(args)
+        code = {"analyze": _cmd_analyze, "sample": _cmd_sample,
+                "ec": _cmd_ec}[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped; the interpreter's own flush at exit would
+        # fail again ("Exception ignored", exit 120), so it goes nowhere
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,9 +9,11 @@ the unit groups of the coordinate ring.
 Closed rules settle most cases: a single point at infinity forces
 eta = 0, and on a genus-zero curve every degree-zero boundary cycle is
 principal, so eta = r + c - 1.  The interesting case is a quartic
-y^2 = Q(x) with a rational square leading coefficient l (y -> y/sqrt(l)
-makes Q monic): the difference p of the two points at infinity lives
-in the Jacobian.  A factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2)
+y^2 = Q(x) with a positive leading coefficient l.  y -> y/sqrt(l) is an
+isomorphism over R onto y^2 = Q/l, whose monic Q/l has rational
+coefficients, and eta is an invariant of the real curve, so Q is taken
+monic: the difference p of the two points at infinity lives in the
+Jacobian.  A factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2)
 with a, b, c rational and a, c > 0 names the marked points; the number
 k of real roots of Q is read off the two signs.  With Q moved to
 x^4 + Px^2 + Cx + R, the Jacobian is the resolvent cubic of the
@@ -51,7 +53,7 @@ from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
                      InternalInconsistencyError)
 from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
 from .polys import (Rational, UniPoly, exact_isqrt, integer_form,
-                    integer_roots_monic, rational_sqrt)
+                    integer_roots_monic)
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -487,7 +489,7 @@ class EtaAnalysis(Record):
 
 def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
     """Closed rules first; the elliptic pipeline for quartics with a
-    square leading coefficient; the twin quartic y^2 = -Q for the
+    positive leading coefficient; the twin quartic y^2 = -Q for the
     negative-leading-coefficient form (the complexifications of the two
     forms are isomorphic, so eta transfers); Undetermined for even
     degree >= 6, which has no finite decision procedure here.
@@ -501,13 +503,12 @@ def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
 
 def _quartic_dispatch(q: UniPoly | None) -> EtaResult:
     """eta of y^2 = q for q with positive leading coefficient l.  When q
-    is a quartic and l a rational square, y -> y/sqrt(l) maps the curve
-    onto y^2 = q/l over Q, which runs the monic pipeline; anything else
-    is Undetermined."""
+    is a quartic, y -> y/sqrt(l) maps the curve onto y^2 = q/l over R,
+    and q/l has rational coefficients, so it runs the monic pipeline;
+    non-rational-factorization then means that q/l has no rational
+    normal form.  Any other degree is Undetermined."""
     if q is None or q.degree != 4:
         return EtaResult(None, Certificate(GENUS_TOO_HIGH))
-    if rational_sqrt(q.leading) is None:
-        return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
     return quartic_eta(q.monic())
 
 

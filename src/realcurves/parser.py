@@ -8,8 +8,11 @@ Grammar (UTF-8 text):
 Coefficients are integers or p/q rationals, '*' is optional between a
 coefficient and a variable, '^' denotes a nonnegative integer power, and
 parenthesized subexpressions with + - * are allowed, so inputs like
-"y^2 = (x^2-1)*(x^2-9)" parse directly.  Syntax errors carry the
-character position at which they were detected.
+"y^2 = (x^2-1)*(x^2-9)" parse directly.  A unary + or - takes the
+factor after it, its power included, wherever it stands: "-x^2" and
+"2*-x^2" are -(x^2) and 2*(-(x^2)), and "-x^2^3" is an error, as
+"x^2^3" is.  Syntax errors carry the character position at which they
+were detected.
 
 While it is parsed, a polynomial is a dict from monomial to its nonzero
 coefficient in lowest terms.  An integer literal is an int, and sums and
@@ -177,14 +180,7 @@ class _Parser:
 
     def parse_expr(self) -> Poly:
         tokens = self.tokens
-        kind = tokens[self.pos][0]
-        if kind == "+" or kind == "-":
-            self.pos += 1
-            acc = self.parse_term()
-            if kind == "-":
-                acc = _poly_neg(acc)
-        else:
-            acc = self.parse_term()
+        acc = self.parse_term()
         while True:
             kind = tokens[self.pos][0]
             if kind != "+" and kind != "-":
@@ -209,6 +205,13 @@ class _Parser:
                 _degree_bounded(acc, tok[2])
 
     def parse_factor(self) -> Poly:
+        # a sign applies to the signed factor, power included: -x^2 is
+        # -(x^2), and no "^" may follow it, as none may follow x^2
+        kind = self.tokens[self.pos][0]
+        if kind == "-" or kind == "+":
+            self.pos += 1
+            factor = self.parse_factor()
+            return _poly_neg(factor) if kind == "-" else factor
         base = self.parse_base()
         if self.tokens[self.pos][0] != "^":
             return base
@@ -254,10 +257,6 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if kind == "-":
-            return _poly_neg(self.parse_factor())
-        if kind == "+":
-            return self.parse_factor()
         raise ParseError(f"unexpected token {value!r}", pos)
 
 

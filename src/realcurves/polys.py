@@ -86,18 +86,6 @@ def exact_isqrt(n: int) -> int | None:
     return root if root * root == n else None
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational.
-
-    A fraction in lowest terms is a square iff numerator and denominator
-    are both perfect squares.
-    """
-    rn, rd = exact_isqrt(x.numerator), exact_isqrt(x.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 class UniPoly(Record):
     """Immutable univariate polynomial with rational coefficients.
 
@@ -149,12 +137,6 @@ class UniPoly(Record):
     @property
     def is_zero(self) -> bool:
         return not self.numerators
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

@@ -21,7 +21,9 @@ adding the point to itself up to Mazur's bound with no Nagell-Lutz
 exit, the Jacobian model of a quartic in Fractions (the library builds
 it in integers), the j-invariant of that model from the classical
 invariants I and J of the quartic (the library never computes j), and a
-Nagell-Lutz integrality screen for non-torsion.
+Nagell-Lutz integrality screen for non-torsion, and the order of the
+boundary class as the least degree of a polynomial Pell unit (the
+library decides it on the Jacobian).
 Polynomial sums, products, evaluation and derivatives, which `UniPoly`
 does not have, are here as plain functions.  None of it calls the library routine it is checking.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
                         HypothesisError, INFINITY, ParseError, QuarticParams,
@@ -40,7 +42,7 @@ from realcurves.eta import QuarticModel
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
 from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
-from realcurves.polys import rational_sqrt, sign_variations
+from realcurves.polys import sign_variations
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     if dq < 0:
         return UniPoly(()), a
     quot = [Fraction(0)] * (dq + 1)
-    lead = b.leading
+    lead = b.coeffs[-1]
     db = b.degree
     for i in range(dq, -1, -1):
         coef = rem[i + db] / lead
@@ -144,7 +146,7 @@ def cauchy_bound(p: UniPoly) -> Fraction:
     """Every real root of p lies in (-M, M) with M = 1 + max|a_i/a_d|."""
     if p.is_zero:
         raise ValueError("zero polynomial has no root bound")
-    lead = abs(p.leading)
+    lead = abs(p.coeffs[-1])
     if p.degree == 0:
         return Fraction(1)
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
@@ -198,9 +200,9 @@ def sylvester_resultant(p: UniPoly, q: UniPoly) -> Fraction:
         return Fraction(0)
     dp, dq = p.degree, q.degree
     if dq == 0:
-        return q.leading ** dp
+        return q.coeffs[-1] ** dp
     if dp == 0:
-        return p.leading ** dq
+        return p.coeffs[-1] ** dq
     size = dp + dq
     rows: list[list[Fraction]] = []
     pc = list(reversed(p.coeffs))  # descending
@@ -308,7 +310,7 @@ def sturm_integer_roots(p: UniPoly) -> list[int]:
     rescaled to integer coefficients and evaluated at x = m/2 through
     the homogenized form sum c_i m^i 2^(d-i).
     """
-    assert p.leading == 1 and all(c.denominator == 1 for c in p.coeffs)
+    assert p.coeffs[-1] == 1 and all(c.denominator == 1 for c in p.coeffs)
     if p.degree == 0:
         return []
     sq = poly_divmod(p, fraction_poly_gcd(p, derivative(p)))[0]
@@ -430,7 +432,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     """
     if q.degree != 4:
         raise ValueError("polynomial must have degree 4")
-    if q.leading != 1:
+    if q.coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     if fraction_poly_gcd(q, derivative(q)).degree > 0:
         raise ValueError("polynomial must be square-free")
@@ -440,7 +442,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
 
     assignments: list[tuple[Fraction, Fraction, Fraction]] = []
     if big_c == 0:
-        sq = rational_sqrt(big_p * big_p - 4 * big_r)
+        sq = _rational_sqrt(big_p * big_p - 4 * big_r)
         if sq is not None:
             v = (big_p - sq) / 2
             w = (big_p + sq) / 2
@@ -457,7 +459,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         if root <= 0:
             continue
         z = Fraction(root, m)
-        u = rational_sqrt(z)
+        u = _rational_sqrt(z)
         if u is None or u == 0:
             continue
         v = (big_p + z - big_c / u) / 2
@@ -471,7 +473,7 @@ def fraction_quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         d_minus = m_minus - b * b
         if d_plus < 0 < d_minus:
             continue
-        a, c = rational_sqrt(abs(d_plus)), rational_sqrt(abs(d_minus))
+        a, c = _rational_sqrt(abs(d_plus)), _rational_sqrt(abs(d_minus))
         if not a or not c:
             continue
         candidates.add((a, b, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
@@ -586,14 +588,7 @@ class _FractionParser:
         return tok
 
     def expr(self) -> dict:
-        tok = self.peek()
-        if tok is not None and tok[0] in ("+", "-"):
-            self.next()
-            acc = self.term()
-            if tok[0] == "-":
-                acc = _bipoly_neg(acc)
-        else:
-            acc = self.term()
+        acc = self.term()
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in ("+", "-"):
@@ -615,6 +610,12 @@ class _FractionParser:
             acc = _degree_checked(_bipoly_mul(acc, self.factor()), tok[2])
 
     def factor(self) -> dict:
+        tok = self.peek()
+        if tok is not None and tok[0] in ("+", "-"):
+            # the sign takes the whole signed factor, its power included
+            self.next()
+            signed = self.factor()
+            return _bipoly_neg(signed) if tok[0] == "-" else signed
         base = self.base()
         tok = self.peek()
         if tok is not None and tok[0] == "^":
@@ -649,10 +650,6 @@ class _FractionParser:
             inner = self.expr()
             self.expect(")")
             return inner
-        if kind == "-":
-            return _bipoly_neg(self.factor())
-        if kind == "+":
-            return self.factor()
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -889,6 +886,60 @@ def nagell_lutz_excludes_torsion(curve: WeierstrassCurve, p: ECPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Polynomial Pell units (independent of the Jacobian and its group law)
+# ---------------------------------------------------------------------------
+
+def _sqrt_laurent(q: UniPoly, count: int) -> list[Fraction]:
+    """t_0, ..., t_(count-1) with sqrt(q) = sum t_m x^(2-m), the branch
+    at infinity with t_0 = 1, for a monic quartic q: squaring gives
+    2 t_m = [x^(4-m)]q - sum_{0<j<m} t_j t_(m-j)."""
+    target = list(reversed(q.coeffs)) + [Fraction(0)] * count
+    t = [Fraction(1)]
+    for m in range(1, count):
+        t.append((target[m] - sum(t[j] * t[m - j] for j in range(1, m))) / 2)
+    return t
+
+
+def pell_torsion_order(q: UniPoly, bound: int = 12) -> int | None:
+    """The least n <= bound for which y^2 = q has a unit f + g*y with
+    f^2 - q*g^2 a nonzero constant, deg f = n and deg g = n - 2, or None.
+
+    q must be a monic square-free rational quartic.  Such a unit has
+    divisor n times the difference of the two points at infinity (Abel;
+    Platonov 2014), so the least n is the order of that class in the
+    Jacobian, which the library calls p.  No elliptic arithmetic is used.
+
+    With sqrt(q) = sum t_m x^(2-m), f is the polynomial part of g*sqrt(q)
+    and f - g*sqrt(q) = O(x^-n), so the coefficients of x^-1 .. x^-(n-1)
+    of g*sqrt(q) vanish: sum_j g_j t_(2+i+j) = 0 for i = 1 .. n-1.  That
+    Hankel system in the n - 1 coefficients of g has a solution g != 0
+    exactly when its determinant is 0, and then deg g = n - 2 (a lower
+    degree would make f^2 - q*g^2 = O(x^-1), so 0, and q a square).  With
+    g monic, the first n - 2 rows are the previous n's matrix, which was
+    not singular, so `solve_linear` takes them.  The unit is then checked
+    with the two products f^2 and q*g^2.
+    """
+    if q.degree != 4 or q.coeffs[-1] != 1:
+        raise ValueError("monic quartic required")
+    if fraction_poly_gcd(q, derivative(q)).degree > 0:
+        raise ValueError("square-free quartic required")
+    t = _sqrt_laurent(q, 2 * bound + 1)
+    for n in range(2, bound + 1):
+        hankel = [[t[2 + i + j] for j in range(n - 1)] for i in range(1, n)]
+        if exact_determinant(hankel) != 0:
+            continue
+        head = [row[:-1] for row in hankel[:-1]]
+        g = solve_linear(head, [-row[-1] for row in hankel[:-1]]) + [Fraction(1)]
+        f = [sum(g[j] * t[2 + j - e] for j in range(max(0, e - 2), n - 1))
+             for e in range(n + 1)]
+        q_g2 = _mul_lists(q.coeffs, _mul_lists(g, g))
+        norm = _add_lists(_mul_lists(f, f), [-c for c in q_g2])
+        assert norm[0] != 0 and not any(norm[1:]), (q, n, norm)
+        return n
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Brute-force rational quadratic factor search (independent of resolvents)
 # ---------------------------------------------------------------------------
 
@@ -900,7 +951,7 @@ def has_rational_quadratic_split(q: UniPoly) -> bool:
     (x^2 + px + r)(x^2 + sx + t) needs integer r*t = c0 and p + s = c3;
     enumerating divisors of c0 makes the search finite.
     """
-    if q.degree != 4 or q.leading != 1:
+    if q.degree != 4 or q.coeffs[-1] != 1:
         raise ValueError("monic quartic required")
     if any(c.denominator != 1 for c in q.coeffs):
         raise ValueError("integer coefficients required")
@@ -948,9 +999,17 @@ def _divisor_candidates(n: int):
 
 
 def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The square root of x when x is the square of a rational, else None:
+    numerator and denominator in lowest terms must both be squares."""
+    if x < 0:
+        return None
+    num, den = _isqrt_exact(x.numerator), _isqrt_exact(x.denominator)
+    return None if num is None or den is None else Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

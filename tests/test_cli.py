@@ -259,6 +259,30 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 4 and message in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "y^2 = x^4 - 5*x^2 + 4"],
+        ["analyze", "--json", "y^2 = x^4 - 5*x^2 + 4"],
+        ["sample", "--count", "20", "--json"],
+        ["ec", "--curve", "0,-1,1", "add", "(0,1)", "(1,1)"],
+    ], ids=("analyze", "analyze-json", "sample-json", "ec"))
+    def test_closed_stdout_exits_zero(self, argv):
+        # the read end is closed before the child writes, as `| head -1`
+        # does once it has its line: the command did its work and the
+        # reader chose to stop, so exit 0 with nothing on stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH"))))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from realcurves.cli import main; sys.exit(main())", *argv],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+
 
 _GRAMMAR = "xy0123456789+-*/^()= "
 _terms = st.builds("{}{}{}".format,

@@ -27,6 +27,9 @@ ANALYZE_INPUTS = [
     "y^2 = 2*x^4 + 2", "y^2 = x^5 - 4*x^3 + 2*x - 1",
     # a quartic with rational coefficients
     "y^2 = (1/2*x^2 - 3)*(x^2 + 1/3)",
+    # leading coefficients that are not squares of rationals: y -> y/sqrt(l)
+    # maps each over R onto its monic quartic, and its -q twin likewise
+    "y^2 = 2*(x^2+1)*(x^2+4)", "y^2 = -3*(x^2+1)*(x^2+4)",
 ]
 
 EC_CASES = [

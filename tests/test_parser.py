@@ -473,6 +473,22 @@ class TestAgainstFractionOracle:
             assert spec.real_roots == HyperellipticSpec(fresh).real_roots, text
             checked += 1
 
+    def test_a_sign_takes_its_factor_with_the_power(self):
+        # one rule wherever the sign stands: the signed factor ends after
+        # its power, so a second "^" is trailing input, as after x^2
+        for rhs in ("1 - x^2^3", "-x^2^3", "x^2^3", "1 + -x^2^3", "2*-x^2^2"):
+            text = "y^2 = " + rhs
+            with pytest.raises(ParseError) as exc:
+                parse_curve(text)
+            assert str(exc.value) == \
+                f"trailing input '^' (at position {text.rindex('^')})", text
+            assert parse_outcome(parse_polynomial, rhs, 6) == \
+                parse_outcome(fraction_parse_polynomial, rhs, 6), rhs
+        for rhs, same in (("1 + -x^2", "1 - x^2"), ("2*-x^2", "-2*x^2"),
+                          ("2*-(x+1)^2", "-2*(x+1)^2"), ("-+-x^3", "x^3")):
+            assert parse_polynomial(rhs) == parse_polynomial(same) == \
+                fraction_parse_polynomial(rhs), rhs
+
     def test_rational_powers_near_the_limits(self):
         rng = random.Random(9011)
         for _ in range(200):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
-                        parse_curve, poly_gcd, quartic_normal_form, rational_sqrt)
+                        parse_curve, poly_gcd, quartic_normal_form)
 from realcurves import eta as eta_module
 from realcurves.parser import MAX_COEFFICIENT_DIGITS, parse_coefficient_list
 from realcurves.polys import (exact_isqrt, format_rational, format_terms,
@@ -55,7 +55,7 @@ class TestGcd:
             b = random_squarefree_poly(rng, max_degree=3, coeff_bound=6)
             p, q = poly_mul(g, a), poly_mul(g, b)
             d = poly_gcd(p, q)
-            assert not d.is_zero and d.leading == 1
+            assert not d.is_zero and d.coeffs[-1] == 1
             assert d == fraction_poly_gcd(p, q)
             assert poly_divmod(p, d)[1].is_zero and poly_divmod(q, d)[1].is_zero
             # the injected factor must divide the gcd
@@ -169,7 +169,7 @@ class TestSturmAgainstFractionOracle:
         assert len(chain) == len(oracle), p
         for q, r in zip(chain, oracle):
             assert type(q) is tuple and all(type(c) is int for c in q), p
-            ratio = q[-1] / r.leading
+            ratio = q[-1] / r.coeffs[-1]
             assert ratio > 0 and q == poly_mul(r, ratio).coeffs, p
 
     def test_random_rational_degrees_1_to_18(self):
@@ -407,18 +407,6 @@ class TestIntegerRootsByShape:
             assert found and found == sturm_integer_roots(UniPoly(p)), p
 
 
-class TestRationalSqrt:
-    def test_squares(self):
-        assert rational_sqrt(Fraction(225, 16)) == Fraction(15, 4)
-        assert rational_sqrt(Fraction(0)) == 0
-        assert rational_sqrt(Fraction(4)) == 2
-
-    def test_non_squares(self):
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(1, 3)) is None
-        assert rational_sqrt(Fraction(-4)) is None
-
-
 class TestIntegerForm:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(values=st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30),
@@ -595,7 +583,7 @@ class TestCanonicalForm:
         assert (-p).coeffs == tuple(-c for c in p.coeffs)
         self.assert_canonical(p.monic())
         if not p.is_zero:
-            assert p.monic().coeffs == tuple(c / p.leading for c in p.coeffs)
+            assert p.monic().coeffs == tuple(c / p.coeffs[-1] for c in p.coeffs)
         assert copy.deepcopy(p) == p == pickle.loads(pickle.dumps(p))
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
