@@ -6,46 +6,75 @@ mod-2 etale cohomology dimensions, the Witt group, the boundary
 invariant eta with a machine-checkable certificate, the torsion Picard
 group, unit groups modulo n, and level bounds -- all in exact rational
 arithmetic.
+
+Importing the package executes none of its modules.  Each one in
+`_EXPORTS` is put in `sys.modules` and on the package through
+`importlib.util.LazyLoader`, which compiles and runs it when one of its
+attributes is first read, so a command compiles only the modules it
+uses.  The public names resolve through `__getattr__`, on every access:
+the package namespace holds the modules, never the objects in them.
 """
 
-from .cohomology import CohomologyDims, etale_dims, quotient_space_dims
-from .curves import (ConicClass, ConicSpec, CurveInvariants, CurveSpec,
-                     HyperellipticSpec, HypothesisError, classify_conic,
-                     hyperelliptic_invariants)
-from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
-                       WeierstrassCurve, ec_add, ec_double, multiple,
-                       torsion_order_bounded)
-from .eta import (Certificate, EtaAnalysis, EtaResult, LevelReport,
-                  QuarticParams, SearchStats, build_quartic_model,
-                  eta_closed_rules, eta_from_params, eta_full, level_bounds,
-                  quartic_eta, quartic_normal_form)
-from .groups import GroupDescriptor, TRIVIAL_GROUP
-from .parser import ParseError, parse_coefficient_list, parse_curve
-from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
-from .polys import UniPoly, count_real_roots, is_square_free, poly_gcd
-from .report import InternalInconsistencyError, full_report
-from .sampling import SampleBox, SampleSummary, run_sample
-from .witt import witt_group
+import os
+import sys
+from importlib.machinery import SourceFileLoader
+from importlib.util import LazyLoader, module_from_spec, spec_from_file_location
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CohomologyDims", "etale_dims", "quotient_space_dims",
-    "ConicClass", "ConicSpec", "CurveInvariants", "CurveSpec",
-    "HyperellipticSpec", "HypothesisError", "classify_conic",
-    "hyperelliptic_invariants",
-    "ECPoint", "INFINITY", "OffCurveError", "SingularCurveError",
-    "WeierstrassCurve", "ec_add", "ec_double", "multiple",
-    "torsion_order_bounded",
-    "Certificate", "EtaAnalysis", "EtaResult", "LevelReport",
-    "QuarticParams", "SearchStats", "build_quartic_model",
-    "eta_closed_rules", "eta_from_params", "eta_full", "level_bounds",
-    "quartic_eta", "quartic_normal_form",
-    "GroupDescriptor", "TRIVIAL_GROUP",
-    "ParseError", "parse_coefficient_list", "parse_curve",
-    "TwoCandidates", "pic_tors", "pic_tors_complex", "units_mod_n",
-    "UniPoly", "count_real_roots", "is_square_free", "poly_gcd",
-    "InternalInconsistencyError", "full_report",
-    "SampleBox", "SampleSummary", "run_sample",
-    "witt_group",
-]
+# each module and the public names it defines
+_EXPORTS = {
+    "cohomology": ("CohomologyDims", "etale_dims", "quotient_space_dims"),
+    "curves": ("ConicClass", "ConicSpec", "CurveInvariants", "CurveSpec",
+               "HyperellipticSpec", "HypothesisError", "InternalInconsistencyError",
+               "classify_conic", "hyperelliptic_invariants"),
+    "elliptic": ("ECPoint", "INFINITY", "OffCurveError", "SingularCurveError",
+                 "WeierstrassCurve", "ec_add", "ec_double", "multiple",
+                 "torsion_order_bounded"),
+    "eta": ("Certificate", "EtaAnalysis", "EtaResult", "LevelReport",
+            "QuarticParams", "SearchStats", "build_quartic_model",
+            "eta_closed_rules", "eta_from_params", "eta_full", "level_bounds",
+            "quartic_eta", "quartic_normal_form"),
+    "groups": ("GroupDescriptor", "TRIVIAL_GROUP"),
+    "parser": ("ParseError", "parse_coefficient_list", "parse_curve"),
+    "picard": ("TwoCandidates", "pic_tors", "pic_tors_complex", "units_mod_n"),
+    "polys": ("UniPoly", "count_real_roots", "is_square_free", "poly_gcd"),
+    "report": ("full_report",),
+    "sampling": ("SampleBox", "SampleSummary", "run_sample"),
+    "witt": ("witt_group",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def _lazy_submodule(module: str):
+    """The submodule `module`, registered unexecuted; its spec is built
+    from the package directory, with no search of sys.path.  One already
+    in sys.modules, as on a re-import of the package, is kept, so that no
+    module runs twice."""
+    name = f"{__name__}.{module}"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(__path__[0], f"{module}.py")
+    loader = LazyLoader(SourceFileLoader(name, path))
+    lazy = module_from_spec(spec_from_file_location(name, path, loader=loader))
+    sys.modules[name] = lazy
+    loader.exec_module(lazy)
+    return lazy
+
+
+for _module in _EXPORTS:
+    globals()[_module] = _lazy_submodule(_module)
+del _module
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

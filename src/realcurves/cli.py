@@ -14,7 +14,9 @@ error: the command did its work, so it exits 0 with nothing on stderr.
 
 Every number the command line takes is read by `parser`: expressions
 by its grammar, --coeffs, `ec --curve` and `ec` points by
-`read_rationals`, all to one digit limit.
+`read_rationals`, all to one digit limit, and `ec multiple`'s n, the
+--units entries and the integer options by `read_integer`, in the ASCII
+digits 0-9 only.
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
@@ -32,9 +34,8 @@ from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
                        WeierstrassCurve, ec_add, ec_double, multiple,
                        torsion_order_bounded)
 from .parser import (MAX_COEFFICIENT_DIGITS, TOO_LONG, ParseError, bounded_rational,
-                     parse_coefficient_list, parse_curve, read_rationals)
-from .report import full_report
-from .sampling import SampleBox, run_sample
+                     parse_coefficient_list, parse_curve, read_integer,
+                     read_rationals)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,12 +62,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser(
         "sample", help="random-quartic eta frequency experiment")
-    sample.add_argument("--count", type=int, required=True)
-    sample.add_argument("--seed", type=int, default=1)
-    sample.add_argument("--k", type=int, choices=(0, 2, 4))
-    sample.add_argument("--amax", type=int, default=50)
-    sample.add_argument("--bmax", type=int, default=50)
-    sample.add_argument("--cmax", type=int, default=50)
+    sample.add_argument("--count", type=integer, required=True)
+    sample.add_argument("--seed", type=integer, default=1)
+    sample.add_argument("--k", type=integer, choices=(0, 2, 4))
+    sample.add_argument("--amax", type=integer, default=50)
+    sample.add_argument("--bmax", type=integer, default=50)
+    sample.add_argument("--cmax", type=integer, default=50)
     sample.add_argument("--pin", choices=("b=0", "a=c"),
                         help="force a coincidence locus instead of avoiding it")
     sample.add_argument("--json", action="store_true", help="emit JSON")
@@ -78,10 +79,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ec.add_argument("op", choices=tuple(_EC_ARITY))
     ec.add_argument("args", nargs="*",
                     help="points as '(v,u)' or 'inf'; multiple takes n first")
-    ec.add_argument("--bound", type=int, default=12,
+    ec.add_argument("--bound", type=integer, default=12,
                     help="torsion search bound (default 12)")
     ec.add_argument("--json", action="store_true", help="emit JSON")
     return top
+
+
+def integer(text: str) -> int:
+    """The type of the integer options.  `read_integer`'s ParseError is a
+    ValueError, which argparse reports as "invalid integer value" with
+    exit 2."""
+    return read_integer(text, "integer")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,6 +130,8 @@ def _require_single_values(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
+    from .report import full_report  # here, so that `ec` and `sample` skip it
+
     if (args.expression is None) == (args.coeffs is None):
         raise ParseError("provide exactly one of an expression or --coeffs", 0)
     if args.coeffs is not None:
@@ -138,10 +148,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _parse_units(text: str) -> list[int]:
-    try:
-        units = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ParseError(f"bad --units list {text!r}", 0) from None
+    units = [read_integer(p, "--units entry") for p in text.split(",") if p.strip()]
     if not units or any(n < 2 for n in units):
         raise ParseError("--units entries must be integers >= 2", 0)
     return units
@@ -173,7 +180,8 @@ def _print_analyze_text(report: dict) -> None:
         print(f"eta over C:     {_eta_text(report['eta_complex'])}")
     print(f"Pic_tors(X):    {_group_or_candidates(report['pic_tors'])}")
     for entry in report["units"]:
-        print(f"U_{entry['n']}(X):         {_group_or_candidates(entry)}")
+        label = f"U_{entry['n']}(X):"
+        print(f"{label:<15} {_group_or_candidates(entry)}")
     level = report["level"]
     print(f"ring level:     {level['ring_level']}  ({level['reason']})")
 
@@ -201,6 +209,8 @@ def _group_or_candidates(entry: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    from .sampling import SampleBox, run_sample  # here, so that `ec` skips it
+
     if args.count < 1:
         raise ParseError("--count must be >= 1", 0)
     try:
@@ -290,10 +300,7 @@ def _cmd_ec(args) -> int:
         elif op == "double":
             result = ec_double(curve, _parse_point(args.args[0]))
         else:
-            try:
-                n = int(args.args[0])
-            except ValueError:
-                raise ParseError(f"bad multiplier {args.args[0]!r}", 0) from None
+            n = read_integer(args.args[0], "multiplier")
             point = _parse_point(args.args[1])
             try:
                 result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)

@@ -28,9 +28,10 @@ MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
 after every product by a nonconstant factor, the steps of a power
 included; coefficients after every step of a power, where they can grow
 exponentially in the input length, and once for the whole polynomial,
-reported at its start.  The other numbers the command line takes
-(--coeffs, `ec --curve`, `ec` points) are read by `read_rationals`, and
-held to the same digit limit.
+reported at its start.  The other numbers the command line takes are
+read by `read_rationals` (--coeffs, `ec --curve`, `ec` points), held to
+the same digit limit, and by `read_integer` (`ec multiple`'s n, the
+--units entries and the integer options).
 """
 
 from __future__ import annotations
@@ -358,6 +359,23 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
     for value in values:
         bounded_rational(value)
     return values
+
+
+def read_integer(text: str, what: str) -> int:
+    """The integer `text`: an optional sign and the ASCII digits 0-9,
+    with surrounding spaces dropped, as int() drops them.  int() also
+    takes any Unicode decimal digit, such as '١', and '_' between digits;
+    those, every other form and a literal beyond the interpreter's
+    int-string digit limit are a ParseError "bad <what>: ..."."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad {what}: {text!r} is not an integer", 0)
+    try:
+        return int(body)
+    except ValueError:
+        raise ParseError(f"bad {what}: integer literal of {len(digits)} digits "
+                         "is too long", 0) from None
 
 
 def bounded_rational(value: Rational, position: int = 0) -> Rational:

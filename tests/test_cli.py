@@ -19,6 +19,8 @@ from realcurves import ECPoint
 from realcurves.cli import main
 from realcurves.parser import MAX_COEFFICIENT_DIGITS
 
+from test_golden import CASES as GOLDEN_CASES
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
 
@@ -85,15 +87,23 @@ class TestAnalyze:
         assert "Pic_tors(X):    Z/2" in out
 
     def test_schema_over_golden_corpus(self, capsys):
-        corpus = [
-            "x^2 + y^2 - 1 = 0", "x^2 + y = 0", "x^2 - y^2 - 1 = 0",
-            "x^2 + y^2 + 1 = 0", "x = 0", "x^2 + 1 = 0",
-            "y^2 = x^3 - x", "y^2 = -(x^6+1)", "y^2 = (x^2+1)*(x^2+4)",
-            "y^2 = -(x^2+1)*(x^2+4)", "y^2 = x^6 - 2", "y^2 = x^4 + x + 1",
-            "y^2 = 2*x^4 + 2", "y^2 = x^5 - 4*x^3 + 2*x - 1",
-        ]
-        for expr in corpus:
-            run_json(capsys, "analyze", expr)
+        # every --json case of the golden corpus: analyze, sample and ec
+        cases = [argv for argv in GOLDEN_CASES if "--json" in argv]
+        assert {argv[0] for argv in cases} == {"analyze", "sample", "ec"}
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            jsonschema.validate(json.loads(out), SCHEMA)
+
+    def test_unit_groups_line_up_with_the_other_lines(self, capsys):
+        # "U_10(X):" is one character longer than "U_2(X):"; every value
+        # starts in column 16 all the same
+        code, out, _ = run(capsys, "analyze", "y^2 = x^3 - x", "--units", "3,10")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[:16] for line in lines[-3:-1]] == ["U_3(X):         ",
+                                                        "U_10(X):        "]
+        assert all(line[15] == " " != line[16] for line in lines), out
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)", "--json")
@@ -129,6 +139,46 @@ class TestExitCodes:
     def test_bad_units(self, capsys):
         code, _, _ = run(capsys, "analyze", "x = 0", "--units", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["١", "٣", "1_0", "²", "3.0", "0x3", ""])
+    def test_integers_take_ascii_digits_only(self, capsys, text):
+        # int() reads any Unicode decimal digit, such as the Arabic-Indic
+        # '١', and '_' between digits; the command line reads 0-9 only
+        for argv, message in (
+                (("ec", "--curve", "0,-1,1", "multiple", text, "(0,1)"), "bad multiplier"),
+                (("analyze", "y^2 = x^3 - x", "--units", f"2,{text}"), "bad --units entry")):
+            if not text:  # an empty --units entry is skipped
+                continue
+            for as_json in ((), ("--json",)):
+                code, out, err = run(capsys, *argv, *as_json)
+                assert code == 2 and out == ""
+                assert f"parse error: {message}: {text!r} is not an integer" in err
+        for option in ("--count", "--seed", "--k", "--amax", "--bmax", "--cmax",
+                       "--bound"):
+            command = (("ec", "--curve", "0,-1,1", "torsion", "(0,1)")
+                       if option == "--bound" else ("sample", "--count", "1"))
+            with pytest.raises(SystemExit) as exit:
+                main([*command, f"{option}={text}"])
+            assert exit.value.code == 2
+            assert f"invalid integer value: {text!r}" in capsys.readouterr().err
+
+    def test_integers_keep_sign_and_spaces(self, capsys):
+        # what int() read before and the ASCII reader reads alike
+        code, out, _ = run(capsys, "ec", "--curve", "0,-1,1", "multiple", " +1 ", "(0,1)")
+        assert (code, out) == (0, "(0, 1)\n")
+        code, out, _ = run(capsys, "ec", "--curve", "0,-1,1", "multiple", "-1", "(0,1)")
+        assert (code, out) == (0, "(0, -1)\n")
+        assert (run_json(capsys, "analyze", "y^2 = x^3 - x", "--units", " 2, +3")["units"]
+                == run_json(capsys, "analyze", "y^2 = x^3 - x", "--units", "2,3")["units"])
+        assert (run_json(capsys, "sample", "--count", " 2", "--seed=+4", "--k", "04")
+                == run_json(capsys, "sample", "--count", "2", "--seed", "4", "--k", "4"))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter has no int-string digit limit")
+    def test_overlong_multiplier_is_2(self, capsys):
+        n = "7" * (sys.get_int_max_str_digits() + 1)
+        code, _, err = run(capsys, "ec", "--curve", "0,-1,1", "multiple", n, "(0,1)")
+        assert code == 2 and f"integer literal of {len(n)} digits is too long" in err
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="the interpreter has no int-string digit limit")

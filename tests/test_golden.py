@@ -19,7 +19,8 @@ from realcurves.cli import main
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 ANALYZE_INPUTS = [
-    # the inputs of test_cli.py::TestAnalyze::test_schema_over_golden_corpus
+    # test_cli.py::TestAnalyze::test_schema_over_golden_corpus validates
+    # the output of every --json case in CASES against docs/schema.json
     "x^2 + y^2 - 1 = 0", "x^2 + y = 0", "x^2 - y^2 - 1 = 0",
     "x^2 + y^2 + 1 = 0", "x = 0", "x^2 + 1 = 0",
     "y^2 = x^3 - x", "y^2 = -(x^6+1)", "y^2 = (x^2+1)*(x^2+4)",

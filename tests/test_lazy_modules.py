@@ -1,0 +1,109 @@
+"""Importing the package executes none of its modules: each runs when
+one of its attributes is first read.  Each check runs in a fresh
+interpreter started with -S, so that nothing a site hook imports counts,
+and prints what it found as JSON."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+PRELUDE = """\
+import json, sys, types
+def unexecuted():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("realcurves.")
+                  and type(module) is not types.ModuleType)
+"""
+
+
+def _run(script: str):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", PRELUDE + script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ec_executes_no_eta_report_or_sampling():
+    found = _run("""
+import realcurves.cli
+code = realcurves.cli.main(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--json"])
+print(json.dumps([code, unexecuted()]))
+""")
+    assert found == [0, ["realcurves.cohomology", "realcurves.eta", "realcurves.groups",
+                         "realcurves.picard", "realcurves.report",
+                         "realcurves.sampling", "realcurves.witt"]]
+
+
+def test_run_sample_executes_no_parser_or_report():
+    found = _run("""
+import realcurves
+summary = realcurves.run_sample(3, 1, realcurves.SampleBox())
+print(json.dumps([summary.count, unexecuted()]))
+""")
+    assert found == [3, ["realcurves.cohomology", "realcurves.groups",
+                         "realcurves.parser", "realcurves.picard",
+                         "realcurves.report", "realcurves.witt"]]
+
+
+def test_tracer_installs_on_an_unexecuted_package_and_restores_it():
+    found = _run(f"""
+import runpy
+import realcurves
+tracer = runpy.run_path({str(SPANS)!r}, run_name="perfbench_spans")["Tracer"]()
+tracer.install(types.SimpleNamespace())
+try:
+    realcurves.parse_curve("y^2 = x^4 - 5*x^2 + 4")
+    realcurves.eta_from_params(realcurves.QuarticParams(0, 5, 2, 9))
+finally:
+    tracer.remove()
+names = ("parser.parse_curve", "eta.eta_from_params")
+restored = [realcurves.parse_curve is realcurves.parser.parse_curve,
+            realcurves.parse_curve.__qualname__,
+            realcurves.eta_from_params is realcurves.eta.eta_from_params,
+            realcurves.eta_from_params.__qualname__]
+print(json.dumps([[tracer.calls[name] for name in names], restored]))
+""")
+    assert found == [[1, 1], [True, "parse_curve", True, "eta_from_params"]]
+
+
+def test_each_module_is_one_object_run_once():
+    # sys.modules and the package hold the same module object, before its
+    # first use and after, and a class has one identity under every name
+    found = _run("""
+import importlib
+import realcurves
+def same_objects():
+    return all(getattr(realcurves, name.partition(".")[2]) is module
+               for name, module in sys.modules.items()
+               if name.startswith("realcurves."))
+before = same_objects()
+import realcurves.cli
+from realcurves.eta import QuarticParams
+code = realcurves.cli.main(["analyze", "y^2 = (x^2-1)*(x^2-9)", "--json"])
+sampling = importlib.import_module("realcurves.sampling")
+cli = realcurves.cli
+identities = [
+    realcurves.QuarticParams is realcurves.eta.QuarticParams is QuarticParams,
+    sampling.QuarticParams is QuarticParams,
+    realcurves.report.EtaAnalysis is realcurves.EtaAnalysis,
+    cli.ParseError is realcurves.ParseError is realcurves.parser.ParseError,
+    cli.HypothesisError is realcurves.HypothesisError is realcurves.curves.HypothesisError,
+    cli.OffCurveError is realcurves.OffCurveError is realcurves.elliptic.OffCurveError,
+    cli.SingularCurveError is realcurves.SingularCurveError
+    is realcurves.elliptic.SingularCurveError,
+    cli.InternalInconsistencyError is realcurves.InternalInconsistencyError
+    is realcurves.report.InternalInconsistencyError,
+]
+after = same_objects()
+eta = realcurves.eta
+importlib.reload(realcurves)  # keeps the modules it finds in sys.modules
+identities.append(realcurves.eta is eta and realcurves.QuarticParams is QuarticParams)
+print(json.dumps([before, code, after, same_objects(), identities, unexecuted()]))
+""")
+    assert found == [True, 0, True, True, [True] * 9, []]

@@ -13,7 +13,7 @@ from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
 from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, _parse,
-                               read_rationals)
+                               read_integer, read_rationals)
 from realcurves.polys import sturm_sequence
 
 from oracles import fraction_parse_polynomial
@@ -128,6 +128,20 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_polynomial(f"(x+1)^{huge}")
         assert exc.value.position == 6
+
+
+class TestReadInteger:
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("-12", -12), ("+7", 7), (" 3 ", 3), ("007", 7)])
+    def test_sign_and_ascii_digits(self, text, value):
+        assert read_integer(text, "n") == value
+
+    @pytest.mark.parametrize("text", [
+        "١", "١٢", "1_0", "²", "+", "-", "", " ", "1 0", "--1", "+-1", "1.0", "1e3"])
+    def test_every_other_form_is_a_parse_error(self, text):
+        # int() takes the first four
+        with pytest.raises(ParseError, match=r"^bad n: .* is not an integer"):
+            read_integer(text, "n")
 
 
 class TestWorkBounds:
