@@ -26,19 +26,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cohomology": ("CohomologyDims", "etale_dims", "quotient_space_dims"),
     "curves": ("ConicClass", "ConicSpec", "CurveInvariants", "CurveSpec",
-               "HyperellipticSpec", "HypothesisError", "InternalInconsistencyError",
-               "classify_conic", "hyperelliptic_invariants"),
-    "elliptic": ("ECPoint", "INFINITY", "OffCurveError", "SingularCurveError",
-                 "WeierstrassCurve", "ec_add", "ec_double", "multiple",
-                 "torsion_order_bounded"),
+               "HyperellipticSpec", "classify_conic", "hyperelliptic_invariants"),
+    "elliptic": ("ECPoint", "INFINITY", "WeierstrassCurve", "ec_add", "ec_double",
+                 "multiple", "torsion_order_bounded"),
+    "errors": ("HypothesisError", "InternalInconsistencyError", "OffCurveError",
+               "ParseError", "SingularCurveError"),
     "eta": ("Certificate", "EtaAnalysis", "EtaResult", "LevelReport",
             "QuarticParams", "SearchStats", "build_quartic_model",
             "eta_closed_rules", "eta_from_params", "eta_full", "level_bounds",
             "quartic_eta", "quartic_normal_form"),
     "groups": ("GroupDescriptor", "TRIVIAL_GROUP"),
-    "parser": ("ParseError", "parse_coefficient_list", "parse_curve"),
+    "parser": ("parse_coefficient_list", "parse_curve"),
     "picard": ("TwoCandidates", "pic_tors", "pic_tors_complex", "units_mod_n"),
     "polys": ("UniPoly", "count_real_roots", "is_square_free", "poly_gcd"),
+    "rationals": (),
     "report": ("full_report",),
     "sampling": ("SampleBox", "SampleSummary", "run_sample"),
     "witt": ("witt_group",),

@@ -12,11 +12,16 @@ inconsistency: a failed self-check (should never fire).  A reader that
 closes stdout before the output is written, as `| head -1` does, is no
 error: the command did its work, so it exits 0 with nothing on stderr.
 
-Every number the command line takes is read by `parser`: expressions
-by its grammar, --coeffs, `ec --curve` and `ec` points by
-`read_rationals`, all to one digit limit, and `ec multiple`'s n, the
---units entries and the integer options by `read_integer`, in the ASCII
-digits 0-9 only.
+Expressions are read by the grammar of `parser`; every other number
+the command line takes is read by `rationals`: --coeffs, `ec --curve`
+and `ec` points by `read_rationals`, to the grammar's digit limit, and
+`ec multiple`'s n, the --units entries and the integer options by
+`read_integer`, in the ASCII digits 0-9 only.
+
+At the top this module imports only the standard library, `errors` and
+`rationals`; each subcommand imports the modules it runs, so a cold
+call compiles no others: `ec` compiles `elliptic` but not the curve
+grammar, and `sample` compiles `sampling` and what it uses.
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
@@ -29,13 +34,10 @@ import json
 import os
 import sys
 
-from .curves import HypothesisError, InternalInconsistencyError
-from .elliptic import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
-                       WeierstrassCurve, ec_add, ec_double, multiple,
-                       torsion_order_bounded)
-from .parser import (MAX_COEFFICIENT_DIGITS, TOO_LONG, ParseError, bounded_rational,
-                     parse_coefficient_list, parse_curve, read_integer,
-                     read_rationals)
+from .errors import (HypothesisError, InternalInconsistencyError, OffCurveError,
+                     ParseError, SingularCurveError)
+from .rationals import (MAX_COEFFICIENT_DIGITS, TOO_LONG, bounded_rational, read_integer,
+                        read_rationals)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -130,7 +132,9 @@ def _require_single_values(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    from .report import full_report  # here, so that `ec` and `sample` skip it
+    # here, so that `ec` and `sample` skip them
+    from .parser import parse_coefficient_list, parse_curve
+    from .report import full_report
 
     if (args.expression is None) == (args.coeffs is None):
         raise ParseError("provide exactly one of an expression or --coeffs", 0)
@@ -241,7 +245,9 @@ def _cmd_sample(args) -> int:
 # ec
 # ---------------------------------------------------------------------------
 
-def _parse_point(text: str) -> ECPoint:
+def _parse_point(text: str):
+    from .elliptic import INFINITY, ECPoint
+
     cleaned = text.strip()
     if cleaned.lower() in ("inf", "infinity", "o"):
         return INFINITY
@@ -253,14 +259,16 @@ def _parse_point(text: str) -> ECPoint:
     return ECPoint(*read_rationals(body, "point coordinate"))
 
 
-def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
+def _parse_curve_coeffs(text: str):
+    from .elliptic import WeierstrassCurve
+
     if text.count(",") != 2:
         raise ParseError("--curve needs exactly c2,c1,c0", 0)
     c2, c1, c0 = read_rationals(text, "curve coefficient")
     return WeierstrassCurve(c2=c2, c1=c1, c0=c0)
 
 
-def _point_json(point: ECPoint) -> dict | str:
+def _point_json(point) -> dict | str:
     """The point's JSON form; a coordinate with a part of more than
     MAX_COEFFICIENT_DIGITS digits, which could not be printed, is a
     ParseError."""
@@ -279,6 +287,9 @@ _EC_ARITY = {
 
 
 def _cmd_ec(args) -> int:
+    # here, as each subcommand imports what it runs
+    from .elliptic import ec_add, ec_double, multiple, torsion_order_bounded
+
     curve = _parse_curve_coeffs(args.curve)
     op = args.op
     count, usage = _EC_ARITY[op]

@@ -30,16 +30,9 @@ denominator; classification and display run on the integers.
 from __future__ import annotations
 
 from ._record import Record
-from .polys import (Rational, UniPoly, count_real_roots, format_terms,
-                    integer_form)
-
-
-class HypothesisError(ValueError):
-    """Input violates a smoothness/connectedness hypothesis."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A self-check failed; this should never fire."""
+from .errors import HypothesisError
+from .polys import UniPoly, count_real_roots, format_terms
+from .rationals import Rational, integer_form
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +44,7 @@ class ConicSpec(Record):
 
     The six coefficients are ints or Fractions, kept as given.  Beside
     them the spec keeps their integer form (D, numerators) from
-    `polys.integer_form`, the numerators over the lcm D of their
+    `rationals.integer_form`, the numerators over the lcm D of their
     denominators (a private slot, not part of equality or the repr);
     `classify_conic` and `display` read it.
     """

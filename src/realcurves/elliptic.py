@@ -12,8 +12,8 @@ group law `_add`.
 
 A curve keeps its coefficients as Fractions and, beside them, as
 integers N2, N1, N0 over L, the lcm of their denominators, from
-`polys.integer_form`.  The discriminant and the membership test run on
-those integers; a Fraction is built only for the residual that an
+`rationals.integer_form`.  The discriminant and the membership test run
+on those integers; a Fraction is built only for the residual that an
 `OffCurveError` carries.  The same L gives the integral model
 v -> L^2 v, u -> L^3 u, on which every rational torsion point has
 integer coordinates (Nagell-Lutz), so the torsion search stops at the
@@ -25,18 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .polys import Rational, as_fraction, integer_form
-
-
-class SingularCurveError(ValueError):
-    """The cubic has a repeated root (discriminant zero)."""
-
-
-class OffCurveError(ValueError):
-    def __init__(self, point: "ECPoint", residual: Fraction):
-        super().__init__(f"point {point} is not on the curve; residual {residual}")
-        self.point = point
-        self.residual = residual
+from .errors import OffCurveError, SingularCurveError
+from .rationals import Rational, as_fraction, integer_form
 
 
 class ECPoint(Record):

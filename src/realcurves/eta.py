@@ -49,11 +49,11 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .curves import (CurveInvariants, CurveSpec, HyperellipticSpec,
-                     InternalInconsistencyError)
+from .curves import CurveInvariants, CurveSpec, HyperellipticSpec
 from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
-from .polys import (Rational, UniPoly, exact_isqrt, integer_form,
-                    integer_roots_monic)
+from .errors import InternalInconsistencyError
+from .polys import UniPoly, exact_isqrt, integer_roots_monic
+from .rationals import Rational, integer_form
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -129,8 +129,8 @@ class QuarticParams(Record):
 
     a, b and c are ints or Fractions, kept as given.  Beside them the
     constructor keeps their integer form (D, A, B, C) from
-    `polys.integer_form`, with a, b, c = A/D, B/D, C/D over the lcm D of
-    their denominators (a private slot, not part of equality or the
+    `rationals.integer_form`, with a, b, c = A/D, B/D, C/D over the lcm D
+    of their denominators (a private slot, not part of equality or the
     repr); the validity checks run on it, and `quartic` and
     `build_quartic_model` read it.
     """

@@ -19,19 +19,20 @@ coefficient in lowest terms.  An integer literal is an int, and sums and
 products of ints stay ints; a p/q literal is a Fraction, and so is what
 it is added to or multiplied with.  `parse_curve` hands the coefficients
 to `UniPoly` or `ConicSpec`, which bring them to integer numerators over
-one denominator with `polys.integer_form`, so a curve with integer
+one denominator with `rationals.integer_form`, so a curve with integer
 coefficients builds no Fraction.
 
 The work an input can ask for is bounded: exponents and degrees above
-MAX_DEGREE and coefficients (in lowest terms) of more than
-MAX_COEFFICIENT_DIGITS digits are parse errors.  Degrees are checked
-after every product by a nonconstant factor, the steps of a power
-included; coefficients after every step of a power, where they can grow
-exponentially in the input length, and once for the whole polynomial,
-reported at its start.  The other numbers the command line takes are
-read by `read_rationals` (--coeffs, `ec --curve`, `ec` points), held to
-the same digit limit, and by `read_integer` (`ec multiple`'s n, the
---units entries and the integer options).
+MAX_DEGREE, coefficients (in lowest terms) of more than
+`rationals.MAX_COEFFICIENT_DIGITS` digits, and parentheses and unary
+signs nested more than MAX_NESTING deep are parse errors.  Degrees are
+checked after every product by a nonconstant factor, the steps of a
+power included; coefficients after every step of a power, where they
+can grow exponentially in the input length, and once for the whole
+polynomial, reported at its start; the nesting at the "(" or sign that
+passes the limit.  The other numbers the command line takes are read
+by `rationals.read_rationals` and `rationals.read_integer`, outside this
+grammar; `parse_coefficient_list` reads --coeffs with the first.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curves import ConicSpec, CurveSpec, HyperellipticSpec
-from .polys import Rational, UniPoly
+from .errors import ParseError
+from .polys import UniPoly
+from .rationals import (_COEFFICIENT_BOUND, TOO_LONG, Rational, bounded_rational,
+                        read_rationals)
 
 Monomial = tuple[int, int]              # (x exponent, y exponent)
 Poly = dict[Monomial, Rational]         # nonzero coefficients in lowest terms
@@ -49,16 +53,9 @@ Poly = dict[Monomial, Rational]         # nonzero coefficients in lowest terms
 # about 0.07 s to analyze on one Intel Xeon core (Python 3.11); the cost
 # grows with about the fifth power of the degree.
 MAX_DEGREE = 18
-# the default int-string digit limit: larger coefficients cannot be printed
-MAX_COEFFICIENT_DIGITS = 4300
-_COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
-TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+# Parentheses and unary signs open nested calls of the recursive descent;
+# 250 levels of parentheses ran out of the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +162,14 @@ class _Parser:
         # an end token ends the list, so looking ahead never runs off it
         self.tokens = tokens + [("end", "", length)]
         self.pos = 0
+        self.depth = 0  # the parentheses and unary signs open at `pos`
+
+    def nest(self, tok: tuple[str, str, int]) -> None:
+        """Enter the nesting level that `tok`, a "(" or a unary sign,
+        opens; one past MAX_NESTING is a ParseError at `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting above the limit of {MAX_NESTING}", tok[2])
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -208,10 +213,13 @@ class _Parser:
     def parse_factor(self) -> Poly:
         # a sign applies to the signed factor, power included: -x^2 is
         # -(x^2), and no "^" may follow it, as none may follow x^2
-        kind = self.tokens[self.pos][0]
+        tok = self.tokens[self.pos]
+        kind = tok[0]
         if kind == "-" or kind == "+":
+            self.nest(tok)
             self.pos += 1
             factor = self.parse_factor()
+            self.depth -= 1
             return _poly_neg(factor) if kind == "-" else factor
         base = self.parse_base()
         if self.tokens[self.pos][0] != "^":
@@ -255,8 +263,10 @@ class _Parser:
         if kind == "var":
             return {(1, 0) if value == "x" else (0, 1): 1}
         if kind == "(":
+            self.nest(tok)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
@@ -341,48 +351,3 @@ def parse_coefficient_list(text: str) -> HyperellipticSpec:
     _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
     return hyperelliptic_from_unipoly(UniPoly(coeffs))
 
-
-def read_rationals(text: str, what: str) -> list[Fraction]:
-    """The comma-separated rationals of `text`, in Fraction's syntax
-    with ASCII digits and without exponent notation, and checked by
-    `bounded_rational`; any other entry is a ParseError "bad <what>: ..."."""
-    parts = [p.strip() for p in text.split(",")]
-    for p in parts:
-        if not p.isascii():  # Fraction's syntax takes any \d, such as '١'
-            raise ParseError(f"bad {what}: non-ASCII character in {p!r}", 0)
-        if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
-            raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
-    try:
-        values = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"bad {what}: {err}", 0) from None
-    for value in values:
-        bounded_rational(value)
-    return values
-
-
-def read_integer(text: str, what: str) -> int:
-    """The integer `text`: an optional sign and the ASCII digits 0-9,
-    with surrounding spaces dropped, as int() drops them.  int() also
-    takes any Unicode decimal digit, such as '١', and '_' between digits;
-    those, every other form and a literal beyond the interpreter's
-    int-string digit limit are a ParseError "bad <what>: ..."."""
-    body = text.strip()
-    digits = body[1:] if body[:1] in ("+", "-") else body
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"bad {what}: {text!r} is not an integer", 0)
-    try:
-        return int(body)
-    except ValueError:
-        raise ParseError(f"bad {what}: integer literal of {len(digits)} digits "
-                         "is too long", 0) from None
-
-
-def bounded_rational(value: Rational, position: int = 0) -> Rational:
-    """`value` itself, or a ParseError at `position` when its numerator
-    or denominator has more than MAX_COEFFICIENT_DIGITS digits, too many
-    to print."""
-    if (value.denominator >= _COEFFICIENT_BOUND
-            or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
-        raise ParseError(TOO_LONG, position)
-    return value

@@ -7,12 +7,8 @@ The case analysis downstream (component counts, group structures) is
 discrete, so a single wrong sign would flip an entire output group --
 hence the hard exactness requirement.
 
-`integer_form` brings ints and Fractions to integer numerators over the
-lcm of their denominators, the form that `UniPoly`, `eta.QuarticParams`,
-`elliptic.WeierstrassCurve` and `curves.ConicSpec` compute on, and
-rejects any other value with a TypeError, so a rational is an int or a
-Fraction throughout (a string is not parsed here); and
-`exact_isqrt` is the package's one test of an integer for being a
+`UniPoly` takes its coefficients through `rationals.integer_form`,
+and `exact_isqrt` is the package's one test of an integer for being a
 square.  `format_terms` writes integer numerators over a denominator as
 a sum of terms, each coefficient reduced by a gcd, for `UniPoly`, the
 conic display and, through `format_rational`, the report's coefficient
@@ -47,35 +43,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from ._record import Record
-
-Rational = int | Fraction
-
-
-def as_fraction(x: Rational) -> Fraction:
-    """An int or a Fraction as a Fraction; anything else is a TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
-    """(D, numerators) with values[i] = numerators[i] / D, over the lcm D
-    of the denominators of the given ints and Fractions; any other value
-    is a TypeError."""
-    den = 1
-    for v in values:
-        if type(v) is not int:  # an int's denominator is 1
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"cannot interpret {v!r} as an exact rational")
-            den = lcm(den, v.denominator)
-    if den == 1:  # all integers, as the sampler draws them
-        return den, [v.numerator for v in values]
-    return den, [v.numerator * (den // v.denominator) for v in values]
+from .rationals import Rational, integer_form
 
 
 def exact_isqrt(n: int) -> int | None:

@@ -1,0 +1,107 @@
+"""Exact rationals: their one type check, their integer form, and the
+command line's readers of numbers.
+
+A rational is an int or a Fraction throughout the package.
+`integer_form` brings a list of them to integer numerators over the lcm
+of their denominators, the form that `UniPoly`, `eta.QuarticParams`,
+`elliptic.WeierstrassCurve` and `curves.ConicSpec` compute on, and
+rejects any other value with a TypeError (a string is not parsed here).
+
+The command line's numbers outside the curve grammar are read here:
+`read_rationals` reads --coeffs, `ec --curve` and `ec` points, and
+`read_integer` reads `ec multiple`'s n, the --units entries and the
+integer options, both in the ASCII digits 0-9 only.  `bounded_rational`
+holds a value to MAX_COEFFICIENT_DIGITS digits, the limit that the
+grammar keeps too.  This module needs only the standard library and
+`errors`, so a command that reads numbers compiles no polynomial code.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from fractions import Fraction
+from math import lcm
+
+from .errors import ParseError
+
+Rational = int | Fraction
+
+# the default int-string digit limit: larger coefficients cannot be printed
+MAX_COEFFICIENT_DIGITS = 4300
+_COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
+TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
+
+
+def as_fraction(x: Rational) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(D, numerators) with values[i] = numerators[i] / D, over the lcm D
+    of the denominators of the given ints and Fractions; any other value
+    is a TypeError."""
+    den = 1
+    for v in values:
+        if type(v) is not int:  # an int's denominator is 1
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot interpret {v!r} as an exact rational")
+            den = lcm(den, v.denominator)
+    if den == 1:  # all integers, as the sampler draws them
+        return den, [v.numerator for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def bounded_rational(value: Rational, position: int = 0) -> Rational:
+    """`value` itself, or a ParseError at `position` when its numerator
+    or denominator has more than MAX_COEFFICIENT_DIGITS digits, too many
+    to print."""
+    if (value.denominator >= _COEFFICIENT_BOUND
+            or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
+        raise ParseError(TOO_LONG, position)
+    return value
+
+
+def read_rationals(text: str, what: str) -> list[Fraction]:
+    """The comma-separated rationals of `text`, in Fraction's syntax
+    with ASCII digits and without exponent notation, and checked by
+    `bounded_rational`; any other entry is a ParseError "bad <what>: ...",
+    which names an empty entry and a zero denominator as such."""
+    parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        if not p.isascii():  # Fraction's syntax takes any \d, such as '١'
+            raise ParseError(f"bad {what}: non-ASCII character in {p!r}", 0)
+        if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
+            raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
+    values = []
+    for p in parts:
+        try:
+            values.append(Fraction(p))
+        except ZeroDivisionError:
+            raise ParseError(f"bad {what}: zero denominator in {p!r}", 0) from None
+        except ValueError as err:
+            raise ParseError(f"bad {what}: {err if p else 'empty entry'}", 0) from None
+    for value in values:
+        bounded_rational(value)
+    return values
+
+
+def read_integer(text: str, what: str) -> int:
+    """The integer `text`: an optional sign and the ASCII digits 0-9,
+    with surrounding spaces dropped, as int() drops them.  int() also
+    takes any Unicode decimal digit, such as '١', and '_' between digits;
+    those, every other form and a literal beyond the interpreter's
+    int-string digit limit are a ParseError "bad <what>: ..."."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad {what}: {text!r} is not an integer", 0)
+    try:
+        return int(body)
+    except ValueError:
+        raise ParseError(f"bad {what}: integer literal of {len(digits)} digits "
+                         "is too long", 0) from None

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .cohomology import etale_dims, quotient_space_dims
-from .curves import (ConicSpec, CurveInvariants, CurveSpec,
-                     InternalInconsistencyError, classify_conic,
+from .curves import (ConicSpec, CurveInvariants, CurveSpec, classify_conic,
                      hyperelliptic_invariants)
+from .errors import InternalInconsistencyError
 from .eta import EtaAnalysis, LevelReport, eta_full, level_bounds
 from .groups import GroupDescriptor, group_json
 from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n

@@ -41,8 +41,9 @@ from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
 from realcurves.eta import QuarticModel
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
-from realcurves.parser import MAX_COEFFICIENT_DIGITS, MAX_DEGREE
+from realcurves.parser import MAX_DEGREE
 from realcurves.polys import sign_variations
+from realcurves.rationals import MAX_COEFFICIENT_DIGITS
 
 
 # ---------------------------------------------------------------------------

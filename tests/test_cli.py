@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import realcurves.eta
 from realcurves import ECPoint
 from realcurves.cli import main
-from realcurves.parser import MAX_COEFFICIENT_DIGITS
+from realcurves.parser import MAX_NESTING
+from realcurves.rationals import MAX_COEFFICIENT_DIGITS
 
 from test_golden import CASES as GOLDEN_CASES
 
@@ -125,6 +126,33 @@ class TestExitCodes:
             code, out, err = run(capsys, "analyze", expr, *as_json)
             assert code == 2 and out == ""
             assert f"unexpected character {char!r} (at position {position})" in err
+
+    @pytest.mark.parametrize("expr, position", [
+        # 250 parentheses and 1000 signs ran out of the recursion limit
+        ("y^2 = " + "(" * 250 + "x" + ")" * 250, 6 + MAX_NESTING),
+        ("(" * 300 + "x" + ")" * 300 + "^2 + y^2 - 1 = 0", MAX_NESTING),
+        ("y^2 = " + "-" * 1000 + "x", 6 + MAX_NESTING),
+        ("y^2 = " + "-(" * MAX_NESTING + "x" + ")" * MAX_NESTING, 6 + MAX_NESTING),
+    ])
+    def test_nesting_past_the_limit_is_2(self, capsys, expr, position):
+        for as_json in ((), ("--json",)):
+            code, out, err = run(capsys, "analyze", expr, *as_json)
+            assert code == 2 and out == ""
+            assert err == (f"parse error: nesting above the limit of {MAX_NESTING} "
+                           f"(at position {position})\n")
+
+    @pytest.mark.parametrize("expr, plain", [
+        ("y^2 = " + "(" * MAX_NESTING + "x^3 - x" + ")" * MAX_NESTING, "y^2 = x^3 - x"),
+        ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING + "^2 + y^2 - 1 = 0",
+         "x^2 + y^2 - 1 = 0"),
+        ("y^2 = " + "-" * MAX_NESTING + "x^3 + x", "y^2 = x^3 + x"),
+        ("y^2 = " + "-(" * (MAX_NESTING // 2) + "x^3 + x" + ")" * (MAX_NESTING // 2),
+         "y^2 = x^3 + x"),
+    ])
+    def test_nesting_at_the_limit_parses(self, capsys, expr, plain):
+        code, out, err = run(capsys, "analyze", expr, "--json")
+        assert code == 0 and err == ""
+        assert run(capsys, "analyze", plain, "--json") == (code, out, err)
 
     def test_hypothesis_violation_is_3(self, capsys):
         code, _, err = run(capsys, "analyze", "y^2 = (x-1)^2")
@@ -258,6 +286,17 @@ class TestExitCodes:
          "bad curve coefficient: non-ASCII character in '١'"),
         (("ec", "--curve", "0,-1,1", "double", "(٠,1)"),
          "bad point coordinate: non-ASCII character in '٠'"),
+        # the number reader's whole messages: an empty entry and a zero
+        # denominator are named, not shown in Fraction's words
+        (("ec", "--curve", "1/0,1,1", "torsion", "(0,1)"),
+         "parse error: bad curve coefficient: zero denominator in '1/0' (at position 0)\n"),
+        (("analyze", "--coeffs", "1,,2"),
+         "parse error: bad coefficient list: empty entry (at position 0)\n"),
+        (("ec", "--curve", "0,-1,1", "double", "(0, )"),
+         "parse error: bad point coordinate: empty entry (at position 0)\n"),
+        (("analyze", "--coeffs", "1,x"),
+         "parse error: bad coefficient list: Invalid literal for Fraction: 'x' "
+         "(at position 0)\n"),
     ])
     def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
         for as_json in ((), ("--json",)):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
@@ -30,14 +32,61 @@ def _run(script: str):
 
 
 def test_ec_executes_no_eta_report_or_sampling():
+    # `cli` takes its exceptions from `errors` and its number readers
+    # from `rationals`, so `ec` runs none of parser, curves and polys
     found = _run("""
 import realcurves.cli
 code = realcurves.cli.main(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--json"])
 print(json.dumps([code, unexecuted()]))
 """)
-    assert found == [0, ["realcurves.cohomology", "realcurves.eta", "realcurves.groups",
-                         "realcurves.picard", "realcurves.report",
-                         "realcurves.sampling", "realcurves.witt"]]
+    assert found == [0, ["realcurves.cohomology", "realcurves.curves", "realcurves.eta",
+                         "realcurves.groups", "realcurves.parser", "realcurves.picard",
+                         "realcurves.polys", "realcurves.report", "realcurves.sampling",
+                         "realcurves.witt"]]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--curve", "0,-1,1", "torsion", "(0,1)"], 0, ""),
+    (["--curve", "3,-4,0", "torsion", "(-4,0)"], 0, ""),
+    (["--curve", "0,-1,1", "add", "(0,1)", "(1,1)"], 0, ""),
+    (["--curve", "0,-1,1", "add", "inf", "(0,1)"], 0, ""),
+    (["--curve", "0,-1,1", "double", "(0,1)"], 0, ""),
+    (["--curve", "0,-1,1", "multiple", "5", "(0,1)"], 0, ""),
+    (["--curve", "0,-1,1/0", "double", "(0,1)"], 2,
+     "parse error: bad curve coefficient: zero denominator in '1/0'"),
+    (["--curve", "0,0,0", "double", "(0,0)"], 3,
+     "hypothesis violation: cubic has a repeated root"),
+    (["--curve", "0,-1,1", "double", "(0,2)"], 3,
+     "hypothesis violation: point (0, 2) is not on the curve; residual 3"),
+    (["--curve", "0,-1,1", "multiple", "300", "(0,1)"], 2,
+     "parse error: coefficient of more than 4300 digits"),
+])
+def test_every_ec_path_runs_in_a_cold_process(argv, code, message):
+    # each call in its own interpreter, so that a name that one path
+    # imports and another misses cannot be supplied by an earlier call
+    found = _run(f"""
+import contextlib, io
+import realcurves.cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = realcurves.cli.main(["ec", *{argv!r}, "--json"])
+print(json.dumps([code, err.getvalue()]))
+""")
+    assert found[0] == code and found[1].startswith(message)
+    assert bool(found[1]) == bool(code)
+
+
+def test_cli_sample_executes_no_parser_or_report():
+    found = _run("""
+import contextlib, io
+import realcurves.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = realcurves.cli.main(["sample", "--count", "3", "--seed", "1", "--json"])
+print(json.dumps([code, unexecuted()]))
+""")
+    assert found == [0, ["realcurves.cohomology", "realcurves.groups",
+                         "realcurves.parser", "realcurves.picard",
+                         "realcurves.report", "realcurves.witt"]]
 
 
 def test_run_sample_executes_no_parser_or_report():
@@ -107,3 +156,29 @@ identities.append(realcurves.eta is eta and realcurves.QuarticParams is QuarticP
 print(json.dumps([before, code, after, same_objects(), identities, unexecuted()]))
 """)
     assert found == [True, 0, True, True, [True] * 9, []]
+
+
+def test_each_exception_class_is_one_object():
+    # after every module has run, each name in `errors` reaches the same
+    # class through the package and through every module that holds it
+    found = _run("""
+import contextlib, io
+import realcurves
+import realcurves.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    realcurves.cli.main(["analyze", "y^2 = (x^2-1)*(x^2-9)", "--json"])
+    realcurves.cli.main(["sample", "--count", "1"])
+    realcurves.cli.main(["ec", "--curve", "0,-1,1", "torsion", "(0,1)"])
+names = ("HypothesisError", "InternalInconsistencyError", "OffCurveError",
+         "ParseError", "SingularCurveError")
+errors = sys.modules["realcurves.errors"]
+holders = []
+for name in names:
+    cls = getattr(errors, name)
+    holders.append([module_name for module_name, module in sys.modules.items()
+                    if module_name.startswith("realcurves")
+                    and getattr(module, name, cls) is not cls])
+    holders.append(cls.__module__)
+print(json.dumps([holders, unexecuted()]))
+""")
+    assert found == [[[], "realcurves.errors"] * 5, []]

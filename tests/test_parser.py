@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from realcurves import (ConicSpec, HyperellipticSpec, HypothesisError,
                         ParseError, UniPoly, parse_coefficient_list,
                         parse_curve)
-from realcurves.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, _parse,
-                               read_integer, read_rationals)
+from realcurves.parser import MAX_DEGREE, MAX_NESTING, _parse
 from realcurves.polys import sturm_sequence
+from realcurves.rationals import MAX_COEFFICIENT_DIGITS, read_integer, read_rationals
 
 from oracles import fraction_parse_polynomial
 

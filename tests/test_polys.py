@@ -12,10 +12,10 @@ from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
                         parse_curve, poly_gcd, quartic_normal_form)
 from realcurves import eta as eta_module
-from realcurves.parser import MAX_COEFFICIENT_DIGITS, parse_coefficient_list
+from realcurves.parser import parse_coefficient_list
 from realcurves.polys import (exact_isqrt, format_rational, format_terms,
-                              integer_form, integer_roots_monic, sign_variations,
-                              sturm_sequence)
+                              integer_roots_monic, sign_variations, sturm_sequence)
+from realcurves.rationals import MAX_COEFFICIENT_DIGITS, integer_form
 from realcurves.sampling import SampleBox, draw_params
 
 from oracles import (cauchy_bound, derivative, descartes_count_roots,

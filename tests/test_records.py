@@ -224,7 +224,7 @@ def test_weierstrass_coefficients_become_fractions():
 ])
 def test_strings_are_not_rationals(build):
     # a rational is an int or a Fraction; a string is not parsed, so it
-    # cannot bypass the digit checks of parser.read_rationals
+    # cannot bypass the digit checks of rationals.read_rationals
     with pytest.raises(TypeError, match="exact rational"):
         build()
 
