@@ -172,13 +172,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 names = ("HypothesisError", "InternalInconsistencyError", "OffCurveError",
          "ParseError", "SingularCurveError")
 errors = sys.modules["realcurves.errors"]
-holders = []
+strays = []  # per name: the modules holding another object, and the class's home
 for name in names:
     cls = getattr(errors, name)
-    holders.append([module_name for module_name, module in sys.modules.items()
+    strays.append([module_name for module_name, module in sys.modules.items()
                     if module_name.startswith("realcurves")
                     and getattr(module, name, cls) is not cls])
-    holders.append(cls.__module__)
-print(json.dumps([holders, unexecuted()]))
+    strays.append(cls.__module__)
+print(json.dumps([strays, unexecuted()]))
 """)
     assert found == [[[], "realcurves.errors"] * 5, []]
