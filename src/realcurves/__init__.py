@@ -37,7 +37,7 @@ _EXPORTS = {
             "quartic_eta", "quartic_normal_form"),
     "groups": ("GroupDescriptor", "TRIVIAL_GROUP"),
     "parser": ("parse_coefficient_list", "parse_curve"),
-    "picard": ("TwoCandidates", "pic_tors", "pic_tors_complex", "units_mod_n"),
+    "picard": ("pic_tors", "pic_tors_complex", "units_mod_n"),
     "polys": ("UniPoly", "count_real_roots", "is_square_free", "poly_gcd"),
     "rationals": (),
     "report": ("full_report",),

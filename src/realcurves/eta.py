@@ -532,11 +532,12 @@ def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
 
 
 class LevelReport(Record):
-    """Level of the coordinate ring.  'infinite' when the real locus is
-    nonempty (the ring is formally real); otherwise the level is 2 or 3,
-    pinned to exactly 3 when eta of the complexification vanishes
-    (a positive lower bound on the anti-invariant boundary rank is
-    necessary for level 2)."""
+    """Level of the coordinate ring.  '1' when the curve is not
+    geometrically connected (its constants hold a square root of -1);
+    'infinite' when the real locus is nonempty (the ring is formally
+    real); otherwise the level is 2 or 3, pinned to exactly 3 when eta
+    of the complexification vanishes (a positive lower bound on the
+    anti-invariant boundary rank is necessary for level 2)."""
 
     __slots__ = _fields = ("value", "reason")
 
@@ -550,9 +551,12 @@ class LevelReport(Record):
 
 def level_bounds(inv: CurveInvariants,
                  eta_complex: EtaResult | None) -> LevelReport:
-    if inv.complete or not inv.geometrically_connected:
-        raise ValueError("level bounds apply to non-complete geometrically "
-                         "connected curves")
+    """The level of a non-complete curve, from its invariants and eta of
+    its complexification; a complete curve is a ValueError."""
+    if inv.complete:
+        raise ValueError("level bounds apply to non-complete curves")
+    if not inv.geometrically_connected:
+        return LevelReport("1", "the complexification is disconnected, so -1 is a square")
     if inv.components > 0:
         return LevelReport("infinite",
                            "real points exist, so the coordinate ring is formally real")

@@ -7,71 +7,40 @@ For a non-complete geometrically connected curve,
 with t = 0, r = 0 when the real locus is empty.  Complete curves have
 (Q/Z)^g + (Z/2)^(s-1) with real points and (Q/Z)^g without.  A
 non-complete complex curve of genus g with k points at infinity has
-(Q/Z)^(2g + k - eta - 1).
+(Q/Z)^(2g + k - eta - 1).  A curve that is not geometrically connected
+is isomorphic to one component of its complexification, a complex curve
+with k = c, and `pic_tors` answers for it by that formula.
 
 Unit groups of the coordinate ring modulo n-th powers:
 
-    U_n(X) = (Z/n)^eta + Z/2   (n even; the extra Z/2 is the sign of a
-                                constant)
-    U_n(X) = (Z/n)^eta         (n odd)
+    U_n(X) = (Z/n)^eta + Z/2   (n even, X geometrically connected; the
+                                extra Z/2 is the sign of a constant)
+    U_n(X) = (Z/n)^eta         (otherwise: n odd, or the constants are
+                                complex and so divisible)
 
-When eta is undetermined both candidate groups are emitted rather than
-guessing.
+Both take eta as an int; when eta is undetermined the report asks for
+eta = 0 and eta = 1 and shows both candidate groups.
 """
 
 from __future__ import annotations
 
-from ._record import Record
 from .curves import CurveInvariants
-from .groups import GroupDescriptor, group_json
+from .groups import GroupDescriptor
 
 
-class TwoCandidates(Record):
-    """Both candidate groups when eta could be 0 or 1."""
-
-    __slots__ = _fields = ("eta0", "eta1")
-
-    def __init__(self, eta0: GroupDescriptor, eta1: GroupDescriptor):
-        object.__setattr__(self, "eta0", eta0)
-        object.__setattr__(self, "eta1", eta1)
-
-    def to_json(self) -> dict:
-        return {
-            "eta_undetermined": True,
-            "candidates": {
-                "eta_0": group_json(self.eta0),
-                "eta_1": group_json(self.eta1),
-            },
-        }
-
-
-def pic_tors(inv: CurveInvariants, eta: int | None) -> GroupDescriptor | TwoCandidates:
-    """Torsion subgroup of the Picard group; `eta` is None when
-    undetermined, and is ignored for complete curves.
-
-    Geometrically disconnected curves are rejected: the formulas need
-    geometric connectedness (the disconnected case is handled through
-    `pic_tors_complex` on one component).
-    """
-    if not inv.geometrically_connected:
-        raise ValueError("torsion Picard formula requires a geometrically "
-                         "connected curve")
+def pic_tors(inv: CurveInvariants, eta: int) -> GroupDescriptor:
+    """Torsion subgroup of the Picard group; `eta` is ignored for
+    complete curves."""
     g, s, t = inv.genus, inv.components, inv.compact_components
-    if inv.complete:
-        if s > 0:
-            return GroupDescriptor(qz=g, z2=s - 1)
-        return GroupDescriptor(qz=g)
     r, c = inv.real_at_infinity, inv.complex_at_infinity
-
-    def descriptor(e: int) -> GroupDescriptor:
-        rank = g + r + c - e - 1
-        if rank < 0:
-            raise ValueError(f"eta = {e} exceeds the bound r + c - 1 = {r + c - 1}")
-        return GroupDescriptor(qz=rank, z2=t)
-
-    if eta is None:
-        return TwoCandidates(eta0=descriptor(0), eta1=descriptor(1))
-    return descriptor(eta)
+    if not inv.geometrically_connected:
+        return pic_tors_complex(g, c, eta)
+    if inv.complete:
+        return GroupDescriptor(qz=g, z2=max(s - 1, 0))
+    rank = g + r + c - eta - 1
+    if rank < 0:
+        raise ValueError(f"eta = {eta} exceeds the bound r + c - 1 = {r + c - 1}")
+    return GroupDescriptor(qz=rank, z2=t)
 
 
 def pic_tors_complex(genus: int, points_at_infinity: int,
@@ -84,10 +53,11 @@ def pic_tors_complex(genus: int, points_at_infinity: int,
     return GroupDescriptor(qz=2 * genus + points_at_infinity - eta_complex - 1)
 
 
-def units_mod_n(eta: int, n: int) -> GroupDescriptor:
-    """O(X)*/O(X)*^n for a geometrically connected real curve."""
+def units_mod_n(inv: CurveInvariants, eta: int, n: int) -> GroupDescriptor:
+    """O(X)*/O(X)*^n."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    return GroupDescriptor(zn=(n, eta), z2=1 if n % 2 == 0 else 0)
+    sign = n % 2 == 0 and inv.geometrically_connected
+    return GroupDescriptor(zn=(n, eta), z2=1 if sign else 0)

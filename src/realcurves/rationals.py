@@ -70,7 +70,8 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
     """The comma-separated rationals of `text`, in Fraction's syntax
     with ASCII digits and without exponent notation, and checked by
     `bounded_rational`; any other entry is a ParseError "bad <what>: ...",
-    which names an empty entry and a zero denominator as such."""
+    in the reader's own words: an empty entry, a zero denominator, an
+    entry too long to quote, or "not a rational: <entry>"."""
     parts = [p.strip() for p in text.split(",")]
     for p in parts:
         if not p.isascii():  # Fraction's syntax takes any \d, such as '١'
@@ -83,8 +84,14 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
             values.append(Fraction(p))
         except ZeroDivisionError:
             raise ParseError(f"bad {what}: zero denominator in {p!r}", 0) from None
-        except ValueError as err:
-            raise ParseError(f"bad {what}: {err if p else 'empty entry'}", 0) from None
+        except ValueError:  # malformed, or a digit run past int()'s limit
+            if not p:
+                reason = "empty entry"
+            elif len(p) > MAX_COEFFICIENT_DIGITS:
+                reason = f"entry of {len(p)} characters is too long"
+            else:
+                reason = f"not a rational: {p!r}"
+            raise ParseError(f"bad {what}: {reason}", 0) from None
     for value in values:
         bounded_rational(value)
     return values

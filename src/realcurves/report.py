@@ -5,7 +5,11 @@ cohomology tables, the Witt group, eta with its certificate, the torsion
 Picard group (or both candidates when eta is undetermined), the
 requested unit groups, and the level report.  Group outputs appear both
 as structured descriptors and as display strings; consumers that need
-stability should read the structured form.
+stability should read the structured form.  `picard` and
+`eta.level_bounds` answer for every curve accepted here, the curves
+that are not geometrically connected included, so the report has no
+case of its own: `_entry` asks a group function for eta, or for eta = 0
+and eta = 1 when eta is undetermined.
 
 Before returning, theorem-level identities that tie the modules together
 are re-checked; a failure signals an internal inconsistency (a
@@ -15,37 +19,21 @@ the command line can distinguish it from user errors.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .cohomology import etale_dims, quotient_space_dims
-from .curves import (ConicSpec, CurveInvariants, CurveSpec, classify_conic,
-                     hyperelliptic_invariants)
+from .curves import (ConicSpec, CurveInvariants, CurveSpec, HyperellipticSpec,
+                     classify_conic, hyperelliptic_invariants)
 from .errors import InternalInconsistencyError
-from .eta import EtaAnalysis, LevelReport, eta_full, level_bounds
+from .eta import EtaAnalysis, eta_full, level_bounds
 from .groups import GroupDescriptor, group_json
-from .picard import TwoCandidates, pic_tors, pic_tors_complex, units_mod_n
+from .picard import pic_tors, units_mod_n
 from .polys import format_rational
 from .witt import witt_from_h1
 
 
 def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
-    if isinstance(spec, ConicSpec):
-        klass = classify_conic(spec)
-        inv = klass.invariants
-        curve_json = {
-            "kind": "conic",
-            "conic_class": klass.kind,
-            "display": spec.display(),
-        }
-    else:
-        inv = hyperelliptic_invariants(spec)
-        curve_json = {
-            "kind": "hyperelliptic",
-            "display": spec.display(),
-            "q_coefficients": [format_rational(c, spec.q.denominator)
-                               for c in spec.q.numerators],
-        }
-
+    inv, curve_json = _DESCRIBE[type(spec)](spec)
     analysis = eta_full(spec, inv)
     etale = etale_dims(inv)
     quotient = quotient_space_dims(inv)
@@ -53,53 +41,52 @@ def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
     _cross_check(inv, etale.h1, quotient.h1, quotient.h2, etale.h2,
                  witt, analysis)
 
-    report = {
+    eta = analysis.eta.value
+    return {
         "curve": curve_json,
         "invariants": inv.to_json(),
         "etale_cohomology": etale.to_json(),
         "quotient_cohomology": quotient.to_json(),
         "witt": group_json(witt),
         **analysis.to_json(),
-        "pic_tors": _pic_json(inv, analysis),
-        "units": [_units_json(inv, analysis, n) for n in units],
-        "level": _level_json(inv, analysis),
+        "pic_tors": _entry(eta, lambda e: pic_tors(inv, e)),
+        "units": [{"n": n, **_entry(eta, lambda e: units_mod_n(inv, e, n))}
+                  for n in units],
+        "level": level_bounds(inv, analysis.eta_complex).to_json(),
     }
-    return report
 
 
-def _pic_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:
-    if not inv.geometrically_connected:
-        # the curve is isomorphic to one component of its
-        # complexification; compute there
-        eta_c = analysis.eta_complex
-        if eta_c is None or eta_c.value is None:
-            raise InternalInconsistencyError("no eta over C for a disconnected curve")
-        group = pic_tors_complex(inv.genus, inv.complex_at_infinity, eta_c.value)
-        return {"eta_undetermined": False, **group_json(group)}
-    result = pic_tors(inv, analysis.eta.value)
-    if isinstance(result, TwoCandidates):
-        return result.to_json()
-    return {"eta_undetermined": False, **group_json(result)}
+def _entry(eta: int | None,
+           group_of: Callable[[int], GroupDescriptor]) -> dict:
+    """The report entry of the group `group_of(eta)`, or of both
+    candidates, for eta = 0 and eta = 1, when eta is undetermined."""
+    if eta is not None:
+        return {"eta_undetermined": False, **group_json(group_of(eta))}
+    return {"eta_undetermined": True,
+            "candidates": {"eta_0": group_json(group_of(0)),
+                           "eta_1": group_json(group_of(1))}}
 
 
-def _units_json(inv: CurveInvariants, analysis: EtaAnalysis, n: int) -> dict:
-    if not inv.geometrically_connected:
-        # over C the constants are divisible, so U_n is (Z/n)^eta with no
-        # sign contribution; eta vanishes here (single point at infinity)
-        return {"n": n, "eta_undetermined": False,
-                **group_json(GroupDescriptor(zn=(n, 0)))}
-    value = analysis.eta.value
-    if value is None:
-        return {"n": n, **TwoCandidates(units_mod_n(0, n), units_mod_n(1, n)).to_json()}
-    return {"n": n, "eta_undetermined": False, **group_json(units_mod_n(value, n))}
+def _describe_conic(spec: ConicSpec) -> tuple[CurveInvariants, dict]:
+    klass = classify_conic(spec)
+    return klass.invariants, {
+        "kind": "conic",
+        "conic_class": klass.kind,
+        "display": spec.display(),
+    }
 
 
-def _level_json(inv: CurveInvariants, analysis: EtaAnalysis) -> dict:
-    if not inv.geometrically_connected:
-        return {"ring_level": "1",
-                "reason": "the complexification is disconnected, so -1 is a square"}
-    report: LevelReport = level_bounds(inv, analysis.eta_complex)
-    return report.to_json()
+def _describe_hyperelliptic(spec: HyperellipticSpec) -> tuple[CurveInvariants, dict]:
+    return hyperelliptic_invariants(spec), {
+        "kind": "hyperelliptic",
+        "display": spec.display(),
+        "q_coefficients": [format_rational(c, spec.q.denominator)
+                           for c in spec.q.numerators],
+    }
+
+
+# the invariants and the curve echo of each kind of spec `parse_curve` returns
+_DESCRIBE = {ConicSpec: _describe_conic, HyperellipticSpec: _describe_hyperelliptic}
 
 
 def _cross_check(inv: CurveInvariants, u: int, quotient_h1: int,

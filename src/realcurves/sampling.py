@@ -22,6 +22,9 @@ from .eta import EtaResult, QuarticParams, quartic_eta
 
 PIN_B_ZERO = "b=0"
 PIN_A_EQ_C = "a=c"
+# the most digits of a box bound: the normal form's work grows with them
+MAX_BOUND_DIGITS = 100
+_BOUND_LIMIT = 10 ** MAX_BOUND_DIGITS
 
 
 class SampleBox(Record):
@@ -34,6 +37,8 @@ class SampleBox(Record):
             raise ValueError("k must be 0, 2, or 4")
         if min(amax, cmax) < 1 or bmax < 0:
             raise ValueError("box bounds must be positive")
+        if max(amax, bmax, cmax) >= _BOUND_LIMIT:
+            raise ValueError(f"box bounds must have at most {MAX_BOUND_DIGITS} digits")
         if pin not in (None, PIN_B_ZERO, PIN_A_EQ_C):
             raise ValueError(f"unknown pin {pin!r}")
         object.__setattr__(self, "k", k)

@@ -19,7 +19,6 @@ from realcurves import (GroupDescriptor, QuarticParams, SearchStats, UniPoly,
                         torsion_order_bounded, witt_group)
 from realcurves.cli import main
 from realcurves.curves import HyperellipticSpec
-from realcurves.picard import TwoCandidates
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (descartes_count_roots, poly_mul, random_curve_with_points,
@@ -108,19 +107,15 @@ def test_hyperelliptic_formulas():
                     free = kp + 1 if k > 0 else 2
                     assert w == GroupDescriptor(free_rank=free, z2=dp - 1)
                     expected_pic = None  # depends on eta, handled below
-                analysis = eta_full(spec, inv)
-                result = pic_tors(inv, analysis.eta.value)
+                eta = eta_full(spec, inv).eta.value
                 if expected_pic is not None:
-                    assert analysis.eta.value == 0
-                    assert result == expected_pic, (d, sign, k)
+                    assert eta == 0
+                    assert pic_tors(inv, eta) == expected_pic, (d, sign, k)
                 else:
+                    # eta is 0 or 1, or undetermined: both candidates
                     z2 = max(kp - 1, 0)
-                    if isinstance(result, TwoCandidates):
-                        assert result.eta0 == GroupDescriptor(qz=dp, z2=z2)
-                        assert result.eta1 == GroupDescriptor(qz=dp - 1, z2=z2)
-                    else:
-                        eta = analysis.eta.value
-                        assert result == GroupDescriptor(qz=dp - eta, z2=z2)
+                    for e in (0, 1) if eta is None else (eta,):
+                        assert pic_tors(inv, e) == GroupDescriptor(qz=dp - e, z2=z2)
 
 
 @criterion(3, "quartic eta certificates: p = p1, p = p3, and derived 2p = p3")

@@ -19,6 +19,7 @@ from realcurves import ECPoint
 from realcurves.cli import main
 from realcurves.parser import MAX_NESTING
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS
+from realcurves.sampling import MAX_BOUND_DIGITS
 
 from test_golden import CASES as GOLDEN_CASES
 
@@ -295,13 +296,31 @@ class TestExitCodes:
         (("ec", "--curve", "0,-1,1", "double", "(0, )"),
          "parse error: bad point coordinate: empty entry (at position 0)\n"),
         (("analyze", "--coeffs", "1,x"),
-         "parse error: bad coefficient list: Invalid literal for Fraction: 'x' "
+         "parse error: bad coefficient list: not a rational: 'x' (at position 0)\n"),
+        # past the int-string digit limit: named, not quoted
+        (("analyze", "--coeffs", "1," + "9" * 4301),
+         "parse error: bad coefficient list: entry of 4301 characters is too long "
          "(at position 0)\n"),
     ])
     def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
         for as_json in ((), ("--json",)):
             code, out, err = run(capsys, *argv, *as_json)
             assert code == 2 and message in err and out == ""
+
+    def test_sample_box_past_the_digit_cap_is_2(self, capsys):
+        # 4300-digit bounds ran about 47 s in the quartic normal form
+        huge = "9" * 4300
+        started = time.perf_counter()
+        code, out, err = run(capsys, "sample", "--count", "1", "--amax", huge,
+                             "--bmax", huge, "--cmax", huge)
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert err == ("parse error: box bounds must have at most "
+                       f"{MAX_BOUND_DIGITS} digits (at position 0)\n")
+        cap = "9" * MAX_BOUND_DIGITS
+        code, _, err = run(capsys, "sample", "--count", "1", "--amax", cap,
+                           "--bmax", cap, "--cmax", cap)
+        assert code == 0, err
 
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
         # a group law fault on an eta = 1 input: the relation p = p3 still

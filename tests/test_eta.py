@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcurves import (INFINITY, QuarticParams, SearchStats, UniPoly,
-                        WeierstrassCurve, build_quartic_model, classify_conic,
+from realcurves import (INFINITY, CurveInvariants, QuarticParams, SearchStats,
+                        UniPoly, WeierstrassCurve, build_quartic_model, classify_conic,
                         count_real_roots, curves, eta_closed_rules,
                         eta_from_params, eta_full, full_report,
                         hyperelliptic_invariants, level_bounds, multiple,
@@ -657,9 +657,14 @@ class TestLevelBounds:
         assert level_bounds(inv, analysis.eta_complex).value == "2 or 3"
 
     def test_rejects_wrong_hypotheses(self):
-        inv = conic_inv("x^2 + 1")
+        complete = CurveInvariants(genus=3, real_at_infinity=0, complex_at_infinity=0,
+                                   components=2, compact_components=2, complete=True)
         with pytest.raises(ValueError):
-            level_bounds(inv, None)
+            level_bounds(complete, None)
+
+    def test_disconnected_curve_has_level_one(self):
+        inv = conic_inv("x^2 + 1")
+        assert level_bounds(inv, None).value == "1"
 
 
 class TestSquareLeadingQuartics:

@@ -1,7 +1,6 @@
 import pytest
 
-from realcurves import (CurveInvariants, GroupDescriptor, TwoCandidates,
-                        classify_conic, eta_full, hyperelliptic_invariants,
+from realcurves import (CurveInvariants, GroupDescriptor, classify_conic, eta_full, hyperelliptic_invariants,
                         parse_curve, pic_tors, pic_tors_complex, quartic_eta,
                         units_mod_n)
 
@@ -29,22 +28,20 @@ class TestPicTors:
         withreal = CurveInvariants(genus=3, real_at_infinity=0,
                                    complex_at_infinity=0, components=2,
                                    compact_components=2, complete=True)
-        assert pic_tors(withreal, None) == GroupDescriptor(qz=3, z2=1)
+        assert pic_tors(withreal, 0) == GroupDescriptor(qz=3, z2=1)
         empty = CurveInvariants(genus=3, real_at_infinity=0,
                                 complex_at_infinity=0, components=0,
                                 compact_components=0, complete=True)
-        assert pic_tors(empty, None) == GroupDescriptor(qz=3)
+        assert pic_tors(empty, 1) == GroupDescriptor(qz=3)  # eta is ignored
 
     def test_undetermined_gives_both_candidates(self):
         inv = hyperelliptic_invariants(parse_curve("y^2 = x^6 - 2"))
-        result = pic_tors(inv, None)
-        assert isinstance(result, TwoCandidates)
-        assert result.eta0 == GroupDescriptor(qz=3)
-        assert result.eta1 == GroupDescriptor(qz=2)
+        assert pic_tors(inv, 0) == GroupDescriptor(qz=3)
+        assert pic_tors(inv, 1) == GroupDescriptor(qz=2)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            pic_tors(conic_inv("x^2 + 1"), 0)
+    def test_disconnected_curve_is_complex(self):
+        # x^2 + 1 = 0 is a line over C: genus 0, one point at infinity
+        assert pic_tors(conic_inv("x^2 + 1"), 0) == GroupDescriptor()
 
     def test_eta_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -74,22 +71,32 @@ class TestPicTorsComplex:
 
 
 class TestUnits:
+    # a connected curve, whose constants carry a sign
+    CONNECTED = CurveInvariants(genus=1, real_at_infinity=2, complex_at_infinity=0,
+                                components=2, compact_components=0)
+
     def test_even_without_boundary_units(self):
-        assert units_mod_n(0, 2) == GroupDescriptor(z2=1)
+        assert units_mod_n(self.CONNECTED, 0, 2) == GroupDescriptor(z2=1)
 
     def test_odd_with_one_unit(self):
-        assert units_mod_n(1, 3) == GroupDescriptor(zn=(3, 1))
+        assert units_mod_n(self.CONNECTED, 1, 3) == GroupDescriptor(zn=(3, 1))
 
     def test_even_with_one_unit(self):
-        assert units_mod_n(1, 4) == GroupDescriptor(z4=1, z2=1)
+        assert units_mod_n(self.CONNECTED, 1, 4) == GroupDescriptor(z4=1, z2=1)
 
     def test_bigger_moduli(self):
-        assert units_mod_n(1, 6) == GroupDescriptor(zn=(6, 1), z2=1)
-        assert units_mod_n(0, 7) == GroupDescriptor()
+        assert units_mod_n(self.CONNECTED, 1, 6) == GroupDescriptor(zn=(6, 1), z2=1)
+        assert units_mod_n(self.CONNECTED, 0, 7) == GroupDescriptor()
+
+    def test_disconnected_curve_has_no_sign(self):
+        # the constants of a complex curve are divisible
+        inv = conic_inv("x^2 + 1")
+        for n in (2, 3, 4):
+            assert units_mod_n(inv, 0, n) == GroupDescriptor()
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
-            units_mod_n(0, 1)
+            units_mod_n(self.CONNECTED, 0, 1)
 
 
 class TestTableConsistency:

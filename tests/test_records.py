@@ -13,8 +13,7 @@ from realcurves import (Certificate, CohomologyDims, ConicClass, ConicSpec,
                         CurveInvariants, ECPoint, EtaAnalysis, EtaResult,
                         GroupDescriptor, HyperellipticSpec, HypothesisError,
                         LevelReport, QuarticParams, SampleBox, SampleSummary,
-                        SearchStats, SingularCurveError, TwoCandidates, UniPoly,
-                        WeierstrassCurve)
+                        SearchStats, SingularCurveError, UniPoly, WeierstrassCurve)
 from realcurves._record import Record
 from realcurves.eta import QuarticModel
 
@@ -67,8 +66,6 @@ RECORDS = {
                       (1, 2, 3, (5, 2), 1),
                       {"free_rank": 0, "qz": 0, "z4": 0, "zn": None, "z2": 0}),
     CohomologyDims: (("h0", "h1", "h2", "h_stable"), (1, 2, 3, 3), (1, 2, 3, 4), {}),
-    TwoCandidates: (("eta0", "eta1"), (GroupDescriptor(qz=2), GroupDescriptor(qz=1)),
-                    (GroupDescriptor(qz=2), GroupDescriptor(qz=0)), {}),
     SampleBox: (("k", "amax", "bmax", "cmax", "pin"), (2, 5, 6, 7, "b=0"),
                 (2, 5, 6, 7, "a=c"),
                 {"k": None, "amax": 50, "bmax": 50, "cmax": 50, "pin": None}),
@@ -98,7 +95,7 @@ def _subclasses(cls):
 def test_every_record_class_is_covered():
     # importing realcurves has imported every module of the package
     assert set(_subclasses(Record)) == set(RECORDS)
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 18
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
