@@ -31,10 +31,10 @@ _EXPORTS = {
                  "multiple", "torsion_order_bounded"),
     "errors": ("HypothesisError", "InternalInconsistencyError", "OffCurveError",
                "ParseError", "SingularCurveError"),
-    "eta": ("Certificate", "EtaAnalysis", "EtaResult", "LevelReport",
-            "QuarticParams", "SearchStats", "build_quartic_model",
-            "eta_closed_rules", "eta_from_params", "eta_full", "level_bounds",
+    "eta": ("QuarticParams", "SearchStats", "build_quartic_model", "eta_from_params",
             "quartic_eta", "quartic_normal_form"),
+    "eta_rules": ("Certificate", "EtaAnalysis", "EtaResult", "LevelReport",
+                  "eta_closed_rules", "eta_full", "level_bounds"),
     "groups": ("GroupDescriptor", "TRIVIAL_GROUP"),
     "parser": ("parse_coefficient_list", "parse_curve"),
     "picard": ("pic_tors", "pic_tors_complex", "units_mod_n"),

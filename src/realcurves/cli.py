@@ -12,6 +12,16 @@ inconsistency: a failed self-check (should never fire).  A reader that
 closes stdout before the output is written, as `| head -1` does, is no
 error: the command did its work, so it exits 0 with nothing on stderr.
 
+The command line is read by one table, `_COMMANDS`, of each
+subcommand's positionals and options.  An option takes its value as
+`--opt value` or `--opt=value`, anywhere after the subcommand; a value
+that starts with `--` is missing, and a repeated option keeps its last
+value.  `--` ends the options.  A word that starts with a single `-`
+is a positional, unless it is `-h`, so `analyze '-x^2-y^2+1=0'`,
+`ec multiple -1 "(0,1)"` and `sample --seed -5` read as they look.
+`-h` and `--help` print the usage and exit 0.  Every usage error is a
+ParseError, so it exits 2.
+
 Expressions are read by the grammar of `parser`; every other number
 the command line takes is read by `rationals`: --coeffs, `ec --curve`
 and `ec` points by `read_rationals`, to the grammar's digit limit, and
@@ -20,8 +30,13 @@ and `ec` points by `read_rationals`, to the grammar's digit limit, and
 
 At the top this module imports only the standard library, `errors` and
 `rationals`; each subcommand imports the modules it runs, so a cold
-call compiles no others: `ec` compiles `elliptic` but not the curve
-grammar, and `sample` compiles `sampling` and what it uses.
+call compiles no others.  `ec` compiles `elliptic` but not the curve
+grammar, and `sample` compiles `sampling` and what it uses.  `analyze`
+parses before it imports `report`: a rejected input runs `parser`,
+`curves`, `polys` and `_record` beside this module, `errors` and
+`rationals`; a curve that the closed rules of `eta_rules` decide, such
+as a conic or an odd degree, adds the report's modules but not `eta`
+or `elliptic`, which only a quartic runs.
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
@@ -29,10 +44,10 @@ output.  JSON layouts are documented in docs/schema.json.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import (HypothesisError, InternalInconsistencyError, OffCurveError,
                      ParseError, SingularCurveError)
@@ -45,61 +60,139 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="realcurves",
-        description="Exact invariants of smooth real affine plane curves.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser(
-        "analyze", help="full report: invariants, cohomology dimensions, "
-        "Witt group, eta, torsion Picard group, unit groups, level")
-    analyze.add_argument("expression", nargs="?",
-                         help="curve as '<poly in x,y> = 0' or 'y^2 = <poly in x>'")
-    analyze.add_argument("--coeffs",
-                         help="hyperelliptic coefficients a0,a1,...,ad (ascending)")
-    analyze.add_argument("--units", default="2",
-                         help="comma-separated modulis for unit groups (default 2)")
-    analyze.add_argument("--json", action="store_true", help="emit JSON")
-
-    sample = sub.add_parser(
-        "sample", help="random-quartic eta frequency experiment")
-    sample.add_argument("--count", type=integer, required=True)
-    sample.add_argument("--seed", type=integer, default=1)
-    sample.add_argument("--k", type=integer, choices=(0, 2, 4))
-    sample.add_argument("--amax", type=integer, default=50)
-    sample.add_argument("--bmax", type=integer, default=50)
-    sample.add_argument("--cmax", type=integer, default=50)
-    sample.add_argument("--pin", choices=("b=0", "a=c"),
-                        help="force a coincidence locus instead of avoiding it")
-    sample.add_argument("--json", action="store_true", help="emit JSON")
-
-    ec = sub.add_parser(
-        "ec", help="debug arithmetic on u^2 = v^3 + c2*v^2 + c1*v + c0")
-    ec.add_argument("--curve", required=True, metavar="c2,c1,c0",
-                    help="comma-separated rational coefficients")
-    ec.add_argument("op", choices=tuple(_EC_ARITY))
-    ec.add_argument("args", nargs="*",
-                    help="points as '(v,u)' or 'inf'; multiple takes n first")
-    ec.add_argument("--bound", type=integer, default=12,
-                    help="torsion search bound (default 12)")
-    ec.add_argument("--json", action="store_true", help="emit JSON")
-    return top
+def _integer(text: str) -> int:
+    """The reader of the integer options."""
+    try:
+        return read_integer(text, "integer")
+    except ParseError:
+        raise ValueError(f"invalid integer value: {text!r}") from None
 
 
-def integer(text: str) -> int:
-    """The type of the integer options.  `read_integer`'s ParseError is a
-    ValueError, which argparse reports as "invalid integer value" with
-    exit 2."""
-    return read_integer(text, "integer")
+def _choice(read, *choices):
+    """A reader that takes what `read` reads if it is one of `choices`."""
+    def reader(text: str):
+        value = read(text)
+        if value not in choices:
+            raise ValueError(f"invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        return value
+    return reader
+
+
+# each ec op's number of arguments, and the usage error when it differs
+_EC_ARITY = {
+    "add": (2, "add needs two points"),
+    "double": (1, "double needs one point"),
+    "multiple": (2, "multiple needs n and a point"),
+    "torsion": (1, "torsion needs one point"),
+}
+
+_REQUIRED = object()
+_FLAG = (None, False)
+
+# Each subcommand's positionals, named by their attribute, in order, and
+# its options, each with (reader, default).  A default of _REQUIRED
+# makes one required.  An option read by None is a flag, which takes no
+# value; the positional read by None takes every word left.
+_COMMANDS = {
+    "analyze": {"expression": (str, None), "--coeffs": (str, None),
+                "--units": (str, "2"), "--json": _FLAG},
+    "sample": {"--count": (_integer, _REQUIRED), "--seed": (_integer, 1),
+               "--k": (_choice(_integer, 0, 2, 4), None), "--amax": (_integer, 50),
+               "--bmax": (_integer, 50), "--cmax": (_integer, 50),
+               "--pin": (_choice(str, "b=0", "a=c"), None), "--json": _FLAG},
+    "ec": {"op": (_choice(str, *_EC_ARITY), _REQUIRED), "args": (None, ()),
+           "--curve": (str, _REQUIRED), "--bound": (_integer, 12), "--json": _FLAG},
+}
+
+# each subcommand's usage and what it does, for -h and --help
+_HELP = {
+    "analyze": ("[EXPRESSION] [--coeffs a0,a1,...,ad] [--units N,...] [--json]",
+                "full report for one curve, '<poly in x,y> = 0' or 'y^2 = <poly in x>',\n"
+                "  or y^2 = a0 + a1*x + ... + ad*x^d by --coeffs: invariants, cohomology,\n"
+                "  Witt group, eta, Pic_tors, the unit groups mod each --units entry\n"
+                "  (default 2) and the level"),
+    "sample": ("--count N [--seed N] [--k {0,2,4}] [--amax N] [--bmax N] [--cmax N]\n"
+               "       [--pin {b=0,a=c}] [--json]",
+               "eta frequencies over seeded random quartics; --pin forces a\n"
+               "  coincidence locus instead of avoiding it"),
+    "ec": ("--curve c2,c1,c0 {add,double,multiple,torsion} ARG... [--bound N] [--json]",
+           "arithmetic on u^2 = v^3 + c2*v^2 + c1*v + c0; points are '(v,u)' or\n"
+           "  'inf', multiple takes n first, torsion searches up to --bound (default 12)"),
+}
+
+
+def _usage(commands) -> str:
+    return "\n".join(f"usage: realcurves {name} {_HELP[name][0]}\n  {_HELP[name][1]}"
+                      for name in commands)
+
+
+def _read(name: str, reader, text: str):
+    try:
+        return reader(text)
+    except ValueError as err:
+        raise ParseError(f"argument {name}: {err}", 0) from None
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The subcommand and its values read off `argv` by `_COMMANDS`, as
+    attributes named without dashes; None once `-h` or `--help` has
+    printed the usage."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_usage(_HELP))
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"invalid subcommand {argv[0]!r}" if argv else "missing subcommand"
+        raise ParseError(f"{given} (choose from analyze, sample, ec)", 0)
+    command, words = argv[0], iter(argv[1:])
+    table = _COMMANDS[command]
+    values = {name: default for name, (_, default) in table.items()}
+    positionals: list[str] = []
+    for word in words:
+        if word == "--":
+            positionals.extend(words)
+        elif word in ("-h", "--help"):
+            print(_usage([command]))
+            return None
+        elif word.startswith("--"):
+            name, has_value, text = word.partition("=")
+            if name not in table:
+                raise ParseError(f"unknown option {name!r}", 0)
+            reader = table[name][0]
+            if reader is None:
+                if has_value:
+                    raise ParseError(f"{name} takes no value", 0)
+                values[name] = True
+                continue
+            if not has_value:
+                text = next(words, None)
+            if text is None or text.startswith("--"):
+                raise ParseError(f"{name} needs a value", 0)
+            values[name] = _read(name, reader, text)
+        else:
+            positionals.append(word)
+    for name, (reader, _) in table.items():
+        if name.startswith("--") or not positionals:
+            continue
+        if reader is None:
+            values[name], positionals = positionals, []
+        else:
+            values[name] = _read(name, reader, positionals.pop(0))
+    if positionals:
+        raise ParseError(f"unrecognized arguments: {' '.join(positionals)}", 0)
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}", 0)
+    return SimpleNamespace(command=command,
+                           **{name.lstrip("-"): value for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        _require_single_values(args)
-        code = {"analyze": _cmd_analyze, "sample": _cmd_sample,
-                "ec": _cmd_ec}[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = EXIT_OK if args is None else {
+            "analyze": _cmd_analyze, "sample": _cmd_sample, "ec": _cmd_ec,
+        }[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at the exit
         return code
     except BrokenPipeError:
@@ -119,22 +212,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-def _require_single_values(args) -> None:
-    """argparse parses "--opt=--" into an empty list, not the string "--";
-    every destination but the ec point list takes a single value."""
-    for name, value in vars(args).items():
-        if isinstance(value, list) and name != "args":
-            raise ParseError(f"--{name} needs a value", 0)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    # here, so that `ec` and `sample` skip them
+    # here, so that `ec` and `sample` skip it
     from .parser import parse_coefficient_list, parse_curve
-    from .report import full_report
 
     if (args.expression is None) == (args.coeffs is None):
         raise ParseError("provide exactly one of an expression or --coeffs", 0)
@@ -143,6 +227,9 @@ def _cmd_analyze(args) -> int:
     else:
         spec = parse_curve(args.expression)
     units = _parse_units(args.units)
+    # after the parse, so that a rejected input compiles no report
+    from .report import full_report
+
     report = full_report(spec, units=units)
     if args.json:
         print(json.dumps({"command": "analyze", **report}, indent=2))
@@ -275,15 +362,6 @@ def _point_json(point) -> dict | str:
     if point.is_infinity:
         return "infinity"
     return {"v": str(bounded_rational(point.v)), "u": str(bounded_rational(point.u))}
-
-
-# each op's number of arguments, and the usage error when it differs
-_EC_ARITY = {
-    "add": (2, "add needs two points"),
-    "double": (1, "double needs one point"),
-    "multiple": (2, "multiple needs n and a point"),
-    "torsion": (1, "torsion needs one point"),
-}
 
 
 def _cmd_ec(args) -> int:

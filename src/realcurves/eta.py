@@ -1,19 +1,13 @@
-"""The boundary-divisor invariant eta of a smooth affine curve, with
-machine-checkable certificates.
+"""eta of a quartic y^2 = Q(x): the normal form, the Jacobian model and
+the bounded torsion search.
 
-eta(X) is the rank of the group of degree-zero cycles supported on the
-points at infinity that die in the Picard group of the completion.  It
-is bounded by r + c - 1 and controls both the torsion Picard group and
-the unit groups of the coordinate ring.
-
-Closed rules settle most cases: a single point at infinity forces
-eta = 0, and on a genus-zero curve every degree-zero boundary cycle is
-principal, so eta = r + c - 1.  The interesting case is a quartic
-y^2 = Q(x) with a positive leading coefficient l.  y -> y/sqrt(l) is an
-isomorphism over R onto y^2 = Q/l, whose monic Q/l has rational
-coefficients, and eta is an invariant of the real curve, so Q is taken
-monic: the difference p of the two points at infinity lives in the
-Jacobian.  A factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2)
+The closed rules, the dispatch over all curves and the level bounds
+live in `eta_rules`, which reads this module only for a quartic with a
+positive leading coefficient l.  y -> y/sqrt(l) is an isomorphism
+over R onto y^2 = Q/l, whose monic Q/l has rational coefficients, and
+eta is an invariant of the real curve, so Q is taken monic: the
+difference p of the two points at infinity lives in the Jacobian.  A
+factorization Q = ((x+b)^2 +- a^2)((x-b)^2 +- c^2)
 with a, b, c rational and a, c > 0 names the marked points; the number
 k of real roots of Q is read off the two signs.  With Q moved to
 x^4 + Px^2 + Cx + R, the Jacobian is the resolvent cubic of the
@@ -49,54 +43,13 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .curves import CurveInvariants, CurveSpec, HyperellipticSpec
 from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
 from .errors import InternalInconsistencyError
+# eta_full is not used here: the benchmark's tracer finds it as eta.eta_full
+from .eta_rules import (NON_RATIONAL_FACTORIZATION, TORSION_COINCIDENCE,
+                        TORSION_EXHAUSTED, Certificate, EtaResult, eta_full)
 from .polys import UniPoly, exact_isqrt, integer_roots_monic
 from .rationals import Rational, integer_form
-
-# certificate kinds
-RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
-RULE_CONIC_TABLE = "rule-conic-table"
-TORSION_COINCIDENCE = "torsion-coincidence"
-TORSION_EXHAUSTED = "torsion-exhausted"
-NON_RATIONAL_FACTORIZATION = "non-rational-factorization"
-GENUS_TOO_HIGH = "genus-too-high"
-
-
-class Certificate(Record):
-    __slots__ = _fields = ("kind", "relation", "order", "cases_checked")
-
-    def __init__(self, kind: str, relation: str | None = None,
-                 order: int | None = None,
-                 cases_checked: tuple[str, ...] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cases_checked", cases_checked)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "relation": self.relation,
-            "order": self.order,
-            "cases_checked": None if self.cases_checked is None
-            else list(self.cases_checked),
-        }
-
-
-class EtaResult(Record):
-    """value 0 or 1 when decided, None when undetermined."""
-
-    __slots__ = _fields = ("value", "certificate")
-
-    def __init__(self, value: int | None, certificate: Certificate):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "certificate", certificate)
-
-    def to_json(self) -> dict:
-        return {"eta": self.value, "certificate": self.certificate.to_json()}
-
 
 # bound once: every sampler draw builds a QuarticParams
 _set = object.__setattr__
@@ -203,31 +156,6 @@ class QuarticModel(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "two_torsion", two_torsion)
         object.__setattr__(self, "neutral_two_torsion", neutral_two_torsion)
-
-
-# ---------------------------------------------------------------------------
-# Closed rules
-# ---------------------------------------------------------------------------
-
-def eta_closed_rules(inv: CurveInvariants) -> EtaResult | None:
-    """Decide eta without any curve arithmetic, or return None.
-
-    r + c = 1 forces eta = 0 (a single boundary point carries no
-    degree-zero cycles): this covers odd-degree hyperelliptic curves,
-    parabolas, lines, ellipses, imaginary ellipses, the non
-    geometrically connected conic, and every y^2 = Q with negative
-    leading coefficient and even degree.  A genus-zero curve with two
-    boundary points (the hyperbola case) has eta = 1: the completion is
-    a projective line, where every degree-zero divisor is principal.
-    """
-    r, c = inv.real_at_infinity, inv.complex_at_infinity
-    if inv.complete:
-        return None
-    if r + c == 1:
-        return EtaResult(0, Certificate(RULE_ONE_POINT_AT_INFINITY))
-    if inv.genus == 0 and inv.geometrically_connected and r + c == 2:
-        return EtaResult(1, Certificate(RULE_CONIC_TABLE))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -462,110 +390,3 @@ def eta_from_params(params: QuarticParams,
             f"certificate {checked[-1]!r} failed its self-check: no np = O up to 12p")
     return EtaResult(1, Certificate(TORSION_COINCIDENCE,
                                     relation=checked[-1], order=orders[0]))
-
-
-# ---------------------------------------------------------------------------
-# Full dispatch and level bounds
-# ---------------------------------------------------------------------------
-
-class EtaAnalysis(Record):
-    """eta of the curve itself and, when it can be reported, eta of its
-    complexification (which drives the level bound when the real locus
-    is empty)."""
-
-    __slots__ = _fields = ("eta", "eta_complex")
-
-    def __init__(self, eta: EtaResult, eta_complex: EtaResult | None):
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_complex", eta_complex)
-
-    def to_json(self) -> dict:
-        return {
-            "eta": self.eta.to_json(),
-            "eta_complex": None if self.eta_complex is None
-            else self.eta_complex.to_json(),
-        }
-
-
-def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
-    """Closed rules first; the elliptic pipeline for quartics with a
-    positive leading coefficient; the twin quartic y^2 = -Q for the
-    negative-leading-coefficient form (the complexifications of the two
-    forms are isomorphic, so eta transfers); Undetermined for even
-    degree >= 6, which has no finite decision procedure here.
-    """
-    closed = eta_closed_rules(inv)
-    q = spec.q if isinstance(spec, HyperellipticSpec) else None
-    eta = closed if closed is not None else _quartic_dispatch(q)
-    eta_complex = _eta_complex(q, inv, eta)
-    return EtaAnalysis(eta=eta, eta_complex=eta_complex)
-
-
-def _quartic_dispatch(q: UniPoly | None) -> EtaResult:
-    """eta of y^2 = q for q with positive leading coefficient l.  When q
-    is a quartic, y -> y/sqrt(l) maps the curve onto y^2 = q/l over R,
-    and q/l has rational coefficients, so it runs the monic pipeline;
-    non-rational-factorization then means that q/l has no rational
-    normal form.  Any other degree is Undetermined."""
-    if q is None or q.degree != 4:
-        return EtaResult(None, Certificate(GENUS_TOO_HIGH))
-    return quartic_eta(q.monic())
-
-
-def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
-                 eta: EtaResult) -> EtaResult | None:
-    if inv.complete:
-        return None
-    if not inv.geometrically_connected:
-        # the curve is isomorphic to one complex component, which here
-        # has a single point at infinity
-        return EtaResult(0, Certificate(RULE_ONE_POINT_AT_INFINITY))
-    if inv.complex_at_infinity == 0:
-        # only real points at infinity: eta over C equals eta over R
-        return eta
-    if inv.genus == 0:
-        # two conjugate boundary points on a genus-zero completion
-        return EtaResult(1, Certificate(RULE_CONIC_TABLE))
-    if q is not None and q.degree % 2 == 0 and q.numerators[-1] < 0:
-        return _quartic_dispatch(-q)
-    return None
-
-
-class LevelReport(Record):
-    """Level of the coordinate ring.  '1' when the curve is not
-    geometrically connected (its constants hold a square root of -1);
-    'infinite' when the real locus is nonempty (the ring is formally
-    real); otherwise the level is 2 or 3, pinned to exactly 3 when eta
-    of the complexification vanishes (a positive lower bound on the
-    anti-invariant boundary rank is necessary for level 2)."""
-
-    __slots__ = _fields = ("value", "reason")
-
-    def __init__(self, value: str, reason: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reason", reason)
-
-    def to_json(self) -> dict:
-        return {"ring_level": self.value, "reason": self.reason}
-
-
-def level_bounds(inv: CurveInvariants,
-                 eta_complex: EtaResult | None) -> LevelReport:
-    """The level of a non-complete curve, from its invariants and eta of
-    its complexification; a complete curve is a ValueError."""
-    if inv.complete:
-        raise ValueError("level bounds apply to non-complete curves")
-    if not inv.geometrically_connected:
-        return LevelReport("1", "the complexification is disconnected, so -1 is a square")
-    if inv.components > 0:
-        return LevelReport("infinite",
-                           "real points exist, so the coordinate ring is formally real")
-    if eta_complex is not None and eta_complex.value == 0:
-        return LevelReport("3",
-                           "eta of the complexification is 0, which rules out level 2")
-    if eta_complex is not None and eta_complex.value == 1:
-        return LevelReport("2 or 3",
-                           "eta of the complexification is 1, which is necessary "
-                           "but not sufficient for level 2")
-    return LevelReport("2 or 3",
-                       "eta of the complexification is undetermined")

@@ -6,7 +6,7 @@ Picard group (or both candidates when eta is undetermined), the
 requested unit groups, and the level report.  Group outputs appear both
 as structured descriptors and as display strings; consumers that need
 stability should read the structured form.  `picard` and
-`eta.level_bounds` answer for every curve accepted here, the curves
+`eta_rules.level_bounds` answer for every curve accepted here, the curves
 that are not geometrically connected included, so the report has no
 case of its own: `_entry` asks a group function for eta, or for eta = 0
 and eta = 1 when eta is undetermined.
@@ -25,7 +25,7 @@ from .cohomology import etale_dims, quotient_space_dims
 from .curves import (ConicSpec, CurveInvariants, CurveSpec, HyperellipticSpec,
                      classify_conic, hyperelliptic_invariants)
 from .errors import InternalInconsistencyError
-from .eta import EtaAnalysis, eta_full, level_bounds
+from .eta_rules import EtaAnalysis, eta_full, level_bounds
 from .groups import GroupDescriptor, group_json
 from .picard import pic_tors, units_mod_n
 from .polys import format_rational

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import realcurves.eta
 from realcurves import ECPoint
-from realcurves.cli import main
+from realcurves.cli import _COMMANDS, main
 from realcurves.parser import MAX_NESTING
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS
 from realcurves.sampling import MAX_BOUND_DIGITS
@@ -186,10 +186,9 @@ class TestExitCodes:
                        "--bound"):
             command = (("ec", "--curve", "0,-1,1", "torsion", "(0,1)")
                        if option == "--bound" else ("sample", "--count", "1"))
-            with pytest.raises(SystemExit) as exit:
-                main([*command, f"{option}={text}"])
-            assert exit.value.code == 2
-            assert f"invalid integer value: {text!r}" in capsys.readouterr().err
+            code, out, err = run(capsys, *command, f"{option}={text}")
+            assert code == 2 and out == ""
+            assert f"argument {option}: invalid integer value: {text!r}" in err
 
     def test_integers_keep_sign_and_spaces(self, capsys):
         # what int() read before and the ASCII reader reads alike
@@ -252,7 +251,7 @@ class TestExitCodes:
         assert time.perf_counter() - started < 10.0
 
     def test_option_value_of_dashes_is_2(self, capsys):
-        # argparse parses "--opt=--" into an empty list
+        # a value that starts with "--" is missing, in either form
         for argv in (("analyze", "x = 0", "--units=--"), ("analyze", "--coeffs=--"),
                      ("sample", "--count=--"), ("sample", "--count=1", "--k=--"),
                      ("ec", "--curve=--", "double", "(0,0)"),
@@ -392,6 +391,90 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
 
 
+class TestOptionTable:
+    """The command line is read by one table: `--opt value` and
+    `--opt=value`, options after positionals, `--`, and a usage error
+    for everything else, with exit 2 and the reason on stderr."""
+
+    @pytest.mark.parametrize("prefix", [(), ("analyze",), ("sample",), ("ec",)],
+                             ids=("top", "analyze", "sample", "ec"))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0(self, capsys, prefix, flag):
+        code, out, err = run(capsys, *prefix, flag)
+        assert code == 0 and err == "" and out.startswith("usage: realcurves ")
+        for command, table in _COMMANDS.items():
+            shown = prefix in ((), (command,))
+            assert (f"usage: realcurves {command} " in out) == shown
+            assert not shown or all(name in out for name in table if name[0] == "-")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "missing subcommand (choose from analyze, sample, ec)"),
+        (("frobnicate",), "invalid subcommand 'frobnicate' (choose from analyze, sample, ec)"),
+        (("analyze", "x = 0", "--bogus"), "unknown option '--bogus'"),
+        (("analyze", "--co", "0,1"), "unknown option '--co'"),
+        (("sample", "--bound", "3", "--count", "1"), "unknown option '--bound'"),
+        (("sample",), "the following arguments are required: --count"),
+        (("ec", "double", "(0,1)"), "the following arguments are required: --curve"),
+        (("ec", "--curve", "0,-1,1"), "the following arguments are required: op"),
+        (("ec", "--curve", "0,-1,1", "halve", "(0,1)"),
+         "argument op: invalid choice: 'halve' (choose from 'add', 'double', "
+         "'multiple', 'torsion')"),
+        (("sample", "--count", "1", "--k", "3"),
+         "argument --k: invalid choice: 3 (choose from 0, 2, 4)"),
+        (("sample", "--count", "1", "--pin", "x"),
+         "argument --pin: invalid choice: 'x' (choose from 'b=0', 'a=c')"),
+        (("analyze", "x = 0", "--json=1"), "--json takes no value"),
+        (("analyze", "x = 0", "--units"), "--units needs a value"),
+        (("analyze", "--units", "--json", "x = 0"), "--units needs a value"),
+        (("analyze", "x = 0", "y = 0"), "unrecognized arguments: y = 0"),
+        (("sample", "--count", "1", "extra"), "unrecognized arguments: extra"),
+    ])
+    def test_usage_errors_are_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message} (at position 0)\n"
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (("analyze", "--units", "3,4", "y^2 = x^3 - x", "--json"),
+         ("analyze", "--units=3,4", "y^2 = x^3 - x", "--json")),
+        (("analyze", "--coeffs", "-1,0,0,0,1", "--json"),
+         ("analyze", "--coeffs=-1,0,0,0,1", "--json")),
+        (("sample", "--count", "3", "--seed", "7", "--k", "2", "--pin", "a=c"),
+         ("sample", "--count=3", "--seed=7", "--k=2", "--pin=a=c")),
+        (("ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--bound", "5"),
+         ("ec", "--curve=0,-1,1", "torsion", "(0,1)", "--bound=5")),
+    ], ids=("analyze", "coeffs", "sample", "ec"))
+    def test_both_value_forms_agree(self, capsys, spaced, joined):
+        first = run(capsys, *spaced)
+        assert first[0] == 0 and first == run(capsys, *joined)
+
+    def test_a_repeated_option_keeps_its_last_value(self, capsys):
+        assert (run(capsys, "sample", "--count", "9", "--seed", "1", "--count", "2",
+                    "--seed=3", "--json")
+                == run(capsys, "sample", "--count", "2", "--seed", "3", "--json"))
+        assert (run(capsys, "analyze", "--units", "5", "x = 0", "--units=2,3")
+                == run(capsys, "analyze", "x = 0", "--units", "2,3"))
+
+    def test_double_dash_ends_the_options(self, capsys):
+        assert (run(capsys, "analyze", "--json", "--", "--x^2 + y^2 - 1 = 0")
+                == run(capsys, "analyze", "--json", "x^2 + y^2 - 1 = 0"))
+        code, _, err = run(capsys, "analyze", "--", "x = 0", "--json")
+        assert code == 2 and "unrecognized arguments: --json" in err
+
+    def test_a_word_starting_with_one_minus_is_a_value(self, capsys):
+        # the expression: argparse read it as an unknown option and exited 2
+        payload = run_json(capsys, "analyze", "-x^2-y^2+1=0")
+        assert payload["curve"]["display"] == "-x^2 - y^2 + 1 = 0"
+        circle = run_json(capsys, "analyze", "x^2 + y^2 - 1 = 0")
+        assert {**payload, "curve": circle["curve"]} == circle
+        # an ec argument and an option's value
+        payload = run_json(capsys, "ec", "--curve", "0,-1,1", "multiple", "-1", "(0,1)")
+        assert payload["result"] == {"point": {"v": "0", "u": "-1"}}
+        payload = run_json(capsys, "sample", "--count", "2", "--seed", "-5")
+        assert payload == run_json(capsys, "sample", "--count=2", "--seed=-5")
+        assert payload["seed"] == -5
+
+
 _GRAMMAR = "xy0123456789+-*/^()= "
 _terms = st.builds("{}{}{}".format,
                    st.sampled_from(("", "-", "2", "7*", "1/2*", "99")),
@@ -456,10 +539,7 @@ class TestExitCodeFuzz:
     def assert_exit_code(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit:  # how argparse reports usage errors
-                code = exit.code
+            code = main(argv)  # usage errors too, with no SystemExit
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)

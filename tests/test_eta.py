@@ -14,9 +14,9 @@ from realcurves import (INFINITY, CurveInvariants, QuarticParams, SearchStats,
                         hyperelliptic_invariants, level_bounds, multiple,
                         parse_curve, polys, quartic_eta, quartic_normal_form)
 from realcurves import eta as eta_module
-from realcurves.eta import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
-                            RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY,
-                            TORSION_EXHAUSTED)
+from realcurves.eta_rules import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
+                                  RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY,
+                                  TORSION_EXHAUSTED)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (chord_add, fraction_build_quartic_model,

@@ -5,14 +5,18 @@ and prints what it found as JSON."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from realcurves.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+cold_call = runpy.run_path(str(ROOT / "tools" / "cold_modules.py"))["cold_call"]
 
 PRELUDE = """\
 import json, sys, types
@@ -40,9 +44,9 @@ code = realcurves.cli.main(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--js
 print(json.dumps([code, unexecuted()]))
 """)
     assert found == [0, ["realcurves.cohomology", "realcurves.curves", "realcurves.eta",
-                         "realcurves.groups", "realcurves.parser", "realcurves.picard",
-                         "realcurves.polys", "realcurves.report", "realcurves.sampling",
-                         "realcurves.witt"]]
+                         "realcurves.eta_rules", "realcurves.groups", "realcurves.parser",
+                         "realcurves.picard", "realcurves.polys", "realcurves.report",
+                         "realcurves.sampling", "realcurves.witt"]]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -74,6 +78,54 @@ print(json.dumps([code, err.getvalue()]))
 """)
     assert found[0] == code and found[1].startswith(message)
     assert bool(found[1]) == bool(code)
+
+
+# what a cold `analyze` leaves unexecuted: a curve that the closed
+# rules decide needs no quartic machinery, and a rejected input no report
+NO_QUARTIC = ["realcurves.elliptic", "realcurves.eta", "realcurves.sampling"]
+NO_REPORT = ["realcurves.cohomology", "realcurves.elliptic", "realcurves.eta",
+             "realcurves.eta_rules", "realcurves.groups", "realcurves.picard",
+             "realcurves.report", "realcurves.sampling", "realcurves.witt"]
+
+
+@pytest.mark.parametrize("text, code, unexecuted", [
+    ("x^2 + y^2 - 1 = 0", 0, NO_QUARTIC),
+    ("y^2 = x^3 - x", 0, NO_QUARTIC),
+    ("x^2 + @ = 0", 2, NO_REPORT),
+    ("y^2 = (x-1)^2", 3, NO_REPORT),
+], ids=("conic", "closed-rule", "parse-error", "not-square-free"))
+def test_cold_analyze_runs_only_what_its_curve_needs(text, code, unexecuted):
+    found = cold_call(["analyze", "--json", text])
+    assert (found["exit"], found["unexecuted"]) == (code, unexecuted)
+    assert not {"argparse", "gettext"} & set(found["stdlib"])
+
+
+# one input of each kind of the benchmark's analyze corpus
+# (ANALYZE_TEMPLATES in perfbench/workloads.py)
+ANALYZE_KINDS = {
+    "conic": "x^2 + y^2 - 1 = 0",
+    "hyperbola": "x^2 - y^2 - 1 = 0",
+    "degenerate-conic": "x*y = 0",
+    "odd-degree": "y^2 = x^5 - 4*x^3 + 2*x - 1",
+    "even-degree-6": "y^2 = x^6 - 2",
+    "negative-even-degree-6": "y^2 = -(x^6+1)",
+    "quartic": "y^2 = (x^2+1)*(x^2+4)",
+    "twin": "y^2 = -(x^2+1)*(x^2+4)",
+    "quartic-no-normal-form": "y^2 = x^4 + x + 1",
+    "non-monic": "y^2 = 2*x^4 + 2",
+    "parse-error": "x^2 + @ = 0",
+    "not-square-free": "y^2 = (x-1)^2",
+}
+
+
+@pytest.mark.parametrize("as_json", [(), ("--json",)], ids=("text", "json"))
+@pytest.mark.parametrize("text", list(ANALYZE_KINDS.values()), ids=list(ANALYZE_KINDS))
+def test_every_analyze_path_runs_in_a_cold_process(capsys, text, as_json):
+    # as for `ec`: a name that only an earlier call imported shows here
+    argv = ["analyze", *as_json, "--", text]
+    code = main(argv)
+    found = cold_call(argv)
+    assert [found["exit"], found["stdout"]] == [code, capsys.readouterr().out]
 
 
 def test_cli_sample_executes_no_parser_or_report():
