@@ -30,13 +30,23 @@ and `ec` points by `read_rationals`, to the grammar's digit limit, and
 
 At the top this module imports only the standard library, `errors` and
 `rationals`; each subcommand imports the modules it runs, so a cold
-call compiles no others.  `ec` compiles `elliptic` but not the curve
-grammar, and `sample` compiles `sampling` and what it uses.  `analyze`
-parses before it imports `report`: a rejected input runs `parser`,
-`curves`, `polys` and `_record` beside this module, `errors` and
-`rationals`; a curve that the closed rules of `eta_rules` decide, such
-as a conic or an odd degree, adds the report's modules but not `eta`
-or `elliptic`, which only a quartic runs.
+call compiles no others, and `json` is imported only for --json.  What
+a cold call runs beside this module, `errors` and `rationals`:
+
+* `ec`: `elliptic` and `_record`, and `fractions`, but not the curve
+  grammar;
+* `sample`: `sampling`, `eta`, `eta_rules`, `elliptic`, `polys` and
+  `_record`, but no curve spec, so not `curves`;
+* `analyze` on an input that does not parse: `parser`, and nothing
+  more, as `parser` reaches `curves` and `polys` only for a parsed
+  curve;
+* `analyze` on a conic: `parser`, `curves` and the report's modules
+  (`report`, `eta_rules`, `cohomology`, `witt`, `picard`, `groups`,
+  `_format` and `_record`), but not `polys`, which only y^2 = Q runs;
+* `analyze` on y^2 = Q: `polys` too; a Q that is not square-free stops
+  before the report.  Only a quartic runs `eta` and `elliptic`, which
+  import `fractions`: any other curve with integer coefficients runs
+  without it.
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.
@@ -44,7 +54,6 @@ output.  JSON layouts are documented in docs/schema.json.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -232,6 +241,8 @@ def _cmd_analyze(args) -> int:
 
     report = full_report(spec, units=units)
     if args.json:
+        import json  # here, so that text output and every error exit skip it
+
         print(json.dumps({"command": "analyze", **report}, indent=2))
     else:
         _print_analyze_text(report)
@@ -311,6 +322,8 @@ def _cmd_sample(args) -> int:
         raise ParseError(str(err), 0) from None
     summary = run_sample(args.count, args.seed, box)
     if args.json:
+        import json
+
         print(json.dumps({"command": "sample", **summary.to_json()}, indent=2))
         return EXIT_OK
     freq = summary.to_json()["frequencies"]
@@ -398,6 +411,8 @@ def _cmd_ec(args) -> int:
         payload = {"point": _point_json(result)}
         text = str(result)
     if args.json:
+        import json
+
         print(json.dumps({"command": "ec", "curve": {"c2": str(curve.c2),
                                                      "c1": str(curve.c1),
                                                      "c0": str(curve.c0)},

@@ -24,14 +24,17 @@ polynomials with all roots real.
 
 A conic keeps its coefficients, ints or Fractions as the parser or the
 caller gives them, beside their integer form over one common
-denominator; classification and display run on the integers.
+denominator; classification and display run on the integers.  Only a
+hyperelliptic curve needs `polys`, which this module reaches through
+`from . import polys`, so a conic never executes it.
 """
 
 from __future__ import annotations
 
+from . import polys
+from ._format import format_terms
 from ._record import Record
 from .errors import HypothesisError
-from .polys import UniPoly, count_real_roots, format_terms
 from .rationals import Rational, integer_form
 
 
@@ -77,11 +80,11 @@ class HyperellipticSpec(Record):
     __slots__ = ("q", "real_roots")
     _fields = ("q",)
 
-    def __init__(self, q: UniPoly):
+    def __init__(self, q: polys.UniPoly):
         if q.is_zero or q.degree < 1:
             raise HypothesisError("right-hand side must be nonconstant")
         try:
-            object.__setattr__(self, "real_roots", count_real_roots(q))
+            object.__setattr__(self, "real_roots", polys.count_real_roots(q))
         except ValueError:
             raise HypothesisError("right-hand side must be square-free") from None
         object.__setattr__(self, "q", q)

@@ -13,15 +13,16 @@ principal, so eta = r + c - 1.  Only a quartic y^2 = Q(x) needs the
 Jacobian and the torsion search of `eta`.  This module reaches them
 through `from . import eta`, which binds the package's unexecuted
 module, so a curve that the closed rules decide never compiles `eta`
-or `elliptic`: the first quartic does.
+or `elliptic`: the first quartic does.  It reaches `curves` and `polys`
+the same way, for `eta_full`'s one type check and for annotations, so
+a `sample` draw, which runs `eta` and with it this module, builds no
+curve spec and never executes `curves`.
 """
 
 from __future__ import annotations
 
-from . import eta
+from . import curves, eta, polys
 from ._record import Record
-from .curves import CurveInvariants, CurveSpec, HyperellipticSpec
-from .polys import UniPoly
 
 # certificate kinds
 RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
@@ -70,7 +71,7 @@ class EtaResult(Record):
 # Closed rules
 # ---------------------------------------------------------------------------
 
-def eta_closed_rules(inv: CurveInvariants) -> EtaResult | None:
+def eta_closed_rules(inv: curves.CurveInvariants) -> EtaResult | None:
     """Decide eta without any curve arithmetic, or return None.
 
     r + c = 1 forces eta = 0 (a single boundary point carries no
@@ -114,7 +115,7 @@ class EtaAnalysis(Record):
         }
 
 
-def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
+def eta_full(spec: curves.CurveSpec, inv: curves.CurveInvariants) -> EtaAnalysis:
     """Closed rules first; the elliptic pipeline for quartics with a
     positive leading coefficient; the twin quartic y^2 = -Q for the
     negative-leading-coefficient form (the complexifications of the two
@@ -122,12 +123,12 @@ def eta_full(spec: CurveSpec, inv: CurveInvariants) -> EtaAnalysis:
     degree >= 6, which has no finite decision procedure here.
     """
     closed = eta_closed_rules(inv)
-    q = spec.q if isinstance(spec, HyperellipticSpec) else None
+    q = spec.q if isinstance(spec, curves.HyperellipticSpec) else None
     real = closed if closed is not None else _quartic_dispatch(q)
     return EtaAnalysis(eta=real, eta_complex=_eta_complex(q, inv, real))
 
 
-def _quartic_dispatch(q: UniPoly | None) -> EtaResult:
+def _quartic_dispatch(q: polys.UniPoly | None) -> EtaResult:
     """eta of y^2 = q for q with positive leading coefficient l.  When q
     is a quartic, y -> y/sqrt(l) maps the curve onto y^2 = q/l over R,
     and q/l has rational coefficients, so it runs the monic pipeline;
@@ -138,7 +139,7 @@ def _quartic_dispatch(q: UniPoly | None) -> EtaResult:
     return eta.quartic_eta(q.monic())
 
 
-def _eta_complex(q: UniPoly | None, inv: CurveInvariants,
+def _eta_complex(q: polys.UniPoly | None, inv: curves.CurveInvariants,
                  real: EtaResult) -> EtaResult | None:
     if inv.complete:
         return None
@@ -175,7 +176,7 @@ class LevelReport(Record):
         return {"ring_level": self.value, "reason": self.reason}
 
 
-def level_bounds(inv: CurveInvariants,
+def level_bounds(inv: curves.CurveInvariants,
                  eta_complex: EtaResult | None) -> LevelReport:
     """The level of a non-complete curve, from its invariants and eta of
     its complexification; a complete curve is a ValueError."""

@@ -20,7 +20,12 @@ products of ints stay ints; a p/q literal is a Fraction, and so is what
 it is added to or multiplied with.  `parse_curve` hands the coefficients
 to `UniPoly` or `ConicSpec`, which bring them to integer numerators over
 one denominator with `rationals.integer_form`, so a curve with integer
-coefficients builds no Fraction.
+coefficients builds no Fraction.  A p/q literal is built by
+`rationals.Fraction`, which imports `fractions` at the first one, and
+the test for a polynomial of ints alone reads no Fraction class, so an
+integer input never imports `fractions`.  This module reaches `curves`
+and `polys` through `from . import`, at the first spec it builds, so an
+input that does not parse executes neither.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE, coefficients (in lowest terms) of more than
@@ -37,11 +42,8 @@ grammar; `parse_coefficient_list` reads --coeffs with the first.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .curves import ConicSpec, CurveSpec, HyperellipticSpec
+from . import curves, polys, rationals
 from .errors import ParseError
-from .polys import UniPoly
 from .rationals import (_COEFFICIENT_BOUND, TOO_LONG, Rational, bounded_rational,
                         read_rationals)
 
@@ -135,12 +137,16 @@ def _degree_bounded(p: Poly, position: int) -> None:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
 
 
+# isinstance(value, int) as a function of the value alone, for map()
+_is_int = int.__instancecheck__
+
+
 def _bounded(p: Poly, position: int) -> Poly:
     """p, or a ParseError at `position` when its degree is too high or a
     coefficient, in lowest terms, too long."""
     _degree_bounded(p, position)
     bound, values = _COEFFICIENT_BOUND, p.values()
-    if Fraction not in map(type, values):  # ints only
+    if all(map(_is_int, values)):  # ints only: no Fraction
         if -bound < min(values, default=0) and max(values, default=0) < bound:
             return p
         raise ParseError(TOO_LONG, position)
@@ -258,7 +264,7 @@ class _Parser:
                 den = _int(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return {_CONSTANT: Fraction(num, den)} if num else {}
+                return {_CONSTANT: rationals.Fraction(num, den)} if num else {}
             return {_CONSTANT: num} if num else {}
         if kind == "var":
             return {(1, 0) if value == "x" else (0, 1): 1}
@@ -291,16 +297,16 @@ def _parse(text: str, offset: int) -> Poly:
 # Curve-level parsing
 # ---------------------------------------------------------------------------
 
-def _to_unipoly_in_x(p: Poly, position: int) -> UniPoly:
+def _to_unipoly_in_x(p: Poly, position: int) -> polys.UniPoly:
     if any(j for _, j in p):
         raise ParseError("right-hand side must involve x only", position)
     coefficients = [0] * (max((i for i, _ in p), default=-1) + 1)
     for (i, _), c in p.items():
         coefficients[i] = c
-    return UniPoly(coefficients)
+    return polys.UniPoly(coefficients)
 
 
-def parse_curve(text: str) -> CurveSpec:
+def parse_curve(text: str) -> curves.CurveSpec:
     """Parse a curve expression into a normalized CurveSpec.
 
     "<poly in x,y> = 0" takes the conic path (total degree <= 2
@@ -329,25 +335,26 @@ _Y_SQUARED = {(0, 2): 1}
 _CONIC_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), _CONSTANT)
 
 
-def _conic(p: Poly) -> ConicSpec:
+def _conic(p: Poly) -> curves.ConicSpec:
     if not p:
         raise ParseError("polynomial is identically zero", 0)
     for (i, j) in p:
         if i + j > 2:
             raise ParseError("total degree > 2 on the conic path", 0)
-    return ConicSpec(*[p.get(m, 0) for m in _CONIC_MONOMIALS])
+    return curves.ConicSpec(*[p.get(m, 0) for m in _CONIC_MONOMIALS])
 
 
-def hyperelliptic_from_unipoly(q: UniPoly, position: int = 0) -> HyperellipticSpec:
+def hyperelliptic_from_unipoly(q: polys.UniPoly,
+                               position: int = 0) -> curves.HyperellipticSpec:
     if q.is_zero or q.degree < 1:
         raise ParseError("right-hand side must be a nonconstant polynomial", position)
-    return HyperellipticSpec(q)
+    return curves.HyperellipticSpec(q)
 
 
-def parse_coefficient_list(text: str) -> HyperellipticSpec:
+def parse_coefficient_list(text: str) -> curves.HyperellipticSpec:
     """Parse the --coeffs form: 'a0,a1,...,ad' ascending, rationals allowed."""
     coeffs = read_rationals(text, "coefficient list")
     # the degree first: the common denominator of a long list is costly
     _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
-    return hyperelliptic_from_unipoly(UniPoly(coeffs))
+    return hyperelliptic_from_unipoly(polys.UniPoly(coeffs))
 

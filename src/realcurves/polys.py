@@ -9,10 +9,12 @@ hence the hard exactness requirement.
 
 `UniPoly` takes its coefficients through `rationals.integer_form`,
 and `exact_isqrt` is the package's one test of an integer for being a
-square.  `format_terms` writes integer numerators over a denominator as
-a sum of terms, each coefficient reduced by a gcd, for `UniPoly`, the
-conic display and, through `format_rational`, the report's coefficient
-list; no Fraction is built.
+square.  `str(UniPoly)` writes its numerators over its denominator with
+`_format.format_terms` and builds no Fraction; only `coeffs` builds
+Fractions.  Each imports what it uses where it runs, so `sample`, which
+displays no polynomial, loads neither `_format` nor `fractions` for this
+module.  A conic needs none of it: `parser` and `curves` reach it
+through `from . import polys`, so a conic's analysis never executes it.
 
 The only polynomial division is an integer pseudo-remainder, and one
 remainder chain built on it gives the Sturm chain, square-freeness and
@@ -42,7 +44,6 @@ integer root deflates the cubic to a quadratic, whose roots come from
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, isqrt
 
 from ._record import Record
@@ -98,6 +99,8 @@ class UniPoly(Record):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction  # here, its one use in this module
+
         den = self.denominator
         return tuple(Fraction(c, den) for c in self.numerators)
 
@@ -124,43 +127,12 @@ class UniPoly(Record):
 
     def __str__(self) -> str:
         """Descending-order form, e.g. 'x^4 - 10*x^2 + 9'."""
+        from ._format import format_terms  # here, so that `sample` skips it
+
         nums = self.numerators
         return format_terms(((nums[e], f"x^{e}" if e > 1 else "x" if e else "")
                              for e in range(len(nums) - 1, -1, -1)),
                             self.denominator) or "0"
-
-
-def format_rational(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without building the Fraction:
-    'n/d' in lowest terms, or 'n' when the denominator reduces to 1."""
-    if den != 1:
-        g = gcd(num, den)
-        if g != den:
-            return f"{num // g}/{den // g}"
-        num //= g
-    return str(num)
-
-
-def format_terms(terms: Iterable[tuple[int, str]], den: int) -> str:
-    """The sum of (numerator, monomial) pairs over the denominator `den`,
-    in the given order, e.g. 'x^2 - 3*x*y + 1/2': each coefficient is
-    written in lowest terms, zero terms are left out, a coefficient of
-    magnitude 1 is dropped except on the constant, whose monomial is
-    '', and the first term carries a bare sign."""
-    parts: list[str] = []
-    for num, mono in terms:
-        if not num:
-            continue
-        mag = abs(num)
-        if not mono:
-            body = format_rational(mag, den)
-        else:
-            body = mono if mag == den else f"{format_rational(mag, den)}*{mono}"
-        if not parts:
-            parts.append(body if num > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if num > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def _primitive(coeffs: Sequence[int]) -> list[int]:

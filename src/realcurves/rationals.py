@@ -14,22 +14,53 @@ integer options, both in the ASCII digits 0-9 only.  `bounded_rational`
 holds a value to MAX_COEFFICIENT_DIGITS digits, the limit that the
 grammar keeps too.  This module needs only the standard library and
 `errors`, so a command that reads numbers compiles no polynomial code.
+
+`fractions`, which imports `decimal` and `numbers`, is imported at the
+first Fraction this module builds or is handed, not at its top, so a
+call that reads and computes on integers only never imports it.  Until
+then `Fraction` here is a stand-in that no value is an instance of, and
+whose call imports the real class, binds it to `Fraction` and builds
+one: after that the type checks of `as_fraction` and `integer_form` run
+exactly as with the class imported at the top.  A Fraction made
+elsewhere before then, by `eta` or a caller, fails the stand-in's
+check, so each check looks once more at the real class before it
+rejects a value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import lcm
 
 from .errors import ParseError
 
-Rational = int | Fraction
+# an int or a fractions.Fraction, for annotations; a string, as the
+# class is not imported here
+Rational = "int | Fraction"
 
 # the default int-string digit limit: larger coefficients cannot be printed
 MAX_COEFFICIENT_DIGITS = 4300
 _COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
 TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
+
+
+class _Unimported:
+    """fractions.Fraction before its import: no value is an instance,
+    and a call imports the class and builds a Fraction with it."""
+
+    def __new__(cls, *args):
+        return _import_fraction()(*args)
+
+
+# fractions.Fraction once `_import_fraction` has run, the stand-in until then
+Fraction = _Unimported
+
+
+def _import_fraction() -> type:
+    """fractions.Fraction, from now on bound to `Fraction` here."""
+    global Fraction
+    from fractions import Fraction
+    return Fraction
 
 
 def as_fraction(x: Rational) -> Fraction:
@@ -38,6 +69,8 @@ def as_fraction(x: Rational) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, _import_fraction()):  # made before the import here
+        return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -48,7 +81,8 @@ def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
     den = 1
     for v in values:
         if type(v) is not int:  # an int's denominator is 1
-            if not isinstance(v, (int, Fraction)):
+            if (not isinstance(v, (int, Fraction))
+                    and not isinstance(v, _import_fraction())):
                 raise TypeError(f"cannot interpret {v!r} as an exact rational")
             den = lcm(den, v.denominator)
     if den == 1:  # all integers, as the sampler draws them

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from ._format import format_rational
 from .cohomology import etale_dims, quotient_space_dims
 from .curves import (ConicSpec, CurveInvariants, CurveSpec, HyperellipticSpec,
                      classify_conic, hyperelliptic_invariants)
@@ -28,7 +29,6 @@ from .errors import InternalInconsistencyError
 from .eta_rules import EtaAnalysis, eta_full, level_bounds
 from .groups import GroupDescriptor, group_json
 from .picard import pic_tors, units_mod_n
-from .polys import format_rational
 from .witt import witt_from_h1
 
 

@@ -55,6 +55,16 @@ class TestQuotientDims:
         dims = quotient_space_dims(abstract(0, 0, 1, 0, 0, connected=False))
         assert dims.h1 == 0
 
+    @pytest.mark.parametrize("inv, dims", [
+        (abstract(3, 0, 0, 1, 1, complete=True), CohomologyDims(1, 3, 0, 0)),
+        (abstract(2, 0, 0, 0, 0, complete=True), CohomologyDims(1, 3, 1, 0)),
+        (abstract(2, 0, 0, 0, 0, complete=True, connected=False),
+         CohomologyDims(1, 4, 1, 0)),
+    ], ids=("real-points", "empty-connected", "disconnected"))
+    def test_complete_branches_whole_record(self, inv, dims):
+        # h_stable included: `analyze` never builds a complete curve
+        assert quotient_space_dims(inv) == dims
+
 
 class TestCrossRelations:
     def test_quotient_h1_is_etale_h1_minus_s(self):

@@ -7,6 +7,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cold_modules.py"
+PACKAGE = ROOT / "src" / "realcurves"
+
+
+def _source_bytes(module: str) -> int:
+    return (PACKAGE / f"{module.partition('.')[2]}.py").stat().st_size
 
 
 def test_cold_call_reports_the_modules_of_one_ec_call():
@@ -18,6 +23,8 @@ def test_cold_call_reports_the_modules_of_one_ec_call():
                                  "realcurves.rationals"]
     assert "realcurves.report" in found["unexecuted"]
     assert "fractions" in found["stdlib"] and "realcurves" not in found["stdlib"]
+    assert found["source_bytes"] == {name: _source_bytes(name)
+                                     for name in found["executed"]}
 
 
 def test_prints_exit_code_and_module_lists():
@@ -25,8 +32,13 @@ def test_prints_exit_code_and_module_lists():
                          check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     assert lines[0] == "exit 2"
-    assert lines[1] == ("executed (7): realcurves._record realcurves.cli "
-                        "realcurves.curves realcurves.errors realcurves.parser "
-                        "realcurves.polys realcurves.rationals")
-    assert lines[2].startswith("unexecuted (9): realcurves.cohomology ")
+    executed = ["realcurves.cli", "realcurves.errors", "realcurves.parser",
+                "realcurves.rationals"]
+    assert lines[1] == f"executed (4): {' '.join(executed)}"
+    assert lines[2].startswith("unexecuted (11): realcurves.cohomology ")
     assert lines[3].startswith("stdlib (")
+    # the bytes of source of each executed module, right-aligned, then the total
+    sizes = [_source_bytes(name) for name in executed]
+    assert lines[4:] == ["source bytes of the executed modules:",
+                         *(f"{size:8d}  {name}" for size, name in zip(sizes, executed)),
+                         f"{sum(sizes):8d}  total"]

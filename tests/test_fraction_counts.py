@@ -7,7 +7,9 @@ integer numerators over one denominator, and classification, display
 and report assembly read that form, so the report of a parsed curve
 builds no Fraction, and neither does the parse of a curve with integer
 coefficients.  The counts are pinned exactly: a Fraction round trip
-that comes back anywhere on the path fails here.
+that comes back anywhere on the path fails here.  A count of 0 is also
+what lets a cold call on such a curve skip importing `fractions`, which
+`tests/test_lazy_modules.py` checks in a fresh interpreter.
 """
 
 import fractions

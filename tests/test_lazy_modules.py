@@ -81,23 +81,52 @@ print(json.dumps([code, err.getvalue()]))
 
 
 # what a cold `analyze` leaves unexecuted: a curve that the closed
-# rules decide needs no quartic machinery, and a rejected input no report
+# rules decide needs no quartic machinery, a conic no polynomial code,
+# a rejected curve no report, and an input that does not parse no curve
 NO_QUARTIC = ["realcurves.elliptic", "realcurves.eta", "realcurves.sampling"]
+NO_POLYS = ["realcurves.elliptic", "realcurves.eta", "realcurves.polys",
+            "realcurves.sampling"]
 NO_REPORT = ["realcurves.cohomology", "realcurves.elliptic", "realcurves.eta",
              "realcurves.eta_rules", "realcurves.groups", "realcurves.picard",
              "realcurves.report", "realcurves.sampling", "realcurves.witt"]
+NO_CURVE = ["realcurves.cohomology", "realcurves.curves", "realcurves.elliptic",
+            "realcurves.eta", "realcurves.eta_rules", "realcurves.groups",
+            "realcurves.picard", "realcurves.polys", "realcurves.report",
+            "realcurves.sampling", "realcurves.witt"]
 
 
 @pytest.mark.parametrize("text, code, unexecuted", [
-    ("x^2 + y^2 - 1 = 0", 0, NO_QUARTIC),
+    ("x^2 + y^2 - 1 = 0", 0, NO_POLYS),
     ("y^2 = x^3 - x", 0, NO_QUARTIC),
-    ("x^2 + @ = 0", 2, NO_REPORT),
+    ("x^2 + @ = 0", 2, NO_CURVE),
     ("y^2 = (x-1)^2", 3, NO_REPORT),
 ], ids=("conic", "closed-rule", "parse-error", "not-square-free"))
 def test_cold_analyze_runs_only_what_its_curve_needs(text, code, unexecuted):
     found = cold_call(["analyze", "--json", text])
     assert (found["exit"], found["unexecuted"]) == (code, unexecuted)
-    assert not {"argparse", "gettext"} & set(found["stdlib"])
+    # no Fraction is built or read, so no `fractions` and its `decimal`
+    assert not {"argparse", "gettext", "fractions", "decimal"} & set(found["stdlib"])
+
+
+def test_cold_parse_error_runs_only_the_grammar():
+    found = cold_call(["analyze", "--json", "y^2 = x^3 +* 2"])
+    assert found["exit"] == 2
+    assert found["executed"] == ["realcurves.cli", "realcurves.errors",
+                                 "realcurves.parser", "realcurves.rationals"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "x^2 + y^2 - 1 = 0"], 0),
+    (["analyze", "x^2 + @ = 0"], 2),
+    (["analyze", "--json", "x^2 + @ = 0"], 2),
+    (["sample", "--count", "2"], 0),
+    (["ec", "--curve", "0,-1,1", "double", "(0,1)"], 0),
+    (["-h"], 0),
+], ids=("analyze-text", "parse-error", "parse-error-json", "sample-text", "ec-text",
+        "help"))
+def test_json_is_imported_only_for_json_output(argv, code):
+    found = cold_call(argv)
+    assert found["exit"] == code and "json" not in found["stdlib"]
 
 
 # one input of each kind of the benchmark's analyze corpus
@@ -128,7 +157,31 @@ def test_every_analyze_path_runs_in_a_cold_process(capsys, text, as_json):
     assert [found["exit"], found["stdout"]] == [code, capsys.readouterr().out]
 
 
-def test_cli_sample_executes_no_parser_or_report():
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--json", "y^2 = x^3 - 1/4*x"],
+    ["analyze", "--json", "--coeffs", "1/2,0,1"],
+    ["analyze", "--json", "1/2*x^2 + 3/4*y^2 - 1 = 0"],
+    ["analyze", "--json", "y^2 = x^4 - 5*x^2 + 4"],
+    ["analyze", "--json", "y^2 = x^4 - 5/4*x^2 + 1/4"],
+], ids=("rational-odd-degree", "rational-coeffs", "rational-conic", "quartic",
+        "rational-quartic"))
+def test_rational_and_quartic_inputs_in_a_cold_process(capsys, argv):
+    # `fractions` is imported at the first Fraction: a Fraction class
+    # that only an earlier import in this process supplied shows here
+    code = main(argv)
+    found = cold_call(argv)
+    assert [found["exit"], found["stdout"]] == [code, capsys.readouterr().out]
+    assert code == 0 and "fractions" in found["stdlib"]
+
+
+# a sampler draw builds no curve spec: it runs neither the grammar, nor
+# `curves`, nor the report
+NO_CURVE_SPEC = ["realcurves.cohomology", "realcurves.curves", "realcurves.groups",
+                 "realcurves.parser", "realcurves.picard", "realcurves.report",
+                 "realcurves.witt"]
+
+
+def test_cli_sample_executes_no_curves_parser_or_report():
     found = _run("""
 import contextlib, io
 import realcurves.cli
@@ -136,20 +189,78 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = realcurves.cli.main(["sample", "--count", "3", "--seed", "1", "--json"])
 print(json.dumps([code, unexecuted()]))
 """)
-    assert found == [0, ["realcurves.cohomology", "realcurves.groups",
-                         "realcurves.parser", "realcurves.picard",
-                         "realcurves.report", "realcurves.witt"]]
+    assert found == [0, NO_CURVE_SPEC]
 
 
-def test_run_sample_executes_no_parser_or_report():
+def test_run_sample_executes_no_curves_parser_or_report():
     found = _run("""
 import realcurves
 summary = realcurves.run_sample(3, 1, realcurves.SampleBox())
 print(json.dumps([summary.count, unexecuted()]))
 """)
-    assert found == [3, ["realcurves.cohomology", "realcurves.groups",
-                         "realcurves.parser", "realcurves.picard",
-                         "realcurves.report", "realcurves.witt"]]
+    assert found == [3, NO_CURVE_SPEC]
+
+
+def test_rationals_reads_integers_without_fractions():
+    found = _run("""
+from realcurves.rationals import bounded_rational, integer_form, read_integer
+result = [integer_form([3, -4, 0]), read_integer(" 12 ", "n"), bounded_rational(7)]
+print(json.dumps([result, "fractions" in sys.modules]))
+""")
+    assert found == [[[1, [3, -4, 0]], 12, 7], False]
+
+
+@pytest.mark.parametrize("value", ["'1/2'", "0.5", "None", "[1]"])
+def test_rationals_rejects_other_types_before_any_fraction(value):
+    # a str or a float is a TypeError whether or not `fractions` is loaded
+    found = _run(f"""
+from realcurves.rationals import as_fraction, integer_form
+rejected = []
+for check in (as_fraction, lambda v: integer_form([1, v])):
+    try:
+        check({value})
+    except TypeError:
+        rejected.append(True)
+print(json.dumps(rejected))
+""")
+    assert found == [True, True]
+
+
+def test_rationals_takes_a_fraction_made_before_its_own_import():
+    # `eta` and a caller build Fractions with their own import of the
+    # class; the type checks accept them and then find the class bound
+    found = _run("""
+from fractions import Fraction
+from realcurves import rationals
+half = Fraction(1, 2)
+stand_in = rationals.Fraction is not Fraction
+first = [rationals.as_fraction(half) is half,
+         rationals.integer_form([half, 3, Fraction(-5, 3)])]
+bound = rationals.Fraction is Fraction
+try:
+    rationals.integer_form([half, 1.5])
+    rejected = False
+except TypeError:
+    rejected = True
+built = rationals.as_fraction(4)
+print(json.dumps([stand_in, first, bound, rejected,
+                  [type(built) is Fraction, built == 4],
+                  str(rationals.read_rationals("1/3, -2", "x")[0])]))
+""")
+    assert found == [True, [True, [6, [3, 18, -10]]], True, True, [True, True], "1/3"]
+
+
+def test_a_built_fraction_binds_the_class():
+    found = _run("""
+from realcurves import rationals
+before = "fractions" in sys.modules
+values = rationals.read_rationals("1/2,3", "x")
+import fractions
+print(json.dumps([before, rationals.Fraction is fractions.Fraction,
+                  [type(v) is fractions.Fraction for v in values],
+                  rationals.as_fraction(values[0]) is values[0]]))
+""")
+    assert found == [False, True, [True, True], True]
 
 
 def test_tracer_installs_on_an_unexecuted_package_and_restores_it():

@@ -12,9 +12,10 @@ from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
                         parse_curve, poly_gcd, quartic_normal_form)
 from realcurves import eta as eta_module
+from realcurves._format import format_rational, format_terms
 from realcurves.parser import parse_coefficient_list
-from realcurves.polys import (exact_isqrt, format_rational, format_terms,
-                              integer_roots_monic, sign_variations, sturm_sequence)
+from realcurves.polys import (exact_isqrt, integer_roots_monic, sign_variations,
+                              sturm_sequence)
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS, integer_form
 from realcurves.sampling import SampleBox, draw_params
 

@@ -8,7 +8,11 @@ repository's src/, and prints its exit code, the `realcurves` modules
 that executed and those left unexecuted, and the other modules that the
 import of `realcurves.cli` and the call loaded: the standard library's.
 A module that `import realcurves` registered through `LazyLoader` and
-that no call has read yet is unexecuted.  For example
+that no call has read yet is unexecuted.  Last it prints the bytes of
+source of each executed module, then their total: what a cold call
+with no bytecode cache compiles beside the package's `__init__`, a
+fixed stand-in for its compile time, which varies from run to run.
+For example
 
     python3 tools/cold_modules.py analyze --json "x^2 + y^2 - 1 = 0"
 
@@ -42,11 +46,14 @@ finally:
     sys.stdout, sys.stderr = streams
 loaded = sorted(set(sys.modules) - before)
 package = [name for name in sorted(sys.modules) if name.startswith("realcurves.")]
-import json
+executed = [name for name in package if type(sys.modules[name]) is type(sys)]
+import json, os
 print(json.dumps({
     "exit": code,
-    "executed": [name for name in package if type(sys.modules[name]) is type(sys)],
-    "unexecuted": [name for name in package if type(sys.modules[name]) is not type(sys)],
+    "executed": executed,
+    "unexecuted": [name for name in package if name not in executed],
+    "source_bytes": {name: os.path.getsize(sys.modules[name].__file__)
+                     for name in executed},
     "stdlib": [name for name in loaded if name.partition(".")[0] != "realcurves"],
     "stdout": out,
     "stderr": err,
@@ -56,8 +63,9 @@ print(json.dumps({
 
 def cold_call(argv: list[str]) -> dict:
     """The exit code, the executed and unexecuted `realcurves` modules,
-    the other modules loaded, and the stdout and stderr of one
-    `realcurves.cli.main(argv)` in a fresh interpreter."""
+    the other modules loaded, the bytes of source of each executed
+    module, and the stdout and stderr of one `realcurves.cli.main(argv)`
+    in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", _CHILD, *argv], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
@@ -69,6 +77,11 @@ def main(argv: list[str]) -> int:
     print(f"exit {found['exit']}")
     for key in ("executed", "unexecuted", "stdlib"):
         print(f"{key} ({len(found[key])}): {' '.join(found[key])}")
+    sizes = found["source_bytes"]
+    print("source bytes of the executed modules:")
+    for name, size in sizes.items():
+        print(f"{size:8d}  {name}")
+    print(f"{sum(sizes.values()):8d}  total")
     return 0
 
 
