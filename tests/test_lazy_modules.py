@@ -181,7 +181,7 @@ NO_CURVE_SPEC = ["realcurves.cohomology", "realcurves.curves", "realcurves.group
                  "realcurves.witt"]
 
 
-def test_cli_sample_executes_no_curves_parser_or_report():
+def test_cli_sample_executes_no_parser_or_report():
     found = _run("""
 import contextlib, io
 import realcurves.cli
@@ -192,7 +192,7 @@ print(json.dumps([code, unexecuted()]))
     assert found == [0, NO_CURVE_SPEC]
 
 
-def test_run_sample_executes_no_curves_parser_or_report():
+def test_run_sample_executes_no_parser_or_report():
     found = _run("""
 import realcurves
 summary = realcurves.run_sample(3, 1, realcurves.SampleBox())
@@ -210,20 +210,24 @@ print(json.dumps([result, "fractions" in sys.modules]))
     assert found == [[[1, [3, -4, 0]], 12, 7], False]
 
 
+@pytest.mark.parametrize("check", ["as_fraction", "integer_form"])
 @pytest.mark.parametrize("value", ["'1/2'", "0.5", "None", "[1]"])
-def test_rationals_rejects_other_types_before_any_fraction(value):
-    # a str or a float is a TypeError whether or not `fractions` is loaded
+def test_rationals_rejects_other_types_before_any_fraction(check, value):
+    # a str or a float is a TypeError while `Fraction` is the stand-in
+    # and after, each check first in a fresh interpreter
     found = _run(f"""
-from realcurves.rationals import as_fraction, integer_form
+from realcurves import rationals
+checks = {{"as_fraction": rationals.as_fraction,
+          "integer_form": lambda v: rationals.integer_form([1, v])}}
 rejected = []
-for check in (as_fraction, lambda v: integer_form([1, v])):
+for name in ({check!r}, *checks):
     try:
-        check({value})
+        checks[name]({value})
     except TypeError:
-        rejected.append(True)
+        rejected.append(name)
 print(json.dumps(rejected))
 """)
-    assert found == [True, True]
+    assert found == [check, "as_fraction", "integer_form"]
 
 
 def test_rationals_takes_a_fraction_made_before_its_own_import():
