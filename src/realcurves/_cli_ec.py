@@ -1,0 +1,89 @@
+"""`realcurves ec`: one operation of the exact elliptic-curve
+arithmetic, as text or as JSON.  Only this subcommand imports this
+module."""
+
+from __future__ import annotations
+
+from .elliptic import (INFINITY, ECPoint, WeierstrassCurve, ec_add, ec_double, multiple,
+                       torsion_order_bounded)
+from .errors import ParseError
+from .rationals import (MAX_COEFFICIENT_DIGITS, TOO_LONG, bounded_rational, read_integer,
+                        read_rationals)
+
+# each op's number of arguments, and the usage error when it differs;
+# `cli._COMMANDS` names the same ops
+ARITY = {
+    "add": (2, "add needs two points"),
+    "double": (1, "double needs one point"),
+    "multiple": (2, "multiple needs n and a point"),
+    "torsion": (1, "torsion needs one point"),
+}
+
+
+def _parse_point(text: str) -> ECPoint:
+    cleaned = text.strip()
+    if cleaned.lower() in ("inf", "infinity", "o"):
+        return INFINITY
+    if not (cleaned.startswith("(") and cleaned.endswith(")")):
+        raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}", 0)
+    body = cleaned[1:-1]
+    if body.count(",") != 1:
+        raise ParseError(f"point must have two coordinates, got {text!r}", 0)
+    return ECPoint(*read_rationals(body, "point coordinate"))
+
+
+def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
+    if text.count(",") != 2:
+        raise ParseError("--curve needs exactly c2,c1,c0", 0)
+    c2, c1, c0 = read_rationals(text, "curve coefficient")
+    return WeierstrassCurve(c2=c2, c1=c1, c0=c0)
+
+
+def _point_json(point: ECPoint) -> dict | str:
+    """The point's JSON form; a coordinate with a part of more than
+    MAX_COEFFICIENT_DIGITS digits, which could not be printed, is a
+    ParseError."""
+    if point.is_infinity:
+        return "infinity"
+    return {"v": str(bounded_rational(point.v)), "u": str(bounded_rational(point.u))}
+
+
+def run(args) -> None:
+    curve = _parse_curve_coeffs(args.curve)
+    op = args.op
+    count, usage = ARITY[op]
+    if len(args.args) != count:
+        raise ParseError(usage, 0)
+    if op == "torsion":
+        if args.bound < 1:
+            raise ParseError("--bound must be >= 1", 0)
+        order = torsion_order_bounded(curve, _parse_point(args.args[0]), args.bound)
+        if order is None:
+            payload = {"not_torsion_within": args.bound}
+            text = f"NotTorsionWithin({args.bound})"
+        else:
+            payload = {"order": order}
+            text = f"order {order}"
+    else:
+        if op == "add":
+            result = ec_add(curve, *map(_parse_point, args.args))
+        elif op == "double":
+            result = ec_double(curve, _parse_point(args.args[0]))
+        else:
+            n = read_integer(args.args[0], "multiplier")
+            point = _parse_point(args.args[1])
+            try:
+                result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)
+            except OverflowError:  # too long to print, as `_point_json` would find
+                raise ParseError(TOO_LONG, 0) from None
+        payload = {"point": _point_json(result)}
+        text = str(result)
+    if args.json:
+        from ._format import format_json  # here, so that text output skips it
+
+        print(format_json({"command": "ec", "curve": {"c2": str(curve.c2),
+                                                      "c1": str(curve.c1),
+                                                      "c0": str(curve.c0)},
+                           "op": op, "result": payload}))
+    else:
+        print(text)

@@ -1,11 +1,12 @@
 """The display of exact rationals held as integer numerators over a
 denominator: `format_rational` writes one, `format_terms` a sum of
 terms, for `UniPoly`, the conic display and the report's coefficient
-list.  No Fraction is built.
+list.  No Fraction is built.  `format_json` writes the command line's
+--json output.
 
 It needs only `math`, so a conic's display and report run no polynomial
 code, and a cold `ec` call, which displays no polynomial, compiles none
-of it.
+of it, nor the standard library's JSON package.
 """
 
 from __future__ import annotations
@@ -45,3 +46,70 @@ def format_terms(terms: Iterable[tuple[int, str]], den: int) -> str:
         else:
             parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
+
+
+# the two-character escapes; any other character outside ' '..'~' is \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair, as UTF-16 writes it
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_string(key) + ": "
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            opening, closing = "{}"
+            items = [(_json_key(key), item) for key, item in value.items()]
+        else:
+            opening, closing = "[]"
+            items = [("", item) for item in value]
+        if not items:
+            out.append(opening + closing)
+            return
+        inner = newline + "  "
+        separator = opening + inner
+        for prefix, item in items:
+            out += (separator, prefix)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out += (newline, closing)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def format_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str
+    keys, lists, tuples, strs (escaped as ensure_ascii does), ints,
+    bools and None; any other type is a TypeError, so that no float or
+    Fraction reaches the output by its repr."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)

@@ -14,58 +14,20 @@ Jacobian and the torsion search of `eta`.  This module reaches them
 through `from . import eta`, which binds the package's unexecuted
 module, so a curve that the closed rules decide never compiles `eta`
 or `elliptic`: the first quartic does.  It reaches `curves` and `polys`
-the same way, for `eta_full`'s one type check and for annotations, so
-a `sample` draw, which runs `eta` and with it this module, builds no
-curve spec and never executes `curves`.
+the same way, for `eta_full`'s one type check and for annotations.
+The certificate records and their kinds live in `_certificates`, which
+`eta` imports too, so a `sample` draw, which runs `eta` and builds no
+curve spec, executes neither this module nor `curves`.
 """
 
 from __future__ import annotations
 
 from . import curves, eta, polys
 from ._record import Record
-
-# certificate kinds
-RULE_ONE_POINT_AT_INFINITY = "rule-one-point-at-infinity"
-RULE_CONIC_TABLE = "rule-conic-table"
-TORSION_COINCIDENCE = "torsion-coincidence"
-TORSION_EXHAUSTED = "torsion-exhausted"
-NON_RATIONAL_FACTORIZATION = "non-rational-factorization"
-GENUS_TOO_HIGH = "genus-too-high"
-
-
-class Certificate(Record):
-    __slots__ = _fields = ("kind", "relation", "order", "cases_checked")
-
-    def __init__(self, kind: str, relation: str | None = None,
-                 order: int | None = None,
-                 cases_checked: tuple[str, ...] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cases_checked", cases_checked)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "relation": self.relation,
-            "order": self.order,
-            "cases_checked": None if self.cases_checked is None
-            else list(self.cases_checked),
-        }
-
-
-class EtaResult(Record):
-    """value 0 or 1 when decided, None when undetermined."""
-
-    __slots__ = _fields = ("value", "certificate")
-
-    def __init__(self, value: int | None, certificate: Certificate):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "certificate", certificate)
-
-    def to_json(self) -> dict:
-        return {"eta": self.value, "certificate": self.certificate.to_json()}
-
+# every kind, as each is a name of this module too
+from ._certificates import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION, RULE_CONIC_TABLE,
+                            RULE_ONE_POINT_AT_INFINITY, TORSION_COINCIDENCE,
+                            TORSION_EXHAUSTED, Certificate, EtaResult)
 
 # ---------------------------------------------------------------------------
 # Closed rules

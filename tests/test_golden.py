@@ -49,7 +49,17 @@ CASES = [["analyze", text, "--json"] for text in ANALYZE_INPUTS] + [
     ["analyze", "--coeffs=-1,0,0,0,1", "--units", "2,3,4", "--json"],
     ["sample", "--count", "300", "--seed", "1", "--json"],
     ["sample", "--count", "20", "--seed", "3", "--pin", "b=0", "--json"],
-] + [argv + as_json for argv in EC_CASES for as_json in ([], ["--json"])]
+] + [argv + as_json for argv in EC_CASES for as_json in ([], ["--json"])] + [
+    # text output: a conic, the candidates of an undetermined eta, the
+    # "eta over C" line of a twin quartic, several --units entries, and
+    # the percentages and the known1 certificates of `sample`
+    ["analyze", "x^2 + y^2 - 1 = 0"],
+    ["analyze", "y^2 = x^4 + x + 1"],
+    ["analyze", "y^2 = -(x^2+1)*(x^2+4)"],
+    ["analyze", "--coeffs=-1,0,0,0,1", "--units", "2,3,4"],
+    ["sample", "--count", "300", "--seed", "1"],
+    ["sample", "--count", "20", "--seed", "3", "--pin", "b=0"],
+]
 
 
 def _key(argv):

@@ -111,8 +111,17 @@ def test_cold_analyze_runs_only_what_its_curve_needs(text, code, unexecuted):
 def test_cold_parse_error_runs_only_the_grammar():
     found = cold_call(["analyze", "--json", "y^2 = x^3 +* 2"])
     assert found["exit"] == 2
-    assert found["executed"] == ["realcurves.cli", "realcurves.errors",
-                                 "realcurves.parser", "realcurves.rationals"]
+    assert found["executed"] == ["realcurves._cli_analyze", "realcurves.cli",
+                                 "realcurves.errors", "realcurves.parser",
+                                 "realcurves.rationals"]
+
+
+# the shapes of the benchmark's cold calls (`cli_argv` in perfbench/workloads.py)
+BENCHMARK_ARGV = {
+    "analyze-json": ["analyze", "--json", "--", "y^2 = (x^2+1)*(x^2+4)"],
+    "sample-json": ["sample", "--count", "1", "--seed", "7", "--json"],
+    "ec-json": ["ec", "--curve=0,-1,1", "torsion", "(0,1)", "--json"],
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -122,11 +131,41 @@ def test_cold_parse_error_runs_only_the_grammar():
     (["sample", "--count", "2"], 0),
     (["ec", "--curve", "0,-1,1", "double", "(0,1)"], 0),
     (["-h"], 0),
+    *((argv, 0) for argv in BENCHMARK_ARGV.values()),
 ], ids=("analyze-text", "parse-error", "parse-error-json", "sample-text", "ec-text",
-        "help"))
+        "help", *BENCHMARK_ARGV))
 def test_json_is_imported_only_for_json_output(argv, code):
+    # and not for --json output either: `_format.format_json` writes it,
+    # so no cold call imports `json`
     found = cold_call(argv)
-    assert found["exit"] == code and "json" not in found["stdlib"]
+    assert found["exit"] == code
+    assert not {"json", "json.decoder", "json.scanner", "_json"} & set(found["stdlib"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "sample", "ec"])
+def test_a_cold_call_executes_only_its_own_handler(command):
+    # `ec --json` executes neither the analyze handler nor the sample
+    # handler, and each of those neither of the other two
+    found = cold_call(BENCHMARK_ARGV[f"{command}-json"])
+    handlers = [name for name in found["executed"] if name.startswith("realcurves._cli_")]
+    assert (found["exit"], handlers) == (0, [f"realcurves._cli_{command}"])
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_ARGV))
+def test_a_module_run_executes_the_front_end_once(name):
+    # `python -m realcurves.cli` runs `cli` as __main__; a handler that
+    # imported `realcurves.cli` would compile and run it a second time
+    found = _run(f"""
+import contextlib, io, runpy
+sys.argv = ["realcurves", *{BENCHMARK_ARGV[name]!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("realcurves.cli", run_name="__main__")
+    except SystemExit as stop:
+        code = stop.code
+print(json.dumps([code, "realcurves.cli" in sys.modules]))
+""")
+    assert found == [0, False]
 
 
 # one input of each kind of the benchmark's analyze corpus
@@ -174,11 +213,11 @@ def test_rational_and_quartic_inputs_in_a_cold_process(capsys, argv):
     assert code == 0 and "fractions" in found["stdlib"]
 
 
-# a sampler draw builds no curve spec: it runs neither the grammar, nor
-# `curves`, nor the report
-NO_CURVE_SPEC = ["realcurves.cohomology", "realcurves.curves", "realcurves.groups",
-                 "realcurves.parser", "realcurves.picard", "realcurves.report",
-                 "realcurves.witt"]
+# a sampler draw builds no curve spec and uses no closed rule: it runs
+# neither the grammar, nor `curves`, nor `eta_rules`, nor the report
+NO_CURVE_SPEC = ["realcurves.cohomology", "realcurves.curves", "realcurves.eta_rules",
+                 "realcurves.groups", "realcurves.parser", "realcurves.picard",
+                 "realcurves.report", "realcurves.witt"]
 
 
 def test_cli_sample_executes_no_parser_or_report():

@@ -18,8 +18,8 @@ ALLOWED = Counter({
     # turns int coordinates into Fractions
     ("elliptic", "_add", "division"): 2,
     # the percentages of `sample`'s text output
-    ("cli", "_cmd_sample", "division"): 1,
-    ("cli", "_cmd_sample", "float literal"): 1,
+    ("_cli_sample", "run", "division"): 1,
+    ("_cli_sample", "run", "float literal"): 1,
 })
 
 
