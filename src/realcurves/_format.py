@@ -59,10 +59,10 @@ def _escape(char: str) -> str:
     if " " <= char <= "~":
         return char
     code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair, as UTF-16 writes it
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
+    if code < 0x10000:
+        return "\\u%04x" % code
+    code -= 0x10000  # a surrogate pair, as UTF-16 writes it
+    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
 
 
 def _json_string(text: str) -> str:
@@ -71,45 +71,34 @@ def _json_string(text: str) -> str:
     return '"' + "".join(map(_escape, text)) + '"'
 
 
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _json_string(key) + ": "
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    if isinstance(value, str):
-        out.append(_json_string(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list, tuple)):
-        if isinstance(value, dict):
-            opening, closing = "{}"
-            items = [(_json_key(key), item) for key, item in value.items()]
-        else:
-            opening, closing = "[]"
-            items = [("", item) for item in value]
-        if not items:
-            out.append(opening + closing)
-            return
-        inner = newline + "  "
-        separator = opening + inner
-        for prefix, item in items:
-            out += (separator, prefix)
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out += (newline, closing)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def format_json(value) -> str:
     """json.dumps(value, indent=2), byte for byte, for dicts with str
     keys, lists, tuples, strs (escaped as ensure_ascii does), ints,
     bools and None; any other type is a TypeError, so that no float or
     Fraction reaches the output by its repr."""
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
+    return _json(value, "\n")
+
+
+def _json(value, indent: str) -> str:
+    """`value` written with `indent`, the line break and indentation
+    before its closing bracket."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        brackets = "{}"
+        items = [_json_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]

@@ -28,21 +28,32 @@ and `ec` points by `read_rationals`, to the grammar's digit limit, and
 `ec multiple`'s n, the --units entries and the integer options by
 `read_integer`, in the ASCII digits 0-9 only.
 
+This module is the front end only: the option table, the usage text,
+`_parse_args` and `main`.  Each subcommand's handler, with its text
+output, is a module of its own, `_cli_analyze`, `_cli_sample` or
+`_cli_ec`, which `main` imports by the subcommand's name, so a cold
+call compiles no other subcommand's code.  No handler imports this
+module: `python -m realcurves.cli` runs it as `__main__`, and an import
+of `realcurves.cli` would compile it a second time.  --json output is
+written by `_format.format_json`, so no call imports `json`.
+
 At the top this module imports only the standard library, `errors` and
-`rationals`; each subcommand imports the modules it runs, so a cold
-call compiles no others, and `json` is imported only for --json.  What
-a cold call runs beside this module, `errors` and `rationals`:
+`rationals`, and each handler imports the modules it runs.  What a cold
+call runs beside this module, `errors`, `rationals` and its handler,
+and `_format` for --json:
 
 * `ec`: `elliptic` and `_record`, and `fractions`, but not the curve
   grammar;
-* `sample`: `sampling`, `eta`, `eta_rules`, `elliptic`, `polys` and
-  `_record`, but no curve spec, so not `curves`;
+* `sample`: `sampling`, `eta`, `_certificates`, `elliptic`, `polys` and
+  `_record`, but no curve spec and no closed rule, so neither `curves`
+  nor `eta_rules`;
 * `analyze` on an input that does not parse: `parser`, and nothing
   more, as `parser` reaches `curves` and `polys` only for a parsed
   curve;
 * `analyze` on a conic: `parser`, `curves` and the report's modules
-  (`report`, `eta_rules`, `cohomology`, `witt`, `picard`, `groups`,
-  `_format` and `_record`), but not `polys`, which only y^2 = Q runs;
+  (`report`, `eta_rules`, `_certificates`, `cohomology`, `witt`,
+  `picard`, `groups`, `_format` and `_record`), but not `polys`, which
+  only y^2 = Q runs;
 * `analyze` on y^2 = Q: `polys` too; a Q that is not square-free stops
   before the report.  Only a quartic runs `eta` and `elliptic`, which
   import `fractions`: any other curve with integer coefficients runs

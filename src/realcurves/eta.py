@@ -42,9 +42,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._record import Record
 from ._certificates import (NON_RATIONAL_FACTORIZATION, TORSION_COINCIDENCE,
                             TORSION_EXHAUSTED, Certificate, EtaResult)
+from ._record import Record
 from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
 from .errors import InternalInconsistencyError
 from .polys import UniPoly, exact_isqrt, integer_roots_monic

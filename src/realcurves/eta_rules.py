@@ -23,11 +23,12 @@ curve spec, executes neither this module nor `curves`.
 from __future__ import annotations
 
 from . import curves, eta, polys
-from ._record import Record
-# every kind, as each is a name of this module too
+# all six kinds, which callers read from this module too
 from ._certificates import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION, RULE_CONIC_TABLE,
                             RULE_ONE_POINT_AT_INFINITY, TORSION_COINCIDENCE,
                             TORSION_EXHAUSTED, Certificate, EtaResult)
+from ._record import Record
+
 
 # ---------------------------------------------------------------------------
 # Closed rules

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import realcurves.eta
 from realcurves import ECPoint
-from realcurves.cli import _COMMANDS, main
+from realcurves._cli_ec import ARITY
+from realcurves.cli import _COMMANDS, _HELP, main
 from realcurves.parser import MAX_NESTING
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS
 from realcurves.sampling import MAX_BOUND_DIGITS
@@ -406,6 +408,15 @@ class TestOptionTable:
             shown = prefix in ((), (command,))
             assert (f"usage: realcurves {command} " in out) == shown
             assert not shown or all(name in out for name in table if name[0] == "-")
+
+    def test_the_ec_ops_are_the_ops_the_handler_runs(self):
+        # the front end names the ops; `_cli_ec.ARITY` gives their arguments
+        reader = _COMMANDS["ec"]["op"][0]
+        assert [reader(op) for op in ARITY] == list(ARITY)
+        with pytest.raises(ValueError, match=re.escape(
+                f"(choose from {', '.join(map(repr, ARITY))})")):
+            reader("halve")
+        assert f"{{{','.join(ARITY)}}}" in _HELP["ec"][0]
 
     @pytest.mark.parametrize("argv, message", [
         ((), "missing subcommand (choose from analyze, sample, ec)"),
