@@ -3,8 +3,10 @@ reference `json.dumps(value, indent=2)`: the same text for every value
 the command line prints and for hand-made edge cases, and a TypeError
 for any other type."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from realcurves._format import format_json
 from realcurves.cli import main
 
 from test_golden import CASES as GOLDEN_CASES
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "realcurves"
 
 
 def _reference(value) -> str:
@@ -80,3 +84,18 @@ def test_hand_made_values(value):
 def test_any_other_type_is_a_type_error(value):
     with pytest.raises(TypeError):
         format_json(value)
+
+
+def _absolute_imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_json():
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _absolute_imports(ast.parse(path.read_text(), str(path)))
+             if name.partition(".")[0] == "json"]
+    assert not found
