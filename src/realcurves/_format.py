@@ -2,7 +2,7 @@
 denominator: `format_rational` writes one, `format_terms` a sum of
 terms, for `UniPoly`, the conic display and the report's coefficient
 list.  No Fraction is built.  `format_json` writes the command line's
---json output.
+--json output, whose strs need no escape.
 
 It needs only `math`, so a conic's display and report run no polynomial
 code, and a cold `ec` call, which displays no polynomial, compiles none
@@ -48,34 +48,19 @@ def format_terms(terms: Iterable[tuple[int, str]], den: int) -> str:
     return " ".join(parts)
 
 
-# the two-character escapes; any other character outside ' '..'~' is \uXXXX
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-            "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code < 0x10000:
-        return "\\u%04x" % code
-    code -= 0x10000  # a surrogate pair, as UTF-16 writes it
-    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-
-
 def _json_string(text: str) -> str:
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return '"' + text + '"'
-    return '"' + "".join(map(_escape, text)) + '"'
+    raise ValueError(f"not printable ASCII without quote or backslash: {text!r}")
 
 
 def format_json(value) -> str:
     """json.dumps(value, indent=2), byte for byte, for dicts with str
-    keys, lists, tuples, strs (escaped as ensure_ascii does), ints,
-    bools and None; any other type is a TypeError, so that no float or
-    Fraction reaches the output by its repr."""
+    keys, lists, strs, ints, bools and None.  A str must be printable
+    ASCII with no '"' or '\\', which needs no escape, as every str the
+    command line prints is; any other str is a ValueError.  Any other
+    type is a TypeError, so that no float or Fraction reaches the output
+    by its repr."""
     return _json(value, "\n")
 
 
@@ -94,7 +79,7 @@ def _json(value, indent: str) -> str:
             raise TypeError("keys must be str")
         brackets = "{}"
         items = [_json_string(key) + ": " + _json(item, inner) for key, item in value.items()]
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         brackets = "[]"
         items = [_json(item, inner) for item in value]
     else:

@@ -26,7 +26,16 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import OffCurveError, SingularCurveError
-from .rationals import Rational, as_fraction, integer_form
+from .rationals import Rational, integer_form
+
+
+def as_fraction(x: Rational) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 class ECPoint(Record):

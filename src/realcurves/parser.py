@@ -20,12 +20,11 @@ products of ints stay ints; a p/q literal is a Fraction, and so is what
 it is added to or multiplied with.  `parse_curve` hands the coefficients
 to `UniPoly` or `ConicSpec`, which bring them to integer numerators over
 one denominator with `rationals.integer_form`, so a curve with integer
-coefficients builds no Fraction.  A p/q literal is built by
-`rationals.Fraction`, which imports `fractions` at the first one, and
-the test for a polynomial of ints alone reads no Fraction class, so an
-integer input never imports `fractions`.  This module reaches `curves`
-and `polys` through `from . import`, at the first spec it builds, so an
-input that does not parse executes neither.
+coefficients builds no Fraction.  Only a p/q literal imports
+`fractions`, and the test for a polynomial of ints alone reads no
+Fraction class, so an integer input never imports it.  This module
+reaches `curves` and `polys` through `from . import`, at the first spec
+it builds, so an input that does not parse executes neither.
 
 The work an input can ask for is bounded: exponents and degrees above
 MAX_DEGREE, coefficients (in lowest terms) of more than
@@ -42,7 +41,7 @@ grammar; `parse_coefficient_list` reads --coeffs with the first.
 
 from __future__ import annotations
 
-from . import curves, polys, rationals
+from . import curves, polys
 from .errors import ParseError
 from .rationals import (_COEFFICIENT_BOUND, TOO_LONG, Rational, bounded_rational,
                         read_rationals)
@@ -264,7 +263,11 @@ class _Parser:
                 den = _int(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return {_CONSTANT: rationals.Fraction(num, den)} if num else {}
+                if not num:
+                    return {}
+                from fractions import Fraction  # here: only a nonzero p/q needs it
+
+                return {_CONSTANT: Fraction(num, den)}
             return {_CONSTANT: num} if num else {}
         if kind == "var":
             return {(1, 0) if value == "x" else (0, 1): 1}

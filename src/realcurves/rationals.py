@@ -15,20 +15,17 @@ holds a value to MAX_COEFFICIENT_DIGITS digits, the limit that the
 grammar keeps too.  This module needs only the standard library and
 `errors`, so a command that reads numbers compiles no polynomial code.
 
-`fractions`, which imports `decimal` and `numbers`, is imported at the
-first Fraction this module builds or is handed, not at its top, so a
-call that reads and computes on integers only never imports it.  Until
-then `Fraction` here is a stand-in that no value is an instance of, and
-whose call imports the real class, binds it to `Fraction` and builds
-one: after that the type checks of `as_fraction` and `integer_form` run
-exactly as with the class imported at the top.  A Fraction made
-elsewhere before then, by `eta` or a caller, fails the stand-in's
-check, so each check looks once more at the real class before it
-rejects a value.
+`fractions`, which imports `decimal` and `numbers`, is imported where
+`read_rationals` builds its Fractions, not at the top, so a call that
+reads and computes on integers only never imports it.  No Fraction can
+exist before `fractions` has run, so `integer_form` takes the class
+from `sys.modules`, and until then every value but an int is a
+TypeError.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from math import lcm
 
@@ -44,45 +41,16 @@ _COEFFICIENT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
 TOO_LONG = f"coefficient of more than {MAX_COEFFICIENT_DIGITS} digits"
 
 
-class _Unimported:
-    """fractions.Fraction before its import: no value is an instance,
-    and a call imports the class and builds a Fraction with it."""
-
-    def __new__(cls, *args):
-        return _import_fraction()(*args)
-
-
-# fractions.Fraction once `_import_fraction` has run, the stand-in until then
-Fraction = _Unimported
-
-
-def _import_fraction() -> type:
-    """fractions.Fraction, from now on bound to `Fraction` here."""
-    global Fraction
-    from fractions import Fraction
-    return Fraction
-
-
-def as_fraction(x: Rational) -> Fraction:
-    """An int or a Fraction as a Fraction; anything else is a TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, _import_fraction()):  # made before the import here
-        return x
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """(D, numerators) with values[i] = numerators[i] / D, over the lcm D
     of the denominators of the given ints and Fractions; any other value
     is a TypeError."""
+    # no Fraction exists before `fractions` has run
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", int)
     den = 1
     for v in values:
         if type(v) is not int:  # an int's denominator is 1
-            if (not isinstance(v, (int, Fraction))
-                    and not isinstance(v, _import_fraction())):
+            if not isinstance(v, (int, fraction)):
                 raise TypeError(f"cannot interpret {v!r} as an exact rational")
             den = lcm(den, v.denominator)
     if den == 1:  # all integers, as the sampler draws them
@@ -112,6 +80,8 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
             raise ParseError(f"bad {what}: non-ASCII character in {p!r}", 0)
         if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
             raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
+    from fractions import Fraction  # here, not at the top: only this reader builds one
+
     values = []
     for p in parts:
         try:

@@ -6,7 +6,9 @@ would violate square-freeness are rejected and redrawn.  In the generic
 (unpinned) box the known coincidence loci b = 0 and a = c are excluded
 as well, since on an integer lattice they would otherwise be hit with
 visible frequency even though they have measure zero in parameter space.
-The pins force exactly those loci instead.
+The pins force exactly those loci instead.  A box in which no draw is
+admissible, such as a generic box with amax = cmax = 1, is a ValueError,
+where the draw would loop forever.
 
 Each sample gets its own RNG stream seeded from (seed, index), so the
 output is a pure function of (seed, box, count) no matter how samples
@@ -41,6 +43,10 @@ class SampleBox(Record):
             raise ValueError(f"box bounds must have at most {MAX_BOUND_DIGITS} digits")
         if pin not in (None, PIN_B_ZERO, PIN_A_EQ_C):
             raise ValueError(f"unknown pin {pin!r}")
+        if not any(_admits_draw(root_count, amax, bmax, cmax, pin)
+                   for root_count in ((0, 2, 4) if k is None else (k,))):
+            raise ValueError("box admits no draw: each (a, b, c) in it is excluded "
+                             "or not square-free")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "amax", amax)
         object.__setattr__(self, "bmax", bmax)
@@ -50,6 +56,18 @@ class SampleBox(Record):
     def to_json(self) -> dict:
         return {"k": self.k, "amax": self.amax, "bmax": self.bmax,
                 "cmax": self.cmax, "pin": self.pin}
+
+
+def _admits_draw(k: int, amax: int, bmax: int, cmax: int, pin: str | None) -> bool:
+    """Whether `draw_params` accepts some (a, b, c) of the box at root
+    count k, so that it ends.  The generic box excludes b = 0 and a = c;
+    `QuarticParams` rejects b = 0 with a = c at k = 0, and 2|b| = |c - a|
+    or c + a at k = 4."""
+    if pin is None:
+        return bmax >= 1 and max(amax, cmax) >= 2
+    if pin == PIN_B_ZERO:
+        return k == 2 or max(amax, cmax) >= 2
+    return k == 2 or bmax >= 1 and (k == 0 or bmax >= 2 or amax >= 2)
 
 
 class SampleSummary(Record, frozen=False):

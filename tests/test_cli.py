@@ -12,16 +12,16 @@ import time
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import realcurves.eta
-from realcurves import ECPoint
+from realcurves import ECPoint, QuarticParams, SampleBox
 from realcurves._cli_ec import ARITY
 from realcurves.cli import _COMMANDS, _HELP, main
 from realcurves.parser import MAX_NESTING
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS
-from realcurves.sampling import MAX_BOUND_DIGITS
+from realcurves.sampling import MAX_BOUND_DIGITS, draw_params
 
 from test_golden import CASES as GOLDEN_CASES
 
@@ -543,8 +543,8 @@ _ec_inputs = st.builds(
 class TestExitCodeFuzz:
     """Every analyze, sample and ec input exits 0, 2, 3 or 4.  Inputs stay
     within 40 characters of the grammar, 20 coefficients, 12 characters
-    of --units, 3 samples or multiples up to 400, so none can ask for
-    unbounded work."""
+    of --units, 3 samples or multiples up to 400, and a sample box that
+    admits no draw exits 2, so none can ask for unbounded work."""
 
     @staticmethod
     def assert_exit_code(argv):
@@ -560,6 +560,10 @@ class TestExitCodeFuzz:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(argv=_sample_inputs, as_json=st.booleans())
+    @example(argv=["sample", "--count=1", "--amax=1", "--cmax=1"], as_json=False)
+    @example(argv=["sample", "--count=1", "--bmax=0"], as_json=False)
+    @example(argv=["sample", "--count=1", "--k=4", "--amax=1", "--bmax=1", "--cmax=1"],
+             as_json=True)
     def test_sample_exit_codes(self, argv, as_json):
         self.assert_exit_code(argv + ["--json"] * as_json)
 
@@ -567,6 +571,55 @@ class TestExitCodeFuzz:
     @given(argv=_ec_inputs, as_json=st.booleans())
     def test_ec_exit_codes(self, argv, as_json):
         self.assert_exit_code(argv + ["--json"] * as_json)
+
+
+def _box_admits_a_draw(k, amax, bmax, cmax, pin) -> bool:
+    """Whether some (k, a, b, c) of the box, with the pin applied and the
+    generic box's b = 0 and a = c excluded, makes a QuarticParams."""
+    for root_count in (0, 2, 4) if k is None else (k,):
+        for a in range(1, amax + 1):
+            for b in (0,) if pin == "b=0" else range(-bmax, bmax + 1):
+                for c in (a,) if pin == "a=c" else range(1, cmax + 1):
+                    if pin is None and (b == 0 or a == c):
+                        continue
+                    try:
+                        QuarticParams(root_count, a, b, c)
+                    except ValueError:
+                        continue
+                    return True
+    return False
+
+
+class TestSampleBoxWithNoDraw:
+    """A box in which `draw_params` finds no admissible (a, b, c) is a
+    ValueError, and so exits 2, where the draw would loop forever."""
+
+    def test_agrees_with_enumeration(self):
+        for k in (None, 0, 2, 4):
+            for pin in (None, "b=0", "a=c"):
+                for amax in range(1, 5):
+                    for bmax in range(5):
+                        for cmax in range(1, 5):
+                            box = (k, amax, bmax, cmax, pin)
+                            if _box_admits_a_draw(*box):
+                                draw_params(random.Random(1), SampleBox(*box))
+                            else:
+                                with pytest.raises(ValueError, match="admits no draw"):
+                                    SampleBox(*box)
+
+    @pytest.mark.parametrize("options", [
+        ["--amax", "1", "--cmax", "1"],             # the generic box needs a != c
+        ["--bmax", "0"],                            # and b != 0
+        ["--k", "4", "--amax", "1", "--bmax", "1", "--cmax", "1"],
+    ])
+    def test_exits_2_in_a_subprocess(self, options):
+        # a subprocess with a timeout: a hang fails the test, not the run
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "realcurves.cli", "sample",
+                               "--count", "1", *options], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "box admits no draw" in proc.stderr
 
 
 class TestSample:

@@ -1,7 +1,7 @@
 """`_format.format_json`, the command line's --json writer, against its
 reference `json.dumps(value, indent=2)`: the same text for every value
-the command line prints and for hand-made edge cases, and a TypeError
-for any other type."""
+the command line prints and for hand-made edge cases, a ValueError for
+a str that would need an escape, and a TypeError for any other type."""
 
 import ast
 import json
@@ -57,24 +57,44 @@ def test_sample_summaries_of_seeds_1_to_200(box):
         assert format_json(value) == _reference(value), seed
 
 
-@pytest.mark.parametrize("value", [
-    # strs: the fast path's edges, the two-character escapes, the other
-    # control characters, DEL, non-ASCII, astral and lone surrogates
-    "", "plain ASCII ~ with spaces", 'a "quoted" word', "back\\slash",
-    "\b\f\n\r\t", "\x00\x01\x1f", "\x7f", "café η ≠",
-    "\U0001d53d \U0001f600", "\ud800 \udfff", "mixed\t\"é\\",
-    # containers, empty and nested-empty, lists and tuples
-    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[]], {"b": [{}]}],
-    (1, (2, [3])), {"k": (True, None)},
-    # the constants
-    True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
-    # ints
-    0, -1, 7, -(10**999), 10**999, [-(2**64), 2**64],
-    # keys that need escaping, and insertion order
-    {"z": 1, "a": 2, "é": 3, 'q"': 4, "": 5},
-], ids=repr)
-def test_hand_made_values(value):
-    assert format_json(value) == _reference(value)
+# every printable ASCII character but '"' and '\\': all a str may hold
+PRINTABLE = "".join(chr(code) for code in range(0x20, 0x7f) if chr(code) not in '"\\')
+# strs that would need an escape: '"', '\\', the two-character escapes,
+# the other control characters, DEL, non-ASCII, astral and lone surrogates
+NEEDS_ESCAPE = ['a "quoted" word', "back\\slash", "\b\f\n\r\t", "\x00\x01\x1f", "\x7f",
+                "café η ≠", "\U0001d53d \U0001f600", "\ud800 \udfff", "mixed\t\"é\\"]
+
+
+def _cases(error, *values):
+    return [pytest.param(value, error, id=repr(value)) for value in values]
+
+
+@pytest.mark.parametrize("value, error", [
+    # within the contract, written as json.dumps writes it: strs that need
+    # no escape, containers, empty and nested-empty, the constants, ints
+    *_cases(None, "", "plain ASCII ~ with spaces", PRINTABLE,
+              [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]], {"b": [{}]}],
+              True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
+              0, -1, 7, -(10**999), 10**999, [-(2**64), 2**64],
+              {"z": 1, "a": 2, PRINTABLE: 3, "": 4}),
+    # a str that needs an escape, as a value or as a key, is a ValueError
+    *_cases(ValueError, *NEEDS_ESCAPE, {"z": 1, "a": 2, "é": 3, 'q"': 4, "": 5}),
+    # and a tuple, at any depth, a TypeError
+    *_cases(TypeError, (), (1, (2, [3])), {"k": (True, None)}),
+])
+def test_hand_made_values(value, error):
+    if error is None:
+        assert format_json(value) == _reference(value)
+    else:
+        with pytest.raises(error):
+            format_json(value)
+
+
+@pytest.mark.parametrize("text", NEEDS_ESCAPE, ids=repr)
+def test_a_str_that_needs_an_escape_is_a_value_error_anywhere(text):
+    for value in ([1, text], {"k": [text]}, {text: 1}, {"k": {text: None}}):
+        with pytest.raises(ValueError, match="not printable ASCII"):
+            format_json(value)
 
 
 @pytest.mark.parametrize("value", [

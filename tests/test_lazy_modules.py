@@ -38,15 +38,12 @@ def _run(script: str):
 def test_ec_executes_no_eta_report_or_sampling():
     # `cli` takes its exceptions from `errors` and its number readers
     # from `rationals`, so `ec` runs none of parser, curves and polys
-    found = _run("""
-import realcurves.cli
-code = realcurves.cli.main(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--json"])
-print(json.dumps([code, unexecuted()]))
-""")
-    assert found == [0, ["realcurves.cohomology", "realcurves.curves", "realcurves.eta",
-                         "realcurves.eta_rules", "realcurves.groups", "realcurves.parser",
-                         "realcurves.picard", "realcurves.polys", "realcurves.report",
-                         "realcurves.sampling", "realcurves.witt"]]
+    found = cold_call(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--json"])
+    assert found["exit"] == 0
+    assert found["unexecuted"] == ["realcurves.cohomology", "realcurves.curves", "realcurves.eta",
+                                   "realcurves.eta_rules", "realcurves.groups",
+                                   "realcurves.parser", "realcurves.picard", "realcurves.polys",
+                                   "realcurves.report", "realcurves.sampling", "realcurves.witt"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -68,16 +65,9 @@ print(json.dumps([code, unexecuted()]))
 def test_every_ec_path_runs_in_a_cold_process(argv, code, message):
     # each call in its own interpreter, so that a name that one path
     # imports and another misses cannot be supplied by an earlier call
-    found = _run(f"""
-import contextlib, io
-import realcurves.cli
-err = io.StringIO()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-    code = realcurves.cli.main(["ec", *{argv!r}, "--json"])
-print(json.dumps([code, err.getvalue()]))
-""")
-    assert found[0] == code and found[1].startswith(message)
-    assert bool(found[1]) == bool(code)
+    found = cold_call(["ec", *argv, "--json"])
+    assert found["exit"] == code and found["stderr"].startswith(message)
+    assert bool(found["stderr"]) == bool(code)
 
 
 # what a cold `analyze` leaves unexecuted: a curve that the closed
@@ -221,14 +211,8 @@ NO_CURVE_SPEC = ["realcurves.cohomology", "realcurves.curves", "realcurves.eta_r
 
 
 def test_cli_sample_executes_no_parser_or_report():
-    found = _run("""
-import contextlib, io
-import realcurves.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = realcurves.cli.main(["sample", "--count", "3", "--seed", "1", "--json"])
-print(json.dumps([code, unexecuted()]))
-""")
-    assert found == [0, NO_CURVE_SPEC]
+    found = cold_call(["sample", "--count", "3", "--seed", "1", "--json"])
+    assert [found["exit"], found["unexecuted"]] == [0, NO_CURVE_SPEC]
 
 
 def test_run_sample_executes_no_parser_or_report():
@@ -252,58 +236,57 @@ print(json.dumps([result, "fractions" in sys.modules]))
 @pytest.mark.parametrize("check", ["as_fraction", "integer_form"])
 @pytest.mark.parametrize("value", ["'1/2'", "0.5", "None", "[1]"])
 def test_rationals_rejects_other_types_before_any_fraction(check, value):
-    # a str or a float is a TypeError while `Fraction` is the stand-in
-    # and after, each check first in a fresh interpreter
+    # `integer_form` rejects a str or a float before `fractions` is loaded
+    # and after, and so does `elliptic.as_fraction`, whose module loads
+    # it; each check first in a fresh interpreter
     found = _run(f"""
+import realcurves
 from realcurves import rationals
-checks = {{"as_fraction": rationals.as_fraction,
+checks = {{"as_fraction": lambda v: realcurves.elliptic.as_fraction(v),
           "integer_form": lambda v: rationals.integer_form([1, v])}}
 rejected = []
 for name in ({check!r}, *checks):
     try:
         checks[name]({value})
     except TypeError:
-        rejected.append(name)
+        rejected.append([name, "fractions" in sys.modules])
 print(json.dumps(rejected))
 """)
-    assert found == [check, "as_fraction", "integer_form"]
+    # only the import of `elliptic` loads `fractions`
+    first = [check, check == "as_fraction"]
+    assert found == [first, ["as_fraction", True], ["integer_form", True]]
 
 
 def test_rationals_takes_a_fraction_made_before_its_own_import():
-    # `eta` and a caller build Fractions with their own import of the
-    # class; the type checks accept them and then find the class bound
+    # a caller builds Fractions before the package builds any
     found = _run("""
 from fractions import Fraction
-from realcurves import rationals
 half = Fraction(1, 2)
-stand_in = rationals.Fraction is not Fraction
-first = [rationals.as_fraction(half) is half,
-         rationals.integer_form([half, 3, Fraction(-5, 3)])]
-bound = rationals.Fraction is Fraction
+from realcurves import rationals
+taken = rationals.integer_form([half, 3, Fraction(-5, 3)])
 try:
     rationals.integer_form([half, 1.5])
     rejected = False
 except TypeError:
     rejected = True
-built = rationals.as_fraction(4)
-print(json.dumps([stand_in, first, bound, rejected,
-                  [type(built) is Fraction, built == 4],
-                  str(rationals.read_rationals("1/3, -2", "x")[0])]))
+print(json.dumps([taken, rejected, str(rationals.read_rationals("1/3, -2", "x")[0])]))
 """)
-    assert found == [True, [True, [6, [3, 18, -10]]], True, True, [True, True], "1/3"]
+    assert found == [[6, [3, 18, -10]], True, "1/3"]
 
 
-def test_a_built_fraction_binds_the_class():
+def test_read_rationals_builds_fractions_that_the_checks_take():
+    # `read_rationals` imports `fractions` and builds its Fractions, which
+    # `integer_form` and `elliptic.as_fraction` then take as they are
     found = _run("""
 from realcurves import rationals
 before = "fractions" in sys.modules
 values = rationals.read_rationals("1/2,3", "x")
 import fractions
-print(json.dumps([before, rationals.Fraction is fractions.Fraction,
-                  [type(v) is fractions.Fraction for v in values],
-                  rationals.as_fraction(values[0]) is values[0]]))
+from realcurves.elliptic import as_fraction
+print(json.dumps([before, [type(v) is fractions.Fraction for v in values],
+                  rationals.integer_form(values), as_fraction(values[0]) is values[0]]))
 """)
-    assert found == [False, True, [True, True], True]
+    assert found == [False, [True, True], [2, [1, 6]], True]
 
 
 def test_tracer_installs_on_an_unexecuted_package_and_restores_it():
