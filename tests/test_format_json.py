@@ -99,7 +99,7 @@ def test_a_str_that_needs_an_escape_is_a_value_error_anywhere(text):
 
 @pytest.mark.parametrize("value", [
     0.5, Fraction(1, 2), [1, 0.0], {"a": Fraction(3)}, {1: "int key"}, {None: 1},
-    {1, 2}, b"bytes", object(),
+    {1, 2}, b"bytes", pytest.param(object(), id="object()"),
 ], ids=repr)
 def test_any_other_type_is_a_type_error(value):
     with pytest.raises(TypeError):
