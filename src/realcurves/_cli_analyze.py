@@ -10,7 +10,7 @@ from .rationals import read_integer
 
 def run(args) -> None:
     if (args.expression is None) == (args.coeffs is None):
-        raise ParseError("provide exactly one of an expression or --coeffs", 0)
+        raise ParseError("provide exactly one of an expression or --coeffs")
     if args.coeffs is not None:
         spec = parse_coefficient_list(args.coeffs)
     else:
@@ -31,7 +31,7 @@ def run(args) -> None:
 def _parse_units(text: str) -> list[int]:
     units = [read_integer(p, "--units entry") for p in text.split(",") if p.strip()]
     if not units or any(n < 2 for n in units):
-        raise ParseError("--units entries must be integers >= 2", 0)
+        raise ParseError("--units entries must be integers >= 2")
     return units
 
 

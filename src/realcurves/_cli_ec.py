@@ -1,6 +1,10 @@
 """`realcurves ec`: one operation of the exact elliptic-curve
 arithmetic, as text or as JSON.  Only this subcommand imports this
-module."""
+module.
+
+This module owns the ops: `ARITY` names each one and its number of
+arguments, and `run` rejects any other op, before it reads --curve, as
+a usage error that names the ops."""
 
 from __future__ import annotations
 
@@ -10,8 +14,7 @@ from .errors import ParseError
 from .rationals import (MAX_COEFFICIENT_DIGITS, TOO_LONG, bounded_rational, read_integer,
                         read_rationals)
 
-# each op's number of arguments, and the usage error when it differs;
-# `cli._COMMANDS` names the same ops
+# each op's number of arguments, and the usage error when it differs
 ARITY = {
     "add": (2, "add needs two points"),
     "double": (1, "double needs one point"),
@@ -25,16 +28,16 @@ def _parse_point(text: str) -> ECPoint:
     if cleaned.lower() in ("inf", "infinity", "o"):
         return INFINITY
     if not (cleaned.startswith("(") and cleaned.endswith(")")):
-        raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}", 0)
+        raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}")
     body = cleaned[1:-1]
     if body.count(",") != 1:
-        raise ParseError(f"point must have two coordinates, got {text!r}", 0)
+        raise ParseError(f"point must have two coordinates, got {text!r}")
     return ECPoint(*read_rationals(body, "point coordinate"))
 
 
 def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
     if text.count(",") != 2:
-        raise ParseError("--curve needs exactly c2,c1,c0", 0)
+        raise ParseError("--curve needs exactly c2,c1,c0")
     c2, c1, c0 = read_rationals(text, "curve coefficient")
     return WeierstrassCurve(c2=c2, c1=c1, c0=c0)
 
@@ -49,14 +52,16 @@ def _point_json(point: ECPoint) -> dict | str:
 
 
 def run(args) -> None:
-    curve = _parse_curve_coeffs(args.curve)
     op = args.op
+    if op not in ARITY:
+        raise ParseError(f"unknown op {op!r} (choose from {', '.join(ARITY)})")
+    curve = _parse_curve_coeffs(args.curve)
     count, usage = ARITY[op]
     if len(args.args) != count:
-        raise ParseError(usage, 0)
+        raise ParseError(usage)
     if op == "torsion":
         if args.bound < 1:
-            raise ParseError("--bound must be >= 1", 0)
+            raise ParseError("--bound must be >= 1")
         order = torsion_order_bounded(curve, _parse_point(args.args[0]), args.bound)
         if order is None:
             payload = {"not_torsion_within": args.bound}
@@ -75,7 +80,7 @@ def run(args) -> None:
             try:
                 result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)
             except OverflowError:  # too long to print, as `_point_json` would find
-                raise ParseError(TOO_LONG, 0) from None
+                raise ParseError(TOO_LONG) from None
         payload = {"point": _point_json(result)}
         text = str(result)
     if args.json:

@@ -9,12 +9,12 @@ from .sampling import SampleBox, run_sample
 
 def run(args) -> None:
     if args.count < 1:
-        raise ParseError("--count must be >= 1", 0)
+        raise ParseError("--count must be >= 1")
     try:
         box = SampleBox(k=args.k, amax=args.amax, bmax=args.bmax,
                         cmax=args.cmax, pin=args.pin)
     except ValueError as err:
-        raise ParseError(str(err), 0) from None
+        raise ParseError(str(err)) from None
     summary = run_sample(args.count, args.seed, box)
     if args.json:
         from ._format import format_json  # here, so that text output skips it

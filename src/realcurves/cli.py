@@ -20,13 +20,18 @@ value.  `--` ends the options.  A word that starts with a single `-`
 is a positional, unless it is `-h`, so `analyze '-x^2-y^2+1=0'`,
 `ec multiple -1 "(0,1)"` and `sample --seed -5` read as they look.
 `-h` and `--help` print the usage and exit 0.  Every usage error is a
-ParseError, so it exits 2.
+ParseError with no position, so it exits 2.
 
-Expressions are read by the grammar of `parser`; every other number
-the command line takes is read by `rationals`: --coeffs, `ec --curve`
-and `ec` points by `read_rationals`, to the grammar's digit limit, and
-`ec multiple`'s n, the --units entries and the integer options by
-`read_integer`, in the ASCII digits 0-9 only.
+The table reads syntax only: option names, flags, words and integers.
+The integer options are read by `rationals.read_integer`, in the ASCII
+digits 0-9 only, so each fails as "bad --count: 'x' is not an
+integer".  What a value may be is checked by the code that uses it:
+`SampleBox` checks --k, --pin and the box bounds, `_cli_sample`
+--count, `_cli_ec` the op and --bound, and `_cli_analyze` the --units
+entries.  Expressions are read by the grammar of `parser`, and every
+other number by `rationals`: --coeffs, `ec --curve` and `ec` points by
+`read_rationals`, to the grammar's digit limit, and `ec multiple`'s n
+and the --units entries by `read_integer`.
 
 This module is the front end only: the option table, the usage text,
 `_parse_args` and `main`.  Each subcommand's handler, with its text
@@ -79,44 +84,23 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
-
-def _integer(text: str) -> int:
-    """The reader of the integer options."""
-    try:
-        return read_integer(text, "integer")
-    except ParseError:
-        raise ValueError(f"invalid integer value: {text!r}") from None
-
-
-def _choice(read, *choices):
-    """A reader that takes what `read` reads if it is one of `choices`."""
-    def reader(text: str):
-        value = read(text)
-        if value not in choices:
-            raise ValueError(f"invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
-        return value
-    return reader
-
-
 _REQUIRED = object()
 _FLAG = (None, False)
 
 # Each subcommand's positionals, named by their attribute, in order, and
 # its options, each with (reader, default).  A default of _REQUIRED
-# makes one required.  An option read by None is a flag, which takes no
-# value; the positional read by None takes every word left.
+# makes one required.  The reader is str for a word or int for an
+# integer, which `read_integer` reads; an option read by None is a flag,
+# which takes no value, and the positional read by None takes every word
+# left.  No value is checked here: its user checks it.
 _COMMANDS = {
     "analyze": {"expression": (str, None), "--coeffs": (str, None),
                 "--units": (str, "2"), "--json": _FLAG},
-    "sample": {"--count": (_integer, _REQUIRED), "--seed": (_integer, 1),
-               "--k": (_choice(_integer, 0, 2, 4), None), "--amax": (_integer, 50),
-               "--bmax": (_integer, 50), "--cmax": (_integer, 50),
-               "--pin": (_choice(str, "b=0", "a=c"), None), "--json": _FLAG},
-    # `_cli_ec.ARITY` gives each op its number of arguments
-    "ec": {"op": (_choice(str, "add", "double", "multiple", "torsion"), _REQUIRED),
-           "args": (None, ()),
-           "--curve": (str, _REQUIRED), "--bound": (_integer, 12), "--json": _FLAG},
+    "sample": {"--count": (int, _REQUIRED), "--seed": (int, 1), "--k": (int, None),
+               "--amax": (int, 50), "--bmax": (int, 50), "--cmax": (int, 50),
+               "--pin": (str, None), "--json": _FLAG},
+    "ec": {"op": (str, _REQUIRED), "args": (None, ()),
+           "--curve": (str, _REQUIRED), "--bound": (int, 12), "--json": _FLAG},
 }
 
 # each subcommand's usage and what it does, for -h and --help
@@ -141,13 +125,6 @@ def _usage(commands) -> str:
                       for name in commands)
 
 
-def _read(name: str, reader, text: str):
-    try:
-        return reader(text)
-    except ValueError as err:
-        raise ParseError(f"argument {name}: {err}", 0) from None
-
-
 def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     """The subcommand and its values read off `argv` by `_COMMANDS`, as
     attributes named without dashes; None once `-h` or `--help` has
@@ -157,7 +134,7 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
         return None
     if not argv or argv[0] not in _COMMANDS:
         given = f"invalid subcommand {argv[0]!r}" if argv else "missing subcommand"
-        raise ParseError(f"{given} (choose from analyze, sample, ec)", 0)
+        raise ParseError(f"{given} (choose from {', '.join(_COMMANDS)})")
     command, words = argv[0], iter(argv[1:])
     table = _COMMANDS[command]
     values = {name: default for name, (_, default) in table.items()}
@@ -171,18 +148,18 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
         elif word.startswith("--"):
             name, has_value, text = word.partition("=")
             if name not in table:
-                raise ParseError(f"unknown option {name!r}", 0)
+                raise ParseError(f"unknown option {name!r}")
             reader = table[name][0]
             if reader is None:
                 if has_value:
-                    raise ParseError(f"{name} takes no value", 0)
+                    raise ParseError(f"{name} takes no value")
                 values[name] = True
                 continue
             if not has_value:
                 text = next(words, None)
             if text is None or text.startswith("--"):
-                raise ParseError(f"{name} needs a value", 0)
-            values[name] = _read(name, reader, text)
+                raise ParseError(f"{name} needs a value")
+            values[name] = read_integer(text, name) if reader is int else text
         else:
             positionals.append(word)
     for name, (reader, _) in table.items():
@@ -191,12 +168,12 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
         if reader is None:
             values[name], positionals = positionals, []
         else:
-            values[name] = _read(name, reader, positionals.pop(0))
+            values[name] = positionals.pop(0)
     if positionals:
-        raise ParseError(f"unrecognized arguments: {' '.join(positionals)}", 0)
+        raise ParseError(f"unrecognized arguments: {' '.join(positionals)}")
     missing = [name for name, value in values.items() if value is _REQUIRED]
     if missing:
-        raise ParseError(f"the following arguments are required: {', '.join(missing)}", 0)
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=command,
                            **{name.lstrip("-"): value for name, value in values.items()})
 

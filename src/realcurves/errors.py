@@ -9,8 +9,13 @@ command can catch them without compiling the code that raises them.
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    """Input that cannot be read.  An error in an expression names its
+    position in the text; one in an option or an option's value has
+    none, so `position` is None."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None
+                         else f"{message} (at position {position})")
         self.position = position
 
 

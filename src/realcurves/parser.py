@@ -131,7 +131,7 @@ def _poly_neg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
 
 
-def _degree_bounded(p: Poly, position: int) -> None:
+def _degree_bounded(p: Poly, position: int | None) -> None:
     if p and max(map(sum, p)) > MAX_DEGREE:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
 
@@ -348,7 +348,7 @@ def _conic(p: Poly) -> curves.ConicSpec:
 
 
 def hyperelliptic_from_unipoly(q: polys.UniPoly,
-                               position: int = 0) -> curves.HyperellipticSpec:
+                               position: int | None = None) -> curves.HyperellipticSpec:
     if q.is_zero or q.degree < 1:
         raise ParseError("right-hand side must be a nonconstant polynomial", position)
     return curves.HyperellipticSpec(q)
@@ -358,6 +358,6 @@ def parse_coefficient_list(text: str) -> curves.HyperellipticSpec:
     """Parse the --coeffs form: 'a0,a1,...,ad' ascending, rationals allowed."""
     coeffs = read_rationals(text, "coefficient list")
     # the degree first: the common denominator of a long list is costly
-    _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, 0)
+    _degree_bounded({(i, 0): c for i, c in enumerate(coeffs) if c}, None)
     return hyperelliptic_from_unipoly(polys.UniPoly(coeffs))
 

@@ -58,10 +58,10 @@ def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def bounded_rational(value: Rational, position: int = 0) -> Rational:
-    """`value` itself, or a ParseError at `position` when its numerator
-    or denominator has more than MAX_COEFFICIENT_DIGITS digits, too many
-    to print."""
+def bounded_rational(value: Rational, position: int | None = None) -> Rational:
+    """`value` itself, or a ParseError at `position`, if any, when its
+    numerator or denominator has more than MAX_COEFFICIENT_DIGITS
+    digits, too many to print."""
     if (value.denominator >= _COEFFICIENT_BOUND
             or not -_COEFFICIENT_BOUND < value.numerator < _COEFFICIENT_BOUND):
         raise ParseError(TOO_LONG, position)
@@ -77,9 +77,9 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     for p in parts:
         if not p.isascii():  # Fraction's syntax takes any \d, such as '١'
-            raise ParseError(f"bad {what}: non-ASCII character in {p!r}", 0)
+            raise ParseError(f"bad {what}: non-ASCII character in {p!r}")
         if "e" in p.lower():  # Fraction would expand 1e<n> to n digits
-            raise ParseError(f"bad {what}: exponent notation in {p!r}", 0)
+            raise ParseError(f"bad {what}: exponent notation in {p!r}")
     from fractions import Fraction  # here, not at the top: only this reader builds one
 
     values = []
@@ -87,7 +87,7 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
         try:
             values.append(Fraction(p))
         except ZeroDivisionError:
-            raise ParseError(f"bad {what}: zero denominator in {p!r}", 0) from None
+            raise ParseError(f"bad {what}: zero denominator in {p!r}") from None
         except ValueError:  # malformed, or a digit run past int()'s limit
             if not p:
                 reason = "empty entry"
@@ -95,7 +95,7 @@ def read_rationals(text: str, what: str) -> list[Fraction]:
                 reason = f"entry of {len(p)} characters is too long"
             else:
                 reason = f"not a rational: {p!r}"
-            raise ParseError(f"bad {what}: {reason}", 0) from None
+            raise ParseError(f"bad {what}: {reason}") from None
     for value in values:
         bounded_rational(value)
     return values
@@ -110,9 +110,9 @@ def read_integer(text: str, what: str) -> int:
     body = text.strip()
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"bad {what}: {text!r} is not an integer", 0)
+        raise ParseError(f"bad {what}: {text!r} is not an integer")
     try:
         return int(body)
     except ValueError:
         raise ParseError(f"bad {what}: integer literal of {len(digits)} digits "
-                         "is too long", 0) from None
+                         "is too long") from None

@@ -5,7 +5,7 @@ import json
 import os
 import pathlib
 import random
-import re
+import runpy
 import subprocess
 import sys
 import time
@@ -27,6 +27,7 @@ from test_golden import CASES as GOLDEN_CASES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
+cold_call = runpy.run_path(str(ROOT / "tools" / "cold_modules.py"))["cold_call"]
 
 # A sampler quartic (k = 0, a = 5, b = 2, c = 9) whose torsion search
 # runs to exhaustion: eta = 0.
@@ -190,7 +191,16 @@ class TestExitCodes:
                        if option == "--bound" else ("sample", "--count", "1"))
             code, out, err = run(capsys, *command, f"{option}={text}")
             assert code == 2 and out == ""
-            assert f"argument {option}: invalid integer value: {text!r}" in err
+            assert f"parse error: bad {option}: {text!r} is not an integer" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="the interpreter has no int-string digit limit")
+    def test_overlong_integer_option_is_named_not_echoed(self, capsys):
+        bound = "9" * 5000
+        code, out, err = run(capsys, "ec", "--curve", "0,-1,1", "torsion", "(0,1)",
+                             "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err == "parse error: bad --bound: integer literal of 5000 digits is too long\n"
 
     def test_integers_keep_sign_and_spaces(self, capsys):
         # what int() read before and the ASCII reader reads alike
@@ -291,17 +301,16 @@ class TestExitCodes:
         # the number reader's whole messages: an empty entry and a zero
         # denominator are named, not shown in Fraction's words
         (("ec", "--curve", "1/0,1,1", "torsion", "(0,1)"),
-         "parse error: bad curve coefficient: zero denominator in '1/0' (at position 0)\n"),
+         "parse error: bad curve coefficient: zero denominator in '1/0'\n"),
         (("analyze", "--coeffs", "1,,2"),
-         "parse error: bad coefficient list: empty entry (at position 0)\n"),
+         "parse error: bad coefficient list: empty entry\n"),
         (("ec", "--curve", "0,-1,1", "double", "(0, )"),
-         "parse error: bad point coordinate: empty entry (at position 0)\n"),
+         "parse error: bad point coordinate: empty entry\n"),
         (("analyze", "--coeffs", "1,x"),
-         "parse error: bad coefficient list: not a rational: 'x' (at position 0)\n"),
+         "parse error: bad coefficient list: not a rational: 'x'\n"),
         # past the int-string digit limit: named, not quoted
         (("analyze", "--coeffs", "1," + "9" * 4301),
-         "parse error: bad coefficient list: entry of 4301 characters is too long "
-         "(at position 0)\n"),
+         "parse error: bad coefficient list: entry of 4301 characters is too long\n"),
     ])
     def test_sample_and_ec_usage_errors_are_2(self, capsys, argv, message):
         for as_json in ((), ("--json",)):
@@ -317,7 +326,7 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1
         assert code == 2 and out == ""
         assert err == ("parse error: box bounds must have at most "
-                       f"{MAX_BOUND_DIGITS} digits (at position 0)\n")
+                       f"{MAX_BOUND_DIGITS} digits\n")
         cap = "9" * MAX_BOUND_DIGITS
         code, _, err = run(capsys, "sample", "--count", "1", "--amax", cap,
                            "--bmax", cap, "--cmax", cap)
@@ -410,13 +419,14 @@ class TestOptionTable:
             assert not shown or all(name in out for name in table if name[0] == "-")
 
     def test_the_ec_ops_are_the_ops_the_handler_runs(self):
-        # the front end names the ops; `_cli_ec.ARITY` gives their arguments
-        reader = _COMMANDS["ec"]["op"][0]
-        assert [reader(op) for op in ARITY] == list(ARITY)
-        with pytest.raises(ValueError, match=re.escape(
-                f"(choose from {', '.join(map(repr, ARITY))})")):
-            reader("halve")
+        # `_cli_ec.ARITY` names the ops; the usage text lists the same
         assert f"{{{','.join(ARITY)}}}" in _HELP["ec"][0]
+
+    def test_the_table_reads_words_integers_and_flags_only(self):
+        # a value rule lives with the code that uses the value, not here
+        for command, table in _COMMANDS.items():
+            for name, (reader, _) in table.items():
+                assert reader in (str, int, None), (command, name)
 
     @pytest.mark.parametrize("argv, message", [
         ((), "missing subcommand (choose from analyze, sample, ec)"),
@@ -428,12 +438,9 @@ class TestOptionTable:
         (("ec", "double", "(0,1)"), "the following arguments are required: --curve"),
         (("ec", "--curve", "0,-1,1"), "the following arguments are required: op"),
         (("ec", "--curve", "0,-1,1", "halve", "(0,1)"),
-         "argument op: invalid choice: 'halve' (choose from 'add', 'double', "
-         "'multiple', 'torsion')"),
-        (("sample", "--count", "1", "--k", "3"),
-         "argument --k: invalid choice: 3 (choose from 0, 2, 4)"),
-        (("sample", "--count", "1", "--pin", "x"),
-         "argument --pin: invalid choice: 'x' (choose from 'b=0', 'a=c')"),
+         "unknown op 'halve' (choose from add, double, multiple, torsion)"),
+        (("sample", "--count", "1", "--k", "3"), "k must be 0, 2, or 4"),
+        (("sample", "--count", "1", "--pin", "x"), "unknown pin 'x'"),
         (("analyze", "x = 0", "--json=1"), "--json takes no value"),
         (("analyze", "x = 0", "--units"), "--units needs a value"),
         (("analyze", "--units", "--json", "x = 0"), "--units needs a value"),
@@ -443,7 +450,19 @@ class TestOptionTable:
     def test_usage_errors_are_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"parse error: {message} (at position 0)\n"
+        assert err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--count", "1", "--k", "3"), "k must be 0, 2, or 4"),
+        (("sample", "--count", "1", "--pin", "x"), "unknown pin 'x'"),
+        (("ec", "--curve", "0,-1,1", "halve", "(0,1)"),
+         "unknown op 'halve' (choose from add, double, multiple, torsion)"),
+    ], ids=("k", "pin", "op"))
+    def test_each_value_is_checked_by_its_owner_in_a_cold_process(self, argv, message):
+        # `SampleBox` rejects --k and --pin, and `_cli_ec` the op
+        found = cold_call(list(argv))
+        assert (found["exit"], found["stdout"], found["stderr"]) == (
+            2, "", f"parse error: {message}\n")
 
     @pytest.mark.parametrize("spaced, joined", [
         (("analyze", "--units", "3,4", "y^2 = x^3 - x", "--json"),
@@ -535,7 +554,8 @@ _ec_inputs = st.builds(
                                     f"--bound={bound}"],
     st.one_of(st.sampled_from((["0", "-1", "1"], ["3", "-4", "0"])),
               st.lists(_ec_numbers, min_size=2, max_size=4)),
-    st.sampled_from(("add", "double", "multiple", "torsion")),
+    # the ops, and words that `_cli_ec` rejects as ops
+    st.sampled_from((*ARITY, "halve", "ADD", "")),
     st.lists(_ec_args, max_size=3),
     st.integers(-2, 30))
 
