@@ -46,7 +46,7 @@ def _print_text(report: dict) -> None:
              f"s={inv['s']}", f"t={inv['t']}"]
     if inv["d"] is not None:
         parts = [f"d={inv['d']}", f"k={inv['k']}"] + parts
-    flags = "complete" if inv["complete"] else "non-complete"
+    flags = "non-complete"
     if not inv["geometrically_connected"]:
         flags += ", not geometrically connected"
     print(f"invariants:     {' '.join(parts)}  ({flags})")

@@ -1,33 +1,28 @@
-"""Mod-2 cohomology dimension tables for smooth real curves.
+"""Mod-2 cohomology dimension tables for smooth non-complete real curves.
 
 `etale_dims` gives dim_{Z/2} H^i_et(X, Z/2) and `quotient_space_dims`
 gives dim H^i(X(C)/G, Z/2) for G the conjugation action, both as closed
 functions of the invariant tuple (genus g, points at infinity r and c,
-component counts s and t, completeness, geometric connectedness).
+component counts s and t, geometric connectedness).
 
 The tables, with u := dim H^1:
 
-etale, complete:      real points:    (1, g+s,    2s,  2s)
-                      empty, conn:    (1, g+1,    1,   0)
-                      disconnected:   (1, 2g,     1,   0)
-etale, non-complete:  real points:    (1, g+c+s,  s+t, s+t)
-                      empty, conn:    (1, g+c,    0,   0)
-                      disconnected:   (1, 2g+c-1, 0,   0)
+etale:     real points:    (1, g+c+s,  s+t, s+t)
+           empty, conn:    (1, g+c,    0,   0)
+           disconnected:   (1, 2g+c-1, 0,   0)
 
-quotient, complete:      (1, g, 0), (1, g+1, 1), (1, 2g, 1)
-quotient, non-complete:  (1, g+c, 0), (1, g+c, 0), (1, 2g+c-1, 0)
+quotient:  (1, g+c, 0), (1, g+c, 0), (1, 2g+c-1, 0)
 
-In every case dim H^1 of the quotient surface equals dim H^1_et minus s,
-and in the complete cases dim H^2 of the quotient equals dim H^2_et
-minus s+t; these identities are what the test suite checks.
+In every case dim H^1 of the quotient surface equals dim H^1_et minus s;
+this identity is what the test suite checks.
 
-The disconnected non-complete row of the etale table leaves H^2
-unstated in the usual formulation; the exact sequence computing H^1
-forces H^2(X) = 0, which is what this module returns.
+The disconnected row of the etale table leaves H^2 unstated in the usual
+formulation; the exact sequence computing H^1 forces H^2(X) = 0, which
+is what this module returns.
 
-Abstract invariant tuples (not tied to a parsed curve) are accepted so
-the complete-curve formulas stay reachable even though the parser only
-builds affine curves.
+Complete curves are Knebusch's case, which the paper cites rather than
+computes; the parser builds only affine curves, and neither table has
+rows for them.
 """
 
 from __future__ import annotations
@@ -60,12 +55,6 @@ class CohomologyDims(Record):
 def etale_dims(inv: CurveInvariants) -> CohomologyDims:
     g, c = inv.genus, inv.complex_at_infinity
     s, t = inv.components, inv.compact_components
-    if inv.complete:
-        if not inv.geometrically_connected:
-            return CohomologyDims(1, 2 * g, 1, 0)
-        if s > 0:
-            return CohomologyDims(1, g + s, 2 * s, 2 * s)
-        return CohomologyDims(1, g + 1, 1, 0)
     if not inv.geometrically_connected:
         return CohomologyDims(1, 2 * g + c - 1, 0, 0)
     if s > 0:
@@ -75,13 +64,6 @@ def etale_dims(inv: CurveInvariants) -> CohomologyDims:
 
 def quotient_space_dims(inv: CurveInvariants) -> CohomologyDims:
     g, c = inv.genus, inv.complex_at_infinity
-    s = inv.components
-    if inv.complete:
-        if not inv.geometrically_connected:
-            return CohomologyDims(1, 2 * g, 1, 0)
-        if s > 0:
-            return CohomologyDims(1, g, 0, 0)
-        return CohomologyDims(1, g + 1, 1, 0)
     if not inv.geometrically_connected:
         return CohomologyDims(1, 2 * g + c - 1, 0, 0)
     return CohomologyDims(1, g + c, 0, 0)

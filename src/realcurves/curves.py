@@ -101,16 +101,17 @@ CurveSpec = ConicSpec | HyperellipticSpec
 # ---------------------------------------------------------------------------
 
 class CurveInvariants(Record):
-    """Invariant tuple of a smooth connected real curve.
+    """Invariant tuple of a smooth connected non-complete real curve.
 
     genus is the genus of the completed complexification (of one
     component, when the complexification is disconnected).  For affine
     hyperelliptic input the degree and real-root count of Q are kept as
-    well; they are None for conics and abstract tuples.
+    well; they are None for conics and abstract tuples.  Every curve
+    here is affine, so `to_json` writes "complete": false.
     """
 
     __slots__ = _fields = ("genus", "real_at_infinity", "complex_at_infinity",
-                           "components", "compact_components", "complete",
+                           "components", "compact_components",
                            "geometrically_connected", "degree", "real_roots")
 
     def __init__(self, genus: int,
@@ -118,7 +119,6 @@ class CurveInvariants(Record):
                  complex_at_infinity: int,  # complex (conjugate-pair) points outside the curve
                  components: int,           # connected components of the real locus
                  compact_components: int,   # how many of those are circles
-                 complete: bool = False,
                  geometrically_connected: bool = True,
                  degree: int | None = None,  # degree of Q (hyperelliptic only)
                  real_roots: int | None = None):
@@ -130,12 +130,7 @@ class CurveInvariants(Record):
             raise ValueError(f"component count must satisfy s = t + r, got s={s}, t={t}, r={r}")
         if s == 0 and (t != 0 or r != 0):
             raise ValueError("empty real locus forces t = r = 0")
-        if complete:
-            if r != 0 or c != 0:
-                raise ValueError("complete curve has no points at infinity")
-            if t != s:
-                raise ValueError("every component of a complete curve is a circle")
-        elif r + c == 0:
+        if r + c == 0:
             raise ValueError("non-complete curve needs at least one point at infinity")
         if not geometrically_connected:
             if s != 0:
@@ -148,7 +143,6 @@ class CurveInvariants(Record):
         object.__setattr__(self, "complex_at_infinity", c)
         object.__setattr__(self, "components", s)
         object.__setattr__(self, "compact_components", t)
-        object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "geometrically_connected", geometrically_connected)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "real_roots", real_roots)
@@ -183,7 +177,7 @@ class CurveInvariants(Record):
             "c": self.complex_at_infinity,
             "s": self.components,
             "t": self.compact_components,
-            "complete": self.complete,
+            "complete": False,
             "geometrically_connected": self.geometrically_connected,
             "function_field_level": "infinite" if level is None else level,
         }

@@ -46,8 +46,6 @@ def eta_closed_rules(inv: curves.CurveInvariants) -> EtaResult | None:
     a projective line, where every degree-zero divisor is principal.
     """
     r, c = inv.real_at_infinity, inv.complex_at_infinity
-    if inv.complete:
-        return None
     if r + c == 1:
         return EtaResult(0, Certificate(RULE_ONE_POINT_AT_INFINITY))
     if inv.genus == 0 and inv.geometrically_connected and r + c == 2:
@@ -104,8 +102,6 @@ def _quartic_dispatch(q: polys.UniPoly | None) -> EtaResult:
 
 def _eta_complex(q: polys.UniPoly | None, inv: curves.CurveInvariants,
                  real: EtaResult) -> EtaResult | None:
-    if inv.complete:
-        return None
     if not inv.geometrically_connected:
         # the curve is isomorphic to one complex component, which here
         # has a single point at infinity
@@ -141,10 +137,8 @@ class LevelReport(Record):
 
 def level_bounds(inv: curves.CurveInvariants,
                  eta_complex: EtaResult | None) -> LevelReport:
-    """The level of a non-complete curve, from its invariants and eta of
-    its complexification; a complete curve is a ValueError."""
-    if inv.complete:
-        raise ValueError("level bounds apply to non-complete curves")
+    """The level of the curve, from its invariants and eta of its
+    complexification."""
     if not inv.geometrically_connected:
         return LevelReport("1", "the complexification is disconnected, so -1 is a square")
     if inv.components > 0:

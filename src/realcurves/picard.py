@@ -4,9 +4,8 @@ For a non-complete geometrically connected curve,
 
     Pic_tors(X) = (Q/Z)^(g + r + c - eta - 1) + (Z/2)^t,
 
-with t = 0, r = 0 when the real locus is empty.  Complete curves have
-(Q/Z)^g + (Z/2)^(s-1) with real points and (Q/Z)^g without.  A
-non-complete complex curve of genus g with k points at infinity has
+with t = 0, r = 0 when the real locus is empty.  A non-complete
+complex curve of genus g with k points at infinity has
 (Q/Z)^(2g + k - eta - 1).  A curve that is not geometrically connected
 is isomorphic to one component of its complexification, a complex curve
 with k = c, and `pic_tors` answers for it by that formula.
@@ -29,14 +28,11 @@ from .groups import GroupDescriptor
 
 
 def pic_tors(inv: CurveInvariants, eta: int) -> GroupDescriptor:
-    """Torsion subgroup of the Picard group; `eta` is ignored for
-    complete curves."""
-    g, s, t = inv.genus, inv.components, inv.compact_components
+    """Torsion subgroup of the Picard group."""
+    g, t = inv.genus, inv.compact_components
     r, c = inv.real_at_infinity, inv.complex_at_infinity
     if not inv.geometrically_connected:
         return pic_tors_complex(g, c, eta)
-    if inv.complete:
-        return GroupDescriptor(qz=g, z2=max(s - 1, 0))
     rank = g + r + c - eta - 1
     if rank < 0:
         raise ValueError(f"eta = {eta} exceeds the bound r + c - 1 = {r + c - 1}")

@@ -38,8 +38,7 @@ def full_report(spec: CurveSpec, units: Sequence[int] = (2,)) -> dict:
     etale = etale_dims(inv)
     quotient = quotient_space_dims(inv)
     witt = witt_from_h1(inv, etale.h1)
-    _cross_check(inv, etale.h1, quotient.h1, quotient.h2, etale.h2,
-                 witt, analysis)
+    _cross_check(inv, etale.h1, quotient.h1, witt, analysis)
 
     eta = analysis.eta.value
     return {
@@ -90,22 +89,19 @@ _DESCRIBE = {ConicSpec: _describe_conic, HyperellipticSpec: _describe_hyperellip
 
 
 def _cross_check(inv: CurveInvariants, u: int, quotient_h1: int,
-                 quotient_h2: int, etale_h2: int, witt: GroupDescriptor,
-                 analysis: EtaAnalysis) -> None:
-    s, t = inv.components, inv.compact_components
+                 witt: GroupDescriptor, analysis: EtaAnalysis) -> None:
+    s = inv.components
     g, r, c = inv.genus, inv.real_at_infinity, inv.complex_at_infinity
     if quotient_h1 != u - s:
         raise InternalInconsistencyError(
             f"quotient h1 = {quotient_h1} but etale h1 - s = {u - s}")
-    if inv.complete and quotient_h2 != etale_h2 - s - t:
-        raise InternalInconsistencyError("complete-case h2 identity failed")
     if witt.free_rank != s:
         raise InternalInconsistencyError(
             f"Witt free rank {witt.free_rank} != component count {s}")
-    if not inv.complete and s > 0 and inv.geometrically_connected:
+    if s > 0 and inv.geometrically_connected:
         if u - s != g + c:
             raise InternalInconsistencyError(
                 f"u - s = {u - s} but g + c = {g + c}")
     value = analysis.eta.value
-    if value is not None and not inv.complete and value > r + c - 1:
+    if value is not None and value > r + c - 1:
         raise InternalInconsistencyError("eta exceeds its bound r + c - 1")

@@ -1031,25 +1031,12 @@ def random_squarefree_poly(rng: random.Random, max_degree: int = 8,
 
 def random_invariants(rng: random.Random, family: str | None = None,
                       gmax: int = 8) -> CurveInvariants:
-    """A random consistent invariant tuple from one of the six case
-    families (complete/non-complete x real-points/empty-connected/
-    disconnected)."""
+    """A random consistent invariant tuple of a non-complete curve from
+    one of the three case families (real points, empty and connected,
+    not geometrically connected)."""
     if family is None:
-        family = rng.choice(["complete_real", "complete_empty",
-                             "complete_disconnected", "open_real",
-                             "open_empty", "open_disconnected"])
+        family = rng.choice(["open_real", "open_empty", "open_disconnected"])
     g = rng.randint(0, gmax)
-    if family == "complete_real":
-        s = rng.randint(1, 5)
-        return CurveInvariants(genus=g, real_at_infinity=0, complex_at_infinity=0,
-                               components=s, compact_components=s, complete=True)
-    if family == "complete_empty":
-        return CurveInvariants(genus=g, real_at_infinity=0, complex_at_infinity=0,
-                               components=0, compact_components=0, complete=True)
-    if family == "complete_disconnected":
-        return CurveInvariants(genus=g, real_at_infinity=0, complex_at_infinity=0,
-                               components=0, compact_components=0, complete=True,
-                               geometrically_connected=False)
     if family == "open_real":
         t = rng.randint(0, 4)
         r = rng.randint(0 if t > 0 else 1, 4)

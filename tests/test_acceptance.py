@@ -182,7 +182,7 @@ def test_cross_module_consistency():
         s = inv.components
         assert quotient_space_dims(inv).h1 == u - s
         assert witt_group(inv).free_rank == s
-        if not inv.complete and s > 0 and inv.geometrically_connected:
+        if s > 0 and inv.geometrically_connected:
             assert u - s == inv.genus + inv.complex_at_infinity
             open_real += 1
         checked += 1

@@ -9,10 +9,10 @@ from realcurves import (CurveInvariants, CohomologyDims, etale_dims,
 from oracles import random_invariants
 
 
-def abstract(g, r, c, s, t, complete=False, connected=True):
+def abstract(g, r, c, s, t, connected=True):
     return CurveInvariants(genus=g, real_at_infinity=r, complex_at_infinity=c,
                            components=s, compact_components=t,
-                           complete=complete, geometrically_connected=connected)
+                           geometrically_connected=connected)
 
 
 class TestEtaleDims:
@@ -21,21 +21,9 @@ class TestEtaleDims:
         dims = etale_dims(inv)
         assert (dims.h0, dims.h1, dims.h2, dims.h_stable) == (1, 2, 2, 2)
 
-    def test_complete_empty_connected_genus_one(self):
-        dims = etale_dims(abstract(1, 0, 0, 0, 0, complete=True))
-        assert (dims.h0, dims.h1, dims.h2, dims.h_stable) == (1, 2, 1, 0)
-
     def test_open_empty_connected(self):
         dims = etale_dims(abstract(2, 0, 1, 0, 0))
         assert (dims.h1, dims.h2) == (3, 0)
-
-    def test_complete_real_points(self):
-        dims = etale_dims(abstract(2, 0, 0, 3, 3, complete=True))
-        assert (dims.h1, dims.h2, dims.h_stable) == (5, 6, 6)
-
-    def test_complete_disconnected(self):
-        dims = etale_dims(abstract(2, 0, 0, 0, 0, complete=True, connected=False))
-        assert (dims.h1, dims.h2, dims.h_stable) == (4, 1, 0)
 
     def test_open_disconnected(self):
         dims = etale_dims(abstract(0, 0, 1, 0, 0, connected=False))
@@ -43,10 +31,6 @@ class TestEtaleDims:
 
 
 class TestQuotientDims:
-    def test_complete_with_real_points(self):
-        dims = quotient_space_dims(abstract(3, 0, 0, 1, 1, complete=True))
-        assert (dims.h1, dims.h2) == (3, 0)
-
     def test_open_empty_connected(self):
         dims = quotient_space_dims(abstract(1, 0, 1, 0, 0))
         assert dims.h1 == 2
@@ -56,13 +40,12 @@ class TestQuotientDims:
         assert dims.h1 == 0
 
     @pytest.mark.parametrize("inv, dims", [
-        (abstract(3, 0, 0, 1, 1, complete=True), CohomologyDims(1, 3, 0, 0)),
-        (abstract(2, 0, 0, 0, 0, complete=True), CohomologyDims(1, 3, 1, 0)),
-        (abstract(2, 0, 0, 0, 0, complete=True, connected=False),
-         CohomologyDims(1, 4, 1, 0)),
+        (abstract(3, 1, 1, 2, 1), CohomologyDims(1, 4, 0, 0)),
+        (abstract(2, 0, 1, 0, 0), CohomologyDims(1, 3, 0, 0)),
+        (abstract(2, 0, 3, 0, 0, connected=False), CohomologyDims(1, 6, 0, 0)),
     ], ids=("real-points", "empty-connected", "disconnected"))
-    def test_complete_branches_whole_record(self, inv, dims):
-        # h_stable included: `analyze` never builds a complete curve
+    def test_branches_whole_record(self, inv, dims):
+        # h2 and h_stable included: they are 0 in every row
         assert quotient_space_dims(inv) == dims
 
 
@@ -73,14 +56,6 @@ class TestCrossRelations:
             inv = random_invariants(rng)
             et, qt = etale_dims(inv), quotient_space_dims(inv)
             assert qt.h1 == et.h1 - inv.components
-
-    def test_complete_h2_relation(self):
-        rng = random.Random(103)
-        for _ in range(200):
-            inv = random_invariants(rng, family=random.Random(rng.random()).choice(
-                ["complete_real", "complete_empty", "complete_disconnected"]))
-            et, qt = etale_dims(inv), quotient_space_dims(inv)
-            assert qt.h2 == et.h2 - inv.components - inv.compact_components
 
     def test_disconnected_counts_match_component_curve(self):
         rng = random.Random(107)

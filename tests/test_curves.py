@@ -290,8 +290,9 @@ class TestInvariantValidation:
             CurveInvariants(genus=0, real_at_infinity=2, complex_at_infinity=0,
                             components=1, compact_components=1)
 
-    def test_complete_has_no_boundary(self):
-        with pytest.raises(ValueError):
+    def test_complete_is_not_an_argument(self):
+        # every curve here is affine; "complete" is only a JSON key
+        with pytest.raises(TypeError):
             CurveInvariants(genus=1, real_at_infinity=1, complex_at_infinity=0,
                             components=1, compact_components=0, complete=True)
 

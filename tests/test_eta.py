@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcurves import (INFINITY, CurveInvariants, QuarticParams, SearchStats,
+from realcurves import (INFINITY, QuarticParams, SearchStats,
                         UniPoly, WeierstrassCurve, build_quartic_model, classify_conic,
                         count_real_roots, curves, eta_closed_rules,
                         eta_from_params, eta_full, full_report,
@@ -655,12 +655,6 @@ class TestLevelBounds:
         analysis = eta_full(spec, inv)
         assert analysis.eta_complex.certificate.kind == NON_RATIONAL_FACTORIZATION
         assert level_bounds(inv, analysis.eta_complex).value == "2 or 3"
-
-    def test_rejects_wrong_hypotheses(self):
-        complete = CurveInvariants(genus=3, real_at_infinity=0, complex_at_infinity=0,
-                                   components=2, compact_components=2, complete=True)
-        with pytest.raises(ValueError):
-            level_bounds(complete, None)
 
     def test_disconnected_curve_has_level_one(self):
         inv = conic_inv("x^2 + 1")

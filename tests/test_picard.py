@@ -24,16 +24,6 @@ class TestPicTors:
         inv = hyperelliptic_invariants(parse_curve("y^2 = -(x^6+1)"))
         assert pic_tors(inv, 0) == GroupDescriptor(qz=2)
 
-    def test_complete_cases(self):
-        withreal = CurveInvariants(genus=3, real_at_infinity=0,
-                                   complex_at_infinity=0, components=2,
-                                   compact_components=2, complete=True)
-        assert pic_tors(withreal, 0) == GroupDescriptor(qz=3, z2=1)
-        empty = CurveInvariants(genus=3, real_at_infinity=0,
-                                complex_at_infinity=0, components=0,
-                                compact_components=0, complete=True)
-        assert pic_tors(empty, 1) == GroupDescriptor(qz=3)  # eta is ignored
-
     def test_undetermined_gives_both_candidates(self):
         inv = hyperelliptic_invariants(parse_curve("y^2 = x^6 - 2"))
         assert pic_tors(inv, 0) == GroupDescriptor(qz=3)

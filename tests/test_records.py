@@ -33,11 +33,11 @@ RECORDS = {
     UniPoly: (("numerators", "denominator"), ((-1, 0, 1), 2), ((-1, 0, 1), 3),
               {"denominator": 1}),
     CurveInvariants: (("genus", "real_at_infinity", "complex_at_infinity",
-                       "components", "compact_components", "complete",
+                       "components", "compact_components",
                        "geometrically_connected", "degree", "real_roots"),
-                      (1, 2, 0, 2, 0, False, True, 4, 2),
-                      (1, 2, 0, 2, 0, False, True, 4, 0),
-                      {"complete": False, "geometrically_connected": True,
+                      (1, 2, 0, 2, 0, True, 4, 2),
+                      (1, 2, 0, 2, 0, True, 4, 0),
+                      {"geometrically_connected": True,
                        "degree": None, "real_roots": None}),
     ConicClass: (("kind", "invariants"), ("ellipse", INV), ("parabola", INV), {}),
     ECPoint: (("v", "u"), (F(1), F(0)), (F(-1), F(0)), {}),

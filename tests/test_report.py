@@ -21,10 +21,10 @@ def test_full_report_defaults_to_the_units_mod_2():
     assert report == full_report(spec, units=(2,))
 
 
-def _abstract(g, r, c, s, t, complete=False, connected=True):
+def _abstract(g, r, c, s, t, connected=True):
     return CurveInvariants(genus=g, real_at_infinity=r, complex_at_infinity=c,
                            components=s, compact_components=t,
-                           complete=complete, geometrically_connected=connected)
+                           geometrically_connected=connected)
 
 
 def _consistent(inv, eta):
@@ -32,13 +32,12 @@ def _consistent(inv, eta):
     eta of the curve `eta`."""
     etale, quotient = etale_dims(inv), quotient_space_dims(inv)
     return {"inv": inv, "u": etale.h1, "quotient_h1": quotient.h1,
-            "quotient_h2": quotient.h2, "etale_h2": etale.h2,
             "witt": witt_from_h1(inv, etale.h1),
             "analysis": EtaAnalysis(EtaResult(eta, Certificate("test")), None)}
 
 
 # (invariants, eta): every row of the tables, eta at its bound r + c - 1
-# where there is one; a complete curve has no such bound
+# or undetermined
 CONSISTENT = {
     "hyperbola": (_abstract(0, 2, 0, 2, 0), 1),
     "ellipse": (_abstract(0, 0, 1, 1, 1), 0),
@@ -46,10 +45,6 @@ CONSISTENT = {
     "empty-quartic": (_abstract(1, 0, 1, 0, 0), 0),
     "undetermined": (_abstract(2, 2, 0, 2, 0), None),
     "disconnected": (_abstract(0, 0, 1, 0, 0, connected=False), 0),
-    "complete-real": (_abstract(3, 0, 0, 1, 1, complete=True), 1),
-    "complete-empty": (_abstract(1, 0, 0, 0, 0, complete=True), 1),
-    "complete-disconnected": (_abstract(2, 0, 0, 0, 0, complete=True,
-                                        connected=False), 1),
 }
 
 
@@ -63,15 +58,6 @@ def test_quotient_h1_off_etale_h1_minus_s(step):
     args = _consistent(_abstract(0, 0, 1, 1, 1), 0)
     args["quotient_h1"] += step
     with pytest.raises(InternalInconsistencyError, match="^quotient h1 = "):
-        _cross_check(**args)
-
-
-@pytest.mark.parametrize("step", [1, -1])
-def test_complete_quotient_h2_off(step):
-    args = _consistent(_abstract(3, 0, 0, 2, 2, complete=True), None)
-    args["quotient_h2"] += step
-    with pytest.raises(InternalInconsistencyError,
-                       match="^complete-case h2 identity failed$"):
         _cross_check(**args)
 
 

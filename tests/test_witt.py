@@ -36,13 +36,6 @@ class TestWittStructure:
             assert w == GroupDescriptor(free_rank=inv.components,
                                         z2=inv.genus + inv.complex_at_infinity)
 
-    def test_complete_real_exponent_is_genus(self):
-        rng = random.Random(223)
-        for _ in range(100):
-            inv = random_invariants(rng, family="complete_real")
-            w = witt_group(inv)
-            assert w == GroupDescriptor(free_rank=inv.components, z2=inv.genus)
-
     def test_open_disconnected(self):
         rng = random.Random(227)
         for _ in range(100):
@@ -61,8 +54,7 @@ class TestWittStructure:
     def test_level_two_gives_z4_summand(self):
         rng = random.Random(233)
         for _ in range(100):
-            family = rng.choice(["open_empty", "complete_empty"])
-            inv = random_invariants(rng, family=family)
+            inv = random_invariants(rng, family="open_empty")
             w = witt_group(inv)
             assert w.z4 == 1 and w.free_rank == 0
             assert w.z2 == etale_dims(inv).h1 - 1
