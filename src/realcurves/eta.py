@@ -29,6 +29,10 @@ np = p1 cases built, so 7p and 8p are never computed.  They would add
 nothing: p1 = (-4b^2, 0) is a rational 2-torsion point, and Mazur's
 theorem leaves no rational point of order 7 or 9 beside one, since
 Z/14 and Z/18 do not occur, so 6p = -p and 8p = -p never hold.
+A k = 4 search that matches none of its four cases then tests 2p = -p
+on the multiples it built: beside full rational 2-torsion Mazur allows
+one odd order, 3 (Z/2 x Z/6), and a match is a Known(1) answer with
+that relation, while a Known(0) certificate still lists the four cases.
 Every Known(1) answer carries the satisfied relation and the order of
 p, read off the same list extended until it holds the identity (the
 relation bounds the order by 12); every Known(0) answer carries the
@@ -125,6 +129,9 @@ class SearchStats(Record, frozen=False):
 
     k is the root count of the normal form that was searched; it stays
     None when the quartic has no rational normal form.
+    relations_checked counts the relations tested up to a match; the
+    k = 4 test of 2p = -p counts only when it matches, so an exhausted
+    search has checked exactly its case list.
     """
 
     __slots__ = _fields = ("k", "relations_checked", "max_multiple", "case_list")
@@ -330,7 +337,8 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     relation 2np = -p is tested as (n+1)p = -np, so that list stops at
     6p: both say (2n+1)p = O, and the orders 7 and 9 of 6p = -p and
     8p = -p are ruled out by Mazur beside the rational 2-torsion point
-    p1.  A matched relation then extends the same multiples until one
+    p1.  A k = 4 search that matches none of its cases tests 2p = -p
+    (order 3) last.  A matched relation then extends the same multiples until one
     is the identity, which gives the order of p.  They come from the
     unchecked group law, as the model's points are checked once, when
     the model is built.  The search checks once that the highest
@@ -364,7 +372,12 @@ def eta_from_params(params: QuarticParams,
         if multiples[m] == target:
             break
     else:
+        # k = 4 admits order 3 beside its full 2-torsion (Mazur's Z/2 x Z/6);
+        # the loop built 2p, so 2p = -p costs no group-law step
         target = None
+        if params.k == 4 and multiples[2] == -multiples[1]:
+            checked.append(_relation_string(2, "-p"))
+            target = multiples[2]
     if stats is not None:
         stats.k = params.k
         stats.case_list = tuple(_relation_string(m, t) for m, t in cases)

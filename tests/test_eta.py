@@ -16,7 +16,7 @@ from realcurves import (INFINITY, QuarticParams, SearchStats,
 from realcurves import eta as eta_module
 from realcurves.eta_rules import (GENUS_TOO_HIGH, NON_RATIONAL_FACTORIZATION,
                                   RULE_CONIC_TABLE, RULE_ONE_POINT_AT_INFINITY,
-                                  TORSION_EXHAUSTED)
+                                  TORSION_COINCIDENCE, TORSION_EXHAUSTED)
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (chord_add, fraction_build_quartic_model,
@@ -204,7 +204,7 @@ class TestEtaInvariance:
         (None for eta 0) is also the Pell oracle's order of Q."""
         scales = (2, 3, 5, 6, 7, F(1, 2), F(2, 3))
         rng = random.Random(4243)
-        missed, seen = [], set()
+        seen = set()
         for k in (0, 2, 4):
             for pin in (None, "b=0", "a=c"):
                 box = SampleBox(k=k, pin=pin)
@@ -220,12 +220,7 @@ class TestEtaInvariance:
                         == base, (params, l)
                     order = pell_torsion_order(q)
                     seen.add(order)
-                    if order != scaled.certificate.order:
-                        missed.append((params, order, scaled.value))
-        # the one known disagreement is a k = 4 point of order 3, which the
-        # k = 4 case list cannot see and reports as eta 0
-        assert all(params.k == 4 and (order, value) == (3, 0)
-                   for params, order, value in missed), missed
+                    assert order == scaled.certificate.order, (params, l)
         assert {None, 2} <= seen
 
 
@@ -260,11 +255,32 @@ class TestPellOracle:
 
     def test_k4_order_three_point(self):
         # (x+1)(x+11)(x-5)(x-7): f = -x^3-7x^2+49x+199, g = x+7 has norm
-        # 20736.  Only the oracle is asserted: the k = 4 case list has no
-        # order 3, so quartic_eta reports eta 0 here
+        # 20736
         q = QuarticParams(k=4, a=F(5), b=F(6), c=F(1)).quartic()
         assert pell_torsion_order(q) == 3
         assert pell_torsion_order(UniPoly([385, -288, -98, 0, 1])) == 3
+
+    def test_census_of_small_params(self):
+        """Every normal-form parameter with k in {0, 2, 4}, 1 <= a, c <= 5
+        and |b| <= 6 that QuarticParams accepts: quartic_eta's eta and
+        order are the Pell oracle's, with no case forgiven.  The box holds
+        the k = 4 points of order 3, (a, b, c) = (1, +-6, 5) and (5, +-6, 1)."""
+        census = []
+        for k in (0, 2, 4):
+            for a in range(1, 6):
+                for b in range(-6, 7):
+                    for c in range(1, 6):
+                        try:
+                            census.append(QuarticParams(k, a, b, c))
+                        except ValueError:
+                            continue
+        assert len(census) == 923
+        for params in census:
+            q = params.quartic()
+            order = pell_torsion_order(q)
+            res = quartic_eta(q)
+            assert (res.value, res.certificate.order) == \
+                (0 if order is None else 1, order), params
 
     def test_non_torsion_and_no_normal_form(self):
         assert pell_torsion_order(QuarticParams(k=0, a=1, b=1, c=2).quartic()) is None
@@ -429,17 +445,19 @@ class TestQuarticEta:
     def test_k4_odd_order_point_exhausts_case_list(self):
         # (a,b,c) = (5,6,1) gives y^2 = (x+1)(x+11)(x-5)(x-7), where the
         # boundary class has order 3: div(-x^3-7x^2+49x+199+(x+7)y) works
-        # out to 3*P1 - 3*P2 (its norm is the constant 20736).  The k=4
-        # search contract checks the four np = p3 relations and nothing
-        # else, so an odd-order marked point exhausts the list.
+        # out to 3*P1 - 3*P2 (its norm is the constant 20736).  The point
+        # exhausts the four np = p3 relations, and the test of 2p = -p
+        # after them finds it
         params = QuarticParams(k=4, a=F(5), b=F(6), c=F(1))
         model = build_quartic_model(params)
         from realcurves import torsion_order_bounded
         assert torsion_order_bounded(model.curve, model.p, 12) == 3
-        res = quartic_eta(params.quartic())
-        assert res.value == 0
-        assert res.certificate.cases_checked == ("p = p3", "2p = p3",
-                                                 "3p = p3", "4p = p3")
+        stats = SearchStats()
+        res = quartic_eta(params.quartic(), stats=stats)
+        assert (res.value, res.certificate.kind) == (1, TORSION_COINCIDENCE)
+        assert (res.certificate.relation, res.certificate.order) == ("2p = -p", 3)
+        assert stats.case_list == ("p = p3", "2p = p3", "3p = p3", "4p = p3")
+        assert stats.relations_checked == 5
 
     def test_known1_reverified_through_group_law(self):
         for params in (QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)),
@@ -454,17 +472,18 @@ class TestQuarticEta:
 
     def test_known1_order_and_relation_match_stepwise_oracle(self):
         """Every eta = 1 answer: the order is the oracle's stepwise order
-        of p and `chord_add` reproduces the relation.  The other direction,
-        eta = 0 while the oracle finds an order (k = 4 with p of order 3),
-        is pinned by `test_k4_odd_order_point_exhausts_case_list` and left
-        out here."""
+        of p and `chord_add` reproduces the relation, for orders 2, 3 and
+        4, k = 4 with p of order 3 included.  The other direction, eta = 0
+        against an order of the Pell oracle, is the census in
+        `TestPellOracle`."""
         rng = random.Random(101)
         params = [QuarticParams(2, 2, -1, 2),  # 2p = -p, the list reaches 6p = O
                   quartic_normal_form(UniPoly([4, 0, 5, 0, 1])),
                   quartic_normal_form(UniPoly([9, 0, -10, 0, 1])),
                   QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)),
                   QuarticParams(k=2, a=F(1), b=F(5, 4), c=F(3)),
-                  QuarticParams(k=0, a=F(1), b=F(20, 3), c=F(9))]
+                  QuarticParams(k=0, a=F(1), b=F(20, 3), c=F(9)),
+                  QuarticParams(k=4, a=F(5), b=F(6), c=F(1))]  # 2p = -p
         params += [QuarticParams(k=2, a=a, b=(a * a + c * c) / (4 * c), c=c)
                    for a, c in ((F(1), F(1)), (F(2), F(3)), (F(5), F(2)), (F(1), F(6)))]
         for k in (0, 2, 4):

@@ -8,10 +8,15 @@ consistent must pass, on every branch of the tables."""
 import pytest
 
 from realcurves import (Certificate, CurveInvariants, EtaAnalysis, EtaResult,
-                        GroupDescriptor, InternalInconsistencyError, etale_dims,
-                        full_report, parse_curve, quotient_space_dims)
+                        GroupDescriptor, InternalInconsistencyError, UniPoly,
+                        classify_conic, etale_dims, full_report,
+                        hyperelliptic_invariants, level_bounds, parse_curve,
+                        pic_tors, quotient_space_dims, units_mod_n)
+from realcurves.curves import HyperellipticSpec
 from realcurves.report import _cross_check
 from realcurves.witt import witt_from_h1
+
+from oracles import poly_mul
 
 
 def test_full_report_defaults_to_the_units_mod_2():
@@ -85,3 +90,56 @@ def test_eta_one_above_its_bound():
     with pytest.raises(InternalInconsistencyError,
                        match="^eta exceeds its bound r \\+ c - 1$"):
         _cross_check(**args)
+
+
+# one conic of each of the six classes
+CONICS = ("x^2 + y^2 - 1", "y - x^2", "x^2 - y^2 - 1", "x^2 + y^2 + 1",
+          "x + y", "x^2 + 1")
+
+
+def _with_roots(d, k, sign):
+    """sign * (x - 1)...(x - k) * (x^2 + 1)...(x^2 + (d - k)/2): square-free
+    of degree d with k real roots."""
+    q = UniPoly([sign])
+    for i in range(1, k + 1):
+        q = poly_mul(q, UniPoly([-i, 1]))
+    for j in range(1, (d - k) // 2 + 1):
+        q = poly_mul(q, UniPoly([j, 0, 1]))
+    return q
+
+
+def _reachable_invariants():
+    """The invariant tuple of every curve `parse_curve` can build: each
+    conic class, and y^2 = Q for each degree 1..18, each sign of the
+    leading coefficient and each root count k = d mod 2 up to d."""
+    tuples = [classify_conic(parse_curve(expr + " = 0")).invariants
+              for expr in CONICS]
+    for d in range(1, 19):
+        for sign in (1, -1):
+            for k in range(d % 2, d + 1, 2):
+                spec = HyperellipticSpec(_with_roots(d, k, sign))
+                assert spec.real_roots == k
+                tuples.append(hyperelliptic_invariants(spec))
+    return tuples
+
+
+def test_every_reachable_tuple_runs_every_formula():
+    """Each formula module and the report's self-checks answer every
+    reachable tuple with every admissible eta, so no identity of the
+    paper's table rests on a sample."""
+    tuples = _reachable_invariants()
+    # 6 conics and 198 polynomials Q; a parabola has the tuple of a line, and
+    # the sign of an odd degree's leading coefficient does not show
+    assert (len(tuples), len(set(tuples))) == (204, 158)
+    for inv in tuples:
+        etale, quotient = etale_dims(inv), quotient_space_dims(inv)
+        assert (quotient.h2, quotient.h_stable) == (0, 0), inv
+        witt = witt_from_h1(inv, etale.h1)
+        for eta in range(inv.real_at_infinity + inv.complex_at_infinity):
+            result = EtaResult(eta, Certificate("test"))
+            pic_tors(inv, eta)
+            units_mod_n(inv, eta, 2)
+            units_mod_n(inv, eta, 3)
+            level_bounds(inv, result)
+            _cross_check(inv, etale.h1, quotient.h1, witt,
+                         EtaAnalysis(result, None))
