@@ -338,13 +338,13 @@ def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
     6p: both say (2n+1)p = O, and the orders 7 and 9 of 6p = -p and
     8p = -p are ruled out by Mazur beside the rational 2-torsion point
     p1.  A k = 4 search that matches none of its cases tests 2p = -p
-    (order 3) last.  A matched relation then extends the same multiples until one
-    is the identity, which gives the order of p.  They come from the
-    unchecked group law, as the model's points are checked once, when
-    the model is built.  The search checks once that the highest
-    multiple it computed other than the identity is on the curve, and a
-    coincidence that the identity is reached by 12p; a failure is an
-    InternalInconsistencyError.
+    (order 3) last.  A matched relation then extends the same multiples
+    until one is the identity, which gives the order of p.  They come
+    from the unchecked group law, as the model's points are checked
+    once, when the model is built.  The search checks once that the
+    highest multiple it computed other than the identity is on the
+    curve, and a coincidence that the identity is reached by 12p; a
+    failure is an InternalInconsistencyError.
     """
     params = quartic_normal_form(q)
     if params is None:
@@ -373,9 +373,10 @@ def eta_from_params(params: QuarticParams,
             break
     else:
         # k = 4 admits order 3 beside its full 2-torsion (Mazur's Z/2 x Z/6);
-        # the loop built 2p, so 2p = -p costs no group-law step
+        # the loop built 2p, so 2p = -p costs no group-law step.  An affine
+        # 2p with the v of p is -p, as 2p = p would make p = O
         target = None
-        if params.k == 4 and multiples[2] == -multiples[1]:
+        if params.k == 4 and multiples[2].v == p.v:
             checked.append(_relation_string(2, "-p"))
             target = multiples[2]
     if stats is not None:
