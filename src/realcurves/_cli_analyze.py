@@ -57,8 +57,7 @@ def _print_text(report: dict) -> None:
     print(f"quotient H^i:   h0={qt['h0']} h1={qt['h1']} h2={qt['h2']}")
     print(f"W(X):           {report['witt']['display']}")
     print(f"eta:            {_eta_text(report['eta'])}")
-    if report["eta_complex"] is not None:
-        print(f"eta over C:     {_eta_text(report['eta_complex'])}")
+    print(f"eta over C:     {_eta_text(report['eta_complex'])}")
     print(f"Pic_tors(X):    {_group_or_candidates(report['pic_tors'])}")
     for entry in report["units"]:
         label = f"U_{entry['n']}(X):"

@@ -14,7 +14,7 @@ Jacobian and the torsion search of `eta`.  This module reaches them
 through `from . import eta`, which binds the package's unexecuted
 module, so a curve that the closed rules decide never compiles `eta`
 or `elliptic`: the first quartic does.  It reaches `curves` and `polys`
-the same way, for `eta_full`'s one type check and for annotations.
+the same way, for annotations only.
 The certificate records and their kinds live in `_certificates`, which
 `eta` imports too, so a `sample` draw, which runs `eta` and builds no
 curve spec, executes neither this module nor `curves`.
@@ -58,22 +58,17 @@ def eta_closed_rules(inv: curves.CurveInvariants) -> EtaResult | None:
 # ---------------------------------------------------------------------------
 
 class EtaAnalysis(Record):
-    """eta of the curve itself and, when it can be reported, eta of its
-    complexification (which drives the level bound when the real locus
-    is empty)."""
+    """eta of the curve itself and eta of its complexification (which
+    drives the level bound when the real locus is empty)."""
 
     __slots__ = _fields = ("eta", "eta_complex")
 
-    def __init__(self, eta: EtaResult, eta_complex: EtaResult | None):
+    def __init__(self, eta: EtaResult, eta_complex: EtaResult):
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_complex", eta_complex)
 
     def to_json(self) -> dict:
-        return {
-            "eta": self.eta.to_json(),
-            "eta_complex": None if self.eta_complex is None
-            else self.eta_complex.to_json(),
-        }
+        return {"eta": self.eta.to_json(), "eta_complex": self.eta_complex.to_json()}
 
 
 def eta_full(spec: curves.CurveSpec, inv: curves.CurveInvariants) -> EtaAnalysis:
@@ -82,26 +77,29 @@ def eta_full(spec: curves.CurveSpec, inv: curves.CurveInvariants) -> EtaAnalysis
     negative-leading-coefficient form (the complexifications of the two
     forms are isomorphic, so eta transfers); Undetermined for even
     degree >= 6, which has no finite decision procedure here.
+
+    The closed rules decide every conic, so `spec.q` is read only for a
+    y^2 = Q that they leave open.
     """
-    closed = eta_closed_rules(inv)
-    q = spec.q if isinstance(spec, curves.HyperellipticSpec) else None
-    real = closed if closed is not None else _quartic_dispatch(q)
-    return EtaAnalysis(eta=real, eta_complex=_eta_complex(q, inv, real))
+    real = eta_closed_rules(inv)
+    if real is None:
+        real = _quartic_dispatch(spec.q)
+    return EtaAnalysis(eta=real, eta_complex=_eta_complex(spec, inv, real))
 
 
-def _quartic_dispatch(q: polys.UniPoly | None) -> EtaResult:
+def _quartic_dispatch(q: polys.UniPoly) -> EtaResult:
     """eta of y^2 = q for q with positive leading coefficient l.  When q
     is a quartic, y -> y/sqrt(l) maps the curve onto y^2 = q/l over R,
     and q/l has rational coefficients, so it runs the monic pipeline;
     non-rational-factorization then means that q/l has no rational
     normal form.  Any other degree is Undetermined."""
-    if q is None or q.degree != 4:
+    if q.degree != 4:
         return EtaResult(None, Certificate(GENUS_TOO_HIGH))
     return eta.quartic_eta(q.monic())
 
 
-def _eta_complex(q: polys.UniPoly | None, inv: curves.CurveInvariants,
-                 real: EtaResult) -> EtaResult | None:
+def _eta_complex(spec: curves.CurveSpec, inv: curves.CurveInvariants,
+                 real: EtaResult) -> EtaResult:
     if not inv.geometrically_connected:
         # the curve is isomorphic to one complex component, which here
         # has a single point at infinity
@@ -112,9 +110,9 @@ def _eta_complex(q: polys.UniPoly | None, inv: curves.CurveInvariants,
     if inv.genus == 0:
         # two conjugate boundary points on a genus-zero completion
         return EtaResult(1, Certificate(RULE_CONIC_TABLE))
-    if q is not None and q.degree % 2 == 0 and q.numerators[-1] < 0:
-        return _quartic_dispatch(-q)
-    return None
+    # what is left is y^2 = Q with Q of even degree >= 4 and a negative
+    # leading coefficient, whose twin y^2 = -Q has the same complexification
+    return _quartic_dispatch(-spec.q)
 
 
 class LevelReport(Record):
@@ -135,8 +133,7 @@ class LevelReport(Record):
         return {"ring_level": self.value, "reason": self.reason}
 
 
-def level_bounds(inv: curves.CurveInvariants,
-                 eta_complex: EtaResult | None) -> LevelReport:
+def level_bounds(inv: curves.CurveInvariants, eta_complex: EtaResult) -> LevelReport:
     """The level of the curve, from its invariants and eta of its
     complexification."""
     if not inv.geometrically_connected:
@@ -144,10 +141,10 @@ def level_bounds(inv: curves.CurveInvariants,
     if inv.components > 0:
         return LevelReport("infinite",
                            "real points exist, so the coordinate ring is formally real")
-    if eta_complex is not None and eta_complex.value == 0:
+    if eta_complex.value == 0:
         return LevelReport("3",
                            "eta of the complexification is 0, which rules out level 2")
-    if eta_complex is not None and eta_complex.value == 1:
+    if eta_complex.value == 1:
         return LevelReport("2 or 3",
                            "eta of the complexification is 1, which is necessary "
                            "but not sufficient for level 2")

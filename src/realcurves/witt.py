@@ -28,14 +28,10 @@ def witt_group(inv: CurveInvariants) -> GroupDescriptor:
 def witt_from_h1(inv: CurveInvariants, u: int) -> GroupDescriptor:
     """W(X) from the invariant tuple and u = dim H^1_et(X, Z/2), for a
     caller that already holds the etale dimensions."""
-    s = inv.components
     level = inv.function_field_level
-    if s > 0:
-        if level is not None:
-            raise ValueError("curve with real points must have infinite level")
+    if level is None:
+        s = inv.components
         return GroupDescriptor(free_rank=s, z2=u - s)
     if level == 2:
         return GroupDescriptor(z4=1, z2=u - 1)
-    if level == 1:
-        return GroupDescriptor(z2=u + 1)
-    raise ValueError("empty real locus requires level 1 or 2")
+    return GroupDescriptor(z2=u + 1)

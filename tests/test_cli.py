@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -24,9 +25,13 @@ from realcurves.rationals import MAX_COEFFICIENT_DIGITS
 from realcurves.sampling import MAX_BOUND_DIGITS, draw_params
 
 from test_golden import CASES as GOLDEN_CASES
+from test_golden import FIXTURE as GOLDEN_FIXTURE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+# each "#/$defs/<name>" that a $ref names, and its schema
+SCHEMA_AT = {f"#/$defs/{name}": schema for name, schema in SCHEMA["$defs"].items()}
 cold_call = runpy.run_path(str(ROOT / "tools" / "cold_modules.py"))["cold_call"]
 
 # A sampler quartic (k = 0, a = 5, b = 2, c = 9) whose torsion search
@@ -46,6 +51,54 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+def _admits_null(schema):
+    kind = schema.get("type")
+    return (kind == "null" or isinstance(kind, list) and "null" in kind
+            or None in schema.get("enum", ()))
+
+
+def _subschemas(schema, path):
+    """(path, subschema) of each schema nested one level in `schema`."""
+    for word in ("properties", "$defs"):
+        for key, sub in schema.get(word, {}).items():
+            yield f"{path}/{word}/{key}", sub
+    if "items" in schema:
+        yield f"{path}/items", schema["items"]
+    for word in ("oneOf", "anyOf", "allOf"):
+        for i, sub in enumerate(schema.get(word, ())):
+            yield f"{path}/{word}/{i}", sub
+
+
+def _null_sites(schema, path):
+    """The paths of every subschema of `schema` that admits null."""
+    sites = {path} if _admits_null(schema) else set()
+    for sub_path, sub in _subschemas(schema, path):
+        sites |= _null_sites(sub, sub_path)
+    return sites
+
+
+def _nulls_taken(schema, path, value):
+    """The paths of the subschemas of `schema` that admit null and that
+    `value` meets with a null, following `$ref`, every allOf branch and
+    the oneOf and anyOf alternatives that `value` satisfies."""
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        return _nulls_taken(SCHEMA_AT[ref], ref, value)
+    taken = {path} if value is None and _admits_null(schema) else set()
+    if isinstance(value, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                taken |= _nulls_taken(sub, f"{path}/properties/{key}", value[key])
+    if isinstance(value, list) and "items" in schema:
+        for item in value:
+            taken |= _nulls_taken(schema["items"], f"{path}/items", item)
+    for word in ("oneOf", "anyOf", "allOf"):
+        for i, sub in enumerate(schema.get(word, ())):
+            if word == "allOf" or VALIDATOR.evolve(schema=sub).is_valid(value):
+                taken |= _nulls_taken(sub, f"{path}/{word}/{i}", value)
+    return taken
 
 
 class TestAnalyze:
@@ -99,6 +152,15 @@ class TestAnalyze:
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             jsonschema.validate(json.loads(out), SCHEMA)
+
+    def test_every_null_of_the_schema_is_taken(self):
+        # a null that no golden output takes is a case the code no longer has
+        fixture = json.loads(GOLDEN_FIXTURE.read_text(encoding="utf-8"))
+        taken = set()
+        for argv in GOLDEN_CASES:
+            if "--json" in argv:
+                taken |= _nulls_taken(SCHEMA, "#", json.loads(fixture[" ".join(argv)]))
+        assert _null_sites(SCHEMA, "#") - taken == set()
 
     def test_unit_groups_line_up_with_the_other_lines(self, capsys):
         # "U_10(X):" is one character longer than "U_2(X):"; every value
@@ -591,6 +653,48 @@ class TestExitCodeFuzz:
     @given(argv=_ec_inputs, as_json=st.booleans())
     def test_ec_exit_codes(self, argv, as_json):
         self.assert_exit_code(argv + ["--json"] * as_json)
+
+
+def _strings(alphabet, max_length):
+    """Every string over `alphabet` of length at most `max_length`."""
+    for length in range(max_length + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            yield "".join(letters)
+
+
+# each census: its argvs, with the one varying word built from a short string
+_CENSUSES = {
+    "analyze": lambda: (["analyze", text, "--json"]
+                        for text in _strings("xy12+-*^()=/ 0", 4)),
+    "coeffs": lambda: (["analyze", "--coeffs=" + text, "--json"]
+                       for text in _strings("01-/, ", 5)),
+    "ec-point": lambda: (["ec", "--curve=0,-1,1", "double", text, "--json"]
+                         for text in _strings("(),01/-", 5)),
+    "ec-curve": lambda: (["ec", "--curve=" + text, "torsion", "(0,1)", "--json"]
+                         for text in _strings("01-/,", 5)),
+}
+
+
+class TestExitCodeCensus:
+    """Every short string in the place of one command-line word exits 0,
+    2 or 3 and raises nothing: analyze expressions of up to 4 characters
+    (41,371 strings), --coeffs values and ec points and curves of up to
+    5, each over the characters its reader takes.  Beside the random
+    inputs of TestExitCodeFuzz, this pins the exit codes on a whole small
+    box, where most defects of a reader show."""
+
+    @pytest.mark.parametrize("census", list(_CENSUSES))
+    def test_every_short_string_exits_0_2_or_3(self, census):
+        codes = set()
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in _CENSUSES[census]():
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3), (argv, err.getvalue())
+                codes.add(code)
+        # each box reaches a report, a rejected value and a violated hypothesis
+        assert codes == {0, 2, 3}
 
 
 def _box_admits_a_draw(k, amax, bmax, cmax, pin) -> bool:

@@ -19,7 +19,8 @@ class TestEtaleDims:
     def test_ellipse(self):
         inv = classify_conic(parse_curve("x^2 + y^2 - 1 = 0")).invariants
         dims = etale_dims(inv)
-        assert (dims.h0, dims.h1, dims.h2, dims.h_stable) == (1, 2, 2, 2)
+        assert dims == CohomologyDims(2, 2)
+        assert dims.to_json() == {"h0": 1, "h1": 2, "h2": 2, "h_stable": 2}
 
     def test_open_empty_connected(self):
         dims = etale_dims(abstract(2, 0, 1, 0, 0))
@@ -40,12 +41,12 @@ class TestQuotientDims:
         assert dims.h1 == 0
 
     @pytest.mark.parametrize("inv, dims", [
-        (abstract(3, 1, 1, 2, 1), CohomologyDims(1, 4, 0, 0)),
-        (abstract(2, 0, 1, 0, 0), CohomologyDims(1, 3, 0, 0)),
-        (abstract(2, 0, 3, 0, 0, connected=False), CohomologyDims(1, 6, 0, 0)),
+        (abstract(3, 1, 1, 2, 1), CohomologyDims(4, 0)),
+        (abstract(2, 0, 1, 0, 0), CohomologyDims(3, 0)),
+        (abstract(2, 0, 3, 0, 0, connected=False), CohomologyDims(6, 0)),
     ], ids=("real-points", "empty-connected", "disconnected"))
     def test_branches_whole_record(self, inv, dims):
-        # h2 and h_stable included: they are 0 in every row
+        # h2 included: it is 0 in every row
         assert quotient_space_dims(inv) == dims
 
 
@@ -68,18 +69,16 @@ class TestCrossRelations:
             assert et.h1 == (2 * (2 * g + c - 1)) // 2
 
     def test_h0_always_one(self):
+        # and H^i is stable from i = 2 on
         rng = random.Random(109)
         for _ in range(100):
             inv = random_invariants(rng)
-            assert etale_dims(inv).h0 == 1
-            assert quotient_space_dims(inv).h0 == 1
+            for dims in (etale_dims(inv), quotient_space_dims(inv)):
+                written = dims.to_json()
+                assert (written["h0"], written["h_stable"]) == (1, dims.h2)
 
 
 class TestValidation:
-    def test_h0_must_be_one(self):
-        with pytest.raises(ValueError):
-            CohomologyDims(0, 1, 1, 1)
-
     def test_hyperelliptic_pipeline_values(self):
         inv = hyperelliptic_invariants(parse_curve("y^2 = -(x^6+1)"))
         assert etale_dims(inv).h1 == 3  # g=2, c=1, s=0

@@ -676,8 +676,9 @@ class TestLevelBounds:
         assert level_bounds(inv, analysis.eta_complex).value == "2 or 3"
 
     def test_disconnected_curve_has_level_one(self):
-        inv = conic_inv("x^2 + 1")
-        assert level_bounds(inv, None).value == "1"
+        spec = parse_curve("x^2 + 1 = 0")
+        inv = classify_conic(spec).invariants
+        assert level_bounds(inv, eta_full(spec, inv).eta_complex).value == "1"
 
 
 class TestSquareLeadingQuartics:

@@ -59,13 +59,15 @@ RECORDS = {
                    (CURVE, POINT, {"p1": POINT}, "p1"),
                    (CURVE, POINT, {"p1": POINT}, None), {}),
     EtaAnalysis: (("eta", "eta_complex"),
-                  (EtaResult(1, Certificate("rule-conic-table")), None),
-                  (EtaResult(0, Certificate("rule-conic-table")), None), {}),
+                  (EtaResult(1, Certificate("rule-conic-table")),
+                   EtaResult(1, Certificate("rule-conic-table"))),
+                  (EtaResult(0, Certificate("rule-conic-table")),
+                   EtaResult(1, Certificate("rule-conic-table"))), {}),
     LevelReport: (("value", "reason"), ("3", "eta is 0"), ("2 or 3", "eta is 0"), {}),
     GroupDescriptor: (("free_rank", "qz", "z4", "zn", "z2"), (1, 2, 3, (5, 1), 1),
                       (1, 2, 3, (5, 2), 1),
                       {"free_rank": 0, "qz": 0, "z4": 0, "zn": None, "z2": 0}),
-    CohomologyDims: (("h0", "h1", "h2", "h_stable"), (1, 2, 3, 3), (1, 2, 3, 4), {}),
+    CohomologyDims: (("h1", "h2"), (2, 3), (2, 4), {}),
     SampleBox: (("k", "amax", "bmax", "cmax", "pin"), (2, 5, 6, 7, "b=0"),
                 (2, 5, 6, 7, "a=c"),
                 {"k": None, "amax": 50, "bmax": 50, "cmax": 50, "pin": None}),
@@ -193,7 +195,7 @@ def test_sample_summaries_do_not_share_a_certificate_list():
     (lambda: ConicSpec(*[F(0)] * 5, F(1)), HypothesisError),
     (lambda: CurveInvariants(0, 1, 0, 2, 0), ValueError),
     (lambda: QuarticParams(0, F(1), F(0), F(1)), ValueError),
-    (lambda: CohomologyDims(0, 1, 1, 1), ValueError),
+    (lambda: CohomologyDims(-1, 0), ValueError),
     (lambda: GroupDescriptor(qz=-1), ValueError),
     (lambda: GroupDescriptor(zn=(1, 1)), ValueError),
 ])

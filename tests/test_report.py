@@ -9,7 +9,7 @@ import pytest
 
 from realcurves import (Certificate, CurveInvariants, EtaAnalysis, EtaResult,
                         GroupDescriptor, InternalInconsistencyError, UniPoly,
-                        classify_conic, etale_dims, full_report,
+                        classify_conic, etale_dims, eta_full, full_report,
                         hyperelliptic_invariants, level_bounds, parse_curve,
                         pic_tors, quotient_space_dims, units_mod_n)
 from realcurves.curves import HyperellipticSpec
@@ -36,9 +36,10 @@ def _consistent(inv, eta):
     """The arguments of _cross_check as full_report computes them, with
     eta of the curve `eta`."""
     etale, quotient = etale_dims(inv), quotient_space_dims(inv)
+    result = EtaResult(eta, Certificate("test"))
     return {"inv": inv, "u": etale.h1, "quotient_h1": quotient.h1,
             "witt": witt_from_h1(inv, etale.h1),
-            "analysis": EtaAnalysis(EtaResult(eta, Certificate("test")), None)}
+            "analysis": EtaAnalysis(result, result)}
 
 
 # (invariants, eta): every row of the tables, eta at its bound r + c - 1
@@ -108,32 +109,39 @@ def _with_roots(d, k, sign):
     return q
 
 
-def _reachable_invariants():
-    """The invariant tuple of every curve `parse_curve` can build: each
-    conic class, and y^2 = Q for each degree 1..18, each sign of the
-    leading coefficient and each root count k = d mod 2 up to d."""
-    tuples = [classify_conic(parse_curve(expr + " = 0")).invariants
-              for expr in CONICS]
+def _reachable_curves():
+    """Every kind of curve `parse_curve` can build, with its invariant
+    tuple: each conic class, and y^2 = Q for each degree 1..18, each
+    sign of the leading coefficient and each root count k = d mod 2 up
+    to d."""
+    curves = []
+    for expr in CONICS:
+        spec = parse_curve(expr + " = 0")
+        curves.append((spec, classify_conic(spec).invariants))
     for d in range(1, 19):
         for sign in (1, -1):
             for k in range(d % 2, d + 1, 2):
                 spec = HyperellipticSpec(_with_roots(d, k, sign))
                 assert spec.real_roots == k
-                tuples.append(hyperelliptic_invariants(spec))
-    return tuples
+                curves.append((spec, hyperelliptic_invariants(spec)))
+    return curves
 
 
 def test_every_reachable_tuple_runs_every_formula():
     """Each formula module and the report's self-checks answer every
-    reachable tuple with every admissible eta, so no identity of the
-    paper's table rests on a sample."""
-    tuples = _reachable_invariants()
+    reachable tuple with every admissible eta, and `eta_full` answers
+    eta over C for every curve, so no identity of the paper's table
+    rests on a sample."""
+    curves = _reachable_curves()
+    tuples = [inv for _, inv in curves]
     # 6 conics and 198 polynomials Q; a parabola has the tuple of a line, and
     # the sign of an odd degree's leading coefficient does not show
     assert (len(tuples), len(set(tuples))) == (204, 158)
-    for inv in tuples:
+    for spec, inv in curves:
+        assert isinstance(eta_full(spec, inv).eta_complex, EtaResult), spec
         etale, quotient = etale_dims(inv), quotient_space_dims(inv)
-        assert (quotient.h2, quotient.h_stable) == (0, 0), inv
+        assert quotient.to_json() == {"h0": 1, "h1": quotient.h1, "h2": 0,
+                                      "h_stable": 0}, inv
         witt = witt_from_h1(inv, etale.h1)
         for eta in range(inv.real_at_infinity + inv.complex_at_infinity):
             result = EtaResult(eta, Certificate("test"))
@@ -142,4 +150,4 @@ def test_every_reachable_tuple_runs_every_formula():
             units_mod_n(inv, eta, 3)
             level_bounds(inv, result)
             _cross_check(inv, etale.h1, quotient.h1, witt,
-                         EtaAnalysis(result, None))
+                         EtaAnalysis(result, result))
