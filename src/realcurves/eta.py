@@ -39,6 +39,11 @@ relation bounds the order by 12); every Known(0) answer carries the
 full list of relations that were excluded, so both are independently
 re-checkable.  Either way the highest multiple other than the identity
 is checked to lie on the curve.
+
+Only the normal form and `QuarticParams.quartic` compute on polynomials.
+This module reaches `polys` through `from . import polys`, which binds
+the package's unexecuted module, so a decision on params, such as
+`build_quartic_model` and `eta_from_params`, never compiles it.
 """
 
 from __future__ import annotations
@@ -46,12 +51,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import polys
 from ._certificates import (NON_RATIONAL_FACTORIZATION, TORSION_COINCIDENCE,
                             TORSION_EXHAUSTED, Certificate, EtaResult)
 from ._record import Record
 from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
 from .errors import InternalInconsistencyError
-from .polys import UniPoly, exact_isqrt, integer_roots_monic
 from .rationals import Rational, integer_form
 
 # bound once: every sampler draw builds a QuarticParams
@@ -88,7 +93,8 @@ class QuarticParams(Record):
     `rationals.integer_form`, with a, b, c = A/D, B/D, C/D over the lcm D
     of their denominators (a private slot, not part of equality or the
     repr); the validity checks run on it, and `quartic` and
-    `build_quartic_model` read it.
+    `build_quartic_model` read it.  Three ints, as the sampler draws
+    them, are their own integer form (1, a, b, c) and skip the call.
     """
 
     _fields = ("k", "a", "b", "c")
@@ -97,7 +103,10 @@ class QuarticParams(Record):
     def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
         if k not in _SIGNS:
             raise ValueError("k must be 0, 2, or 4")
-        den, (big_a, big_b, big_c) = integer_form((a, b, c))
+        if type(a) is int and type(b) is int and type(c) is int:  # no bool
+            den, big_a, big_b, big_c = 1, a, b, c
+        else:
+            den, (big_a, big_b, big_c) = integer_form((a, b, c))
         if big_a <= 0 or big_c <= 0:
             raise ValueError("a and c must be positive")
         # square-freeness of the induced quartic
@@ -111,14 +120,14 @@ class QuarticParams(Record):
         _set(self, "c", c)
         _set(self, "_integral", (den, big_a, big_b, big_c))
 
-    def quartic(self) -> UniPoly:
+    def quartic(self) -> polys.UniPoly:
         """The normal form multiplied out, x^4 + Px^2 + Cx + R, in
         integers over D^4 (`_expand` of A, B, C gives P, C and R over
         D^2, D^3 and D^4)."""
         den, a, b, c = self._integral
         big_p, big_c, big_r = _expand(self.k, a, b, c)
-        return UniPoly.from_integers([big_r, big_c * den, big_p * den * den, 0, den ** 4],
-                                     den ** 4)
+        return polys.UniPoly.from_integers(
+            [big_r, big_c * den, big_p * den * den, 0, den ** 4], den ** 4)
 
     def to_json(self) -> dict:
         return {"k": self.k, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
@@ -168,7 +177,7 @@ class QuarticModel(Record):
 # Quartic normal form
 # ---------------------------------------------------------------------------
 
-def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
+def quartic_normal_form(q: polys.UniPoly) -> QuarticParams | None:
     """Match a monic rational quartic against the normal form, or return
     None when no factorization with rational a, b, c exists.
 
@@ -217,7 +226,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
     # (u = 2sb, constant of the (y+sb) factor, constant of the (y-sb) factor)
     assignments: list[tuple[int, int, int]] = []
     if big_c == 0:
-        sq = exact_isqrt(c1)
+        sq = polys.exact_isqrt(c1)
         if sq is not None:
             # sq = P mod 2, so both constants are integers
             v = (big_p - sq) // 2
@@ -225,8 +234,8 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
             assignments.append((0, v, w))
             if v != w:
                 assignments.append((0, w, v))
-    for z in integer_roots_monic((c0, c1, c2, 1)):
-        u = exact_isqrt(z)
+    for z in polys.integer_roots_monic((c0, c1, c2, 1)):
+        u = polys.exact_isqrt(z)
         if not u:
             continue
         v = (big_p + z - big_c // u) // 2
@@ -241,7 +250,7 @@ def quartic_normal_form(q: UniPoly) -> QuarticParams | None:
         d_minus = 4 * m_minus - u * u
         if d_plus < 0 < d_minus:
             continue
-        a, c = exact_isqrt(abs(d_plus)), exact_isqrt(abs(d_minus))
+        a, c = polys.exact_isqrt(abs(d_plus)), polys.exact_isqrt(abs(d_minus))
         if not a or not c:
             continue
         candidates.add((a, u, c, 2 * (d_plus < 0) + 2 * (d_minus < 0)))
@@ -327,7 +336,7 @@ def _relation_string(n: int, target: str) -> str:
     return f"{'' if n == 1 else n}p = {target}"
 
 
-def quartic_eta(q: UniPoly, stats: SearchStats | None = None) -> EtaResult:
+def quartic_eta(q: polys.UniPoly, stats: SearchStats | None = None) -> EtaResult:
     """Decide eta for y^2 = Q with Q a monic square-free rational quartic.
 
     Runs the normal-form search; without a rational factorization the

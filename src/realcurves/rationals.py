@@ -53,7 +53,7 @@ def integer_form(values: Sequence[Rational]) -> tuple[int, list[int]]:
             if not isinstance(v, (int, fraction)):
                 raise TypeError(f"cannot interpret {v!r} as an exact rational")
             den = lcm(den, v.denominator)
-    if den == 1:  # all integers, as the sampler draws them
+    if den == 1:  # all integers
         return den, [v.numerator for v in values]
     return den, [v.numerator * (den // v.denominator) for v in values]
 

@@ -101,17 +101,23 @@ class SampleSummary(Record, frozen=False):
 
 def draw_params(rng: random.Random, box: SampleBox) -> QuarticParams:
     """One admissible parameter draw; rejected draws are redrawn from the
-    same stream so the result is still deterministic in the stream."""
+    same stream so the result is still deterministic in the stream.
+    randrange(l, h + 1) is how CPython defines randint(l, h), so the
+    box is read and the method bound once, outside the loop, and the
+    stream is randint's."""
+    box_k, pin = box.k, box.pin
+    a_stop, b_low, b_stop, c_stop = box.amax + 1, -box.bmax, box.bmax + 1, box.cmax + 1
+    randrange = rng.randrange
     while True:
-        k = box.k if box.k is not None else rng.choice((0, 2, 4))
-        a = rng.randint(1, box.amax)
-        b = rng.randint(-box.bmax, box.bmax)
-        c = rng.randint(1, box.cmax)
-        if box.pin == PIN_B_ZERO:
+        k = box_k if box_k is not None else rng.choice((0, 2, 4))
+        a = randrange(1, a_stop)
+        b = randrange(b_low, b_stop)
+        c = randrange(1, c_stop)
+        if pin == PIN_B_ZERO:
             b = 0
-        elif box.pin == PIN_A_EQ_C:
+        elif pin == PIN_A_EQ_C:
             c = a
-        if box.pin is None and (b == 0 or a == c):
+        if pin is None and (b == 0 or a == c):
             continue
         try:
             # positional: a keyword call of a class is slower in CPython 3.11

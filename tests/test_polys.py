@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from realcurves import (HyperellipticSpec, HypothesisError, ParseError,
                         QuarticParams, UniPoly, count_real_roots, is_square_free,
                         parse_curve, poly_gcd, quartic_normal_form)
-from realcurves import eta as eta_module
+from realcurves import polys as polys_module
 from realcurves._format import format_rational, format_terms
 from realcurves.parser import parse_coefficient_list
 from realcurves.polys import (exact_isqrt, integer_roots_monic, sign_variations,
@@ -277,14 +277,15 @@ def random_monic(rng: random.Random, degree: int, magnitude: int) -> UniPoly:
 
 def recorded_resolvents(monkeypatch) -> list[tuple[int, ...]]:
     """The list that collects every cubic `quartic_normal_form` hands to
-    `integer_roots_monic` from now on."""
+    `integer_roots_monic` from now on; `eta` reads the function off
+    `polys` at each call."""
     cubics = []
 
     def recorded(p, _original=integer_roots_monic):
         cubics.append(p)
         return _original(p)
 
-    monkeypatch.setattr(eta_module, "integer_roots_monic", recorded)
+    monkeypatch.setattr(polys_module, "integer_roots_monic", recorded)
     return cubics
 
 
