@@ -51,7 +51,8 @@ and `_format` for --json:
   grammar;
 * `sample`: `sampling`, `eta`, `_certificates`, `elliptic`, `polys` and
   `_record`, but no curve spec and no closed rule, so neither `curves`
-  nor `eta_rules`;
+  nor `eta_rules`; `polys` runs for the quartic of each draw and its
+  normal form, as `eta` decides on params alone without it;
 * `analyze` on an input that does not parse: `parser`, and nothing
   more, as `parser` reaches `curves` and `polys` only for a parsed
   curve;

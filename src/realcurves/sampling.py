@@ -102,9 +102,9 @@ class SampleSummary(Record, frozen=False):
 def draw_params(rng: random.Random, box: SampleBox) -> QuarticParams:
     """One admissible parameter draw; rejected draws are redrawn from the
     same stream so the result is still deterministic in the stream.
-    randrange(l, h + 1) is how CPython defines randint(l, h), so the
-    box is read and the method bound once, outside the loop, and the
-    stream is randint's."""
+    It draws with randrange(l, h + 1), which is how CPython defines
+    randint(l, h), so the stream is randint's; the box is read and the
+    method bound once, outside the loop."""
     box_k, pin = box.k, box.pin
     a_stop, b_low, b_stop, c_stop = box.amax + 1, -box.bmax, box.bmax + 1, box.cmax + 1
     randrange = rng.randrange

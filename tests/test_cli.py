@@ -746,6 +746,37 @@ class TestSampleBoxWithNoDraw:
         assert "box admits no draw" in proc.stderr
 
 
+# sha256 of the first 200 draws "k a b c\n" of `draw_params` from
+# random.Random(7) on each admissible default box, as rng.randint(1, amax),
+# randint(-bmax, bmax) and randint(1, cmax) drew them: the sampler's
+# output is a function of its stream, so a change of the stream shows here
+DRAW_STREAMS = {
+    (None, None): "d77ae9191f1910affa4f9a2eaa8e0d37e2f60ef6ecc3a8a0097791b8bf2f8ee5",
+    (None, "b=0"): "ad9814c9cd9550906fccef9d1002bd794fc85cd60eadb31daf78d107fe399254",
+    (None, "a=c"): "59b97633ceb20d9e68b1a3be1ba48d007c1029a1f31a3951e23fe2a07fcb5ee1",
+    (0, None): "7e5db1cd2e53ac068ad81669aed3fed2d194a841b10aa43f369f61079789520d",
+    (0, "b=0"): "9090993d1481e8c135ddfeb6a7ca31bd630299b38aa73ef6bfbd2e4130056d09",
+    (0, "a=c"): "bf4b6ee4c42f98a3634513fb6e12a09ae540159ca8e82f696f286873df250e03",
+    (2, None): "a1beedfabeb7a796ed3c956688ecaef27e3c1001d9dbcabd04284e80897299b6",
+    (2, "b=0"): "a2e0b51e67528e14452d6ea2dc8626525d776e2e07bc4212fe64712686cec0f2",
+    (2, "a=c"): "d2d26801adb24741de6f35e2b090d9de64affc54a04b4768f8652927601033eb",
+    (4, None): "05121afa1cd120f791f359635ff9998dc86d94d0d5ec5c9ad263cf02d717e6dc",
+    (4, "b=0"): "7bbfbe33c5e5b4d4e02a7bc28488bb53099bc3c803da1981c8ba8c1777571988",
+    (4, "a=c"): "2b7c9562e12d3a80a8ff36a2c8db330f898dc2d11e08fe63892ea113d776a800",
+}
+
+
+@pytest.mark.parametrize("k, pin", list(DRAW_STREAMS),
+                         ids=[f"k={k}-pin={pin}" for k, pin in DRAW_STREAMS])
+def test_draw_params_keeps_its_stream(k, pin):
+    rng = random.Random(7)
+    box = SampleBox(k=k, pin=pin)
+    draws = [draw_params(rng, box) for _ in range(200)]
+    text = "".join(f"{p.k} {p.a} {p.b} {p.c}\n" for p in draws)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAW_STREAMS[k, pin]
+    assert all(p._integral == (1, p.a, p.b, p.c) for p in draws)
+
+
 class TestSample:
     def test_single_record(self, capsys):
         payload = run_json(capsys, "sample", "--count", "1", "--seed", "9")

@@ -224,6 +224,21 @@ print(json.dumps([summary.count, unexecuted()]))
     assert found == [3, NO_CURVE_SPEC]
 
 
+def test_a_decision_on_params_executes_no_polys():
+    # `eta` reaches `polys` through the package's unexecuted module, which
+    # only the normal form and `QuarticParams.quartic` run
+    found = _run("""
+import realcurves
+params = realcurves.QuarticParams(0, 5, 2, 9)
+realcurves.build_quartic_model(params)
+value = realcurves.eta_from_params(params).value
+before = "realcurves.polys" in unexecuted()
+realcurves.quartic_eta(params.quartic())
+print(json.dumps([value, before, "realcurves.polys" in unexecuted()]))
+""")
+    assert found == [0, True, False]
+
+
 def test_rationals_reads_integers_without_fractions():
     found = _run("""
 from realcurves.rationals import bounded_rational, integer_form, read_integer

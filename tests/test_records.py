@@ -198,10 +198,29 @@ def test_sample_summaries_do_not_share_a_certificate_list():
     (lambda: CohomologyDims(-1, 0), ValueError),
     (lambda: GroupDescriptor(qz=-1), ValueError),
     (lambda: GroupDescriptor(zn=(1, 1)), ValueError),
+    # QuarticParams' loci in ints, which skip `integer_form`: a <= 0, c <= 0,
+    # b = 0 with a = c at k = 0, and 2|b| = |c - a| or c + a at k = 4
+    (lambda: QuarticParams(2, 0, 1, 2), ValueError),
+    (lambda: QuarticParams(2, 1, 1, -2), ValueError),
+    (lambda: QuarticParams(0, 1, 0, 1), ValueError),
+    (lambda: QuarticParams(4, 1, 1, 3), ValueError),
+    (lambda: QuarticParams(4, 1, -2, 3), ValueError),
 ])
 def test_validators_still_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("k, a, b, c", [(0, 5, 2, 9), (2, 1, 3, 2), (4, 1, 0, 2),
+                                        (4, 7, -3, 2)])
+def test_int_params_match_their_fractions(k, a, b, c):
+    # three ints skip `integer_form`; Fractions, or ints beside a
+    # Fraction, of the same values take it
+    ints = QuarticParams(k, a, b, c)
+    for other in (QuarticParams(k, F(a), F(b), F(c)), QuarticParams(k, a, F(b), c)):
+        assert ints == other and hash(ints) == hash(other)
+        assert ints._integral == other._integral == (1, a, b, c)
+        assert ints.quartic() == other.quartic()
 
 
 def test_weierstrass_coefficients_become_fractions():
@@ -220,6 +239,8 @@ def test_weierstrass_coefficients_become_fractions():
     lambda: ECPoint(None, F(1)),
     lambda: ConicSpec(1, 0, 1, 0, 0, "-1"),
     lambda: ConicSpec(1, 0, 1, 0, 0, -1.0),
+    lambda: QuarticParams(2, "1", 1, 2),
+    lambda: QuarticParams(2, 1, 1.0, 2),
 ])
 def test_strings_are_not_rationals(build):
     # a rational is an int or a Fraction; a string is not parsed, so it
