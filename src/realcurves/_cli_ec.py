@@ -4,15 +4,19 @@ module.
 
 This module owns the ops: `ARITY` names each one and its number of
 arguments, and `run` rejects any other op, before it reads --curve, as
-a usage error that names the ops."""
+a usage error that names the ops.
+
+`torsion` walks the point as read, ints or Fractions, in integers on
+the curve's integral model (`weierstrass`), so an integral curve and
+point run without `fractions`.  Only `add`, `double` and `multiple`
+import `elliptic`, whose group law computes on Fractions."""
 
 from __future__ import annotations
 
-from .elliptic import (INFINITY, ECPoint, WeierstrassCurve, ec_add, ec_double, multiple,
-                       torsion_order_bounded)
 from .errors import ParseError
 from .rationals import (MAX_COEFFICIENT_DIGITS, TOO_LONG, bounded_rational, read_integer,
                         read_rationals)
+from .weierstrass import Point, WeierstrassCurve, torsion_order_bounded
 
 # each op's number of arguments, and the usage error when it differs
 ARITY = {
@@ -23,16 +27,19 @@ ARITY = {
 }
 
 
-def _parse_point(text: str) -> ECPoint:
+def _parse_point(text: str, kind: type[Point] = Point) -> Point:
+    """The point `text` as a `kind`: a Point keeps its coordinates as
+    read, ints or Fractions, and an `elliptic.ECPoint` makes them
+    Fractions."""
     cleaned = text.strip()
     if cleaned.lower() in ("inf", "infinity", "o"):
-        return INFINITY
+        return kind(None, None)
     if not (cleaned.startswith("(") and cleaned.endswith(")")):
         raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}")
     body = cleaned[1:-1]
     if body.count(",") != 1:
         raise ParseError(f"point must have two coordinates, got {text!r}")
-    return ECPoint(*read_rationals(body, "point coordinate"))
+    return kind(*read_rationals(body, "point coordinate"))
 
 
 def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
@@ -42,7 +49,7 @@ def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
     return WeierstrassCurve(c2=c2, c1=c1, c0=c0)
 
 
-def _point_json(point: ECPoint) -> dict | str:
+def _point_json(point: Point) -> dict | str:
     """The point's JSON form; a coordinate with a part of more than
     MAX_COEFFICIENT_DIGITS digits, which could not be printed, is a
     ParseError."""
@@ -70,13 +77,15 @@ def run(args) -> None:
             payload = {"order": order}
             text = f"order {order}"
     else:
+        from .elliptic import ECPoint, ec_add, ec_double, multiple
+
         if op == "add":
-            result = ec_add(curve, *map(_parse_point, args.args))
+            result = ec_add(curve, *(_parse_point(a, ECPoint) for a in args.args))
         elif op == "double":
-            result = ec_double(curve, _parse_point(args.args[0]))
+            result = ec_double(curve, _parse_point(args.args[0], ECPoint))
         else:
             n = read_integer(args.args[0], "multiplier")
-            point = _parse_point(args.args[1])
+            point = _parse_point(args.args[1], ECPoint)
             try:
                 result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)
             except OverflowError:  # too long to print, as `_point_json` would find

@@ -47,12 +47,16 @@ At the top this module imports only the standard library, `errors` and
 call runs beside this module, `errors`, `rationals` and its handler,
 and `_format` for --json:
 
-* `ec`: `elliptic` and `_record`, and `fractions`, but not the curve
-  grammar;
-* `sample`: `sampling`, `eta`, `_certificates`, `elliptic`, `polys` and
-  `_record`, but no curve spec and no closed rule, so neither `curves`
-  nor `eta_rules`; `polys` runs for the quartic of each draw and its
-  normal form, as `eta` decides on params alone without it;
+* `ec`: `weierstrass` and `_record`, but not the curve grammar.
+  `torsion` walks the point in integers there, and imports `fractions`
+  only for an entry of --curve or the point that is not an integer;
+  `add`, `double` and `multiple` run `elliptic` as well, whose group
+  law imports `fractions`;
+* `sample`: `sampling`, `eta`, `_certificates`, `elliptic`,
+  `weierstrass`, `polys` and `_record`, but no curve spec and no closed
+  rule, so neither `curves` nor `eta_rules`; `polys` runs for the
+  quartic of each draw and its normal form, as `eta` decides on params
+  alone without it;
 * `analyze` on an input that does not parse: `parser`, and nothing
   more, as `parser` reaches `curves` and `polys` only for a parsed
   curve;
@@ -61,9 +65,10 @@ and `_format` for --json:
   `picard`, `groups`, `_format` and `_record`), but not `polys`, which
   only y^2 = Q runs;
 * `analyze` on y^2 = Q: `polys` too; a Q that is not square-free stops
-  before the report.  Only a quartic runs `eta` and `elliptic`, which
-  import `fractions`: any other curve with integer coefficients runs
-  without it.
+  before the report.  Only a quartic runs `eta`, `elliptic` and
+  `weierstrass`, and `eta` and `elliptic` import `fractions`: any other
+  curve with integer coefficients, given by the grammar or by --coeffs,
+  runs without it.
 
 Output is deterministic: identical input and seed give byte-identical
 output.  JSON layouts are documented in docs/schema.json.

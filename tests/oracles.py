@@ -373,7 +373,7 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
     """build_quartic_model in Fraction arithmetic: the model from its
     roots (or, for k = 2, from the real root and the norm of the complex
     pair) and the marked points, each checked by `fraction_residual`."""
-    a, b, c = params.a, params.b, params.c
+    a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
     four_b2 = 4 * b * b
     if params.k == 0:
         curve = _fraction_curve_from_roots([-four_b2, (c - a) ** 2, (c + a) ** 2])

@@ -20,7 +20,8 @@ def test_cold_call_reports_the_modules_of_one_ec_call():
     assert (found["exit"], found["stdout"], found["stderr"]) == (0, "(1/4, -7/8)\n", "")
     assert found["executed"] == ["realcurves._cli_ec", "realcurves._record",
                                  "realcurves.cli", "realcurves.elliptic",
-                                 "realcurves.errors", "realcurves.rationals"]
+                                 "realcurves.errors", "realcurves.rationals",
+                                 "realcurves.weierstrass"]
     assert "realcurves.report" in found["unexecuted"]
     assert "fractions" in found["stdlib"] and "realcurves" not in found["stdlib"]
     assert found["source_bytes"] == {name: _source_bytes(name)
@@ -35,7 +36,7 @@ def test_prints_exit_code_and_module_lists():
     executed = ["realcurves._cli_analyze", "realcurves.cli", "realcurves.errors",
                 "realcurves.parser", "realcurves.rationals"]
     assert lines[1] == f"executed (5): {' '.join(executed)}"
-    assert lines[2].startswith("unexecuted (11): realcurves.cohomology ")
+    assert lines[2].startswith("unexecuted (12): realcurves.cohomology ")
     assert lines[3].startswith("stdlib (")
     # the bytes of source of each executed module, right-aligned, then the total
     sizes = [_source_bytes(name) for name in executed]

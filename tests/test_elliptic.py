@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcurves import (ECPoint, INFINITY, OffCurveError, SingularCurveError,
-                        WeierstrassCurve, ec_add, ec_double, multiple,
+import realcurves
+from realcurves import (ECPoint, INFINITY, OffCurveError, SampleBox, SingularCurveError,
+                        WeierstrassCurve, build_quartic_model, ec_add, ec_double, multiple,
                         torsion_order_bounded)
+from realcurves import elliptic, weierstrass
+from realcurves.sampling import PIN_A_EQ_C, PIN_B_ZERO, draw_params
+from realcurves.weierstrass import Point
 
 from oracles import (chord_add, fraction_discriminant, fraction_residual,
                      nagell_lutz_excludes_torsion, random_curve_with_points,
@@ -229,15 +233,26 @@ class TestTorsion:
             cases += [(curve, p) for p in pts]
         orders = set()
         for curve, p in cases:
-            for bound in (1, 3, 12, 40):
-                expected = stepwise_torsion_order(curve, p, bound)
-                assert torsion_order_bounded(curve, p, bound) == expected
-            orders.add(stepwise_torsion_order(curve, p, 12))
+            # at every bound up to 12 and past it, given and as read
+            expected = _oracle_by_bound(curve, p)
+            expected[40] = stepwise_torsion_order(curve, p, 40)
+            _assert_walk_matches(curve, p, expected)
+            orders.add(expected[12])
         assert orders == {None, *range(1, 11), 12}
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             torsion_order_bounded(CURVE_014, INFINITY, 0)
+
+
+def test_moved_names_resolve_through_elliptic_and_the_package():
+    # the curve and the torsion search live in `weierstrass`; `elliptic`
+    # and the package hand out the same objects
+    for name in ("WeierstrassCurve", "torsion_order_bounded"):
+        moved = getattr(weierstrass, name)
+        assert getattr(elliptic, name) is moved and getattr(realcurves, name) is moved
+    assert elliptic.WeierstrassCurve.require is weierstrass.WeierstrassCurve.require
+    assert issubclass(ECPoint, Point) and isinstance(INFINITY, Point)
 
 
 def _kubert(order: int, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -298,6 +313,104 @@ def _curves_and_points(draw):
     return (c2, c1, c0), point
 
 
+def _as_read(x: Fraction) -> int | Fraction:
+    """x as `read_rationals` reads its text: an int when it is one."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _walk_cases(curve: WeierstrassCurve, p: ECPoint):
+    """The curve and point as given, and as the command line reads them:
+    coefficients and coordinates that are integers as ints, in a
+    `weierstrass.Point`."""
+    read = WeierstrassCurve(*map(_as_read, (curve.c2, curve.c1, curve.c0)))
+    as_read = Point(None, None) if p.is_infinity else Point(_as_read(p.v), _as_read(p.u))
+    return (curve, p), (read, as_read)
+
+
+def _integral_image(curve: WeierstrassCurve, p: ECPoint) -> bool:
+    scale = curve._integral[0]
+    return (p.is_infinity or (scale ** 2 % p.v.denominator == 0
+                              and scale ** 3 % p.u.denominator == 0))
+
+
+def _scaled_cases(rng: random.Random):
+    """Curves with L > 1: the image under v -> v/s^2, u -> u/s^3 of
+    integral curves through integer points (torsion and not) and of
+    random rational curves, with each point and its double."""
+    bases = [(WeierstrassCurve(0, 0, 1), ECPoint(2, 3)),      # order 6
+             (WeierstrassCurve(0, 4, 0), ECPoint(2, 4)),      # order 4
+             (WeierstrassCurve(0, 0, -432), ECPoint(12, 36)),  # order 3
+             (CURVE_014, ECPoint(-4, 0)),                     # order 2
+             (WeierstrassCurve(0, -1, 1), ECPoint(0, 1))]     # infinite order
+    for _ in range(6):
+        curve, pts = random_curve_with_points(rng)
+        bases += [(curve, p) for p in pts]
+    for curve, p in bases:
+        for s in (F(1, 2), F(1, 3), F(2, 3), F(1, 6)):
+            moved = WeierstrassCurve(curve.c2 * s ** 2, curve.c1 * s ** 4,
+                                     curve.c0 * s ** 6)
+            image = ECPoint(p.v * s ** 2, p.u * s ** 3)
+            yield from ((moved, multiple(moved, m, image)) for m in (1, 2))
+
+
+def _oracle_by_bound(curve: WeierstrassCurve, p: ECPoint) -> dict:
+    """`stepwise_torsion_order` at every bound from 1 to 12.  Its loop at
+    a bound is the first part of its loop at 12, so a point with no
+    order up to 12 has none at any bound; a torsion point is searched
+    again at each bound."""
+    order = stepwise_torsion_order(curve, p, 12)
+    return {bound: order if order is None else stepwise_torsion_order(curve, p, bound)
+            for bound in range(1, 13)}
+
+
+def _assert_walk_matches(curve: WeierstrassCurve, p: ECPoint, expected_by_bound: dict):
+    """The integer walk gives the oracle's answer at each bound, on the
+    curve and point as given and as the command line reads them."""
+    for case in _walk_cases(curve, p):
+        for bound, expected in expected_by_bound.items():
+            assert torsion_order_bounded(*case, bound) == expected, (curve, p, bound)
+
+
+class TestTorsionWalkCensus:
+    """The integer walk of `weierstrass.torsion_order_bounded` against
+    `oracles.stepwise_torsion_order`, which adds the point to itself in
+    Fractions with no Nagell-Lutz exit, at every bound from 1 to 12.
+    `TestTorsion.test_matches_stepwise_search` holds the Tate normal
+    forms of every order."""
+
+    def test_sampler_models(self):
+        rng = random.Random(43)
+        orders = []
+        for k in (0, 2, 4):
+            for pin in (None, PIN_B_ZERO, PIN_A_EQ_C):
+                box = SampleBox(k=k, pin=pin)
+                for _ in range(334):
+                    model = build_quartic_model(draw_params(rng, box))
+                    expected = _oracle_by_bound(model.curve, model.p)
+                    _assert_walk_matches(model.curve, model.p, expected)
+                    orders.append(expected[12])
+        assert len(orders) >= 3000
+        assert set(orders) >= {None, 2}
+
+    def test_curves_with_denominators(self):
+        # L > 1 on every curve, with points whose images on the integral
+        # model are integral (their denominators divide L^2 and L^3) and
+        # points whose images are not
+        integral = fractional = 0
+        orders = set()
+        for curve, p in _scaled_cases(random.Random(47)):
+            assert curve._integral[0] > 1
+            expected = _oracle_by_bound(curve, p)
+            _assert_walk_matches(curve, p, expected)
+            orders.add(expected[12])
+            if _integral_image(curve, p):
+                integral += 1
+            else:
+                fractional += 1
+        assert integral >= 100 and fractional >= 40
+        assert orders == {None, 1, 2, 3, 4, 6}
+
+
 class TestIntegerChecks:
     """The curve's discriminant and membership tests run on integers;
     they must agree with the Fraction formulas exactly."""
@@ -333,6 +446,20 @@ class TestGuards:
             ec_add(CURVE_014, bad, INFINITY)
         # u^2 - (v^3 + 3v^2 - 4v) at (2, 2)
         assert exc.value.residual == 4 - (8 + 12 - 8)
+
+    def test_residual_is_an_int_on_ints_only(self):
+        # as the walk reads the command line's integers: no Fraction built
+        curve = WeierstrassCurve(0, -1, 1)
+        with pytest.raises(OffCurveError) as exc:
+            torsion_order_bounded(curve, Point(0, 2), 12)
+        assert (type(exc.value.residual), exc.value.residual) == (int, 3)
+        assert str(exc.value) == "point (0, 2) is not on the curve; residual 3"
+        for other_curve, point in ((curve, ECPoint(0, 2)), (curve, Point(0, F(2))),
+                                   (WeierstrassCurve(0, F(-1), 1), Point(0, 2))):
+            with pytest.raises(OffCurveError) as exc:
+                other_curve.require(point)
+            assert (type(exc.value.residual), exc.value.residual) == (Fraction, 3)
+            assert str(exc.value) == "point (0, 2) is not on the curve; residual 3"
 
     def test_singular_curve_rejected(self):
         with pytest.raises(SingularCurveError):

@@ -35,15 +35,42 @@ def _run(script: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# what a cold `ec` call leaves unexecuted: `cli` takes its exceptions
+# from `errors` and its number readers from `rationals`, so `ec` runs
+# none of parser, curves and polys
+NO_EC_GROUP_LAW = ["realcurves.cohomology", "realcurves.curves", "realcurves.elliptic",
+                   "realcurves.eta", "realcurves.eta_rules", "realcurves.groups",
+                   "realcurves.parser", "realcurves.picard", "realcurves.polys",
+                   "realcurves.report", "realcurves.sampling", "realcurves.witt"]
+FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
 def test_ec_executes_no_eta_report_or_sampling():
-    # `cli` takes its exceptions from `errors` and its number readers
-    # from `rationals`, so `ec` runs none of parser, curves and polys
+    # and an integral torsion call no group law and no `fractions`: the
+    # torsion walk computes on the integers as read, in `weierstrass`
     found = cold_call(["ec", "--curve", "0,-1,1", "torsion", "(0,1)", "--json"])
+    assert (found["exit"], found["unexecuted"]) == (0, NO_EC_GROUP_LAW)
+    assert found["executed"] == ["realcurves._cli_ec", "realcurves._format",
+                                 "realcurves._record", "realcurves.cli",
+                                 "realcurves.errors", "realcurves.rationals",
+                                 "realcurves.weierstrass"]
+    assert not FRACTIONS & set(found["stdlib"])
+
+
+@pytest.mark.parametrize("argv, group_law", [
+    (["--curve", "0,-1,1", "add", "(0,1)", "(1,1)"], True),
+    (["--curve", "0,-1,1", "double", "(0,1)"], True),
+    (["--curve", "0,-1,1", "multiple", "5", "(0,1)"], True),
+    (["--curve", "0,-1,1", "torsion", "(1/4,-7/8)"], False),
+    (["--curve", "0,-1/4,0", "torsion", "(0,0)"], False),
+], ids=("add", "double", "multiple", "rational-point", "rational-curve"))
+def test_group_law_and_rational_torsion_load_fractions(argv, group_law):
+    # the Fraction group law runs in `elliptic`; a rational torsion walk
+    # does not, but `read_rationals` built a Fraction
+    found = cold_call(["ec", *argv, "--json"])
     assert found["exit"] == 0
-    assert found["unexecuted"] == ["realcurves.cohomology", "realcurves.curves", "realcurves.eta",
-                                   "realcurves.eta_rules", "realcurves.groups",
-                                   "realcurves.parser", "realcurves.picard", "realcurves.polys",
-                                   "realcurves.report", "realcurves.sampling", "realcurves.witt"]
+    assert ("realcurves.elliptic" in found["executed"]) == group_law
+    assert FRACTIONS <= set(found["stdlib"])
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -73,16 +100,18 @@ def test_every_ec_path_runs_in_a_cold_process(argv, code, message):
 # what a cold `analyze` leaves unexecuted: a curve that the closed
 # rules decide needs no quartic machinery, a conic no polynomial code,
 # a rejected curve no report, and an input that does not parse no curve
-NO_QUARTIC = ["realcurves.elliptic", "realcurves.eta", "realcurves.sampling"]
+NO_QUARTIC = ["realcurves.elliptic", "realcurves.eta", "realcurves.sampling",
+              "realcurves.weierstrass"]
 NO_POLYS = ["realcurves.elliptic", "realcurves.eta", "realcurves.polys",
-            "realcurves.sampling"]
+            "realcurves.sampling", "realcurves.weierstrass"]
 NO_REPORT = ["realcurves.cohomology", "realcurves.elliptic", "realcurves.eta",
              "realcurves.eta_rules", "realcurves.groups", "realcurves.picard",
-             "realcurves.report", "realcurves.sampling", "realcurves.witt"]
+             "realcurves.report", "realcurves.sampling", "realcurves.weierstrass",
+             "realcurves.witt"]
 NO_CURVE = ["realcurves.cohomology", "realcurves.curves", "realcurves.elliptic",
             "realcurves.eta", "realcurves.eta_rules", "realcurves.groups",
             "realcurves.picard", "realcurves.polys", "realcurves.report",
-            "realcurves.sampling", "realcurves.witt"]
+            "realcurves.sampling", "realcurves.weierstrass", "realcurves.witt"]
 
 
 @pytest.mark.parametrize("text, code, unexecuted", [
@@ -96,6 +125,20 @@ def test_cold_analyze_runs_only_what_its_curve_needs(text, code, unexecuted):
     assert (found["exit"], found["unexecuted"]) == (code, unexecuted)
     # no Fraction is built or read, so no `fractions` and its `decimal`
     assert not {"argparse", "gettext", "fractions", "decimal"} & set(found["stdlib"])
+
+
+@pytest.mark.parametrize("coeffs, unexecuted", [
+    ("0,-1,0,1", NO_QUARTIC),
+    ("-2,0,0,0,0,0,+1", NO_QUARTIC),
+    ("1,0,1", NO_QUARTIC),
+    ("1,0,-2,0,1", NO_REPORT),
+], ids=("odd-degree", "degree-6", "degree-2", "not-square-free"))
+def test_integer_coeffs_load_no_fractions(coeffs, unexecuted):
+    # `read_rationals` reads an integer entry as an int, so --coeffs
+    # runs without `fractions`, as the grammar does on the same curve
+    found = cold_call(["analyze", "--json", "--coeffs", coeffs])
+    assert found["unexecuted"] == unexecuted
+    assert not FRACTIONS & set(found["stdlib"])
 
 
 def test_cold_parse_error_runs_only_the_grammar():
@@ -290,18 +333,21 @@ print(json.dumps([taken, rejected, str(rationals.read_rationals("1/3, -2", "x")[
 
 
 def test_read_rationals_builds_fractions_that_the_checks_take():
-    # `read_rationals` imports `fractions` and builds its Fractions, which
-    # `integer_form` and `elliptic.as_fraction` then take as they are
+    # `read_rationals` reads integer entries as ints and imports
+    # `fractions` at the first other entry; `integer_form` and
+    # `elliptic.as_fraction` take its Fractions as they are
     found = _run("""
 from realcurves import rationals
+ints = rationals.read_rationals("3, -4", "x")
 before = "fractions" in sys.modules
 values = rationals.read_rationals("1/2,3", "x")
 import fractions
 from realcurves.elliptic import as_fraction
-print(json.dumps([before, [type(v) is fractions.Fraction for v in values],
+print(json.dumps([[type(v) is int for v in ints], before,
+                  [type(v).__name__ for v in values],
                   rationals.integer_form(values), as_fraction(values[0]) is values[0]]))
 """)
-    assert found == [False, [True, True], [2, [1, 6]], True]
+    assert found == [[True, True], False, ["Fraction", "int"], [2, [1, 6]], True]
 
 
 def test_tracer_installs_on_an_unexecuted_package_and_restores_it():
@@ -347,9 +393,9 @@ identities = [
     realcurves.report.EtaAnalysis is realcurves.EtaAnalysis,
     cli.ParseError is realcurves.ParseError is realcurves.parser.ParseError,
     cli.HypothesisError is realcurves.HypothesisError is realcurves.curves.HypothesisError,
-    cli.OffCurveError is realcurves.OffCurveError is realcurves.elliptic.OffCurveError,
+    cli.OffCurveError is realcurves.OffCurveError is realcurves.weierstrass.OffCurveError,
     cli.SingularCurveError is realcurves.SingularCurveError
-    is realcurves.elliptic.SingularCurveError,
+    is realcurves.weierstrass.SingularCurveError,
     cli.InternalInconsistencyError is realcurves.InternalInconsistencyError
     is realcurves.report.InternalInconsistencyError,
 ]

@@ -355,6 +355,37 @@ class TestReadRationals:
         else:
             assert read_rationals(",".join(parts), "entry") == expected
 
+    @pytest.mark.parametrize("text, expected", [
+        ("+5", [5]), ("007", [7]), ("-0", [0]), (" 3 ", [3]),
+        ("1/2", [Fraction(1, 2)]), ("1.5", [Fraction(3, 2)]), ("1_000", [Fraction(1000)]),
+        ("+" + "9" * MAX_COEFFICIENT_DIGITS, [10 ** MAX_COEFFICIENT_DIGITS - 1]),
+        ("-" + "9" * MAX_COEFFICIENT_DIGITS, [1 - 10 ** MAX_COEFFICIENT_DIGITS]),
+        (" 4 , -2/4 ,+0.25", [4, Fraction(-1, 2), Fraction(1, 4)]),
+    ])
+    def test_integer_entries_read_as_ints(self, text, expected):
+        # an optional sign and digits make an int; every other entry,
+        # "1_000" too, is read by Fraction, as all entries were before
+        values = read_rationals(text, "entry")
+        assert values == expected
+        assert [type(v) for v in values] == [type(v) for v in expected]
+
+    @pytest.mark.parametrize("text, message", [
+        ("9" * 4301, "entry of 4301 characters is too long"),
+        ("1" + "0" * 4300, "entry of 4301 characters is too long"),
+        ("", "empty entry"),
+        ("2, ", "empty entry"),
+        ("1/0", "zero denominator in '1/0'"),
+        ("+", "not a rational: '+'"),
+        ("--3", "not a rational: '--3'"),
+        ("3/-1", "not a rational: '3/-1'"),
+        ("3, x", "not a rational: 'x'"),
+    ])
+    def test_errors_read_as_before(self, text, message):
+        # the messages of the Fraction reader, which every error still takes
+        with pytest.raises(ParseError) as exc:
+            read_rationals(text, "entry")
+        assert str(exc.value) == f"bad entry: {message}"
+
 
 _coefficients = st.one_of(
     st.just(Fraction(0)),

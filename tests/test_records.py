@@ -16,6 +16,7 @@ from realcurves import (Certificate, CohomologyDims, ConicClass, ConicSpec,
                         SearchStats, SingularCurveError, UniPoly, WeierstrassCurve)
 from realcurves._record import Record
 from realcurves.eta import QuarticModel
+from realcurves.weierstrass import Point
 
 F = Fraction
 INV = CurveInvariants(1, 2, 0, 2, 0)
@@ -41,6 +42,7 @@ RECORDS = {
                        "degree": None, "real_roots": None}),
     ConicClass: (("kind", "invariants"), ("ellipse", INV), ("parabola", INV), {}),
     ECPoint: (("v", "u"), (F(1), F(0)), (F(-1), F(0)), {}),
+    Point: (("v", "u"), (1, F(1, 2)), (-1, F(1, 2)), {}),
     WeierstrassCurve: (("c2", "c1", "c0"), (F(0), F(-1), F(0)),
                        (F(0), F(-4), F(0)), {}),
     Certificate: (("kind", "relation", "order", "cases_checked"),
@@ -97,7 +99,7 @@ def _subclasses(cls):
 def test_every_record_class_is_covered():
     # importing realcurves has imported every module of the package
     assert set(_subclasses(Record)) == set(RECORDS)
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 19
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
@@ -223,10 +225,29 @@ def test_int_params_match_their_fractions(k, a, b, c):
         assert ints.quartic() == other.quartic()
 
 
-def test_weierstrass_coefficients_become_fractions():
-    curve = WeierstrassCurve(0, -1, 0)
-    assert curve == CURVE
-    assert all(type(c) is Fraction for c in (curve.c2, curve.c1, curve.c0))
+def test_weierstrass_coefficients_are_kept_as_given():
+    # as in QuarticParams and ConicSpec: ints stay ints, Fractions stay
+    # Fractions, and equal values give equal curves
+    ints = WeierstrassCurve(0, -1, 0)
+    assert ints == CURVE and hash(ints) == hash(CURVE)
+    assert [type(c) for c in (ints.c2, ints.c1, ints.c0)] == [int] * 3
+    assert [type(c) for c in (CURVE.c2, CURVE.c1, CURVE.c0)] == [Fraction] * 3
+    assert ints._integral == CURVE._integral == (1, 0, -1, 0)
+    assert str(ints) == str(CURVE) == "u^2 = v^3 + (0)*v^2 + (-1)*v + (0)"
+    mixed = WeierstrassCurve(F(1, 2), 3, F(-1, 3))
+    assert (type(mixed.c1), mixed._integral) == (int, (6, 3, 18, -2))
+
+
+def test_points_keep_their_coordinates_and_ec_points_make_fractions():
+    point = Point(1, F(1, 2))
+    assert (type(point.v), type(point.u)) == (int, Fraction)
+    assert -point == Point(1, F(-1, 2)) and type(-point) is Point
+    assert str(point) == "(1, 1/2)" and str(Point(None, None)) == "Infinity"
+    ec_point = ECPoint(1, F(1, 2))
+    assert (type(ec_point.v), type(ec_point.u)) == (Fraction, Fraction)
+    assert type(-ec_point) is ECPoint and str(ec_point) == str(point)
+    # each class compares equal only to its own
+    assert ec_point != point and ECPoint(None, None) != Point(None, None)
 
 
 @pytest.mark.parametrize("build", [
@@ -241,6 +262,9 @@ def test_weierstrass_coefficients_become_fractions():
     lambda: ConicSpec(1, 0, 1, 0, 0, -1.0),
     lambda: QuarticParams(2, "1", 1, 2),
     lambda: QuarticParams(2, 1, 1.0, 2),
+    lambda: Point("0", 0),
+    lambda: Point(0, 0.5),
+    lambda: Point(None, F(1)),
 ])
 def test_strings_are_not_rationals(build):
     # a rational is an int or a Fraction; a string is not parsed, so it
@@ -259,3 +283,24 @@ def test_group_descriptor_folds_zn(zn, folded):
     group = GroupDescriptor(zn=zn, z2=1)
     assert group == folded
     assert group.zn == folded.zn
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuarticParams(2, True, 1, 2),
+    lambda: QuarticParams(2, F(1), False, 2),
+    lambda: WeierstrassCurve(True, 0, 1),
+    lambda: WeierstrassCurve(F(1, 2), 0, False),
+    lambda: UniPoly([1, True]),
+    lambda: UniPoly([F(1, 2), False, 1]),
+    lambda: ConicSpec(1, 0, 1, 0, 0, True),
+    lambda: ConicSpec(F(1, 2), False, 1, 0, 0, -1),
+    lambda: Point(True, 1),
+    lambda: ECPoint(F(1, 2), True),
+], ids=["params", "params-fraction", "curve", "curve-fraction", "poly", "poly-fraction",
+        "conic", "conic-fraction", "point", "ec-point"])
+def test_bools_are_not_rationals(build):
+    # a bool is an int subclass, but it would print as True or False:
+    # `integer_form` rejects it, beside ints and beside Fractions, and so
+    # does `elliptic.as_fraction`
+    with pytest.raises(TypeError, match="cannot interpret (True|False) as an exact"):
+        build()
