@@ -825,8 +825,8 @@ def fraction_discriminant(c2: Fraction, c1: Fraction, c0: Fraction) -> Fraction:
 def weierstrass_j_invariant(curve: WeierstrassCurve) -> Fraction:
     """j of u^2 = v^3 + c2 v^2 + c1 v + c0: c4^3 / Delta with
     c4 = 16 (c2^2 - 3 c1) and Delta = 16 disc, i.e.
-    256 (c2^2 - 3 c1)^3 / disc."""
-    c2, c1, c0 = curve.c2, curve.c1, curve.c0
+    256 (c2^2 - 3 c1)^3 / disc, in Fractions for int coefficients too."""
+    c2, c1, c0 = map(Fraction, (curve.c2, curve.c1, curve.c0))
     return 256 * (c2 * c2 - 3 * c1) ** 3 / fraction_discriminant(c2, c1, c0)
 
 

@@ -334,7 +334,7 @@ def _integral_image(curve: WeierstrassCurve, p: ECPoint) -> bool:
 
 
 def _scaled_cases(rng: random.Random):
-    """Curves with L > 1: the image under v -> v/s^2, u -> u/s^3 of
+    """Curves with L > 1: the image under v -> s^2 v, u -> s^3 u, s < 1, of
     integral curves through integer points (torsion and not) and of
     random rational curves, with each point and its double."""
     bases = [(WeierstrassCurve(0, 0, 1), ECPoint(2, 3)),      # order 6
