@@ -13,31 +13,28 @@ k of real roots of Q is read off the two signs.  With Q moved to
 x^4 + Px^2 + Cx + R, the Jacobian is the resolvent cubic of the
 quartic, u^2 = v^3 - 2Pv^2 + (P^2 - 4R)v + C^2, for every k, and
 p = (0, +-C).  eta = 1 exactly when p is a torsion point, and
-Mazur's theorem on rational torsion bounds the possible orders.  The
-decision procedure checks, exactly and in this order, the relation lists
+Mazur's theorem on rational torsion bounds the possible orders.
+
+The decision walks the multiples np of p once, by the group law, up to
+half the largest order that k admits: 4p, 6p and 4p for k = 0, 2 and
+4.  It stops at the first np that is either a 2-torsion point (u = 0),
+so that p has order 2n and the relation np = T names that point T by
+its v, or -(n-1)p, so that p has order 2n - 1 and the relation reads
+(2n-2)p = -p.  A torsion point of order N is thus decided at
+ceil(N/2) p and never reaches O.  The relation lists
 
     k = 0: (2n-1)p = p1, (2n-1)p = p2, 2np = p3 for n <= 2   (6 cases)
     k = 2: np = p1 for n <= 6, 2np = -p for n <= 4           (10 cases)
-    k = 4: np = p3 (or p1, depending on which 2-torsion point
-           shares the identity component with p) for n <= 4,
-           the even-order coincidences                       (4 cases)
+    k = 4: np = T for n <= 4, T the 2-torsion point on the
+           identity component, the largest root             (4 cases)
 
-The multiples i*p are computed once, incrementally, into one list.
-For k = 2 the relation 2np = -p is tested as (n+1)p = -np: both say
-(2n+1)p = O, and the second needs no multiple beyond the 6p that the
-np = p1 cases built, so 7p and 8p are never computed.  They would add
-nothing: p1 = (-4b^2, 0) is a rational 2-torsion point, and Mazur's
-theorem leaves no rational point of order 7 or 9 beside one, since
-Z/14 and Z/18 do not occur, so 6p = -p and 8p = -p never hold.
-A k = 4 search that matches none of its four cases then tests 2p = -p
-on the multiples it built: beside full rational 2-torsion Mazur allows
-one odd order, 3 (Z/2 x Z/6), and a match is a Known(1) answer with
-that relation, while a Known(0) certificate still lists the four cases.
-Every Known(1) answer carries the satisfied relation and the order of
-p, read off the same list extended until it holds the identity (the
-relation bounds the order by 12); every Known(0) answer carries the
-full list of relations that were excluded, so both are independently
-re-checkable.  Either way the highest multiple other than the identity
+are labels only: an exhausted walk, a Known(0) answer, carries its
+k's list as the cases it excluded, and a relation that the walk finds
+must be on that list, or, for k = 4, be 2p = -p: beside full rational
+2-torsion Mazur allows one odd order, 3 (Z/2 x Z/6).  Any other
+relation is an InternalInconsistencyError.  Every Known(1) answer
+carries the relation and the order of p, so both answers are
+independently re-checkable.  Either way the last multiple of the walk
 is checked to lie on the curve.
 
 Only the normal form and `QuarticParams.quartic` compute on polynomials.
@@ -95,12 +92,15 @@ class QuarticParams(Record):
     repr); the validity checks run on it, and `quartic` and
     `build_quartic_model` read it.  Three ints, as the sampler draws
     them, are their own integer form (1, a, b, c) and skip the call.
+    A k that is not an int, a bool too, is a TypeError.
     """
 
     _fields = ("k", "a", "b", "c")
     __slots__ = _fields + ("_integral",)
 
     def __init__(self, k: int, a: Rational, b: Rational, c: Rational):
+        if type(k) is not int:  # a bool too
+            raise TypeError(f"k must be an int, not {k!r}")
         if k not in _SIGNS:
             raise ValueError("k must be 0, 2, or 4")
         if type(a) is int and type(b) is int and type(c) is int:  # no bool
@@ -137,10 +137,12 @@ class SearchStats(Record, frozen=False):
     """Instrumentation for the bounded torsion search.
 
     k is the root count of the normal form that was searched; it stays
-    None when the quartic has no rational normal form.
-    relations_checked counts the relations tested up to a match; the
-    k = 4 test of 2p = -p counts only when it matches, so an exhausted
-    search has checked exactly its case list.
+    None when the quartic has no rational normal form.  case_list is
+    k's relation list.  relations_checked is the place of the matched
+    relation in that list, read as if the list were checked in order,
+    with the k = 4 relation 2p = -p fifth, or the length of the list
+    for an exhausted search.  max_multiple is n of the walk's last
+    multiple np.
     """
 
     __slots__ = _fields = ("k", "relations_checked", "max_multiple", "case_list")
@@ -156,21 +158,18 @@ class SearchStats(Record, frozen=False):
 class QuarticModel(Record):
     """Weierstrass model of the Jacobian with the marked points.
 
-    p is the class of the difference of the two points at infinity.  For
-    k = 4 `neutral_two_torsion` names whichever of p1/p3 lies on the
-    identity component together with p (decided by 4b^2 vs (c-a)^2);
-    it is None for k = 0 and k = 2.
+    p is the class of the difference of the two points at infinity, and
+    two_torsion maps the names p1, p2, p3 (p1 alone for k = 2) to the
+    rational 2-torsion points.
     """
 
-    __slots__ = _fields = ("curve", "p", "two_torsion", "neutral_two_torsion")
+    __slots__ = _fields = ("curve", "p", "two_torsion")
 
     def __init__(self, curve: WeierstrassCurve, p: ECPoint,
-                 two_torsion: dict[str, ECPoint],
-                 neutral_two_torsion: str | None):
+                 two_torsion: dict[str, ECPoint]):
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "two_torsion", two_torsion)
-        object.__setattr__(self, "neutral_two_torsion", neutral_two_torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,8 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     den3 = den2 * den
     four_b2 = 4 * b * b
     roots = {"p1": -four_b2}
-    neutral = None
     if params.k != 2:
         roots["p2"], roots["p3"] = sorted((sign_a * (c - a) ** 2, sign_a * (c + a) ** 2))
-        if params.k == 4:
-            neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
     zero = Fraction(0)
     curve = WeierstrassCurve(Fraction(-2 * big_p, den2),
                              Fraction(big_p * big_p - 4 * big_r, den2 * den2),
@@ -314,22 +310,28 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
                for name, root in roots.items()}
     for point in (p, *torsion.values()):
         curve.require(point)
-    return QuarticModel(curve=curve, p=p, two_torsion=torsion,
-                        neutral_two_torsion=neutral)
+    return QuarticModel(curve=curve, p=p, two_torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
 # Bounded torsion search
 # ---------------------------------------------------------------------------
 
-def _case_list(params: QuarticParams, model: QuarticModel) -> list[tuple[int, str]]:
-    if params.k == 0:
-        return [(1, "p1"), (1, "p2"), (2, "p3"),
-                (3, "p1"), (3, "p2"), (4, "p3")]
-    if params.k == 2:
-        return [(n, "p1") for n in range(1, 7)] + \
-               [(2 * n, "-p") for n in range(1, 5)]
-    return [(n, model.neutral_two_torsion) for n in range(1, 5)]
+# k -> the last multiple of the walk, half the largest order k admits
+_LAST_MULTIPLE = {0: 4, 2: 6, 4: 4}
+
+
+def _case_list(k: int, model: QuarticModel) -> tuple[str, ...]:
+    """The labels of k's relation list.  For k = 4 the target is the
+    2-torsion point on the identity component, the largest root."""
+    if k == 0:
+        cases = [(1, "p1"), (1, "p2"), (2, "p3"), (3, "p1"), (3, "p2"), (4, "p3")]
+    elif k == 2:
+        cases = [(n, "p1") for n in range(1, 7)] + [(2 * n, "-p") for n in range(1, 5)]
+    else:
+        torsion = model.two_torsion
+        cases = [(n, max(torsion, key=lambda name: torsion[name].v)) for n in range(1, 5)]
+    return tuple(_relation_string(n, target) for n, target in cases)
 
 
 def _relation_string(n: int, target: str) -> str:
@@ -340,20 +342,15 @@ def quartic_eta(q: polys.UniPoly, stats: SearchStats | None = None) -> EtaResult
     """Decide eta for y^2 = Q with Q a monic square-free rational quartic.
 
     Runs the normal-form search; without a rational factorization the
-    answer is Undetermined.  Otherwise the finite torsion case list is
-    checked with exact arithmetic, multiples of p computed incrementally
-    so that nothing beyond the listed relations is touched.  A k = 2
-    relation 2np = -p is tested as (n+1)p = -np, so that list stops at
-    6p: both say (2n+1)p = O, and the orders 7 and 9 of 6p = -p and
-    8p = -p are ruled out by Mazur beside the rational 2-torsion point
-    p1.  A k = 4 search that matches none of its cases tests 2p = -p
-    (order 3) last.  A matched relation then extends the same multiples
-    until one is the identity, which gives the order of p.  They come
-    from the unchecked group law, as the model's points are checked
-    once, when the model is built.  The search checks once that the
-    highest multiple it computed other than the identity is on the
-    curve, and a coincidence that the identity is reached by 12p; a
-    failure is an InternalInconsistencyError.
+    answer is Undetermined.  Otherwise the multiples np of p are walked
+    in exact arithmetic up to half the largest order that k admits, and
+    the walk stops at the first np that is 2-torsion (p has order 2n)
+    or equal to -(n-1)p (order 2n - 1), so no multiple past
+    ceil(order/2) p is computed.  The multiples come from the unchecked
+    group law, as the model's points are checked once, when the model is
+    built.  The walk checks once that its last multiple is on the curve,
+    and that a relation it finds is on k's relation list (or is 2p = -p
+    for k = 4); a failure is an InternalInconsistencyError.
     """
     params = quartic_normal_form(q)
     if params is None:
@@ -365,53 +362,42 @@ def eta_from_params(params: QuarticParams,
                     stats: SearchStats | None = None) -> EtaResult:
     model = build_quartic_model(params)
     curve, p = model.curve, model.p
-    cases = _case_list(params, model)
-    multiples: list[ECPoint] = [INFINITY]  # multiples[i] = i * p
-
-    checked: list[str] = []
-    for n, target_name in cases:
-        checked.append(_relation_string(n, target_name))
-        # 2mp = -p and (m+1)p = -mp both say (2m+1)p = O; the second needs
-        # no multiple beyond the 6p that the np = p1 cases built
-        opposite = target_name == "-p"
-        m = n // 2 + 1 if opposite else n
-        while len(multiples) <= m:
-            multiples.append(_add(curve, multiples[-1], p))
-        target = -multiples[m - 1] if opposite else model.two_torsion[target_name]
-        if multiples[m] == target:
-            break
+    cases = _case_list(params.k, model)
+    last = _LAST_MULTIPLE[params.k]
+    previous, point, n = INFINITY, p, 1  # (n-1)p and np
+    # on to the first np with 2np = O or (2n-1)p = O; p is affine, so
+    # the v of O never equals that of p and -O is never formed
+    while point.u and (point.v != previous.v or point.u != -previous.u) and n < last:
+        previous, point, n = point, _add(curve, point, p), n + 1
+    if not point.u:
+        order = 2 * n
+    elif point.v == previous.v and point.u == -previous.u:
+        order = 2 * n - 1
     else:
-        # k = 4 admits order 3 beside its full 2-torsion (Mazur's Z/2 x Z/6);
-        # the loop built 2p, so 2p = -p costs no group-law step.  An affine
-        # 2p with the v of p is -p, as 2p = p would make p = O
-        target = None
-        if params.k == 4 and multiples[2].v == p.v:
-            checked.append(_relation_string(2, "-p"))
-            target = multiples[2]
+        order = None
     if stats is not None:
         stats.k = params.k
-        stats.case_list = tuple(_relation_string(m, t) for m, t in cases)
-        stats.relations_checked = len(checked)
-        stats.max_multiple = len(multiples) - 1
-    # the order of p is the least n >= 1 with np = O.  A matched relation
-    # bounds it by 12 (np = T with 2T = O gives 2n, 2np = -p gives 2n + 1),
-    # so the list grows until it holds O, up to 12p
-    while (target is not None and len(multiples) <= 12
-           and not any(point.is_infinity for point in multiples[1:])):
-        multiples.append(_add(curve, multiples[-1], p))
-    top = max(n for n, point in enumerate(multiples) if not point.is_infinity)
-    if not curve.contains(multiples[top]):
-        search = "exhausted search" if target is None else "certified relation"
-        raise InternalInconsistencyError(f"{search} left the curve at {top}p")
-    if target is None:
-        return EtaResult(0, Certificate(TORSION_EXHAUSTED,
-                                        cases_checked=tuple(checked)))
-    orders = [n for n, point in enumerate(multiples) if n and point.is_infinity]
-    if not orders:
+        stats.case_list = cases
+        stats.max_multiple = n
+        stats.relations_checked = len(cases)
+    if not curve.contains(point):
+        search = "exhausted search" if order is None else "certified relation"
+        raise InternalInconsistencyError(f"{search} left the curve at {n}p")
+    if order is None:
+        return EtaResult(0, Certificate(TORSION_EXHAUSTED, cases_checked=cases))
+    if order % 2:
+        relation = _relation_string(order - 1, "-p")
+    else:
+        relation = _relation_string(n, next(
+            name for name, marked in model.two_torsion.items() if marked.v == point.v))
+    # k = 4 admits order 3 beside its full 2-torsion (Mazur's Z/2 x Z/6)
+    listed = cases + ("2p = -p",) if params.k == 4 else cases
+    if relation not in listed:
         raise InternalInconsistencyError(
-            f"certificate {checked[-1]!r} failed its self-check: no np = O up to 12p")
-    return EtaResult(1, Certificate(TORSION_COINCIDENCE,
-                                    relation=checked[-1], order=orders[0]))
+            f"relation {relation!r} is not on the k = {params.k} relation list")
+    if stats is not None:
+        stats.relations_checked = listed.index(relation) + 1
+    return EtaResult(1, Certificate(TORSION_COINCIDENCE, relation=relation, order=order))
 
 
 def __getattr__(name: str):

@@ -8,7 +8,9 @@ as well, since on an integer lattice they would otherwise be hit with
 visible frequency even though they have measure zero in parameter space.
 The pins force exactly those loci instead.  A box in which no draw is
 admissible, such as a generic box with amax = cmax = 1, is a ValueError,
-where the draw would loop forever.
+where the draw would loop forever.  k, the box bounds, the count and
+the seed are ints: any other value, a bool too, is a TypeError, as the
+JSON would otherwise write it as given and the seed name another stream.
 
 Each sample gets its own RNG stream seeded from (seed, index), so the
 output is a pure function of (seed, box, count) no matter how samples
@@ -35,6 +37,8 @@ class SampleBox(Record):
     def __init__(self, k: int | None = None,  # None: draw k uniformly from {0, 2, 4}
                  amax: int = 50, bmax: int = 50, cmax: int = 50,
                  pin: str | None = None):     # None | "b=0" | "a=c"
+        if any(type(v) is not int for v in (0 if k is None else k, amax, bmax, cmax)):
+            raise TypeError("k and the box bounds must be ints")
         if k not in (None, 0, 2, 4):
             raise ValueError("k must be 0, 2, or 4")
         if min(amax, cmax) < 1 or bmax < 0:
@@ -133,6 +137,8 @@ def run_sample(count: int, seed: int, box: SampleBox) -> SampleSummary:
     runs the full pipeline on it (normal-form recovery included), so the
     experiment exercises exactly the code path a user hits.
     """
+    if type(count) is not int or type(seed) is not int:
+        raise TypeError("count and seed must be ints")
     if count < 1:
         raise ValueError("count must be >= 1")
     summary = SampleSummary(count=count, seed=seed, box=box)

@@ -383,7 +383,6 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
             "p2": ECPoint((c - a) ** 2, 0),
             "p3": ECPoint((c + a) ** 2, 0),
         }
-        neutral = None
     elif params.k == 2:
         aa_cc = a * a - c * c
         norm2 = (c * c + a * a) ** 2
@@ -394,7 +393,6 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
         )
         p = ECPoint(0, 2 * b * (c * c + a * a))
         torsion = {"p1": ECPoint(-four_b2, 0)}
-        neutral = None
     else:
         curve = _fraction_curve_from_roots(
             [-four_b2, -((c - a) ** 2), -((c + a) ** 2)])
@@ -404,12 +402,21 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
             "p2": ECPoint(-((c + a) ** 2), 0),
             "p3": ECPoint(-((c - a) ** 2), 0),
         }
-        neutral = "p3" if four_b2 > (c - a) ** 2 else "p1"
     assert fraction_discriminant(curve.c2, curve.c1, curve.c0) != 0
     for point in (p, *torsion.values()):
         assert fraction_residual(curve, point) == 0
-    return QuarticModel(curve=curve, p=p, two_torsion=torsion,
-                        neutral_two_torsion=neutral)
+    return QuarticModel(curve=curve, p=p, two_torsion=torsion)
+
+
+def neutral_two_torsion(params: QuarticParams) -> str:
+    """For k = 4, the name of the 2-torsion point that shares the
+    identity component with p: p3 when 4b^2 > (c-a)^2, else p1 (equality
+    makes the quartic not square-free).  The rule that once chose the
+    target of the k = 4 relation list, kept as the reference for the
+    list's labels."""
+    assert params.k == 4
+    a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
+    return "p3" if 4 * b * b > (c - a) ** 2 else "p1"
 
 
 def _fraction_curve_from_roots(roots: list[Fraction]) -> WeierstrassCurve:

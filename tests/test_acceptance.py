@@ -21,8 +21,9 @@ from realcurves.cli import main
 from realcurves.curves import HyperellipticSpec
 from realcurves.sampling import SampleBox, draw_params, run_sample
 
-from oracles import (descartes_count_roots, poly_mul, random_curve_with_points,
-                     random_invariants, random_squarefree_poly, tangent_double)
+from oracles import (descartes_count_roots, neutral_two_torsion, poly_mul,
+                     random_curve_with_points, random_invariants,
+                     random_squarefree_poly, tangent_double)
 
 F = Fraction
 
@@ -159,7 +160,7 @@ def test_mazur_bounded_exhaustion():
             if k in mazur_case_lists:
                 assert stats.case_list == mazur_case_lists[k]
             else:
-                target = build_quartic_model(params).neutral_two_torsion
+                target = neutral_two_torsion(params)
                 assert stats.case_list == tuple(
                     f"{'' if n == 1 else n}p = {target}" for n in range(1, 5))
             assert len(stats.case_list) == {0: 6, 2: 10, 4: 4}[k]

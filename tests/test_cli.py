@@ -22,7 +22,7 @@ from realcurves._cli_ec import ARITY
 from realcurves.cli import _COMMANDS, _HELP, main
 from realcurves.parser import MAX_NESTING
 from realcurves.rationals import MAX_COEFFICIENT_DIGITS
-from realcurves.sampling import MAX_BOUND_DIGITS, draw_params
+from realcurves.sampling import MAX_BOUND_DIGITS, draw_params, run_sample
 
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import FIXTURE as GOLDEN_FIXTURE
@@ -37,6 +37,8 @@ cold_call = runpy.run_path(str(ROOT / "tools" / "cold_modules.py"))["cold_call"]
 # A sampler quartic (k = 0, a = 5, b = 2, c = 9) whose torsion search
 # runs to exhaustion: eta = 0.
 EXHAUSTED_QUARTIC = "y^2 = ((x+2)^2 + 25)*((x-2)^2 + 81)"
+# k = 0 with (a, b, c) = (8, 15/4, 2): 2p = p3, so p has order 4
+ORDER_FOUR_QUARTIC = "y^2 = ((4*x+15)^2 + 1024)*((4*x-15)^2 + 64)"
 
 
 def run(capsys, *argv):
@@ -395,12 +397,11 @@ class TestExitCodes:
         assert code == 0, err
 
     def test_internal_inconsistency_is_4(self, capsys, monkeypatch):
-        # a group law fault on an eta = 1 input: the relation p = p3 still
-        # matches, but no multiple of p up to 12p reaches O
-        monkeypatch.setattr(realcurves.eta, "_add",
-                            lambda curve, p, q: q if p.is_infinity else p)
-        code, _, err = run(capsys, "analyze", "y^2 = (x^2-1)*(x^2-9)")
-        assert code == 4 and "failed its self-check" in err
+        # a group law fault that makes 2p = -p on a k = 0 input: the walk
+        # finds order 3, which the k = 0 relation list does not hold
+        monkeypatch.setattr(realcurves.eta, "_add", lambda curve, p, q: -q)
+        code, _, err = run(capsys, "analyze", EXHAUSTED_QUARTIC)
+        assert code == 4 and "'2p = -p' is not on the k = 0 relation list" in err
 
     def test_search_leaving_the_curve_is_4(self, capsys, monkeypatch):
         # a group law fault is a failed self-check, not an off-curve input
@@ -415,11 +416,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault, expr, message", [
         ("lambda curve, p, q: ECPoint(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
          "exhausted search left the curve"),
-        ("lambda curve, p, q: q if p.is_infinity else p",
-         "y^2 = (x^2-1)*(x^2-9)", "failed its self-check"),
-        # p = p3 still matches, then the multiples leave the curve
-        ("lambda curve, p, q: q if p.is_infinity else ECPoint(p.v + 1, p.u)",
-         "y^2 = (x^2-1)*(x^2-9)", "certified relation left the curve at 12p"),
+        # 2p = -p, order 3, on a k = 0 input
+        ("lambda curve, p, q: -q", EXHAUSTED_QUARTIC,
+         "'2p = -p' is not on the k = 0 relation list"),
+        # 2p keeps u = 0 but moves off the curve: the coincidence is caught
+        # by the membership check before its v names a 2-torsion point
+        ("lambda curve, p, q, add=realcurves.eta._add: "
+         "ECPoint(add(curve, p, q).v + 1, add(curve, p, q).u)",
+         ORDER_FOUR_QUARTIC, "certified relation left the curve at 2p"),
     ], ids=("add", "order", "coincidence-off-curve"))
     def test_self_checks_hold_under_optimize(self, fault, expr, message):
         # group law faults, installed in a `python -O` process
@@ -808,6 +812,14 @@ class TestSample:
         code, out, _ = run(capsys, "sample", "--count", "5", "--seed", "2")
         assert code == 0
         assert "samples:" in out
+
+    @pytest.mark.parametrize("count, seed", [(True, 1), (1, True), (2, False),
+                                             (1.0, 1), (1, "1")])
+    def test_count_and_seed_must_be_ints(self, count, seed):
+        # True == 1, but it would be written as true and seed the stream
+        # "True:0" in place of "1:0"
+        with pytest.raises(TypeError, match="count and seed must be ints"):
+            run_sample(count, seed, SampleBox())
 
 
 class TestEc:

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -21,9 +23,9 @@ from realcurves.sampling import SampleBox, draw_params, run_sample
 
 from oracles import (chord_add, fraction_build_quartic_model,
                      fraction_normal_form_quartic, fraction_quartic_normal_form,
-                     has_rational_quadratic_split, pell_torsion_order, poly_mul,
-                     quartic_j_invariant, shift, stepwise_torsion_order,
-                     weierstrass_j_invariant)
+                     has_rational_quadratic_split, neutral_two_torsion,
+                     pell_torsion_order, poly_mul, quartic_j_invariant, shift,
+                     stepwise_torsion_order, weierstrass_j_invariant)
 
 
 def conic_inv(expr):
@@ -282,6 +284,30 @@ class TestPellOracle:
             assert (res.value, res.certificate.order) == \
                 (0 if order is None else 1, order), params
 
+    def test_census_of_small_monic_quartics(self):
+        """Every monic x^4 + a3 x^3 + a2 x^2 + a1 x + a0 with |a_i| <= 5:
+        the 64 square-free ones with a rational normal form get the Pell
+        oracle's eta and order.  The other square-free ones stay
+        undetermined; their count is pinned, and falls once quartics with
+        no normal form are decided."""
+        tally = Counter()
+        for a3, a2, a1, a0 in itertools.product(range(-5, 6), repeat=4):
+            q = UniPoly([a0, a1, a2, a3, 1])
+            try:
+                res = quartic_eta(q)
+            except ValueError:  # not square-free
+                tally["not square-free"] += 1
+                continue
+            if res.value is None:
+                tally["undetermined"] += 1
+                continue
+            order = pell_torsion_order(q)
+            assert (res.value, res.certificate.order) == \
+                (0 if order is None else 1, order), q
+            tally[order] += 1
+        assert tally == {"not square-free": 215, "undetermined": 14362,
+                         None: 50, 2: 10, 3: 4}
+
     def test_non_torsion_and_no_normal_form(self):
         assert pell_torsion_order(QuarticParams(k=0, a=1, b=1, c=2).quartic()) is None
         assert pell_torsion_order(UniPoly([1, 1, 0, 0, 1])) is None  # x^4 + x + 1
@@ -297,9 +323,12 @@ class TestModelBuilder:
         assert model.p.v == 0 and model.p.u == 0
 
     def test_k4_with_equal_parameters_marks_p3(self):
-        model = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(2), c=F(1)))
+        params = QuarticParams(k=4, a=F(1), b=F(2), c=F(1))
+        model = build_quartic_model(params)
         assert model.p == model.two_torsion["p3"]
-        assert model.neutral_two_torsion == "p3"
+        stats = SearchStats()
+        eta_from_params(params, stats=stats)
+        assert stats.case_list[0] == "p = p3" == f"p = {neutral_two_torsion(params)}"
 
     def test_k2_marked_points_on_curve(self):
         model = build_quartic_model(QuarticParams(k=2, a=F(1), b=F(1), c=F(1)))
@@ -389,10 +418,14 @@ class TestModelBuilder:
             assert params.quartic() == fraction_normal_form_quartic(params)
 
     def test_neutral_component_flips_with_inequality(self):
-        wide = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(5), c=F(2)))
-        assert wide.neutral_two_torsion == "p3"  # 4b^2 = 100 > 1
-        narrow = build_quartic_model(QuarticParams(k=4, a=F(1), b=F(1), c=F(8)))
-        assert narrow.neutral_two_torsion == "p1"  # 4 < 49
+        # the k = 4 label is the largest root: p3 = -(c-a)^2 when
+        # 4b^2 > (c-a)^2, else p1 = -4b^2
+        for params, target in ((QuarticParams(k=4, a=F(1), b=F(5), c=F(2)), "p3"),  # 100 > 1
+                               (QuarticParams(k=4, a=F(1), b=F(1), c=F(8)), "p1")):  # 4 < 49
+            stats = SearchStats()
+            eta_from_params(params, stats=stats)
+            assert stats.case_list == tuple(f"{n}p = {target}" for n in ("", 2, 3, 4))
+            assert neutral_two_torsion(params) == target
 
 
 class TestQuarticEta:
@@ -445,9 +478,9 @@ class TestQuarticEta:
     def test_k4_odd_order_point_exhausts_case_list(self):
         # (a,b,c) = (5,6,1) gives y^2 = (x+1)(x+11)(x-5)(x-7), where the
         # boundary class has order 3: div(-x^3-7x^2+49x+199+(x+7)y) works
-        # out to 3*P1 - 3*P2 (its norm is the constant 20736).  The point
-        # exhausts the four np = p3 relations, and the test of 2p = -p
-        # after them finds it
+        # out to 3*P1 - 3*P2 (its norm is the constant 20736).  The walk
+        # finds 2p = -p at 2p, which is fifth after the four np = p3
+        # relations of the k = 4 list
         params = QuarticParams(k=4, a=F(5), b=F(6), c=F(1))
         model = build_quartic_model(params)
         from realcurves import torsion_order_bounded
@@ -477,7 +510,7 @@ class TestQuarticEta:
         against an order of the Pell oracle, is the census in
         `TestPellOracle`."""
         rng = random.Random(101)
-        params = [QuarticParams(2, 2, -1, 2),  # 2p = -p, the list reaches 6p = O
+        params = [QuarticParams(2, 2, -1, 2),  # 2p = -p
                   quartic_normal_form(UniPoly([4, 0, 5, 0, 1])),
                   quartic_normal_form(UniPoly([9, 0, -10, 0, 1])),
                   QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)),
@@ -521,10 +554,10 @@ class TestQuarticEta:
             assert multiple(model.curve, n, model.p) != goal
 
     def test_k2_search_matches_literal_relation_check(self):
-        """The k = 2 search tests 2np = -p as (n+1)p = -np and computes
-        nothing beyond 6p; a literal check of the ten relations, in list
-        order, on multiples up to 8p built with `chord_add` must give the
-        same eta, relation, order and cases_checked."""
+        """The k = 2 walk computes nothing beyond 6p; a literal check of
+        the ten relations, in list order, on multiples up to 8p built with
+        `chord_add` must give the same eta, relation, order and
+        cases_checked."""
         relations = [(n, "p1") for n in range(1, 7)] + [(2 * n, "-p") for n in range(1, 5)]
         labels = tuple(f"{'' if n == 1 else n}p = {target}" for n, target in relations)
         rng = random.Random(211)
@@ -554,6 +587,72 @@ class TestQuarticEta:
                 expected, param
             seen.add(expected[1])
         assert {None, "p = p1", "2p = p1", "2p = -p"} <= seen
+
+    def test_labels_and_orders_of_raw_draws(self):
+        """3060 sampler draws, 340 of each k and pin, decided on their
+        params: eta and the order are the stepwise oracle's, an exhausted
+        search lists k's relations, and the k = 4 label is the 2-torsion
+        point of the old rule, p3 when 4b^2 > (c-a)^2, else p1.  The
+        draws include k = 4 ones whose label is p1: exhausted generic
+        ones and all of b = 0, where p = p1."""
+        lists = {0: ("p = p1", "p = p2", "2p = p3", "3p = p1", "3p = p2", "4p = p3"),
+                 2: tuple(f"{'' if n == 1 else n}p = p1" for n in range(1, 7))
+                 + ("2p = -p", "4p = -p", "6p = -p", "8p = -p")}
+        rng = random.Random(5003)
+        tally = Counter()
+        for k in (0, 2, 4):
+            for pin in (None, "b=0", "a=c"):
+                box = SampleBox(k=k, pin=pin)
+                for _ in range(340):
+                    params = draw_params(rng, box)
+                    stats = SearchStats()
+                    res = eta_from_params(params, stats=stats)
+                    model = build_quartic_model(params)
+                    order = stepwise_torsion_order(model.curve, model.p, 12)
+                    cert = res.certificate
+                    assert (res.value, cert.order) == \
+                        (0 if order is None else 1, order), params
+                    label = neutral_two_torsion(params) if k == 4 else None
+                    expected = lists.get(k) or tuple(
+                        f"{'' if n == 1 else n}p = {label}" for n in range(1, 5))
+                    assert stats.case_list == expected, params
+                    if res.value == 0:
+                        assert cert.cases_checked == expected
+                        assert stats.relations_checked == len(expected)
+                        assert stats.max_multiple == {0: 4, 2: 6, 4: 4}[k]
+                    else:
+                        assert cert.relation in expected + ("2p = -p",) * (k == 4)
+                        assert stats.max_multiple == (order + 1) // 2
+                    tally[k, pin, cert.relation, label] += 1
+        assert tally == {
+            (0, None, None, None): 340, (0, "b=0", "p = p1", None): 340,
+            (0, "a=c", "p = p2", None): 340,
+            (2, None, None, None): 340, (2, "b=0", "p = p1", None): 340,
+            (2, "a=c", None, None): 334, (2, "a=c", "p = p1", None): 2,
+            (2, "a=c", "2p = -p", None): 4,
+            (4, None, None, "p1"): 51, (4, None, None, "p3"): 289,
+            (4, "b=0", "p = p1", "p1"): 340, (4, "a=c", "p = p3", "p3"): 340}
+
+    @pytest.mark.parametrize("params, adds, outcome", [
+        (QuarticParams(0, 5, 2, 9), 3, (0, None, None)),
+        (QuarticParams(2, 1, 5, 4), 5, (0, None, None)),
+        (QuarticParams(4, 1, -4, 2), 3, (0, None, None)),
+        (QuarticParams(0, 1, 0, 2), 0, (1, "p = p1", 2)),
+        (QuarticParams(k=4, a=F(5), b=F(6), c=F(1)), 1, (1, "2p = -p", 3)),
+        (QuarticParams(k=0, a=F(8), b=F(15, 4), c=F(2)), 1, (1, "2p = p3", 4)),
+        (QuarticParams(2, 1, F(5, 4), 3), 1, (1, "2p = p1", 4))],
+        ids=("k0-exhausted", "k2-exhausted", "k4-exhausted", "order-2", "order-3",
+             "k0-order-4", "k2-order-4"))
+    def test_walk_stops_at_half_the_order(self, monkeypatch, params, adds, outcome):
+        # an exhausted walk adds p up to 4p, 6p or 4p; a torsion point of
+        # order N is decided at ceil(N/2) p, with no step past it
+        calls = []
+        monkeypatch.setattr(eta_module, "_add",
+                            lambda curve, p, q, add=eta_module._add:
+                            calls.append(q) or add(curve, p, q))
+        res = eta_from_params(params)
+        assert (res.value, res.certificate.relation, res.certificate.order) == outcome
+        assert len(calls) == adds
 
     def test_case_list_sizes_and_multiple_bounds(self):
         expected = {0: (6, 4), 2: (10, 6), 4: (4, 4)}

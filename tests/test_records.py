@@ -57,9 +57,9 @@ RECORDS = {
                   (2, 3, 4, ("p = p1",)), (2, 3, 5, ("p = p1",)),
                   {"k": None, "relations_checked": 0, "max_multiple": 0,
                    "case_list": ()}),
-    QuarticModel: (("curve", "p", "two_torsion", "neutral_two_torsion"),
-                   (CURVE, POINT, {"p1": POINT}, "p1"),
-                   (CURVE, POINT, {"p1": POINT}, None), {}),
+    QuarticModel: (("curve", "p", "two_torsion"),
+                   (CURVE, POINT, {"p1": POINT}),
+                   (CURVE, POINT, {"p3": POINT}), {}),
     EtaAnalysis: (("eta", "eta_complex"),
                   (EtaResult(1, Certificate("rule-conic-table")),
                    EtaResult(1, Certificate("rule-conic-table"))),
@@ -207,6 +207,14 @@ def test_sample_summaries_do_not_share_a_certificate_list():
     (lambda: QuarticParams(0, 1, 0, 1), ValueError),
     (lambda: QuarticParams(4, 1, 1, 3), ValueError),
     (lambda: QuarticParams(4, 1, -2, 3), ValueError),
+    # a bool is not an int here, as in `rationals.integer_form`
+    (lambda: QuarticParams(False, 1, 2, 3), TypeError),
+    (lambda: QuarticParams(2.0, 1, 2, 3), TypeError),
+    (lambda: SampleBox(k=False), TypeError),
+    (lambda: SampleBox(amax=True), TypeError),
+    (lambda: SampleBox(bmax=False), TypeError),
+    (lambda: SampleBox(cmax=True), TypeError),
+    (lambda: SampleBox(amax=50.0), TypeError),
 ])
 def test_validators_still_raise(build, error):
     with pytest.raises(error):
