@@ -27,7 +27,7 @@ _EXPORTS = {
     "cohomology": ("CohomologyDims", "etale_dims", "quotient_space_dims"),
     "curves": ("ConicClass", "ConicSpec", "CurveInvariants", "CurveSpec",
                "HyperellipticSpec", "classify_conic", "hyperelliptic_invariants"),
-    "elliptic": ("ECPoint", "INFINITY", "ec_add", "ec_double", "multiple"),
+    "elliptic": ("INFINITY", "ec_add", "ec_double", "multiple"),
     "errors": ("HypothesisError", "InternalInconsistencyError", "OffCurveError",
                "ParseError", "SingularCurveError"),
     "eta": ("QuarticParams", "SearchStats", "build_quartic_model", "eta_from_params",
@@ -41,7 +41,7 @@ _EXPORTS = {
     "rationals": (),
     "report": ("full_report",),
     "sampling": ("SampleBox", "SampleSummary", "run_sample"),
-    "weierstrass": ("WeierstrassCurve", "torsion_order_bounded"),
+    "weierstrass": ("Point", "WeierstrassCurve", "torsion_order_bounded"),
     "witt": ("witt_group",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

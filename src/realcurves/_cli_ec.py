@@ -6,10 +6,11 @@ This module owns the ops: `ARITY` names each one and its number of
 arguments, and `run` rejects any other op, before it reads --curve, as
 a usage error that names the ops.
 
-`torsion` walks the point as read, ints or Fractions, in integers on
-the curve's integral model (`weierstrass`), so an integral curve and
-point run without `fractions`.  Only `add`, `double` and `multiple`
-import `elliptic`, whose group law computes on Fractions."""
+Every op reads its points as `weierstrass.Point`s, with their
+coordinates as read, ints or Fractions.  `torsion` walks the point in
+integers on the curve's integral model (`weierstrass`), so an integral
+curve and point run without `fractions`.  Only `add`, `double` and
+`multiple` import `elliptic`, whose group law computes on Fractions."""
 
 from __future__ import annotations
 
@@ -27,19 +28,17 @@ ARITY = {
 }
 
 
-def _parse_point(text: str, kind: type[Point] = Point) -> Point:
-    """The point `text` as a `kind`: a Point keeps its coordinates as
-    read, ints or Fractions, and an `elliptic.ECPoint` makes them
-    Fractions."""
+def _parse_point(text: str) -> Point:
+    """The point `text`, with its coordinates as read."""
     cleaned = text.strip()
     if cleaned.lower() in ("inf", "infinity", "o"):
-        return kind(None, None)
+        return Point(None, None)
     if not (cleaned.startswith("(") and cleaned.endswith(")")):
         raise ParseError(f"point must be '(v,u)' or 'inf', got {text!r}")
     body = cleaned[1:-1]
     if body.count(",") != 1:
         raise ParseError(f"point must have two coordinates, got {text!r}")
-    return kind(*read_rationals(body, "point coordinate"))
+    return Point(*read_rationals(body, "point coordinate"))
 
 
 def _parse_curve_coeffs(text: str) -> WeierstrassCurve:
@@ -77,15 +76,15 @@ def run(args) -> None:
             payload = {"order": order}
             text = f"order {order}"
     else:
-        from .elliptic import ECPoint, ec_add, ec_double, multiple
+        from .elliptic import ec_add, ec_double, multiple
 
         if op == "add":
-            result = ec_add(curve, *(_parse_point(a, ECPoint) for a in args.args))
+            result = ec_add(curve, *map(_parse_point, args.args))
         elif op == "double":
-            result = ec_double(curve, _parse_point(args.args[0], ECPoint))
+            result = ec_double(curve, _parse_point(args.args[0]))
         else:
             n = read_integer(args.args[0], "multiplier")
-            point = _parse_point(args.args[1], ECPoint)
+            point = _parse_point(args.args[1])
             try:
                 result = multiple(curve, n, point, max_digits=MAX_COEFFICIENT_DIGITS)
             except OverflowError:  # too long to print, as `_point_json` would find

@@ -11,52 +11,28 @@ residual of the curve equation, and then iterate with the unchecked
 group law `_add`.
 
 The curve, `WeierstrassCurve`, with its discriminant and membership
-tests on integers, and the bounded torsion search, which walks the
-integral model in integers, live in `weierstrass`, which never imports
-`fractions`; this module re-exports both.  This module adds the points
-with Fraction coordinates, `ECPoint` and `INFINITY`, and the Fraction
-group law: `_add`, and `ec_add`, `ec_double` and `multiple`, which
-check their points first.
+tests on integers, the point, `Point`, and the bounded torsion search,
+which walks the integral model in integers, live in `weierstrass`,
+which never imports `fractions`; this module re-exports the curve and
+the search.  This module adds the Fraction group law: `_add`, and
+`ec_add`, `ec_double` and `multiple`, which check their points first.
+It takes the points as given, ints or Fractions: each slope is built as
+`Fraction(num, den)`, so every sum it computes has Fraction
+coordinates, and a mix of int and Fraction inputs stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import Rational
 # the curve and the torsion search, re-exported as `elliptic.<name>`
 from .weierstrass import Point, WeierstrassCurve, torsion_order_bounded
 
 
-def as_fraction(x: Rational) -> Fraction:
-    """An int or a Fraction as a Fraction; anything else, a bool too, is
-    a TypeError, as in `rationals.integer_form`."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and type(x) is not bool:
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+INFINITY = Point(None, None)
 
 
-class ECPoint(Point):
-    """A `weierstrass.Point` with Fraction coordinates, the point of the
-    group law: int coordinates become Fractions, and any other type is a
-    TypeError."""
-
-    __slots__ = ()
-
-    def __init__(self, v: Rational | None, u: Rational | None):
-        if not ((isinstance(v, Fraction) and isinstance(u, Fraction))
-                or (v is None and u is None)):
-            v, u = as_fraction(v), as_fraction(u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
-
-
-INFINITY = ECPoint(None, None)
-
-
-def ec_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+def ec_add(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
     """Chord-and-tangent sum; the identity is the point at infinity and
     -(v, u) = (v, -u).  Both operands are checked to lie on the curve."""
     curve.require(p)
@@ -64,13 +40,13 @@ def ec_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     return _add(curve, p, q)
 
 
-def ec_double(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
+def ec_double(curve: WeierstrassCurve, p: Point) -> Point:
     """2P via the tangent line; 2P is the identity exactly when u = 0."""
     curve.require(p)
     return _add(curve, p, p)
 
 
-def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+def _add(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
     """The group law with no membership check: p and q must lie on the
     curve, and then so does the result."""
     if p.is_infinity:
@@ -80,15 +56,15 @@ def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     if p.v == q.v:
         if p.u == -q.u:  # inverse pair, or a 2-torsion point doubled
             return INFINITY
-        slope = (3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1) / (2 * p.u)
+        slope = Fraction(3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1, 2 * p.u)
     else:
-        slope = (q.u - p.u) / (q.v - p.v)
+        slope = Fraction(q.u - p.u, q.v - p.v)
     v3 = slope * slope - curve.c2 - p.v - q.v
-    return ECPoint(v3, slope * (p.v - v3) - p.u)
+    return Point(v3, slope * (p.v - v3) - p.u)
 
 
-def multiple(curve: WeierstrassCurve, n: int, p: ECPoint,
-             max_digits: int | None = None) -> ECPoint:
+def multiple(curve: WeierstrassCurve, n: int, p: Point,
+             max_digits: int | None = None) -> Point:
     """nP by double-and-add; (-n)P = -(nP).
 
     With max_digits, an OverflowError as soon as an intermediate multiple
@@ -122,7 +98,7 @@ def multiple(curve: WeierstrassCurve, n: int, p: ECPoint,
     return acc
 
 
-def _height_bits(point: ECPoint) -> int:
+def _height_bits(point: Point) -> int:
     """The bit length of the larger part of v, 0 at infinity."""
     if point.is_infinity:
         return 0

@@ -52,7 +52,7 @@ from . import polys
 from ._certificates import (NON_RATIONAL_FACTORIZATION, TORSION_COINCIDENCE,
                             TORSION_EXHAUSTED, Certificate, EtaResult)
 from ._record import Record
-from .elliptic import ECPoint, INFINITY, WeierstrassCurve, _add
+from .elliptic import INFINITY, Point, WeierstrassCurve, _add
 from .errors import InternalInconsistencyError
 from .rationals import Rational, integer_form
 
@@ -165,8 +165,8 @@ class QuarticModel(Record):
 
     __slots__ = _fields = ("curve", "p", "two_torsion")
 
-    def __init__(self, curve: WeierstrassCurve, p: ECPoint,
-                 two_torsion: dict[str, ECPoint]):
+    def __init__(self, curve: WeierstrassCurve, p: Point,
+                 two_torsion: dict[str, Point]):
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "two_torsion", two_torsion)
@@ -305,8 +305,8 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     curve = WeierstrassCurve(Fraction(-2 * big_p, den2),
                              Fraction(big_p * big_p - 4 * big_r, den2 * den2),
                              Fraction(big_c * big_c, den3 * den3))
-    p = ECPoint(zero, Fraction(sign_c * big_c, den3))
-    torsion = {name: ECPoint(Fraction(root, den2), zero)
+    p = Point(zero, Fraction(sign_c * big_c, den3))
+    torsion = {name: Point(Fraction(root, den2), zero)
                for name, root in roots.items()}
     for point in (p, *torsion.values()):
         curve.require(point)
@@ -338,7 +338,7 @@ def _relation_string(n: int, target: str) -> str:
     return f"{'' if n == 1 else n}p = {target}"
 
 
-def quartic_eta(q: polys.UniPoly, stats: SearchStats | None = None) -> EtaResult:
+def quartic_eta(q: polys.UniPoly) -> EtaResult:
     """Decide eta for y^2 = Q with Q a monic square-free rational quartic.
 
     Runs the normal-form search; without a rational factorization the
@@ -355,7 +355,7 @@ def quartic_eta(q: polys.UniPoly, stats: SearchStats | None = None) -> EtaResult
     params = quartic_normal_form(q)
     if params is None:
         return EtaResult(None, Certificate(NON_RATIONAL_FACTORIZATION))
-    return eta_from_params(params, stats=stats)
+    return eta_from_params(params)
 
 
 def eta_from_params(params: QuarticParams,

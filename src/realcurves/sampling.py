@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from ._record import Record
-from .eta import EtaResult, QuarticParams, quartic_eta
+from .eta import QuarticParams, quartic_eta
 
 PIN_B_ZERO = "b=0"
 PIN_A_EQ_C = "a=c"
@@ -74,20 +74,19 @@ def _admits_draw(k: int, amax: int, bmax: int, cmax: int, pin: str | None) -> bo
     return k == 2 or bmax >= 1 and (k == 0 or bmax >= 2 or amax >= 2)
 
 
-class SampleSummary(Record, frozen=False):
+class SampleSummary(Record):
     __slots__ = _fields = ("count", "seed", "box", "known0", "known1",
                            "undetermined", "known1_certificates")
 
-    def __init__(self, count: int, seed: int, box: SampleBox, known0: int = 0,
-                 known1: int = 0, undetermined: int = 0,
-                 known1_certificates: list[dict] | None = None):
-        self.count = count
-        self.seed = seed
-        self.box = box
-        self.known0 = known0
-        self.known1 = known1
-        self.undetermined = undetermined
-        self.known1_certificates = [] if known1_certificates is None else known1_certificates
+    def __init__(self, count: int, seed: int, box: SampleBox, known0: int,
+                 known1: int, undetermined: int, known1_certificates: list[dict]):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "known0", known0)
+        object.__setattr__(self, "known1", known1)
+        object.__setattr__(self, "undetermined", undetermined)
+        object.__setattr__(self, "known1_certificates", known1_certificates)
 
     def to_json(self) -> dict:
         return {
@@ -141,25 +140,19 @@ def run_sample(count: int, seed: int, box: SampleBox) -> SampleSummary:
         raise TypeError("count and seed must be ints")
     if count < 1:
         raise ValueError("count must be >= 1")
-    summary = SampleSummary(count=count, seed=seed, box=box)
+    known0 = undetermined = 0
+    certificates = []
     for index in range(count):
         rng = random.Random(f"{seed}:{index}")
         params = draw_params(rng, box)
-        _tally(summary, index, params, quartic_eta(params.quartic()))
-    return summary
-
-
-def _tally(summary: SampleSummary, index: int, params: QuarticParams,
-           result: EtaResult) -> None:
-    if result.value == 0:
-        summary.known0 += 1
-    elif result.value == 1:
-        summary.known1 += 1
-        summary.known1_certificates.append({
-            "index": index,
-            **params.to_json(),
-            "relation": result.certificate.relation,
-            "order": result.certificate.order,
-        })
-    else:
-        summary.undetermined += 1
+        result = quartic_eta(params.quartic())
+        if result.value == 0:
+            known0 += 1
+        elif result.value == 1:
+            certificates.append({"index": index, **params.to_json(),
+                                 "relation": result.certificate.relation,
+                                 "order": result.certificate.order})
+        else:
+            undetermined += 1
+    return SampleSummary(count, seed, box, known0, len(certificates), undetermined,
+                         certificates)

@@ -4,9 +4,9 @@ bounded torsion search, all computed on integers.
 A curve keeps its coefficients as given, ints or Fractions, and beside
 them their integer form (L, N2, N1, N0) from `rationals.integer_form`,
 with c_i = N_i / L over L, the lcm of their denominators.  The
-discriminant and the membership test run on those integers.  A point
-keeps its coordinates as given too; `elliptic.ECPoint`, the point of the
-Fraction group law, is a `Point` whose coordinates are Fractions.
+discriminant and the membership test run on those integers.  A point,
+`Point`, the package's only point class, keeps its coordinates as given
+too, and `elliptic`'s Fraction group law takes and returns it.
 
 v = V / L^2 and u = U / L^3 take the curve to its integral model
 
@@ -18,8 +18,10 @@ ch. II), so the torsion search walks the multiples of a point there in
 integers.
 
 This module never imports `fractions`: it reads a Fraction only through
-its `numerator` and `denominator`, and builds one only for the residual
-of an off-curve error whose curve or point holds a Fraction already.
+its `numerator` and `denominator`, takes the class from `sys.modules`
+only to let a `Point` of two Fractions skip its check, and builds one
+only for the residual of an off-curve error whose curve or point holds
+a Fraction already.
 So a call on integers, such as `ec torsion` on an integral curve and
 point, runs without `fractions`, `decimal` and `numbers`.
 """
@@ -36,12 +38,15 @@ from .rationals import Rational, integer_form
 class Point(Record):
     """Either the point at infinity (both coordinates None) or an affine
     point (v, u) with int or Fraction coordinates, kept as given; any
-    other type is a TypeError."""
+    other type is a TypeError, from `rationals.integer_form`.  Two
+    Fractions, as the group law returns, skip that check."""
 
     __slots__ = _fields = ("v", "u")
 
     def __init__(self, v: Rational | None, u: Rational | None):
-        if v is not None or u is not None:
+        # no Fraction exists before `fractions` has run
+        fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
+        if (v is not None or u is not None) and not (type(v) is type(u) is fraction):
             integer_form((v, u))  # the type check
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)

@@ -35,9 +35,9 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from realcurves import (ConicSpec, CurveInvariants, ECPoint, GroupDescriptor,
-                        HypothesisError, INFINITY, ParseError, QuarticParams,
-                        UniPoly, WeierstrassCurve)
+from realcurves import (ConicSpec, CurveInvariants, GroupDescriptor, HypothesisError,
+                        INFINITY, ParseError, Point, QuarticParams, UniPoly,
+                        WeierstrassCurve)
 from realcurves.eta import QuarticModel
 from realcurves.curves import (ELLIPSE, GEOM_DISCONNECTED, HYPERBOLA,
                                IMAGINARY_ELLIPSE, LINE, PARABOLA, ConicClass)
@@ -375,13 +375,14 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
     pair) and the marked points, each checked by `fraction_residual`."""
     a, b, c = Fraction(params.a), Fraction(params.b), Fraction(params.c)
     four_b2 = 4 * b * b
+    zero = Fraction(0)
     if params.k == 0:
         curve = _fraction_curve_from_roots([-four_b2, (c - a) ** 2, (c + a) ** 2])
-        p = ECPoint(0, 2 * b * (c * c - a * a))
+        p = Point(zero, 2 * b * (c * c - a * a))
         torsion = {
-            "p1": ECPoint(-four_b2, 0),
-            "p2": ECPoint((c - a) ** 2, 0),
-            "p3": ECPoint((c + a) ** 2, 0),
+            "p1": Point(-four_b2, zero),
+            "p2": Point((c - a) ** 2, zero),
+            "p3": Point((c + a) ** 2, zero),
         }
     elif params.k == 2:
         aa_cc = a * a - c * c
@@ -391,16 +392,16 @@ def fraction_build_quartic_model(params: QuarticParams) -> QuarticModel:
             c1=norm2 - 2 * four_b2 * aa_cc,
             c0=four_b2 * norm2,
         )
-        p = ECPoint(0, 2 * b * (c * c + a * a))
-        torsion = {"p1": ECPoint(-four_b2, 0)}
+        p = Point(zero, 2 * b * (c * c + a * a))
+        torsion = {"p1": Point(-four_b2, zero)}
     else:
         curve = _fraction_curve_from_roots(
             [-four_b2, -((c - a) ** 2), -((c + a) ** 2)])
-        p = ECPoint(0, 2 * b * (c * c - a * a))
+        p = Point(zero, 2 * b * (c * c - a * a))
         torsion = {
-            "p1": ECPoint(-four_b2, 0),
-            "p2": ECPoint(-((c + a) ** 2), 0),
-            "p3": ECPoint(-((c - a) ** 2), 0),
+            "p1": Point(-four_b2, zero),
+            "p2": Point(-((c + a) ** 2), zero),
+            "p3": Point(-((c - a) ** 2), zero),
         }
     assert fraction_discriminant(curve.c2, curve.c1, curve.c0) != 0
     for point in (p, *torsion.values()):
@@ -773,7 +774,7 @@ def fraction_classify_conic(spec: ConicSpec) -> ConicClass:
 # Independent elliptic-curve arithmetic
 # ---------------------------------------------------------------------------
 
-def chord_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+def chord_add(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
     """Addition by explicit chord substitution: write the chord as
     u = m*v + q0, substitute into the curve equation, and divide the
     resulting cubic in v exactly by the two known intersection roots;
@@ -788,7 +789,7 @@ def chord_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
         if p.u == -q.u:
             return INFINITY
         return tangent_double(curve, p)
-    m = (q.u - p.u) / (q.v - p.v)
+    m = Fraction(q.u - p.u, q.v - p.v)
     q0 = p.u - m * p.v
     cubic = _intersection_cubic(curve, m, q0)
     quot1, rem1 = poly_divmod(cubic, UniPoly([-p.v, 1]))
@@ -796,23 +797,23 @@ def chord_add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     quot2, rem2 = poly_divmod(quot1, UniPoly([-q.v, 1]))
     assert rem2.is_zero
     v3 = -coefficient(quot2, 0)
-    return ECPoint(v3, -(m * v3 + q0))
+    return Point(v3, -(m * v3 + q0))
 
 
-def tangent_double(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
+def tangent_double(curve: WeierstrassCurve, p: Point) -> Point:
     """Doubling via the implicit-derivative tangent slope
     m = (3v^2 + 2 c2 v + c1)/(2u); tangency makes p.v a double root of
     the intersection cubic, so dividing by (v - p.v)^2 exposes the third
     abscissa."""
     if p.is_infinity or p.u == 0:
         return INFINITY
-    m = (3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1) / (2 * p.u)
+    m = Fraction(3 * p.v * p.v + 2 * curve.c2 * p.v + curve.c1, 2 * p.u)
     q0 = p.u - m * p.v
     cubic = _intersection_cubic(curve, m, q0)
     quot, rem = poly_divmod(cubic, UniPoly([p.v * p.v, -2 * p.v, 1]))
     assert rem.is_zero
     v3 = -coefficient(quot, 0)
-    return ECPoint(v3, -(m * v3 + q0))
+    return Point(v3, -(m * v3 + q0))
 
 
 def _intersection_cubic(curve: WeierstrassCurve, m: Fraction,
@@ -851,7 +852,7 @@ def quartic_j_invariant(q: UniPoly) -> Fraction:
     return 6912 * big_i ** 3 / (4 * big_i ** 3 - big_j ** 2)
 
 
-def fraction_residual(curve: WeierstrassCurve, point: ECPoint) -> Fraction:
+def fraction_residual(curve: WeierstrassCurve, point: Point) -> Fraction:
     """u^2 - (v^3 + c2 v^2 + c1 v + c0) in Fractions; 0 at infinity."""
     if point.is_infinity:
         return Fraction(0)
@@ -859,7 +860,7 @@ def fraction_residual(curve: WeierstrassCurve, point: ECPoint) -> Fraction:
     return u * u - (((v + curve.c2) * v + curve.c1) * v + curve.c0)
 
 
-def stepwise_torsion_order(curve: WeierstrassCurve, p: ECPoint,
+def stepwise_torsion_order(curve: WeierstrassCurve, p: Point,
                            bound: int) -> int | None:
     """The smallest n <= min(bound, 12) with nP = Infinity, by adding P
     to itself with `chord_add` up to that bound and nothing else."""
@@ -875,7 +876,7 @@ def stepwise_torsion_order(curve: WeierstrassCurve, p: ECPoint,
 # Nagell-Lutz screening
 # ---------------------------------------------------------------------------
 
-def nagell_lutz_excludes_torsion(curve: WeierstrassCurve, p: ECPoint) -> bool:
+def nagell_lutz_excludes_torsion(curve: WeierstrassCurve, p: Point) -> bool:
     """True when the point is certainly NOT torsion.
 
     Scaling (v, u) -> (L^2 v, L^3 u) with L the lcm of the coefficient
@@ -1087,7 +1088,7 @@ def random_curve_with_points(rng: random.Random, span: int = 9):
             curve = curve_through(points)
         except SingularCurveError:
             continue
-        return curve, [ECPoint(v, u) for v, u in points]
+        return curve, [Point(v, u) for v, u in points]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import functools
+import hashlib
 import json
 import random
 import time
@@ -26,6 +27,8 @@ from oracles import (descartes_count_roots, neutral_two_torsion, poly_mul,
                      random_squarefree_poly, tangent_double)
 
 F = Fraction
+# sha256 of the output of `sample --count 10000 --seed 1 --json`
+SAMPLE_SEED_1_SHA256 = "edbe89314251daa1c9723efe7e6a5d123d6eae70abca871f1e34674647c642a4"
 
 
 def criterion(number, description):
@@ -232,6 +235,8 @@ def test_measure_zero_proxy(capsys):
     elapsed = time.monotonic() - started
     out = capsys.readouterr().out
     assert code == 0
+    # the output rule: every change so far has printed these bytes
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SEED_1_SHA256
     payload = json.loads(out)
     freq = payload["frequencies"]
     assert freq["known0"] + freq["known1"] + freq["undetermined"] == 10000

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import realcurves.eta
-from realcurves import ECPoint, QuarticParams, SampleBox
+from realcurves import Point, QuarticParams, SampleBox
 from realcurves._cli_ec import ARITY
 from realcurves.cli import _COMMANDS, _HELP, main
 from realcurves.parser import MAX_NESTING
@@ -409,12 +409,12 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["eta"]["certificate"]["kind"] == \
             "torsion-exhausted"
         monkeypatch.setattr(realcurves.eta, "_add",
-                            lambda curve, p, q: ECPoint(q.v, q.u + 1))
+                            lambda curve, p, q: Point(q.v, q.u + 1))
         code, _, err = run(capsys, "analyze", EXHAUSTED_QUARTIC)
         assert code == 4 and "exhausted search left the curve" in err
 
     @pytest.mark.parametrize("fault, expr, message", [
-        ("lambda curve, p, q: ECPoint(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
+        ("lambda curve, p, q: Point(q.v, q.u + 1)", EXHAUSTED_QUARTIC,
          "exhausted search left the curve"),
         # 2p = -p, order 3, on a k = 0 input
         ("lambda curve, p, q: -q", EXHAUSTED_QUARTIC,
@@ -422,7 +422,7 @@ class TestExitCodes:
         # 2p keeps u = 0 but moves off the curve: the coincidence is caught
         # by the membership check before its v names a 2-torsion point
         ("lambda curve, p, q, add=realcurves.eta._add: "
-         "ECPoint(add(curve, p, q).v + 1, add(curve, p, q).u)",
+         "Point(add(curve, p, q).v + 1, add(curve, p, q).u)",
          ORDER_FOUR_QUARTIC, "certified relation left the curve at 2p"),
     ], ids=("add", "order", "coincidence-off-curve"))
     def test_self_checks_hold_under_optimize(self, fault, expr, message):
@@ -430,7 +430,7 @@ class TestExitCodes:
         script = "\n".join((
             "import sys",
             "import realcurves.eta",
-            "from realcurves import ECPoint",
+            "from realcurves import Point",
             "from realcurves.cli import main",
             "if __debug__:",
             "    sys.exit('assertions are enabled')",

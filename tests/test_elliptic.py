@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realcurves
-from realcurves import (ECPoint, INFINITY, OffCurveError, SampleBox, SingularCurveError,
+from realcurves import (INFINITY, OffCurveError, Point, SampleBox, SingularCurveError,
                         WeierstrassCurve, build_quartic_model, ec_add, ec_double, multiple,
                         torsion_order_bounded)
 from realcurves import elliptic, weierstrass
 from realcurves.sampling import PIN_A_EQ_C, PIN_B_ZERO, draw_params
-from realcurves.weierstrass import Point
 
 from oracles import (chord_add, fraction_discriminant, fraction_residual,
                      nagell_lutz_excludes_torsion, random_curve_with_points,
@@ -21,7 +20,7 @@ F = Fraction
 
 # u^2 = v(v-1)(v+4) = v^3 + 3v^2 - 4v
 CURVE_014 = WeierstrassCurve(c2=3, c1=-4, c0=0)
-TWO_TORSION_014 = [ECPoint(0, 0), ECPoint(1, 0), ECPoint(-4, 0)]
+TWO_TORSION_014 = [Point(0, 0), Point(1, 0), Point(-4, 0)]
 
 
 class TestBasicLaw:
@@ -78,8 +77,9 @@ class TestOracleAgreement:
 
 
 class TestIntCoordinates:
-    """Int coordinates become Fractions in `ECPoint`, so the group law
-    never divides an int by an int and its results are exact."""
+    """A `Point` keeps int coordinates as ints, and the group law builds
+    each slope as a Fraction of its numerator and denominator, so it
+    never divides an int by an int and its sums are exact Fractions."""
 
     CURVE = WeierstrassCurve(0, -1, 1)  # u^2 = v^3 - v + 1
 
@@ -88,11 +88,11 @@ class TestIntCoordinates:
         assert type(point.v) is Fraction and type(point.u) is Fraction, point
 
     def test_group_law_returns_fractions(self):
-        curve, p, q = self.CURVE, ECPoint(0, 1), ECPoint(1, 1)
-        self.assert_fractions(p)
+        curve, p, q = self.CURVE, Point(0, 1), Point(1, 1)
+        assert type(p.v) is int and type(p.u) is int
         total = ec_add(curve, p, q)
         self.assert_fractions(total)
-        assert total == chord_add(curve, p, q) == ECPoint(F(-1), F(-1))
+        assert total == chord_add(curve, p, q) == Point(F(-1), F(-1))
         double = ec_double(curve, p)
         self.assert_fractions(double)
         assert double == chord_add(curve, p, p)
@@ -104,14 +104,26 @@ class TestIntCoordinates:
             self.assert_fractions(got)
             assert got == expected, n
 
+    def test_mixed_int_and_fraction_coordinates(self):
+        # (0, 1) with ints and (1, 1) with one Fraction, on a curve with a
+        # Fraction coefficient: every sum equals the all-Fraction one
+        curve = WeierstrassCurve(0, F(-1), 1)
+        mixed = (Point(0, 1), Point(F(1), 1))
+        fractions = (Point(F(0), F(1)), Point(F(1), F(1)))
+        assert ec_add(curve, *mixed) == ec_add(curve, *fractions) == Point(F(-1), F(-1))
+        for n in (2, 3, -5):
+            got = multiple(curve, n, mixed[1])
+            self.assert_fractions(got)
+            assert got == multiple(curve, n, fractions[1]), n
+
     def test_torsion_search_on_int_points(self):
         # (2, 3) on u^2 = v^3 + 1 has order 6; (0, 1) above has infinite order
-        for curve, point in ((WeierstrassCurve(0, 0, 1), ECPoint(2, 3)),
-                             (self.CURVE, ECPoint(0, 1)),
-                             (CURVE_014, ECPoint(-4, 0))):
+        for curve, point in ((WeierstrassCurve(0, 0, 1), Point(2, 3)),
+                             (self.CURVE, Point(0, 1)),
+                             (CURVE_014, Point(-4, 0))):
             assert torsion_order_bounded(curve, point, 12) == \
                 stepwise_torsion_order(curve, point, 12)
-        assert torsion_order_bounded(WeierstrassCurve(0, 0, 1), ECPoint(2, 3), 12) == 6
+        assert torsion_order_bounded(WeierstrassCurve(0, 0, 1), Point(2, 3), 12) == 6
 
 
 class TestGroupAxioms:
@@ -147,7 +159,7 @@ class TestGroupAxioms:
         # when nP's coordinates have parts of at most max_digits digits;
         # 121(0,1) on u^2 = v^3 - v + 1 is the last multiple that fits 4300
         rng = random.Random(41)
-        cases = [(WeierstrassCurve(0, -1, 1), ECPoint(0, 1), 4300, range(100, 131))]
+        cases = [(WeierstrassCurve(0, -1, 1), Point(0, 1), 4300, range(100, 131))]
         for _ in range(8):
             curve, pts = random_curve_with_points(rng)
             cases += [(curve, p, 20, range(-30, 31)) for p in pts]
@@ -190,7 +202,7 @@ class TestTorsion:
                 curve = WeierstrassCurve(c2=c2, c1=c1, c0=c0)
             except SingularCurveError:
                 continue
-            q = multiple(curve, 2, ECPoint(v0, u0))
+            q = multiple(curve, 2, Point(v0, u0))
             if q.is_infinity:
                 continue
             if nagell_lutz_excludes_torsion(curve, q):
@@ -218,10 +230,10 @@ class TestTorsion:
         for a1, a3 in ((F(1), F(1)), (F(1, 2), F(-3)), (F(-4, 3), F(5, 7))):
             # y^2 + a1 xy + a3 y = x^3: (0, 0) has order 3
             curve = WeierstrassCurve(a1 * a1 / 4, a1 * a3 / 2, a3 * a3 / 4)
-            cases.append((curve, ECPoint(F(0), a3 / 2)))
+            cases.append((curve, Point(F(0), a3 / 2)))
         # L = 3, and the order-3 point's v-denominator 9 divides L^2 but
         # not L: an exit that tested L*v for integrality would stop at 1p
-        cases.append((WeierstrassCurve(F(47, 3), F(1, 3), F(0)), ECPoint(F(1, 9), F(13, 27))))
+        cases.append((WeierstrassCurve(F(47, 3), F(1, 3), F(0)), Point(F(1, 9), F(13, 27))))
         for order in (4, 5, 6, 7, 8, 9, 10, 12):
             for t in (F(2), F(-2, 3), F(5, 4), F(7, 3)):
                 curve, p = _tate_normal_form(*_kubert(order, t))
@@ -252,7 +264,11 @@ def test_moved_names_resolve_through_elliptic_and_the_package():
         moved = getattr(weierstrass, name)
         assert getattr(elliptic, name) is moved and getattr(realcurves, name) is moved
     assert elliptic.WeierstrassCurve.require is weierstrass.WeierstrassCurve.require
-    assert issubclass(ECPoint, Point) and isinstance(INFINITY, Point)
+    # one point class, `weierstrass.Point`, which `elliptic` defines no
+    # subclass of
+    assert type(INFINITY) is Point and realcurves.Point is Point
+    assert not [value for value in vars(elliptic).values()
+                if isinstance(value, type) and value.__module__ == elliptic.__name__]
 
 
 def _kubert(order: int, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -282,12 +298,12 @@ def _kubert(order: int, t: Fraction) -> tuple[Fraction, Fraction]:
     return c * d, c
 
 
-def _tate_normal_form(b: Fraction, c: Fraction) -> tuple[WeierstrassCurve, ECPoint]:
+def _tate_normal_form(b: Fraction, c: Fraction) -> tuple[WeierstrassCurve, Point]:
     """y^2 + (1-c)xy - by = x^3 - bx^2 with u = y + ((1-c)x - b)/2, and
     the image of (0, 0)."""
     a1 = 1 - c
     curve = WeierstrassCurve(-b + a1 * a1 / 4, -a1 * b / 2, b * b / 4)
-    return curve, ECPoint(F(0), -b / 2)
+    return curve, Point(F(0), -b / 2)
 
 
 _rationals = st.fractions(min_value=-30, max_value=30, max_denominator=16)
@@ -309,7 +325,7 @@ def _curves_and_points(draw):
     else:
         c2, c1 = draw(_rationals), draw(_rationals)
         c0 = u * u - ((v + c2) * v + c1) * v
-    point = INFINITY if draw(st.integers(0, 9)) == 0 else ECPoint(v, u)
+    point = INFINITY if draw(st.integers(0, 9)) == 0 else Point(v, u)
     return (c2, c1, c0), point
 
 
@@ -318,7 +334,7 @@ def _as_read(x: Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _walk_cases(curve: WeierstrassCurve, p: ECPoint):
+def _walk_cases(curve: WeierstrassCurve, p: Point):
     """The curve and point as given, and as the command line reads them:
     coefficients and coordinates that are integers as ints, in a
     `weierstrass.Point`."""
@@ -327,7 +343,7 @@ def _walk_cases(curve: WeierstrassCurve, p: ECPoint):
     return (curve, p), (read, as_read)
 
 
-def _integral_image(curve: WeierstrassCurve, p: ECPoint) -> bool:
+def _integral_image(curve: WeierstrassCurve, p: Point) -> bool:
     scale = curve._integral[0]
     return (p.is_infinity or (scale ** 2 % p.v.denominator == 0
                               and scale ** 3 % p.u.denominator == 0))
@@ -337,11 +353,11 @@ def _scaled_cases(rng: random.Random):
     """Curves with L > 1: the image under v -> s^2 v, u -> s^3 u, s < 1, of
     integral curves through integer points (torsion and not) and of
     random rational curves, with each point and its double."""
-    bases = [(WeierstrassCurve(0, 0, 1), ECPoint(2, 3)),      # order 6
-             (WeierstrassCurve(0, 4, 0), ECPoint(2, 4)),      # order 4
-             (WeierstrassCurve(0, 0, -432), ECPoint(12, 36)),  # order 3
-             (CURVE_014, ECPoint(-4, 0)),                     # order 2
-             (WeierstrassCurve(0, -1, 1), ECPoint(0, 1))]     # infinite order
+    bases = [(WeierstrassCurve(0, 0, 1), Point(2, 3)),      # order 6
+             (WeierstrassCurve(0, 4, 0), Point(2, 4)),      # order 4
+             (WeierstrassCurve(0, 0, -432), Point(12, 36)),  # order 3
+             (CURVE_014, Point(-4, 0)),                     # order 2
+             (WeierstrassCurve(0, -1, 1), Point(0, 1))]     # infinite order
     for _ in range(6):
         curve, pts = random_curve_with_points(rng)
         bases += [(curve, p) for p in pts]
@@ -349,11 +365,11 @@ def _scaled_cases(rng: random.Random):
         for s in (F(1, 2), F(1, 3), F(2, 3), F(1, 6)):
             moved = WeierstrassCurve(curve.c2 * s ** 2, curve.c1 * s ** 4,
                                      curve.c0 * s ** 6)
-            image = ECPoint(p.v * s ** 2, p.u * s ** 3)
+            image = Point(p.v * s ** 2, p.u * s ** 3)
             yield from ((moved, multiple(moved, m, image)) for m in (1, 2))
 
 
-def _oracle_by_bound(curve: WeierstrassCurve, p: ECPoint) -> dict:
+def _oracle_by_bound(curve: WeierstrassCurve, p: Point) -> dict:
     """`stepwise_torsion_order` at every bound from 1 to 12.  Its loop at
     a bound is the first part of its loop at 12, so a point with no
     order up to 12 has none at any bound; a torsion point is searched
@@ -363,7 +379,7 @@ def _oracle_by_bound(curve: WeierstrassCurve, p: ECPoint) -> dict:
             for bound in range(1, 13)}
 
 
-def _assert_walk_matches(curve: WeierstrassCurve, p: ECPoint, expected_by_bound: dict):
+def _assert_walk_matches(curve: WeierstrassCurve, p: Point, expected_by_bound: dict):
     """The integer walk gives the oracle's answer at each bound, on the
     curve and point as given and as the command line reads them."""
     for case in _walk_cases(curve, p):
@@ -441,7 +457,7 @@ class TestIntegerChecks:
 
 class TestGuards:
     def test_off_curve_rejected_with_residual(self):
-        bad = ECPoint(2, 2)
+        bad = Point(2, 2)
         with pytest.raises(OffCurveError) as exc:
             ec_add(CURVE_014, bad, INFINITY)
         # u^2 - (v^3 + 3v^2 - 4v) at (2, 2)
@@ -454,7 +470,15 @@ class TestGuards:
             torsion_order_bounded(curve, Point(0, 2), 12)
         assert (type(exc.value.residual), exc.value.residual) == (int, 3)
         assert str(exc.value) == "point (0, 2) is not on the curve; residual 3"
-        for other_curve, point in ((curve, ECPoint(0, 2)), (curve, Point(0, F(2))),
+        # the group law reads the points as given, so its checks give the same
+        for call in (lambda: ec_add(curve, Point(0, 2), INFINITY),
+                     lambda: ec_double(curve, Point(0, 2)),
+                     lambda: multiple(curve, 3, Point(0, 2))):
+            with pytest.raises(OffCurveError) as exc:
+                call()
+            assert (type(exc.value.residual), exc.value.residual) == (int, 3)
+            assert str(exc.value) == "point (0, 2) is not on the curve; residual 3"
+        for other_curve, point in ((curve, Point(0, F(2))),
                                    (WeierstrassCurve(0, F(-1), 1), Point(0, 2))):
             with pytest.raises(OffCurveError) as exc:
                 other_curve.require(point)

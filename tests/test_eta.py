@@ -486,7 +486,7 @@ class TestQuarticEta:
         from realcurves import torsion_order_bounded
         assert torsion_order_bounded(model.curve, model.p, 12) == 3
         stats = SearchStats()
-        res = quartic_eta(params.quartic(), stats=stats)
+        res = eta_from_params(params, stats=stats)
         assert (res.value, res.certificate.kind) == (1, TORSION_COINCIDENCE)
         assert (res.certificate.relation, res.certificate.order) == ("2p = -p", 3)
         assert stats.case_list == ("p = p3", "2p = p3", "3p = p3", "4p = p3")
@@ -854,11 +854,14 @@ class TestEachFactOnce:
         assert len(calls["poly_gcd"]) == 0
 
     def test_undetermined_quartic_leaves_k_unset(self, monkeypatch):
+        # no normal form, so no k: the search never runs
         calls = self.count_calls(monkeypatch, "count_real_roots", "sturm_sequence")
-        stats = SearchStats()
-        result = quartic_eta(UniPoly([1, 1, 0, 0, 1]), stats=stats)  # x^4 + x + 1
+        searched = []
+        monkeypatch.setattr(eta_module, "eta_from_params",
+                            lambda *args, **kwargs: searched.append(args))
+        result = quartic_eta(UniPoly([1, 1, 0, 0, 1]))  # x^4 + x + 1
         assert result.certificate.kind == NON_RATIONAL_FACTORIZATION
-        assert stats.k is None
+        assert searched == []
         assert calls == {"count_real_roots": [], "sturm_sequence": []}
 
     @staticmethod

@@ -291,16 +291,17 @@ print(json.dumps([result, "fractions" in sys.modules]))
     assert found == [[[1, [3, -4, 0]], 12, 7], False]
 
 
-@pytest.mark.parametrize("check", ["as_fraction", "integer_form"])
+@pytest.mark.parametrize("check", ["point", "integer_form"])
 @pytest.mark.parametrize("value", ["'1/2'", "0.5", "None", "[1]"])
 def test_rationals_rejects_other_types_before_any_fraction(check, value):
     # `integer_form` rejects a str or a float before `fractions` is loaded
-    # and after, and so does `elliptic.as_fraction`, whose module loads
-    # it; each check first in a fresh interpreter
+    # and after, and so does `Point` beside a Fraction, which it takes
+    # from `elliptic`, whose module loads `fractions`; each check first
+    # in a fresh interpreter
     found = _run(f"""
 import realcurves
 from realcurves import rationals
-checks = {{"as_fraction": lambda v: realcurves.elliptic.as_fraction(v),
+checks = {{"point": lambda v: realcurves.Point(v, realcurves.elliptic.Fraction(1, 2)),
           "integer_form": lambda v: rationals.integer_form([1, v])}}
 rejected = []
 for name in ({check!r}, *checks):
@@ -311,8 +312,8 @@ for name in ({check!r}, *checks):
 print(json.dumps(rejected))
 """)
     # only the import of `elliptic` loads `fractions`
-    first = [check, check == "as_fraction"]
-    assert found == [first, ["as_fraction", True], ["integer_form", True]]
+    first = [check, check == "point"]
+    assert found == [first, ["point", True], ["integer_form", True]]
 
 
 def test_rationals_takes_a_fraction_made_before_its_own_import():
@@ -334,18 +335,18 @@ print(json.dumps([taken, rejected, str(rationals.read_rationals("1/3, -2", "x")[
 
 def test_read_rationals_builds_fractions_that_the_checks_take():
     # `read_rationals` reads integer entries as ints and imports
-    # `fractions` at the first other entry; `integer_form` and
-    # `elliptic.as_fraction` take its Fractions as they are
+    # `fractions` at the first other entry; `integer_form` and `Point`
+    # take its Fractions as they are
     found = _run("""
 from realcurves import rationals
+from realcurves.weierstrass import Point
 ints = rationals.read_rationals("3, -4", "x")
 before = "fractions" in sys.modules
 values = rationals.read_rationals("1/2,3", "x")
-import fractions
-from realcurves.elliptic import as_fraction
+point = Point(values[0], values[0])
 print(json.dumps([[type(v) is int for v in ints], before,
                   [type(v).__name__ for v in values],
-                  rationals.integer_form(values), as_fraction(values[0]) is values[0]]))
+                  rationals.integer_form(values), point.v is point.u is values[0]]))
 """)
     assert found == [[True, True], False, ["Fraction", "int"], [2, [1, 6]], True]
 

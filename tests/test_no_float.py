@@ -14,9 +14,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "realcurves"
 
 # (module, function, what): how many
 ALLOWED = Counter({
-    # the chord and tangent slopes, whose operands are Fractions: ECPoint
-    # turns int coordinates into Fractions
-    ("elliptic", "_add", "division"): 2,
     # the percentages of `sample`'s text output
     ("_cli_sample", "run", "division"): 1,
     ("_cli_sample", "run", "float literal"): 1,

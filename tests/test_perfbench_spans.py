@@ -8,7 +8,7 @@ import sys
 import types
 from pathlib import Path
 
-from realcurves import ECPoint, HyperellipticSpec, UniPoly, WeierstrassCurve
+from realcurves import HyperellipticSpec, Point, UniPoly, WeierstrassCurve
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,7 +46,7 @@ def test_tracer_counts_constructor_and_methods_and_restores_them():
     tracer.install(types.SimpleNamespace())
     try:
         spec = HyperellipticSpec(UniPoly([-1, 0, 1]))
-        WeierstrassCurve(0, -1, 0).require(ECPoint(0, 0))
+        WeierstrassCurve(0, -1, 0).require(Point(0, 0))
     finally:
         tracer.remove()
     assert spec.real_roots == 2

@@ -10,18 +10,17 @@ from fractions import Fraction
 import pytest
 
 from realcurves import (Certificate, CohomologyDims, ConicClass, ConicSpec,
-                        CurveInvariants, ECPoint, EtaAnalysis, EtaResult,
-                        GroupDescriptor, HyperellipticSpec, HypothesisError,
-                        LevelReport, QuarticParams, SampleBox, SampleSummary,
-                        SearchStats, SingularCurveError, UniPoly, WeierstrassCurve)
+                        CurveInvariants, EtaAnalysis, EtaResult, GroupDescriptor,
+                        HyperellipticSpec, HypothesisError, LevelReport, Point,
+                        QuarticParams, SampleBox, SampleSummary, SearchStats,
+                        SingularCurveError, UniPoly, WeierstrassCurve, ec_add, run_sample)
 from realcurves._record import Record
 from realcurves.eta import QuarticModel
-from realcurves.weierstrass import Point
 
 F = Fraction
 INV = CurveInvariants(1, 2, 0, 2, 0)
 CURVE = WeierstrassCurve(F(0), F(-1), F(0))
-POINT = ECPoint(F(1), F(0))
+POINT = Point(F(1), F(0))
 
 # class: (field names, arguments for every field, a second set of
 # arguments that differs in one field, the defaults of trailing fields)
@@ -41,7 +40,6 @@ RECORDS = {
                       {"geometrically_connected": True,
                        "degree": None, "real_roots": None}),
     ConicClass: (("kind", "invariants"), ("ellipse", INV), ("parabola", INV), {}),
-    ECPoint: (("v", "u"), (F(1), F(0)), (F(-1), F(0)), {}),
     Point: (("v", "u"), (1, F(1, 2)), (-1, F(1, 2)), {}),
     WeierstrassCurve: (("c2", "c1", "c0"), (F(0), F(-1), F(0)),
                        (F(0), F(-4), F(0)), {}),
@@ -76,11 +74,9 @@ RECORDS = {
     SampleSummary: (("count", "seed", "box", "known0", "known1", "undetermined",
                      "known1_certificates"),
                     (10, 1, SampleBox(), 7, 2, 1, [{"index": 3}]),
-                    (10, 2, SampleBox(), 7, 2, 1, [{"index": 3}]),
-                    {"known0": 0, "known1": 0, "undetermined": 0,
-                     "known1_certificates": []}),
+                    (10, 2, SampleBox(), 7, 2, 1, [{"index": 3}]), {}),
 }
-MUTABLE = (SearchStats, SampleSummary)
+MUTABLE = (SearchStats,)
 # a polynomial is built from its fields by a classmethod; UniPoly(...)
 # takes rational coefficients
 CONSTRUCTORS = {UniPoly: UniPoly.from_integers}
@@ -99,7 +95,7 @@ def _subclasses(cls):
 def test_every_record_class_is_covered():
     # importing realcurves has imported every module of the package
     assert set(_subclasses(Record)) == set(RECORDS)
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 18
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
@@ -127,8 +123,8 @@ def test_equality_and_hash_are_field_wise(record_class):
     assert record == twin and not record != twin
     assert record != other
     assert record != args
-    if record_class in MUTABLE or record_class is QuarticModel:
-        # mutable, or holding a dict
+    if record_class in MUTABLE or record_class in (QuarticModel, SampleSummary):
+        # mutable, or holding a dict or a list
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -181,9 +177,9 @@ def test_real_roots_is_kept_but_not_compared():
 
 
 def test_sample_summaries_do_not_share_a_certificate_list():
-    first, second = SampleSummary(1, 1, SampleBox()), SampleSummary(1, 1, SampleBox())
-    first.known1_certificates.append({"index": 0})
-    assert second.known1_certificates == []
+    # each run builds its own list, and hands it to the frozen summary
+    first, second = run_sample(1, 1, SampleBox()), run_sample(1, 1, SampleBox())
+    assert first == second and first.known1_certificates is not second.known1_certificates
 
 
 @pytest.mark.parametrize("build, error", [
@@ -251,11 +247,12 @@ def test_points_keep_their_coordinates_and_ec_points_make_fractions():
     assert (type(point.v), type(point.u)) == (int, Fraction)
     assert -point == Point(1, F(-1, 2)) and type(-point) is Point
     assert str(point) == "(1, 1/2)" and str(Point(None, None)) == "Infinity"
-    ec_point = ECPoint(1, F(1, 2))
-    assert (type(ec_point.v), type(ec_point.u)) == (Fraction, Fraction)
-    assert type(-ec_point) is ECPoint and str(ec_point) == str(point)
-    # each class compares equal only to its own
-    assert ec_point != point and ECPoint(None, None) != Point(None, None)
+    # the group law's sums are Points with Fraction coordinates, equal to
+    # the points of the same values with ints
+    total = ec_add(WeierstrassCurve(0, 0, 1), Point(2, 3), Point(-1, 0))
+    assert (type(total), type(total.v), type(total.u)) == (Point, Fraction, Fraction)
+    assert total == Point(0, -1) and hash(total) == hash(Point(0, -1))
+    assert str(total) == "(0, -1)"
 
 
 @pytest.mark.parametrize("build", [
@@ -263,9 +260,10 @@ def test_points_keep_their_coordinates_and_ec_points_make_fractions():
     lambda: UniPoly([1, "1/2"]),
     lambda: WeierstrassCurve(0, "1e3000000", 1),
     lambda: WeierstrassCurve("-1", 0, 0),
-    lambda: ECPoint("0", 0),
-    lambda: ECPoint(0, "1/2"),
-    lambda: ECPoint(None, F(1)),
+    # a Fraction beside another type takes the check too
+    lambda: Point("0", F(0)),
+    lambda: Point(F(0), "1/2"),
+    lambda: Point(F(1), None),
     lambda: ConicSpec(1, 0, 1, 0, 0, "-1"),
     lambda: ConicSpec(1, 0, 1, 0, 0, -1.0),
     lambda: QuarticParams(2, "1", 1, 2),
@@ -303,12 +301,12 @@ def test_group_descriptor_folds_zn(zn, folded):
     lambda: ConicSpec(1, 0, 1, 0, 0, True),
     lambda: ConicSpec(F(1, 2), False, 1, 0, 0, -1),
     lambda: Point(True, 1),
-    lambda: ECPoint(F(1, 2), True),
+    # a Fraction beside a bool, as the group law's points hold Fractions
+    lambda: Point(F(1, 2), True),
 ], ids=["params", "params-fraction", "curve", "curve-fraction", "poly", "poly-fraction",
         "conic", "conic-fraction", "point", "ec-point"])
 def test_bools_are_not_rationals(build):
     # a bool is an int subclass, but it would print as True or False:
-    # `integer_form` rejects it, beside ints and beside Fractions, and so
-    # does `elliptic.as_fraction`
+    # `integer_form` rejects it, beside ints and beside Fractions
     with pytest.raises(TypeError, match="cannot interpret (True|False) as an exact"):
         build()
