@@ -12,7 +12,8 @@ with a, b, c rational and a, c > 0 names the marked points; the number
 k of real roots of Q is read off the two signs.  With Q moved to
 x^4 + Px^2 + Cx + R, the Jacobian is the resolvent cubic of the
 quartic, u^2 = v^3 - 2Pv^2 + (P^2 - 4R)v + C^2, for every k, and
-p = (0, +-C).  eta = 1 exactly when p is a torsion point, and
+p = (0, +-C), built in ints, on the integral model of the integer form
+of a, b and c.  eta = 1 exactly when p is a torsion point, and
 Mazur's theorem on rational torsion bounds the possible orders.
 
 The decision walks the multiples np of p once, by the group law, up to
@@ -160,7 +161,8 @@ class QuarticModel(Record):
 
     p is the class of the difference of the two points at infinity, and
     two_torsion maps the names p1, p2, p3 (p1 alone for k = 2) to the
-    rational 2-torsion points.
+    rational 2-torsion points.  Coefficients and coordinates are ints,
+    on the integral model (`build_quartic_model`).
     """
 
     __slots__ = _fields = ("curve", "p", "two_torsion")
@@ -284,30 +286,25 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     (0, 2b(c^2-a^2)) for k in {0, 4} and (0, 2b(c^2+a^2)) for k = 2.
     p1 = -4b^2, and for k != 2 the rational two-torsion points p2 < p3
     are +-(c-a)^2 and +-(c+a)^2, with the sign of a^2.
-    The model is computed in integers from the params' integer form
-    a, b, c = A/D, B/D, C/D: P, C and R lie over D^2, D^3 and D^4, so
-    v-values (the roots and c2) are integers over D^2, c1 over D^4, c0
-    over D^6 and u-values over D^3, and each coordinate becomes a
-    Fraction once.  Every marked point is verified to lie on the curve;
-    configurations with vanishing discriminant (non-square-free
-    quartics) are rejected by the curve constructor.
+    The model is built on ints, on the integral model: with the params'
+    integer form a, b, c = A/D, B/D, C/D, (P, C, R) and the roots above
+    are taken of A, B and C, which is the curve of a, b, c under
+    v -> D^2 v, u -> D^3 u, an isomorphism over Q that keeps the order
+    of p, the names of the 2-torsion points and the order of their v.
+    Int params, as the sampler draws them, have D = 1.  Every marked
+    point is verified to lie on the curve; configurations with
+    vanishing discriminant (non-square-free quartics) are rejected by
+    the curve constructor.
     """
-    den, a, b, c = params._integral
+    _, a, b, c = params._integral
     sign_a, sign_c = _SIGNS[params.k]
     big_p, big_c, big_r = _expand(params.k, a, b, c)
-    den2 = den * den
-    den3 = den2 * den
-    four_b2 = 4 * b * b
-    roots = {"p1": -four_b2}
+    roots = {"p1": -4 * b * b}
     if params.k != 2:
         roots["p2"], roots["p3"] = sorted((sign_a * (c - a) ** 2, sign_a * (c + a) ** 2))
-    zero = Fraction(0)
-    curve = WeierstrassCurve(Fraction(-2 * big_p, den2),
-                             Fraction(big_p * big_p - 4 * big_r, den2 * den2),
-                             Fraction(big_c * big_c, den3 * den3))
-    p = Point(zero, Fraction(sign_c * big_c, den3))
-    torsion = {name: Point(Fraction(root, den2), zero)
-               for name, root in roots.items()}
+    curve = WeierstrassCurve(-2 * big_p, big_p * big_p - 4 * big_r, big_c * big_c)
+    p = Point(0, sign_c * big_c)
+    torsion = {name: Point(root, 0) for name, root in roots.items()}
     for point in (p, *torsion.values()):
         curve.require(point)
     return QuarticModel(curve=curve, p=p, two_torsion=torsion)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcurves import (INFINITY, QuarticParams, SearchStats,
+from realcurves import (INFINITY, Point, QuarticParams, SearchStats,
                         UniPoly, WeierstrassCurve, build_quartic_model, classify_conic,
                         count_real_roots, curves, eta_closed_rules,
                         eta_from_params, eta_full, full_report,
@@ -353,17 +353,20 @@ class TestModelBuilder:
 
     def test_matches_fraction_oracle(self):
         # sampler draws from every box, the same draws over a common
-        # denominator t, and the normal forms of shifted sampler quartics
+        # denominator t, and the normal forms of shifted sampler quartics;
+        # the model is the oracle's on the integral model, v -> D^2 v and
+        # u -> D^3 u for the lcm D of the denominators of a, b and c
         rng = random.Random(89)
-        params = []
+        params, over_t = [], []
         for k in (0, 2, 4):
             for pin in (None, "b=0", "a=c"):
                 box = SampleBox(k=k, pin=pin)
                 for _ in range(170):
                     drawn = draw_params(rng, box)
                     t = rng.randint(2, 9)
-                    params += [drawn, QuarticParams(k, F(drawn.a, t), F(drawn.b, t),
-                                                    F(drawn.c, t))]
+                    scaled = QuarticParams(k, F(drawn.a, t), F(drawn.b, t), F(drawn.c, t))
+                    params += [drawn, scaled]
+                    over_t.append((drawn, scaled))
                 for _ in range(40):
                     h = F(rng.randint(-30, 30), rng.randint(1, 7))
                     params.append(quartic_normal_form(
@@ -371,8 +374,19 @@ class TestModelBuilder:
         assert len(params) >= 3000
         for param in params:
             model, oracle = build_quartic_model(param), fraction_build_quartic_model(param)
-            assert model == oracle
-            assert repr(model) == repr(oracle)
+            den = lcm(*(F(x).denominator for x in (param.a, param.b, param.c)))
+            curve = model.curve
+            assert (curve.c2, curve.c1, curve.c0) == (
+                oracle.curve.c2 * den ** 2, oracle.curve.c1 * den ** 4,
+                oracle.curve.c0 * den ** 6)
+            marked = {"p": model.p, **model.two_torsion}
+            expected = {"p": oracle.p, **oracle.two_torsion}
+            assert marked == {name: Point(point.v * den ** 2, point.u * den ** 3)
+                              for name, point in expected.items()}
+            coordinates = [x for point in marked.values() for x in (point.v, point.u)]
+            assert all(type(x) is int for x in (curve.c2, curve.c1, curve.c0, *coordinates))
+        for drawn, scaled in over_t:
+            assert eta_from_params(scaled).to_json() == eta_from_params(drawn).to_json()
 
     def test_j_invariant_matches_the_quartic(self):
         # the model's j against j from the quartic's invariants I and J,

@@ -6,8 +6,12 @@ added to or multiplied with.  The specs bring the coefficients to
 integer numerators over one denominator, and classification, display
 and report assembly read that form, so the report of a parsed curve
 builds no Fraction, and neither does the parse of a curve with integer
-coefficients.  The counts are pinned exactly: a Fraction round trip
-that comes back anywhere on the path fails here.  A count of 0 is also
+coefficients.  A quartic's report builds the normal form's three
+params a, b and c as Fractions; the Jacobian model is built from their
+integer form in ints, so the rest of its Fractions are the group law's
+sums on the walk over the multiples of p.  The counts are pinned
+exactly: a Fraction round trip that comes back anywhere on the path
+fails here.  A count of 0 is also
 what lets a cold call on such a curve skip importing `fractions`, which
 `tests/test_lazy_modules.py` checks in a fresh interpreter.
 """
@@ -28,6 +32,11 @@ COUNTS = {
     # another; the difference x^3 - 1/4*x builds a third, the negation
     "1/2*x^2 + 3/4*y^2 - 1 = 0": (4, 0),
     "y^2 = x^3 - 1/4*x": (3, 0),
+    # the normal form's a, b and c; p is 2-torsion, so the walk adds nothing
+    "y^2 = (x^2+1)*(x^2+4)": (0, 3),
+    # those three and eight more from 2p, the one sum of a walk that
+    # stops at 2p = -p (order 3)
+    "y^2 = (x^2 + 2*x + 5)*(x^2 - 2*x - 3)": (0, 11),
 }
 
 

@@ -41,7 +41,9 @@ EC_CASES = [
     ["ec", "--curve", "0,-1,1", "double", "(0,1)"],
     ["ec", "--curve", "0,-1,1", "multiple", "-5", "(0,1)"],
     ["ec", "--curve", "3,-4,0", "add", "inf", "(1,0)"],
-    # build_quartic_model(QuarticParams(0, 1/2, 1/3, 3/2)) and its point p
+    # the Jacobian of QuarticParams(0, 1/2, 1/3, 3/2) and its point p;
+    # build_quartic_model gives it on the integral model, v and u times
+    # 36 and 216: (-164, 2304, 82944) and (0, 288)
     ["ec", "--curve=-41/9,16/9,16/9", "torsion", "(0,4/3)"],
 ]
 
