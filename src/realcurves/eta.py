@@ -288,7 +288,7 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     are +-(c-a)^2 and +-(c+a)^2, with the sign of a^2.
     The model is built on ints, on the integral model: with the params'
     integer form a, b, c = A/D, B/D, C/D, (P, C, R) and the roots above
-    are taken of A, B and C, which is the curve of a, b, c under
+    are taken of A, B and C.  That is the model of a, b, c under
     v -> D^2 v, u -> D^3 u, an isomorphism over Q that keeps the order
     of p, the names of the 2-torsion points and the order of their v.
     Int params, as the sampler draws them, have D = 1.  Every marked
