@@ -1,6 +1,6 @@
 """Per-call times of the layers a sampler draw runs, in microseconds.
 
-    python3 tools/layer_times.py [--count N] [--passes P]
+    python3 tools/layer_times.py [N]
 
 times, in one process with `time.perf_counter`,
 
@@ -13,26 +13,26 @@ times, in one process with `time.perf_counter`,
 
 with box = SampleBox(), the generic box.  The default N = 2000 is
 ROADMAP aim 1's fixed pool of seed-1 draws.  Each figure is the best of
-P passes (default 5) over the whole pool, divided by N.  The package is
-imported from this checkout's src/.
+5 passes over the whole pool, divided by N.  The package is imported
+from this checkout's src/.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from pathlib import Path
 from time import perf_counter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PASSES = 5
 
 
-def best_per_call_us(call, make_items, passes: int) -> float:
-    """The best of `passes` timed loops of `call` over `make_items()`,
+def best_per_call_us(call, make_items) -> float:
+    """The best of PASSES timed loops of `call` over `make_items()`,
     in microseconds per item; the items are made outside the timing."""
     best = float("inf")
-    for _ in range(passes):
+    for _ in range(PASSES):
         items = make_items()
         start = perf_counter()
         for item in items:
@@ -41,7 +41,7 @@ def best_per_call_us(call, make_items, passes: int) -> float:
     return best / len(items) * 1e6
 
 
-def layer_times(count: int, passes: int) -> list[tuple[str, float]]:
+def layer_times(count: int) -> list[tuple[str, float]]:
     """(name, microseconds per call) of each timed layer."""
     sys.path.insert(0, str(SRC))
     import realcurves as rc
@@ -57,32 +57,26 @@ def layer_times(count: int, passes: int) -> list[tuple[str, float]]:
     forms = [rc.quartic_normal_form(q) for q in quartics]
     seeds = range(count)
     return [
-        ("draw_params", best_per_call_us(lambda rng: draw_params(rng, box), streams, passes)),
+        ("draw_params", best_per_call_us(lambda rng: draw_params(rng, box), streams)),
         ("QuarticParams.quartic",
-         best_per_call_us(rc.QuarticParams.quartic, lambda: draws, passes)),
+         best_per_call_us(rc.QuarticParams.quartic, lambda: draws)),
         ("quartic_normal_form",
-         best_per_call_us(rc.quartic_normal_form, lambda: quartics, passes)),
+         best_per_call_us(rc.quartic_normal_form, lambda: quartics)),
         ("build_quartic_model (draws)",
-         best_per_call_us(rc.build_quartic_model, lambda: draws, passes)),
+         best_per_call_us(rc.build_quartic_model, lambda: draws)),
         ("build_quartic_model (normal forms)",
-         best_per_call_us(rc.build_quartic_model, lambda: forms, passes)),
+         best_per_call_us(rc.build_quartic_model, lambda: forms)),
         ("eta_from_params (draws)",
-         best_per_call_us(rc.eta_from_params, lambda: draws, passes)),
+         best_per_call_us(rc.eta_from_params, lambda: draws)),
         ("eta_from_params (normal forms)",
-         best_per_call_us(rc.eta_from_params, lambda: forms, passes)),
+         best_per_call_us(rc.eta_from_params, lambda: forms)),
         ("run_sample(1, ...)",
-         best_per_call_us(lambda seed: rc.run_sample(1, seed, box), lambda: seeds, passes)),
+         best_per_call_us(lambda seed: rc.run_sample(1, seed, box), lambda: seeds)),
     ]
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--count", type=int, default=2000, help="pool size N")
-    parser.add_argument("--passes", type=int, default=5, help="timed passes P")
-    args = parser.parse_args(argv)
-    if args.count < 1 or args.passes < 1:
-        parser.error("--count and --passes must be >= 1")
-    for name, micros in layer_times(args.count, args.passes):
+    for name, micros in layer_times(int(argv[0]) if argv else 2000):
         print(f"{name:<36} {micros:>9.1f} us")
     return 0
 
