@@ -148,14 +148,6 @@ class CurveInvariants(Record):
         object.__setattr__(self, "real_roots", real_roots)
 
     @property
-    def half_degree(self) -> int | None:
-        return None if self.degree is None else self.degree // 2
-
-    @property
-    def root_pairs(self) -> int | None:
-        return None if self.real_roots is None else self.real_roots // 2
-
-    @property
     def function_field_level(self) -> int | None:
         """Level of the function field: 1 iff geometrically disconnected,
         2 iff the real locus is empty (Pfister), None meaning infinite."""
@@ -167,11 +159,12 @@ class CurveInvariants(Record):
 
     def to_json(self) -> dict:
         level = self.function_field_level
+        d, k = self.degree, self.real_roots
         return {
-            "d": self.degree,
-            "d_prime": self.half_degree,
-            "k": self.real_roots,
-            "k_prime": self.root_pairs,
+            "d": d,
+            "d_prime": None if d is None else d // 2,
+            "k": k,
+            "k_prime": None if k is None else k // 2,
             "g": self.genus,
             "r": self.real_at_infinity,
             "c": self.complex_at_infinity,
@@ -305,17 +298,11 @@ def hyperelliptic_invariants(spec: HyperellipticSpec) -> CurveInvariants:
     kp = k // 2
     dp = d // 2
     if d % 2 == 1:
-        return CurveInvariants(genus=dp, real_at_infinity=1, complex_at_infinity=0,
-                               components=kp + 1, compact_components=kp,
-                               degree=d, real_roots=k)
-    if q.numerators[-1] < 0:
-        return CurveInvariants(genus=dp - 1, real_at_infinity=0, complex_at_infinity=1,
-                               components=kp, compact_components=kp,
-                               degree=d, real_roots=k)
-    if k > 0:
-        return CurveInvariants(genus=dp - 1, real_at_infinity=2, complex_at_infinity=0,
-                               components=kp + 1, compact_components=kp - 1,
-                               degree=d, real_roots=k)
-    return CurveInvariants(genus=dp - 1, real_at_infinity=2, complex_at_infinity=0,
-                           components=2, compact_components=0,
-                           degree=d, real_roots=k)
+        g, r, c, s, t = dp, 1, 0, kp + 1, kp
+    elif q.numerators[-1] < 0:
+        g, r, c, s, t = dp - 1, 0, 1, kp, kp
+    elif k > 0:
+        g, r, c, s, t = dp - 1, 2, 0, kp + 1, kp - 1
+    else:
+        g, r, c, s, t = dp - 1, 2, 0, 2, 0
+    return CurveInvariants(g, r, c, s, t, degree=d, real_roots=k)

@@ -135,22 +135,20 @@ class QuarticParams(Record):
 
 
 class SearchStats(Record, frozen=False):
-    """Instrumentation for the bounded torsion search.
+    """Instrumentation for the bounded torsion search, filled in by
+    `eta_from_params`.
 
-    k is the root count of the normal form that was searched; it stays
-    None when the quartic has no rational normal form.  case_list is
-    k's relation list.  relations_checked is the place of the matched
-    relation in that list, read as if the list were checked in order,
-    with the k = 4 relation 2p = -p fifth, or the length of the list
-    for an exhausted search.  max_multiple is n of the walk's last
-    multiple np.
+    case_list is the relation list of the params' k.  relations_checked
+    is the place of the matched relation in that list, read as if the
+    list were checked in order, with the k = 4 relation 2p = -p fifth,
+    or the length of the list for an exhausted search.  max_multiple is
+    n of the walk's last multiple np.
     """
 
-    __slots__ = _fields = ("k", "relations_checked", "max_multiple", "case_list")
+    __slots__ = _fields = ("relations_checked", "max_multiple", "case_list")
 
-    def __init__(self, k: int | None = None, relations_checked: int = 0,
-                 max_multiple: int = 0, case_list: tuple[str, ...] = ()):
-        self.k = k
+    def __init__(self, relations_checked: int = 0, max_multiple: int = 0,
+                 case_list: tuple[str, ...] = ()):
         self.relations_checked = relations_checked
         self.max_multiple = max_multiple
         self.case_list = case_list
@@ -373,7 +371,6 @@ def eta_from_params(params: QuarticParams,
     else:
         order = None
     if stats is not None:
-        stats.k = params.k
         stats.case_list = cases
         stats.max_multiple = n
         stats.relations_checked = len(cases)

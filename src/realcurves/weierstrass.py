@@ -19,7 +19,7 @@ integers.
 
 This module never imports `fractions`: it reads a Fraction only through
 its `numerator` and `denominator`, takes the class from `sys.modules`
-only to let a `Point` of two Fractions skip its check, and builds one
+only to let a `Point` of ints and Fractions skip its check, and builds one
 only for the residual of an off-curve error whose curve or point holds
 a Fraction already.
 So a call on integers, such as `ec torsion` on an integral curve and
@@ -37,16 +37,18 @@ from .rationals import Rational, integer_form
 
 class Point(Record):
     """Either the point at infinity (both coordinates None) or an affine
-    point (v, u) with int or Fraction coordinates, kept as given; any
-    other type is a TypeError, from `rationals.integer_form`.  Two
-    Fractions, as the group law returns, skip that check."""
+    point (v, u) with int or Fraction coordinates, kept as given.  A
+    coordinate of exactly type int or Fraction, as the group law and
+    the eta model build, passes as it is; any other value, a bool or a
+    None beside a number too, goes to `rationals.integer_form`, whose
+    TypeError rejects it."""
 
     __slots__ = _fields = ("v", "u")
 
     def __init__(self, v: Rational | None, u: Rational | None):
         # no Fraction exists before `fractions` has run
-        fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
-        if (v is not None or u is not None) and not (type(v) is type(u) is fraction):
+        exact = (int, getattr(sys.modules.get("fractions"), "Fraction", None))
+        if (v is not None or u is not None) and not (type(v) in exact and type(u) in exact):
             integer_form((v, u))  # the type check
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)

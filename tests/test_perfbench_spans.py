@@ -8,7 +8,8 @@ import sys
 import types
 from pathlib import Path
 
-from realcurves import HyperellipticSpec, Point, UniPoly, WeierstrassCurve
+import realcurves
+from realcurves import HyperellipticSpec, Point, QuarticParams, UniPoly, WeierstrassCurve
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,3 +57,23 @@ def test_tracer_counts_constructor_and_methods_and_restores_them():
     after = _package_namespaces()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_sums_the_search_stats_of_each_decision():
+    # the tracer hands eta_from_params a SearchStats and reads back its
+    # relations_checked and max_multiple; the name is read through the
+    # package after install, so the call reaches the wrapper
+    tracer = runpy.run_path(str(SPANS), run_name="perfbench_spans")["Tracer"]()
+    tracer.install(types.SimpleNamespace())
+    try:
+        # exhausted: all 6 relations of k = 0, the walk ends at 4p
+        exhausted = realcurves.eta_from_params(QuarticParams(0, 1, 2, 3))
+        # 2p = -p, order 3: the fifth relation of k = 4, found at 2p
+        order_three = realcurves.eta_from_params(QuarticParams(4, 5, 6, 1))
+    finally:
+        tracer.remove()
+    assert exhausted.value == 0
+    assert (order_three.certificate.relation, order_three.certificate.order) == ("2p = -p", 3)
+    assert tracer.calls["eta.eta_from_params"] == tracer.decisions == 2
+    assert tracer.relations_checked == 6 + 5
+    assert tracer.max_multiple_total == 4 + 2

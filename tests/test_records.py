@@ -51,10 +51,9 @@ RECORDS = {
                 (0, Certificate("rule-conic-table")), {}),
     QuarticParams: (("k", "a", "b", "c"), (2, F(1), F(3), F(2)),
                     (2, F(1), F(3), F(5)), {}),
-    SearchStats: (("k", "relations_checked", "max_multiple", "case_list"),
-                  (2, 3, 4, ("p = p1",)), (2, 3, 5, ("p = p1",)),
-                  {"k": None, "relations_checked": 0, "max_multiple": 0,
-                   "case_list": ()}),
+    SearchStats: (("relations_checked", "max_multiple", "case_list"),
+                  (3, 4, ("p = p1",)), (3, 5, ("p = p1",)),
+                  {"relations_checked": 0, "max_multiple": 0, "case_list": ()}),
     QuarticModel: (("curve", "p", "two_torsion"),
                    (CURVE, POINT, {"p1": POINT}),
                    (CURVE, POINT, {"p3": POINT}), {}),
@@ -271,6 +270,10 @@ def test_points_keep_their_coordinates_and_ec_points_make_fractions():
     lambda: Point("0", 0),
     lambda: Point(0, 0.5),
     lambda: Point(None, F(1)),
+    # an int beside a bool or a None takes the check too
+    lambda: Point(True, 0),
+    lambda: Point(1, False),
+    lambda: Point(0, None),
 ])
 def test_strings_are_not_rationals(build):
     # a rational is an int or a Fraction; a string is not parsed, so it
