@@ -25,10 +25,7 @@ class Certificate(Record):
     def __init__(self, kind: str, relation: str | None = None,
                  order: int | None = None,
                  cases_checked: tuple[str, ...] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cases_checked", cases_checked)
+        self._init(kind, relation, order, cases_checked)
 
     def to_json(self) -> dict:
         return {
@@ -46,8 +43,7 @@ class EtaResult(Record):
     __slots__ = _fields = ("value", "certificate")
 
     def __init__(self, value: int | None, certificate: Certificate):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "certificate", certificate)
+        self._init(value, certificate)
 
     def to_json(self) -> dict:
         return {"eta": self.value, "certificate": self.certificate.to_json()}

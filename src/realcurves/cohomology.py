@@ -42,8 +42,7 @@ class CohomologyDims(Record):
     def __init__(self, h1: int, h2: int):
         if min(h1, h2) < 0:
             raise ValueError("dimensions must be nonnegative")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
+        self._init(h1, h2)
 
     def to_json(self) -> dict:
         return {"h0": 1, "h1": self.h1, "h2": self.h2, "h_stable": self.h2}

@@ -61,9 +61,7 @@ class ConicSpec(Record):
         den, numerators = integer_form(values)
         if not any(numerators[:5]):
             raise HypothesisError("conic has no degree >= 1 terms")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_integral", (den, tuple(numerators)))
+        self._init(*values, (den, tuple(numerators)))
 
     def display(self) -> str:
         den, numerators = self._integral
@@ -84,10 +82,10 @@ class HyperellipticSpec(Record):
         if q.is_zero or q.degree < 1:
             raise HypothesisError("right-hand side must be nonconstant")
         try:
-            object.__setattr__(self, "real_roots", polys.count_real_roots(q))
+            real_roots = polys.count_real_roots(q)
         except ValueError:
             raise HypothesisError("right-hand side must be square-free") from None
-        object.__setattr__(self, "q", q)
+        self._init(q, real_roots)
 
     def display(self) -> str:
         return f"y^2 = {self.q}"
@@ -138,14 +136,7 @@ class CurveInvariants(Record):
         if degree is not None and real_roots is not None:
             if real_roots > degree:
                 raise ValueError("cannot have more real roots than the degree")
-        object.__setattr__(self, "genus", g)
-        object.__setattr__(self, "real_at_infinity", r)
-        object.__setattr__(self, "complex_at_infinity", c)
-        object.__setattr__(self, "components", s)
-        object.__setattr__(self, "compact_components", t)
-        object.__setattr__(self, "geometrically_connected", geometrically_connected)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "real_roots", real_roots)
+        self._init(g, r, c, s, t, geometrically_connected, degree, real_roots)
 
     @property
     def function_field_level(self) -> int | None:
@@ -192,8 +183,7 @@ class ConicClass(Record):
     __slots__ = _fields = ("kind", "invariants")
 
     def __init__(self, kind: str, invariants: CurveInvariants):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "invariants", invariants)
+        self._init(kind, invariants)
 
 
 def _genus_zero(kind: str, r: int, c: int, s: int, t: int, **flags) -> ConicClass:

@@ -57,9 +57,6 @@ from .elliptic import INFINITY, Point, WeierstrassCurve, _add
 from .errors import InternalInconsistencyError
 from .rationals import Rational, integer_form
 
-# bound once: every sampler draw builds a QuarticParams
-_set = object.__setattr__
-
 # k -> the signs of a^2 and c^2 in the normal form's two factors
 _SIGNS = {0: (1, 1), 2: (1, -1), 4: (-1, -1)}
 
@@ -115,11 +112,7 @@ class QuarticParams(Record):
             raise ValueError("repeated complex roots (b = 0 with a = c)")
         if k == 4 and 2 * abs(big_b) in (abs(big_c - big_a), big_c + big_a):
             raise ValueError("repeated real roots (2b in {+-(c-a), +-(c+a)})")
-        _set(self, "k", k)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "_integral", (den, big_a, big_b, big_c))
+        self._init(k, a, b, c, (den, big_a, big_b, big_c))
 
     def quartic(self) -> polys.UniPoly:
         """The normal form multiplied out, x^4 + Px^2 + Cx + R, in
@@ -149,9 +142,7 @@ class SearchStats(Record, frozen=False):
 
     def __init__(self, relations_checked: int = 0, max_multiple: int = 0,
                  case_list: tuple[str, ...] = ()):
-        self.relations_checked = relations_checked
-        self.max_multiple = max_multiple
-        self.case_list = case_list
+        self._init(relations_checked, max_multiple, case_list)
 
 
 class QuarticModel(Record):
@@ -167,9 +158,7 @@ class QuarticModel(Record):
 
     def __init__(self, curve: WeierstrassCurve, p: Point,
                  two_torsion: dict[str, Point]):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "two_torsion", two_torsion)
+        self._init(curve, p, two_torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +248,7 @@ def quartic_normal_form(q: polys.UniPoly) -> QuarticParams | None:
     a, u, c, k = min(candidates, key=lambda t: (-t[1] * t[1], t[1] < 0, t[0], t[2]))
     if _expand(k, a, u, c) != (4 * big_p, 8 * big_c, 16 * big_r):
         raise InternalInconsistencyError("normal form failed to reproduce the quartic")
-    return QuarticParams(k=k, a=Fraction(a, 2 * s), b=Fraction(u, 2 * s),
-                         c=Fraction(c, 2 * s))
+    return QuarticParams(k, Fraction(a, 2 * s), Fraction(u, 2 * s), Fraction(c, 2 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +293,7 @@ def build_quartic_model(params: QuarticParams) -> QuarticModel:
     torsion = {name: Point(root, 0) for name, root in roots.items()}
     for point in (p, *torsion.values()):
         curve.require(point)
-    return QuarticModel(curve=curve, p=p, two_torsion=torsion)
+    return QuarticModel(curve, p, torsion)
 
 
 # ---------------------------------------------------------------------------

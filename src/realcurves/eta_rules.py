@@ -64,8 +64,7 @@ class EtaAnalysis(Record):
     __slots__ = _fields = ("eta", "eta_complex")
 
     def __init__(self, eta: EtaResult, eta_complex: EtaResult):
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_complex", eta_complex)
+        self._init(eta, eta_complex)
 
     def to_json(self) -> dict:
         return {"eta": self.eta.to_json(), "eta_complex": self.eta_complex.to_json()}
@@ -126,8 +125,7 @@ class LevelReport(Record):
     __slots__ = _fields = ("value", "reason")
 
     def __init__(self, value: str, reason: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reason", reason)
+        self._init(value, reason)
 
     def to_json(self) -> dict:
         return {"ring_level": self.value, "reason": self.reason}

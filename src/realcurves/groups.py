@@ -40,11 +40,7 @@ class GroupDescriptor(Record):
                 z2 += count
             elif n == 4:
                 z4 += count
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "qz", qz)
-        object.__setattr__(self, "z4", z4)
-        object.__setattr__(self, "zn", zn)
-        object.__setattr__(self, "z2", z2)
+        self._init(free_rank, qz, z4, zn, z2)
 
     def format(self) -> str:
         """Deterministic display, summands in the fixed order

@@ -92,8 +92,7 @@ class UniPoly(Record):
             g = -g
         if g != 1:
             nums, denominator = [c // g for c in nums], denominator // g
-        object.__setattr__(self, "numerators", tuple(nums))
-        object.__setattr__(self, "denominator", denominator)
+        self._init(tuple(nums), denominator)
 
     # -- basic queries -------------------------------------------------
 

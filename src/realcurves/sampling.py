@@ -51,11 +51,7 @@ class SampleBox(Record):
                    for root_count in ((0, 2, 4) if k is None else (k,))):
             raise ValueError("box admits no draw: each (a, b, c) in it is excluded "
                              "or not square-free")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "amax", amax)
-        object.__setattr__(self, "bmax", bmax)
-        object.__setattr__(self, "cmax", cmax)
-        object.__setattr__(self, "pin", pin)
+        self._init(k, amax, bmax, cmax, pin)
 
     def to_json(self) -> dict:
         return {"k": self.k, "amax": self.amax, "bmax": self.bmax,
@@ -80,13 +76,7 @@ class SampleSummary(Record):
 
     def __init__(self, count: int, seed: int, box: SampleBox, known0: int,
                  known1: int, undetermined: int, known1_certificates: list[dict]):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "known0", known0)
-        object.__setattr__(self, "known1", known1)
-        object.__setattr__(self, "undetermined", undetermined)
-        object.__setattr__(self, "known1_certificates", known1_certificates)
+        self._init(count, seed, box, known0, known1, undetermined, known1_certificates)
 
     def to_json(self) -> dict:
         return {

@@ -50,8 +50,7 @@ class Point(Record):
         exact = (int, getattr(sys.modules.get("fractions"), "Fraction", None))
         if (v is not None or u is not None) and not (type(v) in exact and type(u) in exact):
             integer_form((v, u))  # the type check
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
+        self._init(v, u)
 
     @property
     def is_infinity(self) -> bool:
@@ -77,11 +76,8 @@ class WeierstrassCurve(Record):
 
     def __init__(self, c2: Rational, c1: Rational, c0: Rational):
         scale, numerators = integer_form((c2, c1, c0))
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c0", c0)
-        # (L, N2, N1, N0) with c_i = N_i / L
-        object.__setattr__(self, "_integral", (scale, *numerators))
+        # _integral is (L, N2, N1, N0) with c_i = N_i / L
+        self._init(c2, c1, c0, (scale, *numerators))
         if self._scaled_discriminant() == 0:
             raise SingularCurveError(f"cubic has a repeated root: {self}")
 

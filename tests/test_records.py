@@ -115,6 +115,27 @@ def test_positional_and_keyword_construction(record_class):
         assert getattr(with_defaults, name) == value
 
 
+# the values of the private slots, which take no part in equality, for
+# the first arguments of RECORDS
+PRIVATE = {
+    ConicSpec: {"_integral": (1, (1, 0, 1, 0, 0, -1))},
+    HyperellipticSpec: {"real_roots": 2},
+    QuarticParams: {"_integral": (1, 1, 3, 2)},
+    WeierstrassCurve: {"_integral": (1, 0, -1, 0)},
+}
+
+
+def test_positional_construction_sets_every_slot(record_class):
+    names, args, _, _ = RECORDS[record_class]
+    record = construct(record_class)(*args)
+    expected = {**dict(zip(names, args)), **PRIVATE.get(record_class, {})}
+    assert {name: getattr(record, name) for name in record_class.__slots__} == expected
+    # copies write every slot too, private ones included
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert {name: getattr(twin, name) for name in record_class.__slots__} == expected
+
+
 def test_equality_and_hash_are_field_wise(record_class):
     _, args, other_args, _ = RECORDS[record_class]
     record, twin, other = (construct(record_class)(*args), construct(record_class)(*args),
